@@ -81,14 +81,7 @@ func PartitionedRequirement(s *sched.Schedule, lts []lifetime.Lifetime) (int, er
 // FitsDual reports whether the classified values fit in subfiles of r
 // registers each, using First Fit in both regions.
 func FitsDual(c *Classification, r int) bool {
-	ga, err := regalloc.FirstFit(c.GlobalLts, c.II)
-	if err != nil || ga.Registers > r {
-		return false
-	}
-	for cluster := 0; cluster < c.Clusters; cluster++ {
-		if !regalloc.FitsIn(c.LocalLts[cluster], c.II, r-ga.Registers) {
-			return false
-		}
-	}
-	return true
+	var d dualFit
+	d.reset(c)
+	return d.fits(r)
 }

@@ -9,31 +9,127 @@ import (
 // Fit returns a fit predicate for the model, with the signature expected
 // by the spill package: it reports whether the schedule's values can be
 // allocated in regs registers (per subfile, for the dual organizations)
-// and returns the schedule actually used (rebalanced for Swapped).
+// and returns the schedule actually used (rebalanced for Swapped). It is
+// the one-budget case of RoundFit, and safe for concurrent use.
 func Fit(model Model) func(s *sched.Schedule, lts []lifetime.Lifetime, regs int) (*sched.Schedule, bool) {
-	switch model {
-	case Ideal:
-		return func(s *sched.Schedule, _ []lifetime.Lifetime, _ int) (*sched.Schedule, bool) {
-			return s, true
-		}
-	case Unified:
-		return func(s *sched.Schedule, lts []lifetime.Lifetime, regs int) (*sched.Schedule, bool) {
-			return s, regalloc.FitsIn(lts, s.II, regs)
-		}
-	case Partitioned:
-		return func(s *sched.Schedule, lts []lifetime.Lifetime, regs int) (*sched.Schedule, bool) {
-			return s, FitsDual(Classify(s, lts), regs)
-		}
-	case Swapped:
-		return func(s *sched.Schedule, lts []lifetime.Lifetime, regs int) (*sched.Schedule, bool) {
-			// Cheap path first: if the unswapped partition fits, accept.
-			if FitsDual(Classify(s, lts), regs) {
-				return s, true
-			}
-			swapped, _ := Swap(s, SwapOptions{})
-			return swapped, FitsDual(Classify(swapped, lts), regs)
-		}
-	default:
-		panic("core: Fit on unknown model")
+	newRoundFit(model) // reject an unknown model up front
+	return func(s *sched.Schedule, lts []lifetime.Lifetime, regs int) (*sched.Schedule, bool) {
+		return RoundFit(model)(s, lts)(regs)
 	}
+}
+
+// RoundFit returns the model's fit test for one spill walk, with the
+// signature of spill.RoundFit: given a round's schedule and lifetimes it
+// returns the per-budget test. Everything that does not depend on the
+// budget — classification, the swap descent, the global region's First
+// Fit allocation and each region's First Fit placement order — is
+// computed at most once per round, on the first budget that needs it;
+// every budget then only runs the placement itself. Swapped keeps its
+// per-budget choice of final schedule: the unswapped schedule when it
+// fits, otherwise the swapped one.
+//
+// The returned function serves one walk: its buffers are reused from
+// round to round, so a round's test is valid until the next round is
+// prepared, and neither is safe for concurrent use.
+func RoundFit(model Model) func(s *sched.Schedule, lts []lifetime.Lifetime) func(regs int) (*sched.Schedule, bool) {
+	rf := newRoundFit(model)
+	test := rf.fits
+	return func(s *sched.Schedule, lts []lifetime.Lifetime) func(int) (*sched.Schedule, bool) {
+		rf.s, rf.lts = s, lts
+		rf.unifiedReady, rf.plainReady, rf.swappedReady = false, false, false
+		return test
+	}
+}
+
+// roundFit is the state behind RoundFit: the current round's schedule
+// and lifetimes, and the budget-independent work done for them so far.
+type roundFit struct {
+	model Model
+	s     *sched.Schedule
+	lts   []lifetime.Lifetime
+
+	unified      regalloc.Fitter
+	unifiedReady bool
+	plain        dualFit // the round's own partition
+	plainReady   bool
+	swapped      *sched.Schedule // Swapped only: the swap-rebalanced schedule
+	rebalanced   dualFit         // and its partition
+	swappedReady bool
+}
+
+func newRoundFit(model Model) *roundFit {
+	if model < Ideal || model > Swapped {
+		panic("core: RoundFit on unknown model")
+	}
+	return &roundFit{model: model}
+}
+
+func (rf *roundFit) fits(regs int) (*sched.Schedule, bool) {
+	s := rf.s
+	switch rf.model {
+	case Ideal:
+		return s, true
+	case Unified:
+		if !rf.unifiedReady {
+			rf.unified.Reset(rf.lts, s.II)
+			rf.unifiedReady = true
+		}
+		return s, rf.unified.FitsIn(regs)
+	}
+	// Cheap path first: if the unswapped partition fits, accept.
+	if !rf.plainReady {
+		rf.plain.reset(Classify(s, rf.lts))
+		rf.plainReady = true
+	}
+	if ok := rf.plain.fits(regs); ok || rf.model == Partitioned {
+		return s, ok
+	}
+	if !rf.swappedReady {
+		rf.swapped, _ = Swap(s, SwapOptions{})
+		rf.rebalanced.reset(Classify(rf.swapped, rf.lts))
+		rf.swappedReady = true
+	}
+	return rf.swapped, rf.rebalanced.fits(regs)
+}
+
+// dualFit is FitsDual prepared for many budgets: the global region is
+// allocated once per classification, and each cluster's local region
+// gets its First Fit placement order sorted the first time a budget
+// reaches it. Buffers are reused across resets.
+type dualFit struct {
+	c      *Classification
+	global int // global-region registers; -1 when it cannot be allocated
+	local  []regalloc.Fitter
+	ready  []bool
+}
+
+func (d *dualFit) reset(c *Classification) {
+	d.c, d.global = c, -1
+	if ga, err := regalloc.FirstFit(c.GlobalLts, c.II); err == nil {
+		d.global = ga.Registers
+	}
+	if len(d.local) != c.Clusters {
+		d.local = make([]regalloc.Fitter, c.Clusters)
+		d.ready = make([]bool, c.Clusters)
+	}
+	clear(d.ready)
+}
+
+// fits reports whether the classified values fit in subfiles of r
+// registers each.
+func (d *dualFit) fits(r int) bool {
+	if d.global < 0 || d.global > r {
+		return false
+	}
+	for cluster := range d.local {
+		f := &d.local[cluster]
+		if !d.ready[cluster] {
+			f.Reset(d.c.LocalLts[cluster], d.c.II)
+			d.ready[cluster] = true
+		}
+		if !f.FitsIn(r - d.global) {
+			return false
+		}
+	}
+	return true
 }

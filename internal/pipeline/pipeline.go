@@ -105,7 +105,8 @@ type ModelResult struct {
 	// spilled and/or swap-rebalanced schedule.
 	Sched *sched.Schedule
 	// Graph is the final dependence graph including spill code; it is the
-	// base graph itself when nothing was spilled.
+	// base graph itself when nothing was spilled, and otherwise usually
+	// the read-only graph of the final (cached) schedule.
 	Graph *ddg.Graph
 	// Lifetimes are the value lifetimes of the final schedule.
 	Lifetimes []lifetime.Lifetime
@@ -148,38 +149,47 @@ func (r *ModelResult) Requirement() (int, *sched.Schedule, error) {
 	return r.measure.req, r.measure.sched, r.measure.err
 }
 
-// regsFor normalizes the register budget: the Ideal model's file is
-// unlimited regardless of the requested size.
-func regsFor(model core.Model, regs int) int {
-	if model == core.Ideal {
-		return 0
-	}
-	return regs
-}
-
 // Evaluate runs the per-model stage chain on top of a shared base:
 // classify and allocate the base schedule under the model, and spill (on
 // a private clone of the base graph) until the allocation fits in regs
 // registers per (sub)file (regs <= 0 = unlimited). The base artifacts
 // are consumed read-only; the scheduler only runs for post-spill rounds,
 // never for the base schedule itself. The requirement measurement is
-// deferred to ModelResult.Requirement.
+// deferred to ModelResult.Requirement. Evaluate is the one-budget case
+// of EvaluateSeries.
 func Evaluate(ctx context.Context, sr Scheduler, b *Base, model core.Model, regs int) (*ModelResult, error) {
-	res, err := spill.RunSeeded(ctx, sr, b.Graph, b.Machine, regsFor(model, regs), core.Fit(model), b.Opts, b.seed())
-	if err != nil {
-		return nil, err
+	res, errs := EvaluateSeries(ctx, sr, b, model, []int{regs})
+	return res[0], errs[0]
+}
+
+// EvaluateSeries evaluates one model over the shared base at every
+// budget of regs with a single walk of the spill chain (spill.RunSeries):
+// the chain does not depend on the budget, so each budget takes the
+// first round that fits it, with the result Evaluate would return for
+// that budget alone. The Ideal model fits every budget at round 0.
+// Results and errors are indexed like regs; errs[i] is non-nil exactly
+// when results[i] is nil. A spilled result's Graph may be the read-only
+// graph of a cached schedule.
+func EvaluateSeries(ctx context.Context, sr Scheduler, b *Base, model core.Model, regs []int) ([]*ModelResult, []error) {
+	res, errs := spill.RunSeries(ctx, sr, b.Graph, b.Machine, regs, core.RoundFit(model), b.Opts, b.seed())
+	out := make([]*ModelResult, len(res))
+	for i, r := range res {
+		if r == nil {
+			continue
+		}
+		out[i] = &ModelResult{
+			Model:         model,
+			Sched:         r.Sched,
+			Graph:         r.Graph,
+			Lifetimes:     r.Lifetimes,
+			SpilledValues: r.SpilledValues,
+			SpillStores:   r.SpillStores,
+			SpillLoads:    r.SpillLoads,
+			IIBumps:       r.IIBumps,
+			Iterations:    r.Iterations,
+		}
 	}
-	return &ModelResult{
-		Model:         model,
-		Sched:         res.Sched,
-		Graph:         res.Graph,
-		Lifetimes:     res.Lifetimes,
-		SpilledValues: res.SpilledValues,
-		SpillStores:   res.SpillStores,
-		SpillLoads:    res.SpillLoads,
-		IIBumps:       res.IIBumps,
-		Iterations:    res.Iterations,
-	}, nil
+	return out, errs
 }
 
 // EvaluateAll evaluates every model over one shared base, in the paper's

@@ -28,7 +28,7 @@ func TestEvaluateMatchesMonolithicPath(t *testing.T) {
 	}
 	for _, model := range core.Models {
 		for _, regs := range []int{0, 64, 32, 23, 16} {
-			mono, err := spill.Run(g, m, regsFor(model, regs), core.Fit(model), sched.Options{})
+			mono, err := spill.Run(g, m, regs, core.Fit(model), sched.Options{})
 			if err != nil {
 				t.Fatalf("%v/%d: %v", model, regs, err)
 			}

@@ -80,19 +80,56 @@ func allocate(lts []lifetime.Lifetime, ii int, strat Strategy) (*Allocation, err
 
 // FitsIn reports whether First Fit succeeds with at most r registers.
 // This is the frontier probe path: no specifier map is materialized,
-// only the placement feasibility is computed.
+// only the placement feasibility is computed. It is a Fitter asked once.
 func FitsIn(lts []lifetime.Lifetime, ii, r int) bool {
-	if len(lts) == 0 {
+	var f Fitter
+	f.Reset(lts, ii)
+	return f.FitsIn(r)
+}
+
+// Fitter is FitsIn for one lifetime set and many budgets. Its first test
+// runs on an arena borrowed from the fitState pool for that call alone,
+// so a set tested once costs what FitsIn costs. From the second test on,
+// the Fitter sorts the First Fit placement order once into an arena of
+// its own, and each budget only runs the placement. Reset reuses that
+// arena for the next set, which is how the spill series walk keeps one
+// Fitter per region across its rounds. Not safe for concurrent use.
+type Fitter struct {
+	lts     []lifetime.Lifetime
+	ii, low int
+	tests   int      // placements run since Reset
+	st      fitState // own arena, prepared on the second placement
+}
+
+// Reset points f at lts and interval ii, reusing its arena.
+func (f *Fitter) Reset(lts []lifetime.Lifetime, ii int) {
+	f.lts, f.ii, f.tests = lts, ii, 0
+	if len(lts) > 0 {
+		f.low = lifetime.AvgLiveBound(lts, ii)
+	}
+}
+
+// FitsIn reports whether First Fit succeeds with at most r registers
+// for the lifetimes f was Reset to.
+func (f *Fitter) FitsIn(r int) bool {
+	if len(f.lts) == 0 {
 		return true
 	}
-	if r < lifetime.AvgLiveBound(lts, ii) {
+	if r < f.low {
 		return false
 	}
-	st := fitStates.Get().(*fitState)
-	st.prepare(lts, StrategyFirstFit)
-	ok := st.tryFit(ii, r, StrategyFirstFit)
-	fitStates.Put(st)
-	return ok
+	f.tests++
+	switch f.tests {
+	case 1:
+		st := fitStates.Get().(*fitState)
+		st.prepare(f.lts, StrategyFirstFit)
+		ok := st.tryFit(f.ii, r, StrategyFirstFit)
+		fitStates.Put(st)
+		return ok
+	case 2:
+		f.st.prepare(f.lts, StrategyFirstFit)
+	}
+	return f.st.tryFit(f.ii, r, StrategyFirstFit)
 }
 
 // Validate checks that an allocation is conflict-free for the given

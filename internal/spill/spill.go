@@ -31,8 +31,9 @@ type Result struct {
 	Sched *sched.Schedule
 	// Graph is the final dependence graph including spill code. When
 	// nothing was spilled it is the caller's input graph itself (the
-	// spill loop only clones once it has to mutate), so treat it as
-	// read-only.
+	// spill loop only clones once it has to mutate); otherwise it is
+	// usually the final schedule's graph, shared with the scheduler's
+	// cache (see RunSeries). Treat it as read-only.
 	Graph *ddg.Graph
 	// Lifetimes are the value lifetimes of the final round's schedule.
 	// They also hold for a swap-rebalanced Sched: lifetimes depend only
@@ -80,14 +81,48 @@ func Run(g *ddg.Graph, m *machine.Config, regs int, fit FitFunc, opts sched.Opti
 	return RunSeeded(context.Background(), nil, g, m, regs, fit, opts, nil)
 }
 
-// RunSeeded is the full-control spill loop: scheduling requests route
-// through sr (nil = sched.Run), and a non-nil seed supplies the first
-// round's schedule and lifetimes — the caller guarantees they were
-// computed from exactly (g, m, opts). The input graph is never mutated:
-// the loop works on g directly until it must insert spill code, and only
-// then switches to a private clone. ctx is checked between rounds, so a
-// cancelled context stops a long spill search promptly.
+// RunSeeded is the full-control spill loop for one budget: the
+// one-budget case of RunSeries. Scheduling requests route through sr
+// (nil = sched.Run), and a non-nil seed supplies the first round's
+// schedule and lifetimes — the caller guarantees they were computed from
+// exactly (g, m, opts). The input graph is never mutated. ctx is checked
+// between rounds, so a cancelled context stops a long spill search
+// promptly.
 func RunSeeded(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Config, regs int, fit FitFunc, opts sched.Options, seed *Seed) (*Result, error) {
+	round := func(s *sched.Schedule, lts []lifetime.Lifetime) func(int) (*sched.Schedule, bool) {
+		return func(regs int) (*sched.Schedule, bool) { return fit(s, lts, regs) }
+	}
+	res, errs := RunSeries(ctx, sr, g, m, []int{regs}, round, opts, seed)
+	return res[0], errs[0]
+}
+
+// RoundFit prepares the fit test of one spill round: given the round's
+// schedule and lifetimes it returns the per-budget test, with FitFunc's
+// meaning. The budget-independent work is meant to be done at most once
+// per round and shared by every budget the walk tests against it.
+type RoundFit func(s *sched.Schedule, lts []lifetime.Lifetime) func(regs int) (*sched.Schedule, bool)
+
+// RunSeries runs the spill loop for every budget of regs with a single
+// walk of the spill chain. pickVictim never looks at the budget, so the
+// victims, graph rewrites, re-schedules and II bumps form one chain; a
+// budget only decides the round where its loop stops. The walk tests
+// every still-open budget against each round's schedule, and a budget
+// closes at its first fitting round (round 0 for regs <= 0) with that
+// round's schedule, graph, lifetimes and accumulated counters — exactly
+// what RunSeeded with that budget alone returns. The walk ends when the
+// last budget closes; budgets still open after maxIterations rounds get
+// the non-convergence error naming their own regs.
+//
+// Results and errors are indexed like regs, which may be unsorted and
+// hold duplicates; errs[i] is non-nil exactly when results[i] is nil. A
+// scheduler error or a cancelled ctx fails every budget still open.
+//
+// A closed budget's Graph is the input graph while nothing has been
+// spilled, and otherwise the round's schedule graph (s.Graph), which a
+// caching scheduler already hands out as a private read-only copy. Only
+// when the scheduler returned the working graph itself, and the walk
+// goes on to rewrite it, is the graph cloned for the closed budgets.
+func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Config, regs []int, fit RoundFit, opts sched.Options, seed *Seed) ([]*Result, []error) {
 	schedule := sched.Run
 	if sr != nil {
 		schedule = sr.Schedule
@@ -102,15 +137,26 @@ func RunSeeded(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 			}
 		}
 	}()
-	res := &Result{}
+	results := make([]*Result, len(regs))
+	errs := make([]error, len(regs))
+	open := len(regs) // budgets without a result yet
+	fail := func(err error) ([]*Result, []error) {
+		for i, r := range results {
+			if r == nil {
+				errs[i] = err
+			}
+		}
+		return results, errs
+	}
+	var chain Result                  // counters accumulated along the chain
 	unspillable := make(map[int]bool) // node IDs whose values may not be spilled again
 	slot := 0
 
-	for iter := 0; iter < maxIterations; iter++ {
+	for iter := 0; iter < maxIterations && open > 0; iter++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("spill: %s: %w", g.LoopName, err)
+			return fail(fmt.Errorf("spill: %s: %w", g.LoopName, err))
 		}
-		res.Iterations = iter + 1
+		chain.Iterations = iter + 1
 		var s *sched.Schedule
 		var lts []lifetime.Lifetime
 		if iter == 0 && seed != nil {
@@ -119,23 +165,60 @@ func RunSeeded(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 			var err error
 			s, err = schedule(work, m, opts)
 			if err != nil {
-				return nil, fmt.Errorf("spill: %w", err)
+				return fail(fmt.Errorf("spill: %w", err))
 			}
 			lts = lifetime.Compute(s)
 		}
-		if regs <= 0 {
-			res.Sched, res.Graph, res.Lifetimes = s, work, lts
-			return res, nil
+		kept := g // nothing spilled yet: the input graph, never mutated
+		if cloned {
+			kept = s.Graph
 		}
-		if final, ok := fit(s, lts, regs); ok {
-			res.Sched, res.Graph, res.Lifetimes = final, work, lts
-			return res, nil
+		var test func(int) (*sched.Schedule, bool)
+		closed := 0
+		for i, r := range regs {
+			if results[i] != nil {
+				continue
+			}
+			final := s
+			if r > 0 {
+				if test == nil {
+					test = fit(s, lts)
+				}
+				var ok bool
+				if final, ok = test(r); !ok {
+					continue
+				}
+			}
+			res := chain
+			res.Sched, res.Graph, res.Lifetimes = final, kept, lts
+			results[i] = &res
+			closed++
+		}
+		if open -= closed; open == 0 {
+			break
+		}
+		if closed > 0 && cloned && kept == work {
+			// The scheduler handed back the working graph itself, which
+			// the walk is about to rewrite: this round's results keep a
+			// copy.
+			keep := work.Clone()
+			for _, r := range results {
+				if r == nil || r.Iterations != chain.Iterations {
+					continue
+				}
+				r.Graph = keep
+				if r.Sched.Graph == work {
+					rebound := *r.Sched
+					rebound.Graph = keep
+					r.Sched = &rebound
+				}
+			}
 		}
 		victim, ok := pickVictim(work, lts, unspillable)
 		if !ok {
 			// Everything is spilled and it still does not fit: relax
 			// the schedule by forcing a larger II.
-			res.IIBumps++
+			chain.IIBumps++
 			if opts.MinII <= s.II {
 				opts.MinII = s.II + 1
 			} else {
@@ -148,12 +231,17 @@ func RunSeeded(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 		}
 		stores, loads := insertSpill(work, victim, slot, unspillable)
 		slot++
-		res.SpilledValues++
-		res.SpillStores += stores
-		res.SpillLoads += loads
+		chain.SpilledValues++
+		chain.SpillStores += stores
+		chain.SpillLoads += loads
 	}
-	return nil, fmt.Errorf("spill: loop %s did not converge in %d rounds (regs=%d)",
-		g.LoopName, maxIterations, regs)
+	for i, r := range results {
+		if r == nil {
+			errs[i] = fmt.Errorf("spill: loop %s did not converge in %d rounds (regs=%d)",
+				g.LoopName, maxIterations, regs[i])
+		}
+	}
+	return results, errs
 }
 
 // pickVictim selects the spillable value with the longest lifetime, as

@@ -29,11 +29,38 @@ func encodeStream(t *testing.T, run func(emit func(Result)) error) []byte {
 	return buf.Bytes()
 }
 
+// sweepUnitsFlat is the pre-grouping executor: every unit independently
+// re-requests its stages through the cache, in unit order, each cell
+// walking its own spill chain. It is the reference implementation for
+// the executor equivalence property test — the two executors must emit
+// byte-identical streams over any grid and any shard split.
+func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, emit func(Result)) error {
+	out := newReorder(emit)
+	return e.ForEach(ctx, len(units), func(i int) error {
+		u := units[i]
+		r := rowFor(grid, u)
+		res, err := e.Compile(ctx, grid.Corpus[u.Loop], grid.Machines[u.Machine], u.Model, u.Regs)
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			r.Error = err.Error()
+		} else {
+			r.Fill(res)
+		}
+		e.rowsComputed.Add(1)
+		out.put(i, r)
+		return nil
+	})
+}
+
 // TestBaseMajorMatchesFlatStream is the equivalence property of the
-// two-level executor: over randomized grids and randomized shard
-// splits, the base-major path emits a stream byte-identical to the flat
-// unit-at-a-time reference path. Run under -race in CI, this also
-// exercises the group leader / reorder-buffer synchronization.
+// group → series → cell executor: over randomized grids (unsorted
+// register axes included) and randomized shard splits, it emits a
+// stream byte-identical to the flat unit-at-a-time reference path. Each
+// trial's shards run on a fresh engine, so a shard that cuts a series
+// mid-axis walks its partial series itself. Run under -race in CI, this
+// also exercises the group leader / reorder-buffer synchronization.
 func TestBaseMajorMatchesFlatStream(t *testing.T) {
 	kernels := loops.Kernels()
 	machinePool := []*machine.Config{
@@ -49,7 +76,8 @@ func TestBaseMajorMatchesFlatStream(t *testing.T) {
 	}
 	ctx := context.Background()
 	flatEng, groupEng := New(4), New(4)
-	for trial := 0; trial < 8; trial++ {
+	cuts := 0 // shard series shorter than their full-plan series
+	for trial := 0; trial < 12; trial++ {
 		var grid Grid
 		for _, ki := range pick(1+rng.Intn(5), len(kernels)) {
 			grid.Corpus = append(grid.Corpus, kernels[ki])
@@ -60,7 +88,7 @@ func TestBaseMajorMatchesFlatStream(t *testing.T) {
 		for _, mo := range pick(1+rng.Intn(len(modelPool)), len(modelPool)) {
 			grid.Models = append(grid.Models, modelPool[mo])
 		}
-		for n := rng.Intn(4); n >= 0; n-- {
+		for n := 1 + rng.Intn(4); n >= 0; n-- {
 			grid.Regs = append(grid.Regs, regsPool[rng.Intn(len(regsPool))])
 		}
 		units := grid.Plan()
@@ -72,27 +100,40 @@ func TestBaseMajorMatchesFlatStream(t *testing.T) {
 			return groupEng.SweepUnits(ctx, grid, units, emit)
 		})
 		if !bytes.Equal(flat, grouped) {
-			t.Fatalf("trial %d: base-major stream differs from flat stream\nflat:\n%s\ngrouped:\n%s",
+			t.Fatalf("trial %d: series-major stream differs from flat stream\nflat:\n%s\ngrouped:\n%s",
 				trial, flat, grouped)
 		}
 
 		// Any shard split of the grouped path concatenates back into the
 		// same stream: shards are contiguous plan slices and each shard
 		// regroups only its own units.
-		n := 1 + rng.Intn(4)
+		n := 2 + rng.Intn(4)
+		full := map[[3]int]int{}
+		for _, s := range seriesOf(units) {
+			full[[3]int{s.loop, s.machine, int(s.model)}] = len(s.axis)
+		}
+		shardEng := New(4)
 		var spliced []byte
 		for i := 1; i <= n; i++ {
 			shard, err := ShardOf(units, i, n)
 			if err != nil {
 				t.Fatal(err)
 			}
+			for _, s := range seriesOf(shard) {
+				if len(s.axis) < full[[3]int{s.loop, s.machine, int(s.model)}] {
+					cuts++
+				}
+			}
 			spliced = append(spliced, encodeStream(t, func(emit func(Result)) error {
-				return groupEng.SweepUnits(ctx, grid, shard, emit)
+				return shardEng.SweepUnits(ctx, grid, shard, emit)
 			})...)
 		}
 		if !bytes.Equal(flat, spliced) {
-			t.Fatalf("trial %d: %d-shard base-major streams do not splice into the flat stream", trial, n)
+			t.Fatalf("trial %d: %d-shard streams do not splice into the flat stream", trial, n)
 		}
+	}
+	if cuts == 0 {
+		t.Fatal("no shard split cut a series mid-axis; the property needs partial series")
 	}
 }
 
@@ -213,4 +254,43 @@ func TestGroupUnitsShardPartial(t *testing.T) {
 	if total != len(units) {
 		t.Fatalf("groups cover %d of %d units", total, len(units))
 	}
+}
+
+// TestSeriesWalkOneScheduleRequestPerRound pins the series executor's
+// stage-counter contract: on a cold engine, every series walks its spill
+// chain once, so the schedule stage sees exactly one request per base
+// plus one per chain round after the seeded first — the series' largest
+// row Rounds minus one — however many budgets share the chain.
+func TestSeriesWalkOneScheduleRequestPerRound(t *testing.T) {
+	grid := Grid{
+		Corpus:   loops.Kernels(),
+		Machines: []*machine.Config{machine.Eval(3), machine.Eval(6)},
+		Models:   core.Models[:],
+		Regs:     []int{16, 24, 32, 40, 48, 56, 64},
+	}
+	eng := New(0)
+	type skey struct{ loop, machine, model string }
+	maxRounds := map[skey]int{}
+	if err := eng.Sweep(context.Background(), grid, func(r Result) {
+		if r.Error != "" {
+			t.Fatalf("%s/%s/%s at %d regs failed: %s", r.Loop, r.Machine, r.Model, r.Regs, r.Error)
+		}
+		k := skey{r.Loop, r.Machine, r.Model}
+		maxRounds[k] = max(maxRounds[k], r.Rounds)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var chainRounds uint64
+	for _, rounds := range maxRounds {
+		chainRounds += uint64(rounds - 1)
+	}
+	st := eng.Cache().StageStats()
+	if want := st.Base.Requests() + chainRounds; st.Schedule.Requests() != want {
+		t.Fatalf("schedule stage: %d requests, want base requests %d + chain rounds %d = %d",
+			st.Schedule.Requests(), st.Base.Requests(), chainRounds, want)
+	}
+	if chainRounds == 0 {
+		t.Fatal("no series spilled; the grid must exercise spill chains")
+	}
+	t.Logf("%d series, %d chain rounds, %d schedule requests", len(maxRounds), chainRounds, st.Schedule.Requests())
 }

@@ -346,22 +346,42 @@ func (c *Cache) Base(ctx context.Context, g *ddg.Graph, m *machine.Config, opts 
 // sweep cannot poison a concurrent one.
 func (c *Cache) Evaluate(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options, model core.Model, regs int) (*pipeline.ModelResult, error) {
 	key := c.evalKeyOf(g, m, opts, model, regs)
-	return c.evalThrough(ctx, key, m, func() (*pipeline.Base, error) {
-		return c.Base(ctx, g, m, opts)
+	return c.evalThrough(ctx, key, m, func() (*pipeline.ModelResult, error) {
+		b, err := c.Base(ctx, g, m, opts)
+		if err != nil {
+			return nil, err
+		}
+		return pipeline.Evaluate(ctx, c, b, key.model, key.regs)
 	})
 }
 
-// EvaluateBase is Evaluate for a caller that already holds the shared
-// base artifact — the per-unit call of the base-major sweep executor,
-// which requests the base exactly once per (loop, machine) group. The
-// eval stage is still served through the same single-flight and disk
-// tiers; only a full miss consumes b, so a warm store never pays for
-// the per-model chain twice.
-func (c *Cache) EvaluateBase(ctx context.Context, b *pipeline.Base, model core.Model, regs int) (*pipeline.ModelResult, error) {
-	key := c.evalKeyOf(b.Graph, b.Machine, b.Opts, model, regs)
-	return c.evalThrough(ctx, key, b.Machine, func() (*pipeline.Base, error) {
-		return b, nil
-	})
+// evalSeries serves the cells of one (loop, machine, model) series over
+// the shared base — held by the caller, so the base stage is not
+// requested again — through the eval stage, in the order of regs, and
+// hands each cell's outcome to each; a non-nil error from each stops the
+// series. Every cell is requested through the flight and disk tiers
+// under its own key. The first cell that misses both walks the spill
+// chain once (pipeline.EvaluateSeries) for itself and every later cell,
+// and a later cell that misses too takes its result from that walk — so
+// a series costs one walk, and a warm store never walks at all.
+func (c *Cache) evalSeries(ctx context.Context, b *pipeline.Base, model core.Model, regs []int, each func(k int, res *pipeline.ModelResult, err error) error) error {
+	var walk []*pipeline.ModelResult
+	var walkErrs []error
+	from := 0
+	for k, r := range regs {
+		key := c.evalKeyOf(b.Graph, b.Machine, b.Opts, model, r)
+		res, err := c.evalThrough(ctx, key, b.Machine, func() (*pipeline.ModelResult, error) {
+			if walk == nil {
+				from = k
+				walk, walkErrs = pipeline.EvaluateSeries(ctx, c, b, model, regs[k:])
+			}
+			return walk[k-from], walkErrs[k-from]
+		})
+		if err := each(k, res, err); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // evalKeyOf normalizes the budget and builds the eval-stage key.
@@ -373,17 +393,14 @@ func (c *Cache) evalKeyOf(g *ddg.Graph, m *machine.Config, opts sched.Options, m
 }
 
 // evalThrough serves one eval-stage request through the flight and disk
-// tiers; base supplies the shared base artifact only on a full miss.
-func (c *Cache) evalThrough(ctx context.Context, key evalKey, m *machine.Config, base func() (*pipeline.Base, error)) (*pipeline.ModelResult, error) {
+// tiers; eval computes the result only on a full miss, and a computed
+// result is written behind to the store.
+func (c *Cache) evalThrough(ctx context.Context, key evalKey, m *machine.Config, eval func() (*pipeline.ModelResult, error)) (*pipeline.ModelResult, error) {
 	return c.evals.do(ctx, key, func() (*pipeline.ModelResult, error) {
 		if res, ok := c.loadEval(key, m); ok {
 			return res, nil
 		}
-		b, err := base()
-		if err != nil {
-			return nil, err
-		}
-		res, err := pipeline.Evaluate(ctx, c, b, key.model, key.regs)
+		res, err := eval()
 		if err == nil {
 			c.saveEval(key, res)
 		}

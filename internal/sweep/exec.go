@@ -4,20 +4,22 @@ import (
 	"context"
 	"sync"
 
+	"ncdrf/internal/core"
 	"ncdrf/internal/pipeline"
 )
 
-// This file is the sweep executor: the two-level, base-major plan the
-// engine runs grids with. Execution is grouped (see Group): the unit
-// list is partitioned by (loop, machine), dispatch is group-major so
-// one worker — the first to reach the group — requests the group's
-// shared pipeline.Base exactly once, and every (model, regs) evaluation
-// of the group fans out on the pool consuming that base directly
-// (Cache.EvaluateBase) instead of re-requesting the base stage per
-// unit. A reorder buffer keyed by the unit's original index keeps the
-// emitted stream byte-identical to the flat plan-order stream, so shard
-// files, `ncdrf merge` and PlanDigest compatibility are unaffected by
-// the execution shape.
+// This file is the sweep executor: the three-level plan the engine runs
+// grids with, group → series → cell. The unit list is partitioned by
+// (loop, machine) into groups, whose shared pipeline.Base is requested
+// exactly once, by the first worker to reach the group. Each group is
+// split into (loop, machine, model) series, the unit of dispatch: one
+// worker serves a series' cells in order through the eval tiers
+// (Cache.evalSeries), so the budget-independent spill chain of the
+// series is walked at most once instead of once per cell. A reorder
+// buffer keyed by the unit's original index keeps the emitted stream
+// byte-identical to the flat plan-order stream, so shard files, `ncdrf
+// merge` and PlanDigest compatibility are unaffected by the execution
+// shape.
 
 // Sweep plans the grid and compiles every unit on the worker pool,
 // calling emit once per unit. Emit calls are serialized and follow plan
@@ -35,11 +37,11 @@ func (e *Engine) Sweep(ctx context.Context, grid Grid, emit func(Result)) error 
 	return e.SweepUnits(ctx, grid, grid.Plan(), emit)
 }
 
-// groupShared is the per-group cell of one SweepUnits call: the shared
+// groupShared is the per-group cell of one executor call: the shared
 // base artifact, computed by whichever worker reaches the group first.
-// Units of the group arriving while the leader computes block in the
+// Series of the group arriving while the leader computes block in the
 // Once — the same wait they would have spent inside the base stage's
-// single-flight — and every unit observes the same (base, err) pair.
+// single-flight — and every series observes the same (base, err) pair.
 type groupShared struct {
 	once sync.Once
 	base *pipeline.Base
@@ -50,9 +52,9 @@ type groupShared struct {
 // Shard of it. Units index into grid's Corpus and Machines; emit calls
 // are serialized and follow the order of units.
 //
-// Execution is base-major (two-level): units are dispatched group-major
-// per GroupUnits, the group's base artifact is requested once, and the
-// per-unit evaluations fan out on the pool. Because plan order
+// Execution is group → series → cell: series are dispatched
+// group-major, the group's base artifact is requested once, and each
+// series walks its spill chain at most once. Because plan order
 // interleaves a group's units across the whole (model × regs) span, the
 // reorder buffer can hold up to roughly a plan's worth of finished rows
 // in the worst case — rows are small value structs, so a dense
@@ -68,60 +70,32 @@ func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit f
 // counting emitted rows instead would underreport by the reorder
 // buffer's depth. done may be nil.
 func (e *Engine) SweepUnitsObserved(ctx context.Context, grid Grid, units []Unit, emit func(Result), done func()) error {
-	groups := GroupUnits(units)
-	order := make([]int, 0, len(units))
-	shared := make([]*groupShared, len(units))
-	states := make([]groupShared, len(groups))
-	for gi := range groups {
-		for _, ui := range groups[gi].Units {
-			order = append(order, ui)
-			shared[ui] = &states[gi]
-		}
-	}
+	series := planSeries(units)
 	out := newReorder(emit)
-	return e.ForEach(ctx, len(order), func(k int) error {
-		ui := order[k]
-		u := units[ui]
-		r := rowFor(grid, u)
-		gs := shared[ui]
-		gs.once.Do(func() {
-			gs.base, gs.err = e.Base(ctx, grid.Corpus[u.Loop], grid.Machines[u.Machine])
-		})
-		var res *pipeline.ModelResult
-		err := gs.err
-		if err == nil {
-			res, err = e.EvaluateBase(ctx, gs.base, u.Model, u.Regs)
-		}
-		if err != nil {
-			// Cancellation is the sweep's error, not the unit's: don't
-			// emit rows a consumer could mistake for compile failures.
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
+	return e.ForEach(ctx, len(series), func(si int) error {
+		s := &series[si]
+		return e.seriesCells(ctx, grid, units, s, s.all(), func(i int, r Result) {
+			if done != nil {
+				done()
 			}
-			r.Error = err.Error()
-		} else {
-			r.Fill(res)
-		}
-		e.rowsComputed.Add(1)
-		if done != nil {
-			done()
-		}
-		out.put(ui, r)
-		return nil
+			out.put(s.planIdx[i], r)
+		})
 	})
 }
 
-// sweepUnitsFlat is the pre-grouping executor: every unit independently
-// re-requests its stages through the cache, in unit order. It has no
-// production callers and is kept as the reference implementation for
-// the base-major equivalence property test — the two executors must
-// emit byte-identical streams over any grid and any shard split.
-func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, emit func(Result)) error {
-	out := newReorder(emit)
-	return e.ForEach(ctx, len(units), func(i int) error {
-		u := units[i]
-		r := rowFor(grid, u)
-		res, err := e.Compile(ctx, grid.Corpus[u.Loop], grid.Machines[u.Machine], u.Model, u.Regs)
+// seriesCells computes the listed cells (axis indices, ascending) of
+// one series through the eval tiers — one spill walk at most — and
+// hands each finished row to put. A cell whose group base failed carries
+// the base error. Cancellation is the sweep's error, not the cell's: it
+// is returned instead of emitted, so consumers never mistake it for a
+// compile failure.
+func (e *Engine) seriesCells(ctx context.Context, grid Grid, units []Unit, s *seriesUnits, cells []int, put func(i int, r Result)) error {
+	gs := s.group
+	gs.once.Do(func() {
+		gs.base, gs.err = e.Base(ctx, grid.Corpus[s.loop], grid.Machines[s.machine])
+	})
+	fill := func(i int, res *pipeline.ModelResult, err error) error {
+		r := rowFor(grid, units[s.planIdx[i]])
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
@@ -131,9 +105,99 @@ func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, em
 			r.Fill(res)
 		}
 		e.rowsComputed.Add(1)
-		out.put(i, r)
+		put(i, r)
 		return nil
+	}
+	if gs.err != nil {
+		for _, i := range cells {
+			if err := fill(i, nil, gs.err); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	regs := make([]int, len(cells))
+	for k, i := range cells {
+		regs[k] = s.axis[i]
+	}
+	return e.cache.evalSeries(ctx, gs.base, s.model, regs, func(k int, res *pipeline.ModelResult, err error) error {
+		return fill(cells[k], res, err)
 	})
+}
+
+// seriesUnits is one series of a unit list: every unit sharing a
+// (loop, machine, model) triple, in unit-list order. A shard of a plan
+// yields partial series — only the shard's own cells of each axis.
+type seriesUnits struct {
+	loop, machine int
+	model         core.Model
+	// axis[i] is the register budget of the series' i-th cell; planIdx[i]
+	// its index in the unit list (the emission slot).
+	axis    []int
+	planIdx []int
+	// group is the shared base cell of the series' (loop, machine)
+	// group; planSeries sets it.
+	group *groupShared
+}
+
+// all returns every axis index of the series, ascending.
+func (s *seriesUnits) all() []int {
+	cells := make([]int, len(s.axis))
+	for i := range cells {
+		cells[i] = i
+	}
+	return cells
+}
+
+// seriesOf partitions a unit list into series, ordered by first
+// appearance. Within a plan, a series' units appear in grid axis order,
+// because Plan enumerates regs in grid order.
+func seriesOf(units []Unit) []seriesUnits {
+	type skey struct {
+		loop, machine int
+		model         core.Model
+	}
+	index := map[skey]int{}
+	var series []seriesUnits
+	for pi, u := range units {
+		k := skey{u.Loop, u.Machine, u.Model}
+		si, ok := index[k]
+		if !ok {
+			si = len(series)
+			index[k] = si
+			series = append(series, seriesUnits{loop: u.Loop, machine: u.Machine, model: u.Model})
+		}
+		series[si].axis = append(series[si].axis, u.Regs)
+		series[si].planIdx = append(series[si].planIdx, pi)
+	}
+	return series
+}
+
+// planSeries is seriesOf in group-major order — the series of one
+// (loop, machine) group adjacent, groups ordered by first appearance —
+// with every series of a group sharing one base cell.
+func planSeries(units []Unit) []seriesUnits {
+	var byGroup [][]seriesUnits
+	index := map[[2]int]int{}
+	for _, s := range seriesOf(units) {
+		k := [2]int{s.loop, s.machine}
+		gi, ok := index[k]
+		if !ok {
+			gi = len(byGroup)
+			index[k] = gi
+			byGroup = append(byGroup, nil)
+		}
+		byGroup[gi] = append(byGroup[gi], s)
+	}
+	states := make([]groupShared, len(byGroup))
+	var out []seriesUnits
+	for gi, series := range byGroup {
+		for _, s := range series {
+			s.group = &states[gi]
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // rowFor starts the result row of one unit with its cell identity.

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"ncdrf/internal/core"
 )
 
 // This file is the frontier executor: the dominance-pruned form of the
@@ -73,18 +71,7 @@ func (e *Engine) SweepFrontier(ctx context.Context, grid Grid, emit func(Result)
 		return err
 	}
 	units := grid.Plan()
-	series := seriesOf(units)
-
-	states := make([]groupShared, len(grid.Corpus)*len(grid.Machines))
-	groupIdx := map[[2]int]*groupShared{}
-	next := 0
-	for _, s := range series {
-		k := [2]int{s.loop, s.machine}
-		if _, ok := groupIdx[k]; !ok {
-			groupIdx[k] = &states[next]
-			next++
-		}
-	}
+	series := planSeries(units)
 
 	var vmu sync.Mutex
 	report := func(v FrontierViolation) {
@@ -98,45 +85,14 @@ func (e *Engine) SweepFrontier(ctx context.Context, grid Grid, emit func(Result)
 
 	out := newReorder(emit)
 	return e.ForEach(ctx, len(series), func(si int) error {
-		s := series[si]
-		gs := groupIdx[[2]int{s.loop, s.machine}]
-		gs.once.Do(func() {
-			gs.base, gs.err = e.Base(ctx, grid.Corpus[s.loop], grid.Machines[s.machine])
-		})
-		if gs.err != nil {
-			// The whole group failed to schedule: every cell of the series
-			// carries the base error, exactly as the dense executor emits it.
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			for _, pi := range s.planIdx {
-				r := rowFor(grid, units[pi])
-				r.Error = gs.err.Error()
-				e.rowsComputed.Add(1)
+		s := &series[si]
+		probe := func(cells []int, put func(i int, r Result)) error {
+			return e.seriesCells(ctx, grid, units, s, cells, func(i int, r Result) {
 				if opts.Done != nil {
 					opts.Done()
 				}
-				out.put(pi, r)
-			}
-			return nil
-		}
-		probe := func(i int) (Result, error) {
-			u := units[s.planIdx[i]]
-			r := rowFor(grid, u)
-			res, err := e.EvaluateBase(ctx, gs.base, u.Model, u.Regs)
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return Result{}, cerr
-				}
-				r.Error = err.Error()
-			} else {
-				r.Fill(res)
-			}
-			e.rowsComputed.Add(1)
-			if opts.Done != nil {
-				opts.Done()
-			}
-			return r, nil
+				put(i, r)
+			})
 		}
 		rows, implied, violation, err := frontierSeries(s.axis, probe)
 		if err != nil {
@@ -177,42 +133,6 @@ func validateFrontierAxis(regs []int) error {
 	return nil
 }
 
-// frontierUnits is one search series: every planned cell sharing a
-// (loop, machine, model) triple, in ascending-regs (= plan) order.
-type frontierUnits struct {
-	loop, machine int
-	model         core.Model
-	// axis[i] is the register size of the series' i-th cell; planIdx[i]
-	// its index in the expanded plan (the emission slot).
-	axis    []int
-	planIdx []int
-}
-
-// seriesOf partitions a full plan into frontier series, ordered by
-// first appearance. Within a plan, a series' units appear in axis
-// order, because Plan enumerates regs in grid order and the frontier
-// axis is validated strictly ascending.
-func seriesOf(units []Unit) []frontierUnits {
-	type skey struct {
-		loop, machine int
-		model         core.Model
-	}
-	index := map[skey]int{}
-	var series []frontierUnits
-	for pi, u := range units {
-		k := skey{u.Loop, u.Machine, u.Model}
-		si, ok := index[k]
-		if !ok {
-			si = len(series)
-			index[k] = si
-			series = append(series, frontierUnits{loop: u.Loop, machine: u.Machine, model: u.Model})
-		}
-		series[si].axis = append(series[si].axis, u.Regs)
-		series[si].planIdx = append(series[si].planIdx, pi)
-	}
-	return series
-}
-
 // fitRow reports whether a result row is a "fit" cell: compiled without
 // any spill code. Fit cells are the dominance-implied region — a
 // fitting evaluation returns the shared base artifact untouched, so its
@@ -237,26 +157,34 @@ func equalModuloRegs(a, b Result) bool {
 
 // frontierSeries evaluates one series over a strictly ascending
 // register axis: binary-search the smallest fit index (O(log n)
-// probes), compute the spill region below it densely, imply the rest
-// from the boundary row, and verify every computed cell against the
-// dominance relations. probe(i) evaluates axis cell i; a probe error
-// (cancellation) aborts the series. On a violation the series is
-// recomputed densely — already-probed cells are cache hits — and the
-// returned rows are all computed, with the violation described.
-func frontierSeries(axis []int, probe func(i int) (Result, error)) (rows []Result, implied []bool, violation string, err error) {
+// single-cell probes), compute the spill region below it with one more
+// probe, imply the rest from the boundary row, and verify every computed
+// cell against the dominance relations. probe(cells, put) computes the
+// listed axis cells (ascending) — one spill walk for the whole list —
+// and puts each row; a probe error (cancellation) aborts the series. On
+// a violation the series is recomputed densely — already-probed cells
+// are cache hits — and the returned rows are all computed, with the
+// violation described.
+func frontierSeries(axis []int, probe func(cells []int, put func(i int, r Result)) error) (rows []Result, implied []bool, violation string, err error) {
 	n := len(axis)
 	rows = make([]Result, n)
 	computed := make([]bool, n)
-	eval := func(i int) (Result, error) {
-		if !computed[i] {
-			r, err := probe(i)
-			if err != nil {
-				return Result{}, err
+	put := func(i int, r Result) {
+		rows[i] = r
+		computed[i] = true
+	}
+	// evalMissing computes every not-yet-computed cell of [lo, hi).
+	evalMissing := func(lo, hi int) error {
+		var cells []int
+		for i := lo; i < hi; i++ {
+			if !computed[i] {
+				cells = append(cells, i)
 			}
-			rows[i] = r
-			computed[i] = true
 		}
-		return rows[i], nil
+		if len(cells) == 0 {
+			return nil
+		}
+		return probe(cells, put)
 	}
 
 	// Binary search the smallest fit index. The loop maintains the
@@ -267,11 +195,10 @@ func frontierSeries(axis []int, probe func(i int) (Result, error)) (rows []Resul
 	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		r, err := eval(mid)
-		if err != nil {
+		if err := evalMissing(mid, mid+1); err != nil {
 			return nil, nil, "", err
 		}
-		if fitRow(r) {
+		if fitRow(rows[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -281,22 +208,18 @@ func frontierSeries(axis []int, probe func(i int) (Result, error)) (rows []Resul
 
 	// The spill region: every cell below the fit boundary genuinely
 	// varies with the budget (spill code shrinks as registers grow), so
-	// it is computed, never implied.
-	for i := 0; i < boundary; i++ {
-		if _, err := eval(i); err != nil {
-			return nil, nil, "", err
-		}
+	// it is computed, never implied — by one walk of the spill chain.
+	if err := evalMissing(0, boundary); err != nil {
+		return nil, nil, "", err
 	}
 
 	violation = seriesViolation(axis, rows, computed, boundary)
 	if violation != "" {
 		// Dense fallback: dominance cannot be trusted for this series, so
 		// every cell is computed and nothing is implied. Cells evaluated
-		// during the search are single-flight hits, not recomputations.
-		for i := range rows {
-			if _, err := eval(i); err != nil {
-				return nil, nil, "", err
-			}
+		// during the search keep their rows; only the rest are computed.
+		if err := evalMissing(0, n); err != nil {
+			return nil, nil, "", err
 		}
 		return rows, make([]bool, n), violation, nil
 	}

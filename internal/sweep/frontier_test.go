@@ -14,12 +14,15 @@ import (
 
 // syntheticSeries builds a probe function over a synthetic series: dense
 // is the row the dense run would produce at each axis index. It counts
-// probe calls, so tests can pin the O(log n) contract.
-func syntheticSeries(axis []int, dense []Result) (probe func(i int) (Result, error), calls *int) {
+// probed cells, so tests can pin the O(log n) contract.
+func syntheticSeries(axis []int, dense []Result) (probe func(cells []int, put func(int, Result)) error, calls *int) {
 	n := 0
-	return func(i int) (Result, error) {
-		n++
-		return dense[i], nil
+	return func(cells []int, put func(int, Result)) error {
+		for _, i := range cells {
+			n++
+			put(i, dense[i])
+		}
+		return nil
 	}, &n
 }
 

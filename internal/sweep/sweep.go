@@ -146,14 +146,6 @@ func (e *Engine) Compile(ctx context.Context, g *ddg.Graph, m *machine.Config, m
 	return e.cache.Evaluate(ctx, g, m, sched.Options{}, model, regs)
 }
 
-// EvaluateBase evaluates one model over an already-obtained shared base
-// artifact, served through the eval cache. This is how the base-major
-// sweep executor avoids re-requesting the base stage per unit: the
-// group leader calls Base once, every unit of the group calls this.
-func (e *Engine) EvaluateBase(ctx context.Context, b *pipeline.Base, model core.Model, regs int) (*pipeline.ModelResult, error) {
-	return e.cache.EvaluateBase(ctx, b, model, regs)
-}
-
 // CompileAll evaluates every register-file model of one loop over a
 // single shared base artifact: the scheduler and the lifetime analysis
 // run (at most) once, and the four models reuse the result.
