@@ -1,5 +1,5 @@
-// Command ncdrf-lint is the repository's invariant checker: a vet-
-// compatible driver for the analyzers in internal/analysis that
+// Command ncdrf-lint is the repository's invariant checker: a
+// stdlib-only driver for the analyzers in internal/analysis that
 // machine-enforce the rules the sweep/curve/store stack rests on —
 // byte-identical plan-order streams (detrange), immutable pipeline
 // stage artifacts (stagemut), threaded cancellation (ctxflow),
@@ -7,19 +7,14 @@
 // goroutines (goleak), pool hygiene (poolescape), lock discipline
 // (lockdisc) and guarded shared mutation (sharedmut).
 //
-// Two equivalent invocations:
-//
-//	go build -o ncdrf-lint ./cmd/ncdrf-lint
-//	go vet -vettool=$PWD/ncdrf-lint ./...
-//
-// or standalone (an in-process driver that loads packages with
-// `go list`, analyzes them in dependency order and threads analyzer
-// facts across package boundaries):
+// It loads packages with `go list`, analyzes them in dependency order
+// and threads analyzer facts across package boundaries:
 //
 //	go run ./cmd/ncdrf-lint ./...
+//	go run ./cmd/ncdrf-lint -json ./...
 //
-// The standalone form accepts -json, which emits findings — including
-// suppressed ones, marked as such — as a JSON array on stdout.
+// -json emits findings — including suppressed ones, marked as such —
+// as a JSON array on stdout.
 //
 // Exceptions carry a `//lint:allow <analyzer> -- rationale` directive
 // on or directly above the offending line; a directive naming an

@@ -2,11 +2,9 @@ package main_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -44,50 +42,42 @@ func writeModule(t *testing.T, src string) string {
 	return dir
 }
 
-// vet runs `go vet -vettool=<exe> .` in dir, hermetically (no module
-// downloads), and returns combined output and the error, if any.
-func vet(t *testing.T, exe, dir string) (string, error) {
-	t.Helper()
-	cmd := exec.Command("go", "vet", "-vettool="+exe, ".")
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOFLAGS=-mod=mod")
-	out, err := cmd.CombinedOutput()
-	return string(out), err
-}
-
+// TestVettoolFlagsSeededViolation is the CLI form of CI's seeded-
+// violation self-test: the driver must fail on a seeded violation and
+// attribute the diagnostic to its analyzer.
 func TestVettoolFlagsSeededViolation(t *testing.T) {
 	exe := buildLint(t)
-	out, err := vet(t, exe, writeModule(t, `package a
+	_, stderr, code := standalone(t, exe, writeModule(t, `package a
 
 import "time"
 
 func Stamp() time.Time { return time.Now() }
 `))
-	if err == nil {
-		t.Fatalf("go vet exited 0 on a seeded time.Now violation\n%s", out)
+	if code != 1 {
+		t.Fatalf("exit code = %d on a seeded time.Now violation, want 1\nstderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(out, "time.Now reads the wall clock") {
-		t.Errorf("missing wallclock diagnostic in output:\n%s", out)
+	if !strings.Contains(stderr, "time.Now reads the wall clock") {
+		t.Errorf("missing wallclock diagnostic in output:\n%s", stderr)
 	}
-	if !strings.Contains(out, "[wallclock]") {
-		t.Errorf("diagnostic is not attributed to its analyzer:\n%s", out)
+	if !strings.Contains(stderr, "[wallclock]") {
+		t.Errorf("diagnostic is not attributed to its analyzer:\n%s", stderr)
 	}
 }
 
 func TestVettoolCleanPackage(t *testing.T) {
 	exe := buildLint(t)
-	out, err := vet(t, exe, writeModule(t, `package a
+	_, stderr, code := standalone(t, exe, writeModule(t, `package a
 
 func Add(a, b int) int { return a + b }
 `))
-	if err != nil {
-		t.Fatalf("go vet failed on a clean package: %v\n%s", err, out)
+	if code != 0 {
+		t.Fatalf("exit code = %d on a clean package, want 0\nstderr:\n%s", code, stderr)
 	}
 }
 
 func TestVettoolAllowDirective(t *testing.T) {
 	exe := buildLint(t)
-	out, err := vet(t, exe, writeModule(t, `package a
+	_, stderr, code := standalone(t, exe, writeModule(t, `package a
 
 import "time"
 
@@ -96,8 +86,8 @@ func Stamp() time.Time {
 	return time.Now()
 }
 `))
-	if err != nil {
-		t.Fatalf("go vet flagged an allowlisted line: %v\n%s", err, out)
+	if code != 0 {
+		t.Fatalf("exit code = %d on an allowlisted line, want 0\nstderr:\n%s", code, stderr)
 	}
 }
 
@@ -164,24 +154,6 @@ func Use() {
 }
 `,
 	})
-}
-
-func TestVettoolCrossPackageFacts(t *testing.T) {
-	exe := buildLint(t)
-	dir := factsModule(t)
-	cmd := exec.Command("go", "vet", "-vettool="+exe, "./...")
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOFLAGS=-mod=mod")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet exited 0; inner's fact did not reach package a\n%s", out)
-	}
-	if !strings.Contains(string(out), "call to Spawn spawns an unjoined goroutine") {
-		t.Errorf("missing cross-package goleak diagnostic:\n%s", out)
-	}
-	if !strings.Contains(string(out), "a.go") {
-		t.Errorf("diagnostic not attributed to the importing package:\n%s", out)
-	}
 }
 
 func TestStandaloneCrossPackageFacts(t *testing.T) {
@@ -264,7 +236,7 @@ func Add(a, b int) int { return a + b }
 }
 
 // TestAllowExpiry: a //lint:allow directive naming an analyzer that
-// does not exist is itself a diagnostic, in both drivers.
+// does not exist is itself a diagnostic.
 func TestAllowExpiry(t *testing.T) {
 	exe := buildLint(t)
 	src := `package a
@@ -283,28 +255,4 @@ func Add(a, b int) int {
 			t.Errorf("missing allow-expiry diagnostic:\n%s", stderr)
 		}
 	})
-	t.Run("vettool", func(t *testing.T) {
-		out, err := vet(t, exe, writeModule(t, src))
-		if err == nil {
-			t.Fatalf("go vet exited 0 on a rotted //lint:allow directive\n%s", out)
-		}
-		if !strings.Contains(out, `unknown analyzer "nosuchcheck"`) {
-			t.Errorf("missing allow-expiry diagnostic:\n%s", out)
-		}
-	})
-}
-
-// TestVersionFlag checks the -V=full contract go vet's toolID probe
-// depends on: a single line ending in a hex buildID field.
-func TestVersionFlag(t *testing.T) {
-	exe := buildLint(t)
-	out, err := exec.Command(exe, "-V=full").CombinedOutput()
-	if err != nil {
-		t.Fatalf("-V=full: %v\n%s", err, out)
-	}
-	want := regexp.MustCompile(fmt.Sprintf(`(?m)^%s version devel comments-go-here buildID=[0-9a-f]{64}$`,
-		regexp.QuoteMeta(exe)))
-	if !want.Match(out) {
-		t.Errorf("-V=full output does not match the toolID contract:\n%s", out)
-	}
 }

@@ -141,55 +141,38 @@ func cmdCurve(ctx context.Context, eng *sweep.Engine, args []string) error {
 	chart := fs.Bool("chart", false, "render ASCII charts instead of tables")
 	ndjson := fs.Bool("ndjson", false, "emit the raw result-row stream instead of curves")
 	frontier := fs.Bool("frontier", false, "prune the register axis by dominance: binary-search each series' fit boundary and imply the cells above it (needs a strictly ascending finite axis)")
-	shardSpec := fs.String("shard", "", "run only shard I of N of the grid, as I/N; emits a headered row stream for 'ncdrf merge'")
-	outPath := fs.String("o", "", "write the output to this file instead of stdout")
 	from := fs.String("from", "", "render curves from this NDJSON row stream (e.g. 'ncdrf merge' output) instead of sweeping")
-	stats := fs.Bool("stats", false, "append the per-stage cache counters (tables: trailer; -ndjson/-shard: JSON object on stdout)")
 	strict := fs.Bool("strict", false, "exit non-zero when any grid cell failed to compile (default: render the failed column and warn on stderr)")
-	progressFlag := fs.Bool("progress", false, "report done/total units, per-stage hit rates and elapsed time on stderr")
 	pf := addProfileFlags(fs)
 	cacheDir := cacheDirFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	render := func(curve *experiment.Curve, w io.Writer) error {
-		switch {
-		case *csv:
-			return curve.RenderCSV(w)
-		case *chart:
-			return curve.RenderChart(w)
-		default:
-			return curve.Render(w)
-		}
-	}
-	withOut := func(fn func(w io.Writer) error) error {
-		if *outPath != "" {
-			return writeFileAtomic(*outPath, fn)
-		}
-		return fn(os.Stdout)
+	render := func(curve *experiment.Curve) error {
+		return gf.withOut(func(w io.Writer) error {
+			switch {
+			case *csv:
+				return curve.RenderCSV(w)
+			case *chart:
+				return curve.RenderChart(w)
+			default:
+				return curve.Render(w)
+			}
+		})
 	}
 
 	if *from != "" {
 		// -from only renders: every flag that shapes or observes the
-		// computation is rejected instead of being silently ignored. The
-		// conflicts are an ordered slice, not a map, so the error always
-		// names the same flag for the same command line.
-		conflicts := []struct {
-			name string
-			set  bool
-		}{
-			{"-shard", *shardSpec != ""},
-			{"-frontier", *frontier},
-			{"-ndjson", *ndjson},
-			{"-stats", *stats},
-			{"-progress", *progressFlag},
-			{"-cache-dir", *cacheDir != ""},
-		}
-		for _, c := range conflicts {
-			if c.set {
-				return fmt.Errorf("-from renders an existing stream; it cannot be combined with %s", c.name)
+		// computation is rejected instead of being silently ignored.
+		var extra []string
+		fs.Visit(func(f *flag.Flag) { // lexical order: a stable error
+			if !fromFlags[f.Name] {
+				extra = append(extra, "-"+f.Name)
 			}
+		})
+		if len(extra) > 0 {
+			return fmt.Errorf("-from renders an existing stream; it cannot be combined with %s", strings.Join(extra, ", "))
 		}
 		f, err := os.Open(*from)
 		if err != nil {
@@ -201,7 +184,7 @@ func cmdCurve(ctx context.Context, eng *sweep.Engine, args []string) error {
 			return fmt.Errorf("%s: %w", *from, err)
 		}
 		curve := experiment.BuildCurve(rows)
-		if err := withOut(func(w io.Writer) error { return render(curve, w) }); err != nil {
+		if err := render(curve); err != nil {
 			return err
 		}
 		return curveErr(curve, *strict)
@@ -221,155 +204,78 @@ func cmdCurve(ctx context.Context, eng *sweep.Engine, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *frontier && *shardSpec != "" {
+	if *frontier && *gf.shard != "" {
 		// A shard slices the plan mid-series; the frontier search needs
 		// every cell of a (loop, machine, model) series to pick its probes,
 		// so a partial series cannot be searched.
 		return fmt.Errorf("-frontier searches whole register-axis series and cannot run on a shard of the plan; drop -shard (sharded runs are dense-only)")
 	}
-	units, header, err := planShard(grid, *shardSpec)
+	units, header, err := planShard(grid, *gf.shard)
 	if err != nil {
 		return err
 	}
 
-	stopProf, err := pf.start()
-	if err != nil {
-		return err
-	}
-	prog := startProgress(*progressFlag, os.Stderr, eng, len(units))
-	defer prog.close()
-
-	err = func() error {
-		if *frontier {
-			return runFrontier(ctx, eng, grid, frontierOut{
-				render: render, withOut: withOut,
-				ndjson: *ndjson, stats: *stats, strict: *strict,
-			}, prog)
-		}
-
-		// Streaming modes share the sweep command's writer: a sharded curve
-		// file is a sweep shard file, which is exactly what lets `ncdrf
-		// merge` splice curve shards back into the unsharded -ndjson stream.
-		if header != nil || *ndjson {
-			return withOut(func(w io.Writer) error {
-				return runSweep(ctx, eng, grid, units, header, w, *stats, os.Stdout, prog)
+	run := denseExecutor(eng, grid, units)
+	// Each series whose observed results contradict the dominance
+	// assumptions is reported on stderr as it falls back to dense
+	// evaluation; its rows are still correct (recomputed densely), but
+	// -strict makes the violation the exit status, since the
+	// monotonicity the pruning relies on did not hold.
+	violations := 0
+	if *frontier {
+		run = func(ctx context.Context, emit func(sweep.Result), done func()) error {
+			return eng.SweepFrontier(ctx, grid, emit, sweep.FrontierOptions{
+				Done: done,
+				// Serialized by the engine, so the counter needs no lock.
+				OnViolation: func(v sweep.FrontierViolation) {
+					violations++
+					fmt.Fprintf(os.Stderr, "curve: frontier fell back to dense for %s/%s (%s): %s\n",
+						v.Loop, v.Model, v.Machine, v.Detail)
+				},
 			})
 		}
-
-		var rows []pipeline.Row
-		if err := eng.SweepUnitsObserved(ctx, grid, units, func(r sweep.Result) {
-			rows = append(rows, r)
-			prog.incEmitted()
-		}, prog.incDone); err != nil {
-			return err
-		}
-		curve := experiment.BuildCurve(rows)
-		if err := withOut(func(w io.Writer) error { return render(curve, w) }); err != nil {
-			return err
-		}
-		if *stats {
-			// Same renderer as the `ncdrf all` trailer, so the CI contract
-			// (one base schedule per (loop, machine) group) greps one format.
-			fmt.Printf("\n%s\n", eng.StageStats())
-		}
-		return curveErr(curve, *strict)
-	}()
-	if perr := stopProf(); err == nil {
-		err = perr
-	}
-	return err
-}
-
-// frontierOut bundles the output shape of one frontier run: the
-// renderer and sink cmdCurve assembled from its flags.
-type frontierOut struct {
-	render  func(*experiment.Curve, io.Writer) error
-	withOut func(func(io.Writer) error) error
-	ndjson  bool
-	stats   bool
-	strict  bool
-}
-
-// runFrontier executes the grid with the dominance-pruned frontier
-// executor and renders exactly what the dense path would have — the
-// emitted stream is byte-identical by the executor's contract. Each
-// series whose observed results contradict the dominance assumptions is
-// reported on stderr as it falls back to dense evaluation; -strict
-// turns any such fallback into the exit status (the rows are still
-// correct — they were recomputed densely — but a violation means the
-// monotonicity the pruning relies on did not hold, which scripted runs
-// may want to treat as a red flag rather than a warning).
-func runFrontier(ctx context.Context, eng *sweep.Engine, grid sweep.Grid, out frontierOut, prog *progress) error {
-	violations := 0
-	opts := sweep.FrontierOptions{
-		Done: prog.incDone,
-		// Serialized by the engine, so the counter needs no lock.
-		OnViolation: func(v sweep.FrontierViolation) {
-			violations++
-			fmt.Fprintf(os.Stderr, "curve: frontier fell back to dense for %s/%s (%s): %s\n",
-				v.Loop, v.Model, v.Machine, v.Detail)
-		},
-	}
-	violationsErr := func() error {
-		if out.strict && violations > 0 {
-			return fmt.Errorf("%d series violated the dominance assumptions and fell back to dense evaluation (rows are correct; -strict makes the violation fatal)", violations)
-		}
-		return nil
 	}
 
-	if out.ndjson {
-		err := out.withOut(func(w io.Writer) error {
-			// Like runSweep: a dead output cancels the sweep instead of
-			// burning CPU on results nobody will see.
-			ctx, cancel := context.WithCancel(ctx)
-			defer cancel()
-			var encErr error // only written under the serialized emit
-			err := eng.SweepFrontier(ctx, grid, func(r sweep.Result) {
-				if encErr != nil {
-					return
-				}
-				if e := pipeline.EncodeRow(w, r); e != nil {
-					encErr = e
-					cancel()
-					return
-				}
-				prog.incEmitted()
-			}, opts)
-			if encErr != nil {
-				return fmt.Errorf("writing results: %w", encErr)
+	return gf.observe(eng, pf, len(units), func(prog *progress) error {
+		// A sharded curve file is a sweep shard file, which is exactly
+		// what lets `ncdrf merge` splice curve shards back into the
+		// unsharded -ndjson stream.
+		if header != nil || *ndjson {
+			if err := gf.stream(ctx, eng, run, header, prog); err != nil {
+				return err
 			}
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		if out.stats {
-			if err := writeStatsJSON(eng, os.Stdout); err != nil {
+		} else {
+			var rows []pipeline.Row
+			if err := run(ctx, func(r sweep.Result) {
+				rows = append(rows, r)
+				prog.incEmitted()
+			}, prog.incDone); err != nil {
+				return err
+			}
+			curve := experiment.BuildCurve(rows)
+			if err := render(curve); err != nil {
+				return err
+			}
+			if *gf.stats {
+				// Same renderer as the `ncdrf all` trailer, so the CI contract
+				// (one base schedule per (loop, machine) group) greps one format.
+				fmt.Printf("\n%s\n", eng.StageStats())
+			}
+			if err := curveErr(curve, *strict); err != nil {
 				return err
 			}
 		}
-		return violationsErr()
-	}
-
-	var rows []pipeline.Row
-	if err := eng.SweepFrontier(ctx, grid, func(r sweep.Result) {
-		rows = append(rows, r)
-		prog.incEmitted()
-	}, opts); err != nil {
-		return err
-	}
-	curve := experiment.BuildCurve(rows)
-	if err := out.withOut(func(w io.Writer) error { return out.render(curve, w) }); err != nil {
-		return err
-	}
-	if out.stats {
-		fmt.Printf("\n%s\n", eng.StageStats())
-	}
-	if err := curveErr(curve, out.strict); err != nil {
-		return err
-	}
-	return violationsErr()
+		if *strict && violations > 0 {
+			return fmt.Errorf("%d series violated the dominance assumptions and fell back to dense evaluation (rows are correct; -strict makes the violation fatal)", violations)
+		}
+		return nil
+	})
 }
+
+// fromFlags are the flags `curve -from` accepts: the input, the output
+// file and the rendering. Everything else shapes or observes a
+// computation -from does not run.
+var fromFlags = map[string]bool{"from": true, "o": true, "csv": true, "chart": true, "strict": true}
 
 // curveErr reports a curve's absorbed compile failures. A cell that
 // fails at a tight register budget is an expected outcome in exactly

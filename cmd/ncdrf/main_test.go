@@ -4,12 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"ncdrf/internal/core"
+	"ncdrf/internal/experiment"
+	"ncdrf/internal/loops"
+	"ncdrf/internal/machine"
 	"ncdrf/internal/store"
 	"ncdrf/internal/sweep"
 )
@@ -476,7 +483,9 @@ func TestCmdCurveShardMergeFrom(t *testing.T) {
 	single := capture(t, func() error {
 		return cmdCurve(ctx0, testEng(), append(append([]string{}, args...), "-ndjson"))
 	})
-	sweepOut := capture(t, func() error { return cmdSweep(ctx0, testEng(), append(append([]string{}, args...), "-regs", "16,24,32,40")) })
+	sweepOut := capture(t, func() error {
+		return cmdSweep(ctx0, testEng(), append(append([]string{}, args...), "-regs", "16,24,32,40"))
+	})
 	if single != sweepOut {
 		t.Fatalf("curve -ndjson differs from the equivalent sweep stream:\ncurve:\n%s\nsweep:\n%s", single, sweepOut)
 	}
@@ -505,6 +514,51 @@ func TestCmdCurveShardMergeFrom(t *testing.T) {
 	// A lone shard file must be refused with a pointer at merge.
 	if err := cmdCurve(ctx0, testEng(), []string{"-from", files[0]}); err == nil || !strings.Contains(err.Error(), "merge") {
 		t.Fatalf("-from of a shard file: %v", err)
+	}
+
+	// -from only renders: every flag that shapes or observes a
+	// computation is refused by name, before any side effect (a
+	// -cpuprofile file, a -cache-dir store) happens.
+	for _, tc := range []struct{ flag, value string }{
+		{"loops", "5"},
+		{"seed", "7"},
+		{"kernels-only", ""},
+		{"lats", "3"},
+		{"models", "ideal"},
+		{"clusters", "4"},
+		{"regs", "8:9"},
+		{"ndjson", ""},
+		{"frontier", ""},
+		{"shard", "1/2"},
+		{"stats", ""},
+		{"progress", ""},
+		{"cpuprofile", filepath.Join(dir, "cpu.out")},
+		{"memprofile", filepath.Join(dir, "mem.out")},
+		{"cache-dir", filepath.Join(dir, "cache")},
+	} {
+		t.Run("from-rejects-"+tc.flag, func(t *testing.T) {
+			args := []string{"-from", merged, "-" + tc.flag}
+			if tc.value != "" {
+				args = append(args, tc.value)
+			}
+			err := cmdCurve(ctx0, testEng(), args)
+			if err == nil || !strings.Contains(err.Error(), "cannot be combined with -"+tc.flag) {
+				t.Fatalf("-from with -%s: %v", tc.flag, err)
+			}
+			if tc.value != "" && strings.HasPrefix(tc.value, dir) {
+				if _, err := os.Stat(tc.value); !os.IsNotExist(err) {
+					t.Fatalf("-from with -%s created %s", tc.flag, tc.value)
+				}
+			}
+		})
+	}
+	// The rendering flags and -o are what -from is for.
+	for _, extra := range [][]string{{"-csv"}, {"-chart"}, {"-strict"}, {"-o", filepath.Join(dir, "rendered.txt")}} {
+		if _, err := captureAny(t, func() error {
+			return cmdCurve(ctx0, testEng(), append([]string{"-from", merged}, extra...))
+		}); err != nil {
+			t.Fatalf("-from with %v: %v", extra, err)
+		}
 	}
 }
 
@@ -654,6 +708,109 @@ func TestCmdCurveFrontier(t *testing.T) {
 	err = cmdCurve(ctx0, testEng(), []string{"-kernels-only", "-regs", "0,32", "-frontier"})
 	if err == nil || !strings.Contains(err.Error(), "run dense") {
 		t.Fatalf("-frontier with an unlimited size: %v", err)
+	}
+}
+
+// TestCmdCurveFrontierStreamOutputs covers the frontier executor on
+// the shared row writer: -ndjson with -stats and with -o emit the dense
+// rows byte for byte, and the stats object carries the dense key set
+// with implied rows counted.
+func TestCmdCurveFrontierStreamOutputs(t *testing.T) {
+	args := []string{"-kernels-only", "-lats", "3", "-regs", "8:64:8", "-ndjson"}
+	run := func(extra ...string) string {
+		return capture(t, func() error {
+			return cmdCurve(ctx0, testEng(), append(append([]string{}, args...), extra...))
+		})
+	}
+	splitStats := func(out string) (string, map[string]uint64) {
+		i := strings.LastIndex(strings.TrimSuffix(out, "\n"), "\n")
+		var st map[string]uint64
+		if err := json.Unmarshal([]byte(out[i+1:]), &st); err != nil {
+			t.Fatalf("last line is not the stats object: %v\n%s", err, out[i+1:])
+		}
+		return out[:i+1], st
+	}
+	dense := run()
+	denseRows, denseStats := splitStats(run("-stats"))
+	rows, stats := splitStats(run("-frontier", "-stats"))
+	if denseRows != dense || rows != dense {
+		t.Fatalf("-stats rows differ from the plain dense stream:\ndense:\n%s\nfrontier -stats:\n%s", dense, rows)
+	}
+	if len(stats) != len(denseStats) {
+		t.Fatalf("frontier stats keys %v, dense %v", stats, denseStats)
+	}
+	for k := range denseStats {
+		if _, ok := stats[k]; !ok {
+			t.Fatalf("frontier stats missing %q: %v", k, stats)
+		}
+	}
+	if stats["rows_implied"] == 0 || denseStats["rows_implied"] != 0 {
+		t.Fatalf("rows_implied: frontier %d (want > 0), dense %d (want 0)", stats["rows_implied"], denseStats["rows_implied"])
+	}
+
+	p := filepath.Join(t.TempDir(), "rows.ndjson")
+	out, st := splitStats(run("-frontier", "-o", p, "-stats"))
+	if out != "" || st["rows_implied"] == 0 {
+		t.Fatalf("with -o, stdout must hold only the stats object: %q", out)
+	}
+	if got := readFileT(t, p); got != dense {
+		t.Fatalf("-frontier -o file differs from the dense stream:\n%s", got)
+	}
+}
+
+// deadWriter fails every write, like a closed pipe.
+type deadWriter struct{}
+
+var errDeadWriter = errors.New("dead writer")
+
+func (deadWriter) Write([]byte) (int, error) { return 0, errDeadWriter }
+
+// TestStreamRowsCancelsOnDeadWriter: a failing output cancels the run
+// for either executor, instead of computing rows nobody will see.
+func TestStreamRowsCancelsOnDeadWriter(t *testing.T) {
+	grid := sweep.Grid{
+		Corpus:   loops.Kernels(),
+		Machines: []*machine.Config{experiment.EvalN(2, 3)},
+		Models:   core.Models[:],
+		Regs:     []int{8, 16, 24, 32, 40, 48, 56, 64, 80, 96, 112, 128},
+	}
+	executors := map[string]func(eng *sweep.Engine) executor{
+		"dense": func(eng *sweep.Engine) executor { return denseExecutor(eng, grid, grid.Plan()) },
+		"frontier": func(eng *sweep.Engine) executor {
+			return func(ctx context.Context, emit func(sweep.Result), done func()) error {
+				return eng.SweepFrontier(ctx, grid, emit, sweep.FrontierOptions{Done: done})
+			}
+		},
+	}
+	for _, name := range []string{"dense", "frontier"} {
+		t.Run(name, func(t *testing.T) {
+			// counted runs the executor on a fresh engine and reports how
+			// many units it computed and whether it saw the cancel.
+			counted := func(w io.Writer) (computed int64, canceled bool, err error) {
+				var n atomic.Int64
+				inner := executors[name](testEng())
+				err = streamRows(ctx0, func(ctx context.Context, emit func(sweep.Result), done func()) error {
+					err := inner(ctx, emit, func() { n.Add(1); done() })
+					canceled = ctx.Err() != nil
+					return err
+				}, nil, w, nil)
+				return n.Load(), canceled, err
+			}
+			full, _, err := counted(io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			computed, canceled, err := counted(deadWriter{})
+			if !errors.Is(err, errDeadWriter) || !strings.Contains(err.Error(), "writing results") {
+				t.Fatalf("err = %v, want the wrapped writer error", err)
+			}
+			if !canceled {
+				t.Fatal("the executor returned without its context being canceled")
+			}
+			if computed >= full {
+				t.Fatalf("computed %d units after the writer died, as many as a full run (%d)", computed, full)
+			}
+		})
 	}
 }
 

@@ -18,13 +18,18 @@ import (
 	"ncdrf/internal/sweep"
 )
 
-// gridFlags bundles the grid-axis flags the sweep and curve commands
-// share (-lats, -models, -clusters); the register axis stays per
-// command because its spec differs (comma list vs. dense range).
+// gridFlags bundles the flags the sweep and curve commands share: the
+// grid axes (-lats, -models, -clusters) and the run's output shape
+// (-stats, -shard, -o, -progress). The register axis stays per command
+// because its spec differs (comma list vs. dense range).
 type gridFlags struct {
 	lats     *string
 	models   *string
 	clusters *int
+	stats    *bool
+	shard    *string
+	out      *string
+	progress *bool
 }
 
 func addGridFlags(fs *flag.FlagSet, defaultModels string) gridFlags {
@@ -34,6 +39,60 @@ func addGridFlags(fs *flag.FlagSet, defaultModels string) gridFlags {
 		lats:     fs.String("lats", "3,6", "comma-separated latencies of the floating-point units, in whole cycles"),
 		models:   fs.String("models", defaultModels, "comma-separated models"),
 		clusters: fs.Int("clusters", 2, "clusters per machine (2 = the paper's evaluation machine)"),
+		stats:    fs.Bool("stats", false, "append the per-stage cache counters (row streams: a JSON object on stdout, even with -o; tables: a trailer)"),
+		shard:    fs.String("shard", "", "run only shard I of N of the grid, as I/N (e.g. 2/3); emits a headered row stream for 'ncdrf merge'"),
+		out:      fs.String("o", "", "write the output to this file instead of stdout"),
+		progress: fs.Bool("progress", false, "report done/total units, per-stage hit rates and elapsed time on stderr"),
+	}
+}
+
+// withOut hands fn the command's output: the -o file, written
+// atomically, or stdout.
+func (f gridFlags) withOut(fn func(w io.Writer) error) error {
+	if *f.out != "" {
+		return writeFileAtomic(*f.out, fn)
+	}
+	return fn(os.Stdout)
+}
+
+// observe runs body under the -cpuprofile/-memprofile and -progress
+// instrumentation; total is the unit count the progress reporter
+// counts down.
+func (f gridFlags) observe(eng *sweep.Engine, pf profileFlags, total int, body func(prog *progress) error) error {
+	stopProf, err := pf.start()
+	if err != nil {
+		return err
+	}
+	prog := startProgress(*f.progress, os.Stderr, eng, total)
+	defer prog.close()
+	err = body(prog)
+	if perr := stopProf(); err == nil {
+		err = perr
+	}
+	return err
+}
+
+// stream writes the executor's rows to the command's output as NDJSON,
+// then the -stats object. The stats go to stdout even with -o: a shard
+// file must hold exactly a header plus rows, or merge would reject it.
+func (f gridFlags) stream(ctx context.Context, eng *sweep.Engine, run executor, header *sweep.ShardHeader, prog *progress) error {
+	err := f.withOut(func(w io.Writer) error { return streamRows(ctx, run, header, w, prog) })
+	if err != nil || !*f.stats {
+		return err
+	}
+	return writeStatsJSON(eng, os.Stdout)
+}
+
+// executor runs one grid — densely or by frontier search — delivering
+// its rows to emit in plan order and calling done once per computed
+// unit. It is the one seam between the commands' output paths and the
+// engine's executors.
+type executor func(ctx context.Context, emit func(sweep.Result), done func()) error
+
+// denseExecutor evaluates every unit of the (possibly sharded) plan.
+func denseExecutor(eng *sweep.Engine, grid sweep.Grid, units []sweep.Unit) executor {
+	return func(ctx context.Context, emit func(sweep.Result), done func()) error {
+		return eng.SweepUnitsObserved(ctx, grid, units, emit, done)
 	}
 }
 
@@ -120,10 +179,6 @@ func cmdSweep(ctx context.Context, eng *sweep.Engine, args []string) error {
 	o := corpusFlags(fs)
 	gf := addGridFlags(fs, "ideal,unified,partitioned,swapped")
 	regs := fs.String("regs", "32,64", "comma-separated register-file sizes (0 = unlimited)")
-	stats := fs.Bool("stats", false, "append a cache-stats JSON object (with -o, printed to stdout instead)")
-	shardSpec := fs.String("shard", "", "run only shard I of N of the grid, as I/N (e.g. 2/3); prefixes the output with a header for 'ncdrf merge'")
-	outPath := fs.String("o", "", "write the result stream to this file instead of stdout")
-	progressFlag := fs.Bool("progress", false, "report done/total units, per-stage hit rates and elapsed time on stderr")
 	pf := addProfileFlags(fs)
 	cacheDir := cacheDirFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -148,31 +203,13 @@ func cmdSweep(ctx context.Context, eng *sweep.Engine, args []string) error {
 	if err != nil {
 		return err
 	}
-	units, header, err := planShard(grid, *shardSpec)
+	units, header, err := planShard(grid, *gf.shard)
 	if err != nil {
 		return err
 	}
-
-	stopProf, err := pf.start()
-	if err != nil {
-		return err
-	}
-	prog := startProgress(*progressFlag, os.Stderr, eng, len(units))
-	defer prog.close()
-	// The stats trailer shares the row stream by default (back-compat),
-	// but with -o it goes to stdout: a shard file must hold exactly a
-	// header plus rows, or merge would reject it.
-	if *outPath != "" {
-		err = writeFileAtomic(*outPath, func(w io.Writer) error {
-			return runSweep(ctx, eng, grid, units, header, w, *stats, os.Stdout, prog)
-		})
-	} else {
-		err = runSweep(ctx, eng, grid, units, header, os.Stdout, *stats, os.Stdout, prog)
-	}
-	if perr := stopProf(); err == nil {
-		err = perr
-	}
-	return err
+	return gf.observe(eng, pf, len(units), func(prog *progress) error {
+		return gf.stream(ctx, eng, denseExecutor(eng, grid, units), header, prog)
+	})
 }
 
 // writeFileAtomic streams fn's output to a temp file next to path and
@@ -220,11 +257,11 @@ func parseShardSpec(s string) (i, n int, err error) {
 	return i, n, nil
 }
 
-// runSweep streams the units' results as JSON lines — preceded by the
-// shard header when sharded — in plan order; split out from cmdSweep so
-// tests can capture the stream. A dead output (e.g. a closed pipe)
-// cancels the sweep instead of burning CPU on results nobody will see.
-func runSweep(ctx context.Context, eng *sweep.Engine, grid sweep.Grid, units []sweep.Unit, header *sweep.ShardHeader, w io.Writer, stats bool, statsW io.Writer, prog *progress) error {
+// streamRows writes the executor's rows as JSON lines — preceded by the
+// shard header when sharded — in plan order. A dead output (e.g. a
+// closed pipe) cancels the run instead of burning CPU on results
+// nobody will see.
+func streamRows(ctx context.Context, run executor, header *sweep.ShardHeader, w io.Writer, prog *progress) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	if header != nil {
@@ -232,8 +269,8 @@ func runSweep(ctx context.Context, eng *sweep.Engine, grid sweep.Grid, units []s
 			return fmt.Errorf("writing shard header: %w", err)
 		}
 	}
-	var encErr error // only written under Sweep's serialized emit
-	err := eng.SweepUnitsObserved(ctx, grid, units, func(r sweep.Result) {
+	var encErr error // only written under the executor's serialized emit
+	err := run(ctx, func(r sweep.Result) {
 		if encErr != nil {
 			return
 		}
@@ -249,13 +286,7 @@ func runSweep(ctx context.Context, eng *sweep.Engine, grid sweep.Grid, units []s
 	if encErr != nil {
 		return fmt.Errorf("writing results: %w", encErr)
 	}
-	if err != nil {
-		return err
-	}
-	if stats {
-		return writeStatsJSON(eng, statsW)
-	}
-	return nil
+	return err
 }
 
 // writeStatsJSON emits the -stats object: the legacy cache_* keys

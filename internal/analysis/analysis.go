@@ -7,7 +7,7 @@
 // package replicates the small subset the ncdrf-lint suite needs — the
 // Analyzer/Pass/Diagnostic triple, the `//lint:allow <analyzer>`
 // suppression directive (directives.go), and a driver entry point
-// (run.go) shared by the `go vet -vettool` unitchecker
+// (run.go) shared by the standalone driver
 // (internal/analysis/unitchecker) and the fixture test harness
 // (internal/analysis/analysistest).
 //
@@ -61,7 +61,7 @@ type Pass struct {
 	Report func(Diagnostic)
 
 	// facts is the driver-owned store backing the fact methods below:
-	// imported dependency facts plus whatever this unit exports.
+	// imported dependency facts plus whatever this package exports.
 	facts *FactSet
 }
 
@@ -78,7 +78,7 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 }
 
 // ImportObjectFact copies into fact the fact of its concrete type
-// previously exported about obj — by this unit or any dependency — and
+// previously exported about obj — by this package or any dependency — and
 // reports whether one exists.
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	p.checkFact(fact)
@@ -88,25 +88,9 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return p.facts.getObject(obj, fact)
 }
 
-// ExportPackageFact records fact about the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.checkFact(fact)
-	p.facts.putPackage(p.Pkg.Path(), fact)
-}
-
-// ImportPackageFact copies into fact the fact of its concrete type
-// about pkg and reports whether one exists.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	p.checkFact(fact)
-	if pkg == nil {
-		return false
-	}
-	return p.facts.getPackage(pkg.Path(), fact)
-}
-
 // checkFact panics unless fact's concrete type is declared in the
 // analyzer's FactTypes — the declaration is what lets drivers register
-// the type with gob before any unit is analyzed.
+// the type with gob before any package is analyzed.
 func (p *Pass) checkFact(fact Fact) {
 	for _, f := range p.Analyzer.FactTypes {
 		if reflect.TypeOf(f) == reflect.TypeOf(fact) {

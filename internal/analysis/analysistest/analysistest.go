@@ -18,7 +18,7 @@
 // be matched — a fixture line with no comment asserts silence, which
 // is how the negative fixtures pin the analyzers' non-findings and the
 // `//lint:allow` directive behavior (the harness runs the same driver
-// `go vet -vettool` does, suppression included).
+// entry point `ncdrf-lint` does, suppression included).
 package analysistest
 
 import (

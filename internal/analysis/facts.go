@@ -12,10 +12,10 @@ import (
 )
 
 // This file is the cross-package facts layer: the mechanism by which an
-// analyzer records something it proved about an object or a package
-// ("this function spawns an unjoined goroutine", "this field is guarded
-// by mu") so that the analysis of a *dependent* package can consume the
-// conclusion without re-analyzing the dependency's source.
+// analyzer records something it proved about an object ("this function
+// spawns an unjoined goroutine", "this field is guarded by mu") so that
+// the analysis of a *dependent* package can consume the conclusion
+// without re-analyzing the dependency's source.
 //
 // The model is the x/tools go/analysis facts design, cut down to what
 // the suite needs on the standard library alone:
@@ -24,27 +24,24 @@ import (
 //     marker method. Each analyzer declares its fact types up front
 //     (Analyzer.FactTypes); facts are namespaced by their Go type, so
 //     analyzers cannot observe each other's facts by accident.
-//   - Facts attach to a types.Object (object fact) or to a package as a
-//     whole (package fact) through the Pass.{Export,Import}…Fact
-//     methods.
-//   - Between compilation units, facts travel as a gob stream: the
-//     vettool driver writes them to the unit's VetxOutput file and reads
-//     its dependencies' PackageVetx files; the standalone driver pipes
-//     the same bytes between its topologically ordered in-process
-//     passes. A unit's encoded set re-exports every fact it imported, so
-//     the flow is transitively closed without every unit reading every
-//     ancestor.
+//   - Facts attach to a types.Object through Pass.ExportObjectFact and
+//     Pass.ImportObjectFact.
+//   - Between packages, facts travel as a gob stream: the driver pipes
+//     each package's encoded set to its dependents, which it analyzes
+//     later in topological order. A package's encoded set re-exports
+//     every fact it imported, so the flow is transitively closed without
+//     every package reading every ancestor.
 //
 // Objects are named across the serialization boundary by a miniature
 // object path: "Name" for a package-level object, "Type.Method" for a
 // method. Facts on objects this scheme cannot name (locals, struct
-// fields, anonymous types) are silently confined to their own unit —
+// fields, anonymous types) are silently confined to their own package —
 // exactly the objects no other package could reference anyway. Facts
-// whose object does not resolve at decode time (e.g. an unexported
-// function absent from gc export data) are dropped, not an error: a
-// fact is advice, and undeliverable advice is not a failure.
+// whose object does not resolve at decode time (e.g. a stream encoded
+// against an older version of the package) are dropped, not an error:
+// a fact is advice, and undeliverable advice is not a failure.
 
-// A Fact is an analyzer-defined datum attached to an object or package.
+// A Fact is an analyzer-defined datum attached to an object.
 // The concrete type must be a pointer to a gob-encodable struct and
 // must be declared in the producing analyzer's FactTypes.
 type Fact interface {
@@ -52,21 +49,20 @@ type Fact interface {
 	AFact()
 }
 
-// factKey identifies one stored fact: the subject (an object, or a
-// package path for package facts) plus the fact's concrete type.
+// factKey identifies one stored fact: its object plus the fact's
+// concrete type.
 type factKey struct {
-	obj  types.Object // nil for package facts
-	path string       // package path; set for package facts only
-	t    reflect.Type
+	obj types.Object
+	t   reflect.Type
 }
 
-// FactSet holds every fact known while analyzing one compilation unit:
-// the facts decoded from the unit's dependencies plus the facts the
-// unit's own analyzers export. The zero value is not usable; call
+// FactSet holds every fact known while analyzing one package: the facts
+// decoded from the package's dependencies plus the facts its own
+// analyzers export. The zero value is not usable; call
 // NewFactSet.
 //
 // A FactSet is not safe for concurrent use; drivers run analyzers over
-// a unit sequentially.
+// a package sequentially.
 type FactSet struct {
 	m map[factKey]Fact
 }
@@ -93,21 +89,6 @@ func (s *FactSet) getObject(obj types.Object, fact Fact) bool {
 	return true
 }
 
-// putPackage and getPackage are the package-fact analogues, keyed by
-// import path so identity survives re-importing.
-func (s *FactSet) putPackage(path string, fact Fact) {
-	s.m[factKey{path: path, t: reflect.TypeOf(fact)}] = fact
-}
-
-func (s *FactSet) getPackage(path string, fact Fact) bool {
-	stored, ok := s.m[factKey{path: path, t: reflect.TypeOf(fact)}]
-	if !ok {
-		return false
-	}
-	copyFact(stored, fact)
-	return true
-}
-
 // Len returns the number of stored facts (diagnostic use only).
 func (s *FactSet) Len() int { return len(s.m) }
 
@@ -122,7 +103,7 @@ func copyFact(src, dst Fact) {
 }
 
 // wireFact is the serialized form of one fact. Object is the mini
-// object path within PkgPath's package; empty means a package fact.
+// object path within PkgPath's package.
 type wireFact struct {
 	PkgPath string
 	Object  string
@@ -136,19 +117,11 @@ type wireFact struct {
 func (s *FactSet) Encode() ([]byte, error) {
 	var wire []wireFact
 	for k, f := range s.m {
-		w := wireFact{PkgPath: k.path, Fact: f}
-		if k.obj != nil {
-			pkg := k.obj.Pkg()
-			if pkg == nil {
-				continue
-			}
-			path, ok := objectPath(k.obj)
-			if !ok {
-				continue
-			}
-			w.PkgPath, w.Object = pkg.Path(), path
+		path, ok := objectPath(k.obj)
+		if !ok {
+			continue
 		}
-		wire = append(wire, w)
+		wire = append(wire, wireFact{PkgPath: k.obj.Pkg().Path(), Object: path, Fact: f})
 	}
 	sort.Slice(wire, func(i, j int) bool {
 		a, b := wire[i], wire[j]
@@ -169,8 +142,8 @@ func (s *FactSet) Encode() ([]byte, error) {
 
 // Decode merges one encoded fact stream into the set. lookup resolves a
 // package path to its type-checked package; it must return the same
-// *types.Package the current unit's type information references, or
-// object identity breaks. Facts about packages lookup cannot resolve,
+// *types.Package the current package's type information references, or
+// object identity breaks. Facts in packages lookup cannot resolve,
 // or about objects absent from the resolved package's scope, are
 // dropped silently (see the file comment). An empty stream is a
 // complete, empty fact set.
@@ -184,10 +157,6 @@ func (s *FactSet) Decode(data []byte, lookup func(path string) (*types.Package, 
 	}
 	for _, w := range wire {
 		if w.Fact == nil {
-			continue
-		}
-		if w.Object == "" {
-			s.putPackage(w.PkgPath, w.Fact)
 			continue
 		}
 		pkg, err := lookup(w.PkgPath)

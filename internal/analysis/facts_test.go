@@ -10,7 +10,7 @@ import (
 )
 
 // The fixture facts mirror the shapes the real analyzers use: an empty
-// marker, a struct with data, and a package-scoped fact.
+// marker and a struct with data.
 type markFact struct{}
 
 func (*markFact) AFact() {}
@@ -18,10 +18,6 @@ func (*markFact) AFact() {}
 type dataFact struct{ Origin string }
 
 func (*dataFact) AFact() {}
-
-type pkgFact struct{ Count int }
-
-func (*pkgFact) AFact() {}
 
 func checkFixture(t *testing.T, src string) *types.Package {
 	t.Helper()
@@ -37,8 +33,8 @@ func checkFixture(t *testing.T, src string) *types.Package {
 	return pkg
 }
 
-// TestFactSetRoundTrip proves the gob codec the vetx files and the
-// standalone driver both ride: facts exported against one type-checked
+// TestFactSetRoundTrip proves the gob codec the standalone driver
+// pipes between packages: facts exported against one type-checked
 // package survive Encode/Decode and resolve back to the same objects.
 func TestFactSetRoundTrip(t *testing.T) {
 	const src = `package a
@@ -53,7 +49,7 @@ func hidden() {}
 `
 	RegisterFactTypes([]*Analyzer{{
 		Name:      "factsfixture",
-		FactTypes: []Fact{(*markFact)(nil), (*dataFact)(nil), (*pkgFact)(nil)},
+		FactTypes: []Fact{(*markFact)(nil), (*dataFact)(nil)},
 	}})
 
 	pkg := checkFixture(t, src)
@@ -66,7 +62,6 @@ func hidden() {}
 	facts.putObject(fn, &dataFact{Origin: "a.Fn"})
 	facts.putObject(method, &dataFact{Origin: "a.T.Method"})
 	facts.putObject(scope.Lookup("hidden"), &markFact{})
-	facts.putPackage(pkg.Path(), &pkgFact{Count: 3})
 
 	blob, err := facts.Encode()
 	if err != nil {
@@ -104,21 +99,17 @@ func hidden() {}
 	if !got.getObject(method2, &df) || df.Origin != "a.T.Method" {
 		t.Errorf("dataFact on T.Method: got %+v", df)
 	}
-	var pf pkgFact
-	if !got.getPackage(pkg2.Path(), &pf) || pf.Count != 3 {
-		t.Errorf("pkgFact: got %+v", pf)
-	}
 	// A source-checked package scope carries unexported objects, so the
-	// fact on hidden resolves here; under gc export data it would be
-	// dropped instead — covered by TestFactSetDecodeUnresolvable.
+	// fact on hidden resolves here; a scope without the object drops the
+	// fact instead — covered by TestFactSetDecodeUnresolvable.
 	if hidden2 := pkg2.Scope().Lookup("hidden"); !got.getObject(hidden2, &mf) {
 		t.Error("fact on unexported object lost despite a source-level lookup")
 	}
 }
 
 // TestFactSetDecodeUnresolvable: facts about objects the consumer's
-// view of the package does not contain (the gc-export-data case) are
-// dropped silently, not an error.
+// view of the package does not contain are dropped silently, not an
+// error.
 func TestFactSetDecodeUnresolvable(t *testing.T) {
 	RegisterFactTypes([]*Analyzer{{
 		Name:      "factsfixture",
@@ -144,8 +135,8 @@ func TestFactSetDecodeUnresolvable(t *testing.T) {
 }
 
 // TestFactSetEncodeDeterministic: the blob is byte-identical across
-// encodes — a prerequisite for go vet's action caching and for the
-// repo's own reproducibility bar.
+// encodes — the repo's reproducibility bar applies to the fact stream
+// too.
 func TestFactSetEncodeDeterministic(t *testing.T) {
 	const src = `package a
 
@@ -155,7 +146,7 @@ func C() {}
 `
 	RegisterFactTypes([]*Analyzer{{
 		Name:      "factsfixture",
-		FactTypes: []Fact{(*dataFact)(nil), (*pkgFact)(nil)},
+		FactTypes: []Fact{(*dataFact)(nil)},
 	}})
 	pkg := checkFixture(t, src)
 	build := func(order []string) []byte {
@@ -163,7 +154,6 @@ func C() {}
 		for _, name := range order {
 			facts.putObject(pkg.Scope().Lookup(name), &dataFact{Origin: name})
 		}
-		facts.putPackage(pkg.Path(), &pkgFact{Count: len(order)})
 		blob, err := facts.Encode()
 		if err != nil {
 			t.Fatal(err)
@@ -178,8 +168,8 @@ func C() {}
 	}
 }
 
-// TestFactSetDecodeEmpty: a missing or empty vetx payload is a
-// complete, empty fact set — not an error.
+// TestFactSetDecodeEmpty: an empty payload (a package that exported no
+// facts) is a complete, empty fact set — not an error.
 func TestFactSetDecodeEmpty(t *testing.T) {
 	facts := NewFactSet()
 	if err := facts.Decode(nil, func(string) (*types.Package, error) {

@@ -38,10 +38,10 @@ const AllowName = "allow"
 // exported facts accumulate into it for the driver to encode
 // afterwards. Pass NewFactSet() when no dependency facts exist.
 //
-// All drivers — the vet-protocol unitchecker, the standalone
-// topological driver and the analysistest harness — go through this
-// single entry point, so a fixture exercises exactly the suppression
-// and ordering behavior `go vet` will apply.
+// Both drivers — the standalone topological driver and the
+// analysistest harness — go through this single entry point, so a
+// fixture exercises exactly the suppression and ordering behavior
+// `ncdrf-lint` will apply.
 func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, facts *FactSet) ([]Finding, error) {
 	if facts == nil {
 		facts = NewFactSet()

@@ -18,18 +18,15 @@ import (
 	"ncdrf/internal/analysis"
 )
 
-// Standalone mode: `ncdrf-lint ./...` without the go command driving.
-//
 // The driver asks `go list -json -deps` for the packages the patterns
 // name plus everything they import, topologically sorts the in-module
 // subset, and analyzes each package from source in dependency order.
-// Facts cross package boundaries the same way they do under `go vet`:
-// each package's fact set is gob-encoded after analysis and decoded by
-// its dependents, so the standalone run exercises the identical codec
-// the vetx files carry — only the transport (an in-memory map instead
-// of files) differs. Diagnostics are reported for the packages the
-// patterns named; dependency-only packages are analyzed for their
-// facts alone, the VetxOnly treatment.
+// Facts cross package boundaries as a gob stream: each package's fact
+// set is encoded after analysis and decoded by its dependents, so the
+// codec a package boundary needs is exercised on every run even though
+// the transport is an in-memory map. Diagnostics are reported for the
+// packages the patterns named; dependency-only packages are analyzed
+// for their facts alone.
 
 // listedPkg is the subset of `go list -json` output the driver needs.
 type listedPkg struct {

@@ -1,84 +1,38 @@
-// Package unitchecker implements the command-line protocol `go vet
-// -vettool=...` speaks to an analysis driver, on the standard library
-// alone (the module vendors no external dependencies, so the
-// golang.org/x/tools implementation is off the table):
-//
-//	-V=full    describe the executable for build caching
-//	-flags     describe the tool's flags in JSON
-//	unit.cfg   analyze the single compilation unit the JSON config
-//	           file describes (files, import maps, export data)
-//
-// Any other invocation — `ncdrf-lint ./...` or `go run ./cmd/ncdrf-lint
-// ./...` — is the standalone mode (standalone.go): the tool asks
-// `go list` for the packages, orders them topologically and analyzes
-// them in-process, threading analyzer facts between packages through
-// the same gob codec the vetx files use, so both modes run the
-// identical per-package checker with the identical cross-package fact
-// flow.
+// Package unitchecker is the command-line driver of the ncdrf-lint
+// analyzer suite, on the standard library alone (the module vendors no
+// external dependencies, so the golang.org/x/tools drivers are off the
+// table). `ncdrf-lint ./...` asks `go list` for the packages, orders
+// them topologically and analyzes them in-process, threading analyzer
+// facts between packages (standalone.go).
 package unitchecker
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"ncdrf/internal/analysis"
 )
 
-// Config mirrors the JSON the go command writes for each compilation
-// unit (see cmd/go/internal/work's buildVetConfig); fields the suite
-// has no use for are kept so the decoder accepts every config.
-type Config struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ModulePath                string
-	ModuleVersion             string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// Main is the entry point of a vet-compatible checker binary.
+// Main is the entry point of a checker binary: it parses -json and the
+// package patterns, runs the analyzers and exits with the driver's
+// status (0 clean, 1 findings, 2 driver failure).
 func Main(analyzers ...*analysis.Analyzer) {
 	progname := filepath.Base(os.Args[0])
 	log.SetFlags(0)
 	log.SetPrefix(progname + ": ")
 	analysis.RegisterFactTypes(analyzers)
 
-	versionFlag := flag.String("V", "", "print version and exit (-V=full, for the go command)")
-	printFlags := flag.Bool("flags", false, "print the tool's flags in JSON (for the go command)")
 	jsonFlag := flag.Bool("json", false, "emit diagnostics as JSON")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, `%[1]s enforces the repository's determinism, immutability and
 context-threading invariants (see DESIGN.md, "Enforced invariants").
 
 Usage:
-	go vet -vettool=$(command -v %[1]s) ./...
-	%[1]s ./...            # standalone: re-executes go vet -vettool
-	%[1]s unit.cfg         # single compilation unit (go vet protocol)
+	%[1]s [-json] ./...
 
 Analyzers:
 `, progname)
@@ -88,31 +42,10 @@ Analyzers:
 		os.Exit(2)
 	}
 	flag.Parse()
-
-	switch {
-	case *versionFlag != "":
-		if *versionFlag != "full" {
-			log.Fatalf("unsupported flag value: -V=%s (use -V=full)", *versionFlag)
-		}
-		printVersion()
-		return
-	case *printFlags:
-		printFlagDefs()
-		return
-	}
-
-	args := flag.Args()
-	if len(args) == 0 {
+	if flag.NArg() == 0 {
 		flag.Usage()
 	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnit(args[0], analyzers, *jsonFlag)
-		return
-	}
-	// Standalone mode: enumerate the packages with `go list`, order
-	// them topologically and analyze them in-process, threading facts
-	// between packages the same way the vetx files do under go vet.
-	os.Exit(runStandalone(args, analyzers, *jsonFlag))
+	os.Exit(runStandalone(flag.Args(), analyzers, *jsonFlag))
 }
 
 func firstLine(s string) string {
@@ -121,247 +54,3 @@ func firstLine(s string) string {
 	}
 	return s
 }
-
-// inGOROOT reports whether dir lies inside the toolchain's source
-// tree, i.e. the unit is a standard-library package.
-func inGOROOT(dir string) bool {
-	src := filepath.Join(build.Default.GOROOT, "src")
-	rel, err := filepath.Rel(src, dir)
-	return err == nil && rel != ".." && !strings.HasPrefix(rel, ".."+string(filepath.Separator))
-}
-
-// printVersion implements -V=full. The go command requires the format
-// `<name> version devel ... buildID=<id>` (or a release version) and
-// uses the ID for build caching, so it is the content hash of the
-// executable: rebuilding the tool invalidates cached vet results.
-func printVersion() {
-	exe, err := os.Executable()
-	if err != nil {
-		log.Fatal(err)
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n", exe, h.Sum(nil))
-}
-
-// printFlagDefs implements -flags: the go command queries the tool's
-// flags as JSON before parsing the vet command line.
-func printFlagDefs() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	defs := []jsonFlag{
-		{Name: "json", Bool: true, Usage: "emit diagnostics as JSON"},
-	}
-	data, err := json.MarshalIndent(defs, "", "\t")
-	if err != nil {
-		log.Fatal(err)
-	}
-	os.Stdout.Write(data)
-}
-
-// runUnit analyzes one compilation unit per the vet config file and
-// exits: 0 when clean, 1 when findings were reported.
-//
-// Every unit runs the analyzers — a VetxOnly dependency unit too,
-// because its exported facts are the whole point of vetting it — but
-// only the target unit's diagnostics are printed.
-func runUnit(configFile string, analyzers []*analysis.Analyzer, asJSON bool) {
-	cfg, err := readConfig(configFile)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// The go command expects the facts output file to exist afterwards
-	// and feeds it to dependents; write an empty (complete, fact-free)
-	// set up front so a typecheck failure below still satisfies it,
-	// then overwrite with the real facts on success.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// The suite's invariants are about this repository's code, and its
-	// analyzers do not model the runtime's internal joins and locks —
-	// running them over the standard library would export facts like
-	// "os.ReadFile spawns runtime.createfing" that taint every importer.
-	// Standard-library units (the go command hands them over as VetxOnly
-	// dependencies, recognizable by their GOROOT source directory) keep
-	// the empty fact set, matching the standalone driver, which never
-	// analyzes them at all.
-	if inGOROOT(cfg.Dir) {
-		return
-	}
-
-	fset := token.NewFileSet()
-	findings, facts, err := analyze(fset, cfg, analyzers)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			// The compiler will report the same breakage with a better
-			// message; stay silent.
-			return
-		}
-		log.Fatal(err)
-	}
-	if cfg.VetxOutput != "" {
-		data, err := facts.Encode()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if cfg.VetxOnly {
-		// Dependency unit: vetted only for facts, never for diagnostics.
-		return
-	}
-
-	findings = analysis.Unsuppressed(findings)
-	if asJSON {
-		writeJSON(os.Stdout, fset, cfg.ID, analyzers, findings)
-		return
-	}
-	for _, d := range findings {
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
-	}
-	if len(findings) > 0 {
-		os.Exit(1)
-	}
-}
-
-func readConfig(filename string) (*Config, error) {
-	data, err := os.ReadFile(filename)
-	if err != nil {
-		return nil, err
-	}
-	cfg := new(Config)
-	if err := json.Unmarshal(data, cfg); err != nil {
-		return nil, fmt.Errorf("cannot decode JSON config file %s: %v", filename, err)
-	}
-	if len(cfg.GoFiles) == 0 {
-		return nil, fmt.Errorf("package has no files: %s", cfg.ImportPath)
-	}
-	return cfg, nil
-}
-
-// analyze parses and type-checks the unit against the export data the
-// go command prepared, decodes the dependencies' facts from their vetx
-// files, then runs the suite through the shared driver. The returned
-// fact set holds the dependency facts plus whatever the unit exported.
-func analyze(fset *token.FileSet, cfg *Config, analyzers []*analysis.Analyzer) ([]analysis.Finding, *analysis.FactSet, error) {
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, nil, err
-		}
-		files = append(files, f)
-	}
-
-	compilerImporter := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		// path is a resolved package path, not an import path.
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	tcImporter := importerFunc(func(importPath string) (*types.Package, error) {
-		path, ok := cfg.ImportMap[importPath] // resolve vendoring, etc.
-		if !ok {
-			return nil, fmt.Errorf("can't resolve import %q", importPath)
-		}
-		if path == "unsafe" {
-			return types.Unsafe, nil
-		}
-		return compilerImporter.Import(path)
-	})
-
-	tc := &types.Config{
-		Importer:  tcImporter,
-		Sizes:     types.SizesFor("gc", build.Default.GOARCH),
-		GoVersion: cfg.GoVersion,
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	pkg, err := tc.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Import the dependencies' facts. The lookup goes through the same
-	// compilerImporter instance the type-check used, so a fact's object
-	// resolves to the identical types.Object the unit's TypesInfo
-	// references. Vetx files of fact-free units are empty; Decode
-	// treats that as a complete empty set.
-	facts := analysis.NewFactSet()
-	vetxPaths := make([]string, 0, len(cfg.PackageVetx))
-	for path := range cfg.PackageVetx {
-		vetxPaths = append(vetxPaths, path)
-	}
-	sort.Strings(vetxPaths)
-	for _, path := range vetxPaths {
-		data, err := os.ReadFile(cfg.PackageVetx[path])
-		if err != nil || len(data) == 0 {
-			continue
-		}
-		if err := facts.Decode(data, func(p string) (*types.Package, error) {
-			if p == cfg.ImportPath {
-				return pkg, nil
-			}
-			return compilerImporter.Import(p)
-		}); err != nil {
-			return nil, nil, fmt.Errorf("facts of %s: %w", path, err)
-		}
-	}
-
-	findings, err := analysis.RunPackage(fset, files, pkg, info, analyzers, facts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return findings, facts, nil
-}
-
-// writeJSON emits the same shape the x/tools unitchecker does:
-// {"pkg-id": {"analyzer": [{"posn": ..., "message": ...}, ...]}}.
-func writeJSON(w io.Writer, fset *token.FileSet, id string, analyzers []*analysis.Analyzer, findings []analysis.Finding) {
-	type jsonDiag struct {
-		Posn    string `json:"posn"`
-		Message string `json:"message"`
-	}
-	byAnalyzer := make(map[string][]jsonDiag)
-	for _, d := range findings {
-		byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], jsonDiag{
-			Posn:    fset.Position(d.Pos).String(),
-			Message: d.Message,
-		})
-	}
-	tree := map[string]map[string][]jsonDiag{id: byAnalyzer}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	if err := enc.Encode(tree); err != nil {
-		log.Fatal(err)
-	}
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

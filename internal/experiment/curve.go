@@ -82,7 +82,7 @@ func (p CurvePoint) MeanII() float64 {
 }
 
 // Density is the average fraction of memory-port bandwidth used per
-// cycle — the Figure 9 metric, same formula as perf.TrafficDensity.
+// cycle — the Figure 9 metric: total accesses / (total cycles × ports).
 func (p CurvePoint) Density(memPorts int) float64 {
 	if memPorts < 1 || p.Cycles <= 0 {
 		return math.NaN()
@@ -452,44 +452,6 @@ func PerfCurve(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, m *m
 			Regs:     regs,
 		}
 		rows, err := eng.Rows(ctx, grid)
-		if err != nil {
-			return nil, err
-		}
-		return BuildCurve(rows), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Curve), nil
-}
-
-// FrontierCurve is PerfCurve with the dominance-pruned frontier
-// executor: same grid, same aggregation, the same *Curve out — so the
-// figure projections, report tables, CSV and charts are oblivious to
-// which executor produced the rows — but only O(log regs) cells per
-// (loop, model) series are evaluated beyond the spill regions. The axis
-// must satisfy the frontier contract (finite, strictly ascending; see
-// sweep.SweepFrontier).
-//
-// onViolation receives each series that contradicted the dominance
-// assumptions and fell back to dense evaluation; may be nil. The result
-// set is memoized on the engine under its own key (a frontier curve and
-// a dense curve of the same configuration are separate memo entries,
-// though their rows are identical), so onViolation only fires when the
-// sweep actually runs — a memo hit replays no violations.
-func FrontierCurve(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, m *machine.Config, regs []int, onViolation func(sweep.FrontierViolation)) (*Curve, error) {
-	key := eng.CorpusKey(fmt.Sprintf("curve-frontier/%v", regs), corpus, m)
-	v, err := eng.Memo(ctx, key, func() (any, error) {
-		grid := sweep.Grid{
-			Corpus:   corpus,
-			Machines: []*machine.Config{m},
-			Models:   core.Models[:],
-			Regs:     regs,
-		}
-		var rows []pipeline.Row
-		err := eng.SweepFrontier(ctx, grid, func(r sweep.Result) {
-			rows = append(rows, r)
-		}, sweep.FrontierOptions{OnViolation: onViolation})
 		if err != nil {
 			return nil, err
 		}

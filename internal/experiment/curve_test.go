@@ -9,15 +9,52 @@ import (
 	"testing"
 
 	"ncdrf/internal/core"
+	"ncdrf/internal/ddg"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
-	"ncdrf/internal/perf"
 	"ncdrf/internal/pipeline"
+	"ncdrf/internal/sweep"
 )
 
-// TestCurveMatchesPerfAggregates pins the curve projections to the
-// perf-package aggregates computed from the same evaluations: the curve
-// is a different bookkeeping of identical sums, so relative
+// loopRun is one loop's compiled outcome under one model.
+type loopRun struct {
+	trips               int64
+	ii, memOps, spilled int
+}
+
+// compileRuns is the per-loop oracle for the curve projections: it
+// compiles every loop of the corpus under one model with its own
+// Engine.Compile call, bypassing the sweep executor and BuildCurve.
+func compileRuns(t *testing.T, eng *sweep.Engine, corpus []*ddg.Graph, m *machine.Config, model core.Model, regs int) []loopRun {
+	t.Helper()
+	runs := make([]loopRun, len(corpus))
+	for i, g := range corpus {
+		res, err := eng.Compile(ctx0, g, m, model, regs)
+		if err != nil {
+			t.Fatalf("%s/%v: %v", g.LoopName, model, err)
+		}
+		runs[i] = loopRun{trips: g.TripsOrOne(), ii: res.Sched.II, memOps: res.MemOps(), spilled: res.SpilledValues}
+	}
+	return runs
+}
+
+// runTotals sums steady-state cycles (II × trips) and dynamic memory
+// accesses (mem ops × trips) and counts the loops that needed spill
+// code.
+func runTotals(runs []loopRun) (cycles, accesses int64, spilledLoops int) {
+	for _, r := range runs {
+		cycles += int64(r.ii) * r.trips
+		accesses += int64(r.memOps) * r.trips
+		if r.spilled > 0 {
+			spilledLoops++
+		}
+	}
+	return cycles, accesses, spilledLoops
+}
+
+// TestCurveMatchesPerfAggregates pins the curve projections to
+// aggregates computed from per-loop compilations of the same cells:
+// the curve is a different bookkeeping of identical sums, so relative
 // performance, traffic density and spilled-loop counts must match
 // exactly — this is what lets Fig8and9 rebase onto the curve without
 // moving a single figure value.
@@ -34,42 +71,28 @@ func TestCurveMatchesPerfAggregates(t *testing.T) {
 	if err := curve.Err(); err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := ModelRuns(ctx0, eng, corpus, m, core.Ideal, regs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idealCycles, _, _ := runTotals(compileRuns(t, eng, corpus, m, core.Ideal, regs))
 	ports := m.CountOfKind(machine.MemPort)
 	for _, model := range core.Models {
-		runs := ideal
-		if model != core.Ideal {
-			if runs, err = ModelRuns(ctx0, eng, corpus, m, model, regs); err != nil {
-				t.Fatal(err)
-			}
-		}
-		wantRel, err := perf.RelPerformance(ideal, runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantDens, err := perf.TrafficDensity(runs, ports)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cycles, accesses, spilledLoops := runTotals(compileRuns(t, eng, corpus, m, model, regs))
+		wantRel := float64(idealCycles) / float64(cycles)
+		wantDens := float64(accesses) / (float64(cycles) * float64(ports))
 		pt, ok := curve.Point(m.Name(), model.String(), regs)
 		if !ok {
 			t.Fatalf("curve missing %v point", model)
 		}
 		rel, ok := curve.RelPerformance(m.Name(), model.String(), regs)
 		if !ok || rel != wantRel {
-			t.Fatalf("%v: curve rel perf = %v (ok=%v), perf package says %v", model, rel, ok, wantRel)
+			t.Fatalf("%v: curve rel perf = %v (ok=%v), per-loop runs say %v", model, rel, ok, wantRel)
 		}
 		if d := pt.Density(ports); d != wantDens {
-			t.Fatalf("%v: curve density = %v, perf package says %v", model, d, wantDens)
+			t.Fatalf("%v: curve density = %v, per-loop runs say %v", model, d, wantDens)
 		}
-		if got, want := pt.SpillLoops(), perf.SpilledLoops(runs); got != want {
-			t.Fatalf("%v: curve spilled loops = %d, perf package says %d", model, got, want)
+		if got := pt.SpillLoops(); got != spilledLoops {
+			t.Fatalf("%v: curve spilled loops = %d, per-loop runs say %d", model, got, spilledLoops)
 		}
-		if got, want := pt.Cycles, perf.TotalCycles(runs); got != want {
-			t.Fatalf("%v: curve cycles = %d, perf package says %d", model, got, want)
+		if pt.Cycles != cycles {
+			t.Fatalf("%v: curve cycles = %d, per-loop runs say %d", model, pt.Cycles, cycles)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"ncdrf/internal/loopgen"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
-	"ncdrf/internal/perf"
 	"ncdrf/internal/sweep"
 )
 
@@ -206,29 +205,31 @@ func TestLatencySixNeedsMoreRegisters(t *testing.T) {
 	}
 }
 
+// TestCompileLoopIdealVsLimited pins the worked example's outcome at
+// 32 registers: the unified file spills, the dual file does not.
 func TestCompileLoopIdealVsLimited(t *testing.T) {
 	g := loops.PaperExample()
 	m := machine.Example()
-	ideal, err := CompileLoop(context.Background(), testEng(), g, m, core.Ideal, 0)
+	ideal, err := testEng().Compile(ctx0, g, m, core.Ideal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ideal.II != 1 || ideal.MemOps != 3 || ideal.Spilled != 0 {
-		t.Fatalf("ideal run = %+v", ideal)
+	if ideal.Sched.II != 1 || ideal.MemOps() != 3 || ideal.SpilledValues != 0 {
+		t.Fatalf("ideal run: II %d, mem ops %d, spilled %d", ideal.Sched.II, ideal.MemOps(), ideal.SpilledValues)
 	}
-	limited, err := CompileLoop(context.Background(), testEng(), g, m, core.Unified, 32)
+	limited, err := testEng().Compile(ctx0, g, m, core.Unified, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if limited.Spilled == 0 || limited.MemOps <= 3 {
-		t.Fatalf("unified@32 must spill: %+v", limited)
+	if limited.SpilledValues == 0 || limited.MemOps() <= 3 {
+		t.Fatalf("unified@32 must spill: spilled %d, mem ops %d", limited.SpilledValues, limited.MemOps())
 	}
-	dual, err := CompileLoop(context.Background(), testEng(), g, m, core.Partitioned, 32)
+	dual, err := testEng().Compile(ctx0, g, m, core.Partitioned, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dual.Spilled != 0 {
-		t.Fatalf("partitioned@32 must not spill: %+v", dual)
+	if dual.SpilledValues != 0 {
+		t.Fatalf("partitioned@32 must not spill: spilled %d", dual.SpilledValues)
 	}
 }
 
@@ -272,20 +273,6 @@ func TestFig8and9SmallCorpusShape(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Figure 9") {
 		t.Fatal("fig9 render missing title")
-	}
-}
-
-func TestModelRunsCounts(t *testing.T) {
-	corpus := smallCorpus()[:10]
-	runs, err := ModelRuns(ctx0, testEng(), corpus, machine.Eval(3), core.Unified, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 10 {
-		t.Fatalf("runs = %d", len(runs))
-	}
-	if perf.TotalCycles(runs) <= 0 {
-		t.Fatal("no cycles accumulated")
 	}
 }
 

@@ -112,9 +112,10 @@ func TestCorpusMonotonicity(t *testing.T) {
 }
 
 // TestFrontierCurveMatchesDense is the end-to-end equivalence of the
-// curve subsystem's two executors: FrontierCurve and PerfCurve over the
-// same configuration must render byte-identical tables and CSV —
-// implied rows are indistinguishable from computed ones downstream.
+// curve subsystem's two executors: a curve built from SweepFrontier's
+// rows and PerfCurve over the same configuration must render
+// byte-identical tables and CSV — implied rows are indistinguishable
+// from computed ones downstream.
 func TestFrontierCurveMatchesDense(t *testing.T) {
 	corpus := loops.Kernels()[:16]
 	m := machine.Eval(6)
@@ -124,13 +125,15 @@ func TestFrontierCurveMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	grid := sweep.Grid{Corpus: corpus, Machines: []*machine.Config{m}, Models: core.Models[:], Regs: regs}
+	var rows []pipeline.Row
 	var violations []sweep.FrontierViolation
-	frontier, err := FrontierCurve(ctx0, testEng(), corpus, m, regs, func(v sweep.FrontierViolation) {
-		violations = append(violations, v)
-	})
+	err = testEng().SweepFrontier(ctx0, grid, func(r sweep.Result) { rows = append(rows, r) },
+		sweep.FrontierOptions{OnViolation: func(v sweep.FrontierViolation) { violations = append(violations, v) }})
 	if err != nil {
 		t.Fatal(err)
 	}
+	frontier := BuildCurve(rows)
 	for _, v := range violations {
 		t.Errorf("unexpected dense fallback for %s/%s (%s): %s", v.Loop, v.Model, v.Machine, v.Detail)
 	}
@@ -149,36 +152,5 @@ func TestFrontierCurveMatchesDense(t *testing.T) {
 	}
 	if d, f := render(dense, tabOf), render(frontier, tabOf); !bytes.Equal(d, f) {
 		t.Fatalf("frontier curve tables differ from dense:\ndense:\n%s\nfrontier:\n%s", d, f)
-	}
-}
-
-// TestFrontierCurveMemoized pins the memo contract FrontierCurve
-// documents: the second call with the same configuration replays the
-// memoized curve — same pointer, no second sweep (the eval-miss counter
-// does not move), and no replayed violation callbacks.
-func TestFrontierCurveMemoized(t *testing.T) {
-	corpus := loops.Kernels()[:4]
-	m := machine.Eval(3)
-	regs := []int{8, 16, 32, 64}
-	eng := testEng()
-
-	first, err := FrontierCurve(ctx0, eng, corpus, m, regs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	misses := eng.StageStats().Eval.Misses
-	calls := 0
-	second, err := FrontierCurve(ctx0, eng, corpus, m, regs, func(sweep.FrontierViolation) { calls++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second != first {
-		t.Fatal("memo replay returned a different curve")
-	}
-	if got := eng.StageStats().Eval.Misses; got != misses {
-		t.Fatalf("memo replay computed %d extra evals", got-misses)
-	}
-	if calls != 0 {
-		t.Fatalf("memo replay fired %d violation callbacks", calls)
 	}
 }

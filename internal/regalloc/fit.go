@@ -14,7 +14,7 @@ import (
 // a specifier q is a masked scan of the candidate's C-modular interval
 // against the bitmap instead of pairwise arc-overlap checks against
 // everything placed so far. The reference implementation this replaces
-// (reference.go) is O(values x R x placed) with three segment
+// (reference_test.go) is O(values x R x placed) with three segment
 // comparisons per placed arc; the bitmap test is O(len/64) words per
 // probe, and a failed probe yields an exact jump over every later
 // specifier whose interval provably covers the same occupied bit.
@@ -179,7 +179,8 @@ func (st *fitState) conflict(p, length, c int) int {
 
 // gapTo returns the circular distance from the nearest arc end at or
 // before position p back to p, or c when nothing has been placed —
-// exactly gapBefore over the placed arcs, read off the ends bitmap.
+// exactly the reference gapBefore (reference_test.go) over the placed
+// arcs, read off the ends bitmap.
 func (st *fitState) gapTo(p, c int) int {
 	if hb := highestSet(st.ends, 0, p+1); hb >= 0 {
 		return p - hb

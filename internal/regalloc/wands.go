@@ -13,9 +13,9 @@
 // free parameter q in {0..R-1}.
 //
 // The placement engine represents the circle as an occupancy bitmap
-// (fit.go); reference.go keeps the original pairwise-arc implementation
-// as the executable specification the bitmap core is differentially
-// tested against.
+// (fit.go); reference_test.go keeps the original pairwise-arc
+// implementation as the executable specification the bitmap core is
+// differentially tested against.
 package regalloc
 
 import (

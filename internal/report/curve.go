@@ -125,8 +125,5 @@ func (c *Curve) RenderChart(w io.Writer) error {
 	return chart.Render(w)
 }
 
-// Pct1 formats a ratio in [0,1] as a percentage with one decimal.
-func Pct1(v float64) string { return Pct(100 * v) }
-
 // Int formats a float that carries an integer count.
 func Int(v float64) string { return fmt.Sprintf("%.0f", v) }

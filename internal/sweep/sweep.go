@@ -103,9 +103,6 @@ func (e *Engine) SetStore(st *store.Store) { e.cache.SetStore(st) }
 // Store returns the attached persistent tier, or nil.
 func (e *Engine) Store() *store.Store { return e.cache.Store() }
 
-// Workers returns the pool width used by ForEach and Sweep.
-func (e *Engine) Workers() int { return e.workers }
-
 // Cache returns the engine's schedule cache (for stats reporting).
 func (e *Engine) Cache() *Cache { return e.cache }
 
