@@ -1,6 +1,5 @@
-// Benchmarks regenerating every table and figure of the paper, plus
-// micro-benchmarks of the pipeline stages and ablations of the design
-// choices called out in DESIGN.md. Run with:
+// Benchmarks regenerating every table and figure of the paper, plus the
+// staged-pipeline and simulation benchmarks. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -24,10 +23,8 @@ import (
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
 	"ncdrf/internal/pipeline"
-	"ncdrf/internal/regalloc"
 	"ncdrf/internal/regfile"
 	"ncdrf/internal/sched"
-	"ncdrf/internal/spill"
 	"ncdrf/internal/sweep"
 	"ncdrf/internal/vm"
 )
@@ -279,186 +276,6 @@ type schedCounter struct{ calls int }
 func (c *schedCounter) Schedule(g *ddg.Graph, m *machine.Config, opts sched.Options) (*sched.Schedule, error) {
 	c.calls++
 	return sched.Run(g, m, opts)
-}
-
-// --- micro-benchmarks of the pipeline stages ---
-
-// BenchmarkModuloSchedule schedules the whole curated kernel corpus.
-func BenchmarkModuloSchedule(b *testing.B) {
-	ks := loops.Kernels()
-	m := machine.Eval(6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, g := range ks {
-			if _, err := sched.Run(g, m, sched.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkFirstFitAllocation allocates the kernel corpus's lifetimes.
-func BenchmarkFirstFitAllocation(b *testing.B) {
-	m := machine.Eval(6)
-	type job struct {
-		lts []lifetime.Lifetime
-		ii  int
-	}
-	var jobs []job
-	for _, g := range loops.Kernels() {
-		s, err := sched.Run(g, m, sched.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobs = append(jobs, job{lifetime.Compute(s), s.II})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, j := range jobs {
-			if _, err := regalloc.FirstFit(j.lts, j.ii); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkSwapPass runs the greedy swap over the kernel corpus.
-func BenchmarkSwapPass(b *testing.B) {
-	m := machine.Eval(6)
-	var scheds []*sched.Schedule
-	for _, g := range loops.Kernels() {
-		s, err := sched.Run(g, m, sched.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		scheds = append(scheds, s)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range scheds {
-			core.Swap(s, core.SwapOptions{})
-		}
-	}
-}
-
-// BenchmarkSpillPipeline runs the naive spiller on the highest-pressure
-// kernel at a tight register file.
-func BenchmarkSpillPipeline(b *testing.B) {
-	g, ok := loops.KernelByName("lfk7-eos")
-	if !ok {
-		b.Fatal("missing kernel")
-	}
-	m := machine.Eval(6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := spill.Run(g, m, 24, core.Fit(core.Unified), sched.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.SpilledValues == 0 {
-			b.Fatal("expected spilling")
-		}
-	}
-}
-
-// --- ablation benchmarks (design choices from DESIGN.md) ---
-
-// BenchmarkAblationSwapMoves compares the paper's pair-only swap against
-// the AllowMoves extension: the custom metrics report the average
-// per-loop register estimate each variant reaches on the kernel corpus.
-func BenchmarkAblationSwapMoves(b *testing.B) {
-	m := machine.Eval(6)
-	type prep struct {
-		s   *sched.Schedule
-		lts []lifetime.Lifetime
-	}
-	var ps []prep
-	for _, g := range loops.Kernels() {
-		s, err := sched.Run(g, m, sched.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ps = append(ps, prep{s, lifetime.Compute(s)})
-	}
-	variants := []struct {
-		name string
-		opts core.SwapOptions
-	}{
-		{"pairs", core.SwapOptions{}},
-		{"pairs+moves", core.SwapOptions{AllowMoves: true}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				total = 0
-				for _, p := range ps {
-					swapped, _ := core.Swap(p.s, v.opts)
-					total += core.Classify(swapped, p.lts).MaxLiveEstimate()
-				}
-			}
-			b.ReportMetric(float64(total)/float64(len(ps)), "regs/loop")
-		})
-	}
-}
-
-// BenchmarkAblationSchedulerBudget compares the IMS eviction budget: a
-// small budget forces more II bumps (worse schedules, faster compile).
-func BenchmarkAblationSchedulerBudget(b *testing.B) {
-	ks := loops.Kernels()
-	m := machine.Eval(6)
-	for _, ratio := range []int{1, 4, 8} {
-		b.Run(map[int]string{1: "budget1", 4: "budget4", 8: "budget8"}[ratio], func(b *testing.B) {
-			totalII := 0
-			for i := 0; i < b.N; i++ {
-				totalII = 0
-				for _, g := range ks {
-					s, err := sched.Run(g, m, sched.Options{BudgetRatio: ratio})
-					if err != nil {
-						b.Fatal(err)
-					}
-					totalII += s.II
-				}
-			}
-			b.ReportMetric(float64(totalII)/float64(len(ks)), "II/loop")
-		})
-	}
-}
-
-// BenchmarkAblationAllocator compares the wands-only allocation
-// heuristics of Rau et al. (the paper picks First Fit for simplicity and
-// reports all perform similarly); the metric is registers per loop over
-// the curated kernels.
-func BenchmarkAblationAllocator(b *testing.B) {
-	m := machine.Eval(6)
-	type job struct {
-		lts []lifetime.Lifetime
-		ii  int
-	}
-	var jobs []job
-	for _, g := range loops.Kernels() {
-		s, err := sched.Run(g, m, sched.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobs = append(jobs, job{lifetime.Compute(s), s.II})
-	}
-	for _, strat := range regalloc.Strategies {
-		b.Run(strat.String(), func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				total = 0
-				for _, j := range jobs {
-					a, err := regalloc.Allocate(j.lts, j.ii, strat)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += a.Registers
-				}
-			}
-			b.ReportMetric(float64(total)/float64(len(jobs)), "regs/loop")
-		})
-	}
 }
 
 // BenchmarkPipelinedSimulation executes the paper's worked example on the

@@ -22,14 +22,17 @@ import (
 	"ncdrf/internal/sweep"
 )
 
-func buildCorpus(o corpusOpts) []*ddg.Graph {
+func buildCorpus(o corpusOpts) ([]*ddg.Graph, error) {
+	if err := checkLoopCount("-loops", *o.loops); err != nil {
+		return nil, err
+	}
 	if *o.kernelsOnly {
-		return loops.Kernels()
+		return loops.Kernels(), nil
 	}
 	p := loopgen.Defaults()
 	p.Loops = *o.loops
 	p.Seed = *o.seed
-	return experiment.Corpus(p)
+	return experiment.Corpus(p), nil
 }
 
 func cmdExample(args []string) error {
@@ -107,7 +110,11 @@ func cmdTable1(ctx context.Context, eng *sweep.Engine, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := experiment.Table1(ctx, eng, buildCorpus(o))
+	corpus, err := buildCorpus(o)
+	if err != nil {
+		return err
+	}
+	res, err := experiment.Table1(ctx, eng, corpus)
 	if err != nil {
 		return err
 	}
@@ -125,7 +132,10 @@ func cmdFigCDF(ctx context.Context, eng *sweep.Engine, args []string, dynamic bo
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	corpus := buildCorpus(o)
+	corpus, err := buildCorpus(o)
+	if err != nil {
+		return err
+	}
 	for _, lat := range []int{3, 6} {
 		var res *experiment.CDFResult
 		var err error
@@ -159,7 +169,11 @@ func cmdFigPerf(ctx context.Context, eng *sweep.Engine, args []string, wantPerf,
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := experiment.Fig8and9(ctx, eng, buildCorpus(o), nil)
+	corpus, err := buildCorpus(o)
+	if err != nil {
+		return err
+	}
+	res, err := experiment.Fig8and9(ctx, eng, corpus, nil)
 	if err != nil {
 		return err
 	}
@@ -201,7 +215,10 @@ func cmdAll(ctx context.Context, eng *sweep.Engine, args []string) error {
 // runAll is cmdAll's body, split out so the profile stop function
 // brackets exactly the measured work.
 func runAll(ctx context.Context, eng *sweep.Engine, o corpusOpts) error {
-	corpus := buildCorpus(o)
+	corpus, err := buildCorpus(o)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("corpus: %d loops\n\n", len(corpus))
 
 	if err := experiment.Stats(corpus).Render(os.Stdout); err != nil {
@@ -308,6 +325,9 @@ func cmdSchedule(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkLatency("-lat", *lat); err != nil {
+		return err
+	}
 	g, err := findLoop(*name)
 	if err != nil {
 		return err
@@ -335,6 +355,9 @@ func cmdAlloc(args []string) error {
 	name := fs.String("loop", "paper-example", "kernel name")
 	lat := fs.Int("lat", 3, "floating-point latency (3 or 6)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkLatency("-lat", *lat); err != nil {
 		return err
 	}
 	g, err := findLoop(*name)
@@ -377,6 +400,9 @@ func cmdGen(args []string) error {
 	n := fs.Int("n", 795, "number of loops")
 	seed := fs.Int64("seed", 1995, "generator seed")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkLoopCount("-n", *n); err != nil {
 		return err
 	}
 	p := loopgen.Defaults()

@@ -17,7 +17,11 @@ func cmdStats(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	return experiment.Stats(buildCorpus(o)).Render(os.Stdout)
+	corpus, err := buildCorpus(o)
+	if err != nil {
+		return err
+	}
+	return experiment.Stats(corpus).Render(os.Stdout)
 }
 
 // cmdClusters runs the cluster-scaling extension study (1, 2 and 4
@@ -29,7 +33,14 @@ func cmdClusters(ctx context.Context, eng *sweep.Engine, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	res, err := experiment.ClusterScaling(ctx, eng, buildCorpus(o), *lat, nil)
+	if err := checkLatency("-lat", *lat); err != nil {
+		return err
+	}
+	corpus, err := buildCorpus(o)
+	if err != nil {
+		return err
+	}
+	res, err := experiment.ClusterScaling(ctx, eng, corpus, *lat, nil)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@
 //	ncdrf all [flags]                 every table and figure
 //	ncdrf sweep [flags]               arbitrary evaluation grid, JSON output
 //	ncdrf curve [flags]               register-sensitivity curves (-regs lo:hi[:step])
-//	ncdrf bench [flags]               benchmark suites -> BENCH_<n>.json
 //	ncdrf merge s1 s2 ...             merge 'sweep -shard' outputs into one stream
 //	ncdrf cache -dir <dir> [flags]    inspect/GC a -cache-dir artifact directory
 //	ncdrf schedule -loop <name>       schedule one kernel and print it
@@ -24,11 +23,17 @@
 //	ncdrf gen -n <count> -seed <s>    emit the synthetic corpus (DDG text)
 //	ncdrf dot -loop <name>            DOT dependence graph of a kernel
 //	ncdrf regfile                     register-file area/access-time models
+//	ncdrf verify [flags]              execute compiled loops on the register-file VM
+//	ncdrf listing -loop <name>        kernel listing with allocated specifiers
+//	ncdrf object -loop <name>         predicated kernel-only object code
+//	ncdrf stats [flags]               corpus statistics
+//	ncdrf clusters [flags]            1/2/4-cluster extension study
 //
-// Corpus flags (table1/fig6..9/all): -loops N -seed S -kernels-only
+// Corpus flags (table1/fig6..9/all/sweep/curve/stats/clusters): -loops N
+// -seed S -kernels-only
 //
-// Persistent cache (all/sweep): -cache-dir DIR stores stage artifacts on
-// disk, so a rerun over the same corpus recomputes nothing.
+// Persistent cache (all/sweep/curve): -cache-dir DIR stores stage
+// artifacts on disk, so a rerun over the same corpus recomputes nothing.
 package main
 
 import (
@@ -77,8 +82,6 @@ func main() {
 		err = cmdSweep(ctx, eng, args)
 	case "curve":
 		err = cmdCurve(ctx, eng, args)
-	case "bench":
-		err = cmdBench(ctx, args)
 	case "merge":
 		err = cmdMerge(args)
 	case "cache":
@@ -138,9 +141,6 @@ commands:
              performance relative to ideal vs. file size, one base
              schedule per (loop, machine) group (-csv, -chart, -ndjson,
              -shard, -from, -stats, -strict, -progress, -cache-dir)
-  bench      run the in-process benchmark suites and write a
-             schema-versioned BENCH_<n>.json trajectory point (-quick,
-             -benchtime, -o, -against FILE -max-regress PCT)
   merge      splice 'sweep'/'curve' -shard output files back into the
              byte-identical unsharded stream
   cache      inspect or garbage-collect a -cache-dir artifact directory
@@ -174,4 +174,30 @@ func corpusFlags(fs *flag.FlagSet) corpusOpts {
 		seed:        fs.Int64("seed", 1995, "synthetic corpus seed"),
 		kernelsOnly: fs.Bool("kernels-only", false, "use only the curated kernels"),
 	}
+}
+
+// checkLoopCount rejects a synthetic corpus size below one: the
+// generator would silently substitute its whole default parameter set.
+func checkLoopCount(flagName string, n int) error {
+	if n < 1 {
+		return fmt.Errorf("%s: loop count must be >= 1, got %d (use -kernels-only for no synthetic loops)", flagName, n)
+	}
+	return nil
+}
+
+// checkLatency rejects a floating-point latency the machine model
+// cannot be built with.
+func checkLatency(flagName string, lat int) error {
+	if lat < 1 {
+		return fmt.Errorf("%s: latency must be >= 1, got %d", flagName, lat)
+	}
+	return nil
+}
+
+// checkRegSize rejects a negative register-file size (0 = unlimited).
+func checkRegSize(flagName string, r int) error {
+	if r < 0 {
+		return fmt.Errorf("%s: sizes must be >= 0 (0 = unlimited), got %d", flagName, r)
+	}
+	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -22,6 +23,37 @@ import (
 )
 
 var ctx0 = context.Background()
+
+// TestMain lets a test run this binary as the ncdrf command itself: with
+// NCDRF_TEST_MAIN=1 in the environment the process runs main instead of
+// the tests, so exit codes and stderr come from the real entry point.
+func TestMain(m *testing.M) {
+	if os.Getenv("NCDRF_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs `ncdrf args...` in a child process and returns its exit
+// code and stderr.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "NCDRF_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stderr.String()
+	case errors.As(err, &ee):
+		return ee.ExitCode(), stderr.String()
+	}
+	t.Fatalf("ncdrf %v: %v", args, err)
+	return 0, ""
+}
 
 func testEng() *sweep.Engine { return sweep.New(0) }
 
@@ -320,6 +352,55 @@ func TestCmdSweepBadFlags(t *testing.T) {
 	}
 	if err := cmdSweep(ctx0, testEng(), []string{"-lats", "x"}); err == nil {
 		t.Fatal("bad latency list must error")
+	}
+}
+
+// TestCmdBadNumericFlags checks that every out-of-range numeric flag
+// fails with exit status 1 and an error naming the flag, instead of
+// panicking (machine.Eval rejects latencies below 1) or being silently
+// replaced (loopgen.Generate substitutes its default parameters for a
+// loop count below 1).
+func TestCmdBadNumericFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"schedule", "-lat", "0"}, "-lat: latency must be >= 1, got 0"},
+		{[]string{"alloc", "-lat", "-2"}, "-lat: latency must be >= 1, got -2"},
+		{[]string{"verify", "-lat", "0"}, "-lat: latency must be >= 1, got 0"},
+		{[]string{"listing", "-lat", "0"}, "-lat: latency must be >= 1, got 0"},
+		{[]string{"object", "-lat", "0"}, "-lat: latency must be >= 1, got 0"},
+		{[]string{"clusters", "-kernels-only", "-lat", "0"}, "-lat: latency must be >= 1, got 0"},
+		{[]string{"gen", "-n", "0", "-seed", "7"}, "-n: loop count must be >= 1, got 0"},
+		{[]string{"all", "-loops", "-5"}, "-loops: loop count must be >= 1, got -5"},
+		{[]string{"table1", "-loops", "0"}, "-loops: loop count must be >= 1, got 0"},
+		{[]string{"stats", "-loops", "0"}, "-loops: loop count must be >= 1, got 0"},
+		{[]string{"sweep", "-loops", "0"}, "-loops: loop count must be >= 1, got 0"},
+		{[]string{"curve", "-loops", "0"}, "-loops: loop count must be >= 1, got 0"},
+		{[]string{"verify", "-regs", "-3"}, "-regs: sizes must be >= 0 (0 = unlimited), got -3"},
+		{[]string{"verify", "-synthetic", "-2"}, "-synthetic: loop count must be >= 0, got -2"},
+	} {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			code, stderr := runMain(t, c.args...)
+			if code != 1 {
+				t.Fatalf("exit status %d, want 1; stderr:\n%s", code, stderr)
+			}
+			if !strings.Contains(stderr, c.want) {
+				t.Fatalf("stderr lacks %q:\n%s", c.want, stderr)
+			}
+			if strings.Contains(stderr, "panic") || strings.Contains(stderr, "goroutine") {
+				t.Fatalf("command panicked:\n%s", stderr)
+			}
+		})
+	}
+}
+
+// TestCmdBenchIsUnknown pins the removal of the in-process benchmark
+// command: it is an unknown command (exit status 2) like any other.
+func TestCmdBenchIsUnknown(t *testing.T) {
+	code, stderr := runMain(t, "bench")
+	if code != 2 || !strings.Contains(stderr, `unknown command "bench"`) {
+		t.Fatalf("ncdrf bench: exit status %d, stderr:\n%s", code, stderr)
 	}
 }
 

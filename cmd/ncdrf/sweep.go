@@ -110,8 +110,8 @@ func (f gridFlags) buildGrid(o corpusOpts, regs []int) (sweep.Grid, error) {
 		return grid, fmt.Errorf("-lats: no latencies given")
 	}
 	for _, lat := range latList {
-		if lat < 1 {
-			return grid, fmt.Errorf("-lats: latency must be >= 1, got %d", lat)
+		if err := checkLatency("-lats", lat); err != nil {
+			return grid, err
 		}
 	}
 	if *f.clusters < 1 {
@@ -128,12 +128,16 @@ func (f gridFlags) buildGrid(o corpusOpts, regs []int) (sweep.Grid, error) {
 	if len(modelList) == 0 {
 		return grid, fmt.Errorf("-models: no models given")
 	}
+	corpus, err := buildCorpus(o)
+	if err != nil {
+		return grid, err
+	}
 	var machines []*machine.Config
 	for _, lat := range latList {
 		machines = append(machines, experiment.EvalN(*f.clusters, lat))
 	}
 	grid = sweep.Grid{
-		Corpus:   buildCorpus(o),
+		Corpus:   corpus,
 		Machines: machines,
 		Models:   modelList,
 		Regs:     regs,
@@ -195,8 +199,8 @@ func cmdSweep(ctx context.Context, eng *sweep.Engine, args []string) error {
 		return fmt.Errorf("-regs: no sizes given (use 0 for an unlimited file)")
 	}
 	for _, r := range regList {
-		if r < 0 {
-			return fmt.Errorf("-regs: sizes must be >= 0 (0 = unlimited), got %d", r)
+		if err := checkRegSize("-regs", r); err != nil {
+			return err
 		}
 	}
 	grid, err := gf.buildGrid(o, regList)

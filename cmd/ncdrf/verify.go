@@ -29,6 +29,15 @@ func cmdVerify(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkLatency("-lat", *lat); err != nil {
+		return err
+	}
+	if err := checkRegSize("-regs", *regs); err != nil {
+		return err
+	}
+	if *synth < 0 {
+		return fmt.Errorf("-synthetic: loop count must be >= 0, got %d", *synth)
+	}
 
 	models := []core.Model{core.Unified, core.Partitioned, core.Swapped}
 	if *modelName != "" {
@@ -114,6 +123,9 @@ func cmdListing(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkLatency("-lat", *lat); err != nil {
+		return err
+	}
 	m := machine.Eval(*lat)
 	if *example {
 		m = machine.Example()
@@ -135,6 +147,9 @@ func cmdObject(args []string) error {
 	example := fs.Bool("example-machine", false, "use the section 4 example machine")
 	modelName := fs.String("model", "partitioned", "unified or partitioned/swapped")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkLatency("-lat", *lat); err != nil {
 		return err
 	}
 	m := machine.Eval(*lat)

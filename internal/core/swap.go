@@ -7,11 +7,6 @@ import (
 
 // SwapOptions tunes the greedy swap pass.
 type SwapOptions struct {
-	// AllowMoves additionally permits moving a single operation to a
-	// free same-kind unit of another cluster in the same kernel row.
-	// This is an extension beyond the paper's pair-swap algorithm, kept
-	// for the ablation study; the paper's "swapped" model uses false.
-	AllowMoves bool
 	// MaxSteps bounds the number of greedy steps; 0 means 4*NumNodes.
 	MaxSteps int
 }
@@ -24,7 +19,7 @@ type SwapOptions struct {
 //
 // The input schedule is not modified; the returned schedule shares the
 // graph and machine but has fresh Start/FU slices. The second result is
-// the number of swaps (plus moves, if enabled) applied.
+// the number of swaps applied.
 func Swap(s *sched.Schedule, opts SwapOptions) (*sched.Schedule, int) {
 	out := &sched.Schedule{
 		Graph: s.Graph,
@@ -50,33 +45,20 @@ func Swap(s *sched.Schedule, opts SwapOptions) (*sched.Schedule, int) {
 	steps := 0
 	for ; steps < maxSteps; steps++ {
 		cur := est.estimate(out, lts)
-		bestGain := 0
-		bestA, bestB, bestUnit := -1, -1, -1
-		tryCandidate := func(a, b, unit int) {
-			orig := out.FU[a]
-			applyMove(out, a, b, unit)
-			e := est.estimate(out, lts)
-			if b >= 0 {
-				out.FU[a], out.FU[b] = out.FU[b], out.FU[a]
-			} else {
-				out.FU[a] = orig
-			}
-			if gain := cur - e; gain > bestGain {
-				bestGain, bestA, bestB, bestUnit = gain, a, b, unit
-			}
-		}
+		bestGain, bestA, bestB := 0, -1, -1
 		for _, pair := range swapPairs(out) {
-			tryCandidate(pair[0], pair[1], -1)
-		}
-		if opts.AllowMoves {
-			for _, mv := range freeMoves(out) {
-				tryCandidate(mv[0], -1, mv[1])
+			a, b := pair[0], pair[1]
+			out.FU[a], out.FU[b] = out.FU[b], out.FU[a]
+			e := est.estimate(out, lts)
+			out.FU[a], out.FU[b] = out.FU[b], out.FU[a]
+			if gain := cur - e; gain > bestGain {
+				bestGain, bestA, bestB = gain, a, b
 			}
 		}
 		if bestGain <= 0 {
 			break
 		}
-		applyMove(out, bestA, bestB, bestUnit)
+		out.FU[bestA], out.FU[bestB] = out.FU[bestB], out.FU[bestA]
 	}
 	return out, steps
 }
@@ -126,16 +108,6 @@ func (e *swapEstimator) estimate(s *sched.Schedule, lts []lifetime.Lifetime) int
 	return worst
 }
 
-// applyMove swaps units of a and b (b >= 0), or moves a to the given
-// unit (b < 0).
-func applyMove(s *sched.Schedule, a, b, unit int) {
-	if b >= 0 {
-		s.FU[a], s.FU[b] = s.FU[b], s.FU[a]
-	} else {
-		s.FU[a] = unit
-	}
-}
-
 // swapPairs enumerates candidate pairs: same kernel row, same unit kind,
 // different clusters.
 func swapPairs(s *sched.Schedule) [][2]int {
@@ -156,27 +128,4 @@ func swapPairs(s *sched.Schedule) [][2]int {
 		}
 	}
 	return pairs
-}
-
-// freeMoves enumerates (node, free unit) candidates for the AllowMoves
-// extension: a different-cluster unit of the node's kind that is idle in
-// the node's kernel row.
-func freeMoves(s *sched.Schedule) [][2]int {
-	occupied := map[[2]int]bool{}
-	for id := range s.FU {
-		occupied[[2]int{s.FU[id], s.Slot(id)}] = true
-	}
-	var moves [][2]int
-	for id := range s.FU {
-		kind := s.Graph.Node(id).Op.FUKind()
-		for _, u := range s.Mach.UnitsOfKind(kind) {
-			if s.Mach.Unit(u).Cluster == s.Cluster(id) {
-				continue
-			}
-			if !occupied[[2]int{u, s.Slot(id)}] {
-				moves = append(moves, [2]int{id, u})
-			}
-		}
-	}
-	return moves
 }

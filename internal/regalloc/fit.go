@@ -20,72 +20,55 @@ import (
 // specifier whose interval provably covers the same occupied bit.
 //
 // Output is bit-for-bit identical to the reference: placement order,
-// first-feasible / best-gap specifier choice and the upward register
-// search are unchanged, only the conflict test's representation differs
+// first-feasible specifier choice and the upward register search are
+// unchanged, only the conflict test's representation differs
 // (pinned corpus-wide by fit_diff_test.go).
 
 // fitState is the per-call arena: the sorted placement order, the dense
-// specifier results, the occupancy bitmap and (best fit only) the
-// arc-end bitmap. States are pooled and reused across calls; every
-// buffer only grows. Ownership rule: a state belongs to exactly one
-// allocator call between Get and Put, and nothing loaned from the pool
-// escapes — the returned Allocation copies the specifiers into a fresh
-// map before the state goes back.
+// specifier results and the occupancy bitmap. States are pooled and
+// reused across calls; every buffer only grows. Ownership rule: a state
+// belongs to exactly one allocator call between Get and Put, and
+// nothing loaned from the pool escapes — the returned Allocation copies
+// the specifiers into a fresh map before the state goes back.
 type fitState struct {
 	order []lifetime.Lifetime // placement order, sorted once per call
 	qs    []int32             // chosen specifier per order index
 	occ   []uint64            // circle occupancy, C = R*II bits
-	ends  []uint64            // arc-end positions mod C (best fit's gap scan)
 }
 
 var fitStates = sync.Pool{New: func() any { return new(fitState) }}
 
-// prepare copies the lifetimes and sorts the placement order for the
-// strategy. The order depends only on the inputs and the strategy —
-// never on R — which is what lets one sort serve every register size
-// the upward search tries.
-func (st *fitState) prepare(lts []lifetime.Lifetime, strat Strategy) {
+// prepare copies the lifetimes and sorts them into First Fit's
+// placement order: increasing start time, longer lifetime first. The
+// order depends only on the inputs — never on R — which is what lets
+// one sort serve every register size the upward search tries.
+func (st *fitState) prepare(lts []lifetime.Lifetime) {
 	st.order = append(st.order[:0], lts...)
-	if strat == StrategyEndFit {
-		slices.SortFunc(st.order, func(a, b lifetime.Lifetime) int {
-			if a.End != b.End {
-				return a.End - b.End
-			}
-			if a.Start != b.Start {
-				return a.Start - b.Start
-			}
-			return a.Node - b.Node
-		})
-	} else {
-		slices.SortFunc(st.order, func(a, b lifetime.Lifetime) int {
-			if a.Start != b.Start {
-				return a.Start - b.Start
-			}
-			if a.End != b.End {
-				return b.End - a.End // longer lifetime first
-			}
-			return a.Node - b.Node
-		})
-	}
+	slices.SortFunc(st.order, func(a, b lifetime.Lifetime) int {
+		if a.Start != b.Start {
+			return a.Start - b.Start
+		}
+		if a.End != b.End {
+			return b.End - a.End // longer lifetime first
+		}
+		return a.Node - b.Node
+	})
 	if cap(st.qs) < len(st.order) {
 		st.qs = make([]int32, len(st.order))
 	}
 	st.qs = st.qs[:len(st.order)]
 }
 
-// tryFit attempts placement with exactly r registers under the
-// strategy, recording specifiers in st.qs. The order must have been
-// prepared and be non-empty.
-func (st *fitState) tryFit(ii, r int, strat Strategy) bool {
+// tryFit attempts placement with exactly r registers, recording
+// specifiers in st.qs. The order must have been prepared and be
+// non-empty.
+func (st *fitState) tryFit(ii, r int) bool {
 	c := r * ii
 	if c < 1 {
 		return false
 	}
 	nw := (c + 63) >> 6
 	st.occ = clearWords(st.occ, nw)
-	if strat == StrategyBestFit {
-		st.ends = clearWords(st.ends, nw)
-	}
 	for i := range st.order {
 		l := &st.order[i]
 		length := l.End - l.Start
@@ -93,21 +76,12 @@ func (st *fitState) tryFit(ii, r int, strat Strategy) bool {
 			return false // a single wand cannot exceed the circle
 		}
 		p0 := mod(l.Start, c)
-		var q, p int
-		if strat == StrategyBestFit {
-			q, p = st.bestQ(p0, length, ii, r, c)
-		} else {
-			q, p = st.firstQ(p0, length, ii, r, c)
-		}
+		q, p := st.firstQ(p0, length, ii, r, c)
 		if q < 0 {
 			return false
 		}
 		st.qs[i] = int32(q)
 		st.mark(p, length, c)
-		if strat == StrategyBestFit {
-			e := mod(p+length, c)
-			st.ends[e>>6] |= 1 << uint(e&63)
-		}
 	}
 	return true
 }
@@ -134,33 +108,10 @@ func (st *fitState) firstQ(p0, length, ii, r, c int) (int, int) {
 	return -1, 0
 }
 
-// bestQ returns the feasible specifier minimizing the idle gap between
-// the nearest preceding arc end and the candidate start (ties to the
-// smallest q), with its start position, or (-1, 0). Infeasible
-// specifiers are skipped with the same conflict jump as firstQ.
-func (st *fitState) bestQ(p0, length, ii, r, c int) (int, int) {
-	bestQ, bestP, bestGap := -1, 0, c+1
-	for q := 0; q < r; {
-		p := p0 + q*ii
-		if p >= c {
-			p -= c
-		}
-		if d := st.conflict(p, length, c); d >= 0 {
-			q += d/ii + 1
-			continue
-		}
-		if g := st.gapTo(p, c); g < bestGap {
-			bestQ, bestP, bestGap = q, p, g
-		}
-		q++
-	}
-	return bestQ, bestP
-}
-
 // conflict returns the largest offset d in [0, length) such that bit
 // (p+d) mod c of the occupancy bitmap is set, or -1 when the whole
 // interval is free. Returning the highest conflicting offset maximizes
-// firstQ/bestQ's jump.
+// firstQ's jump.
 func (st *fitState) conflict(p, length, c int) int {
 	if p+length <= c {
 		if hb := highestSet(st.occ, p, p+length); hb >= 0 {
@@ -175,20 +126,6 @@ func (st *fitState) conflict(p, length, c int) int {
 		return hb - p
 	}
 	return -1
-}
-
-// gapTo returns the circular distance from the nearest arc end at or
-// before position p back to p, or c when nothing has been placed —
-// exactly the reference gapBefore (reference_test.go) over the placed
-// arcs, read off the ends bitmap.
-func (st *fitState) gapTo(p, c int) int {
-	if hb := highestSet(st.ends, 0, p+1); hb >= 0 {
-		return p - hb
-	}
-	if hb := highestSet(st.ends, p+1, c); hb >= 0 {
-		return p - hb + c
-	}
-	return c
 }
 
 // mark sets the candidate's interval [p, p+length) mod c in the

@@ -32,8 +32,8 @@ func specEqual(a, b *Allocation) error {
 
 // TestDifferentialCorpusAllocator pins the bitset core bit-for-bit
 // against the reference implementation over the full kernels corpus —
-// every strategy, both evaluation machines, on the complete lifetime
-// set of each kernel's schedule. The corpus spans kernels that fit
+// both evaluation machines, on the complete lifetime set of each
+// kernel's schedule. The corpus spans kernels that fit
 // comfortably and kernels that spill at paper-scale budgets, so both
 // the dense low-R placements and the sparse high-R ones are covered.
 func TestDifferentialCorpusAllocator(t *testing.T) {
@@ -44,33 +44,19 @@ func TestDifferentialCorpusAllocator(t *testing.T) {
 				t.Fatalf("%s on %s: %v", g.LoopName, m.Name(), err)
 			}
 			lts := lifetime.Compute(s)
-			for _, strat := range Strategies {
-				got, err := Allocate(lts, s.II, strat)
-				if err != nil {
-					t.Fatalf("%s on %s, %v: %v", g.LoopName, m.Name(), strat, err)
-				}
-				want, err := refAllocate(lts, s.II, strat)
-				if err != nil {
-					t.Fatalf("%s on %s, %v: reference: %v", g.LoopName, m.Name(), strat, err)
-				}
-				if err := specEqual(got, want); err != nil {
-					t.Fatalf("%s on %s, %v: %v", g.LoopName, m.Name(), strat, err)
-				}
-				if err := got.Validate(lts); err != nil {
-					t.Fatalf("%s on %s, %v: invalid: %v", g.LoopName, m.Name(), strat, err)
-				}
-			}
-			// FirstFit is its own exported entry point; pin it too.
 			got, err := FirstFit(lts, s.II)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s on %s: %v", g.LoopName, m.Name(), err)
 			}
 			want, err := refFirstFit(lts, s.II)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s on %s: reference: %v", g.LoopName, m.Name(), err)
 			}
 			if err := specEqual(got, want); err != nil {
-				t.Fatalf("%s on %s FirstFit: %v", g.LoopName, m.Name(), err)
+				t.Fatalf("%s on %s: %v", g.LoopName, m.Name(), err)
+			}
+			if err := got.Validate(lts); err != nil {
+				t.Fatalf("%s on %s: invalid: %v", g.LoopName, m.Name(), err)
 			}
 			// The frontier probe path: FitsIn must flip at the same
 			// boundary, probed across the search region.
@@ -85,7 +71,7 @@ func TestDifferentialCorpusAllocator(t *testing.T) {
 
 // TestDifferentialRandomizedAllocator hammers the core with randomized
 // lifetimes — clustered starts, long loop-carried ranges, duplicate
-// intervals — under every strategy. Run under -race in CI (the pooled
+// intervals. Run under -race in CI (the pooled
 // fitState arena must stay race-free across concurrent allocator
 // callers; the t.Parallel subtests share the pool).
 func TestDifferentialRandomizedAllocator(t *testing.T) {
@@ -95,21 +81,18 @@ func TestDifferentialRandomizedAllocator(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(1000 + shard)))
 			for trial := 0; trial < 150; trial++ {
 				lts, ii := randomDiffLifetimes(r)
-				for _, strat := range Strategies {
-					got, err := Allocate(lts, ii, strat)
-					if err != nil {
-						t.Fatalf("trial %d %v: %v", trial, strat, err)
-					}
-					want, err := refAllocate(lts, ii, strat)
-					if err != nil {
-						t.Fatalf("trial %d %v: reference: %v", trial, strat, err)
-					}
-					if err := specEqual(got, want); err != nil {
-						t.Fatalf("trial %d %v (ii=%d, %v): %v", trial, strat, ii, lts, err)
-					}
+				got, err := FirstFit(lts, ii)
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
 				}
-				boundary := mustRegs(t, lts, ii)
-				for r2 := boundary - 2; r2 <= boundary+2; r2++ {
+				want, err := refFirstFit(lts, ii)
+				if err != nil {
+					t.Fatalf("trial %d: reference: %v", trial, err)
+				}
+				if err := specEqual(got, want); err != nil {
+					t.Fatalf("trial %d (ii=%d, %v): %v", trial, ii, lts, err)
+				}
+				for r2 := got.Registers - 2; r2 <= got.Registers+2; r2++ {
 					if FitsIn(lts, ii, r2) != refFitsIn(lts, ii, r2) {
 						t.Fatalf("trial %d: FitsIn(%d) diverges (ii=%d, %v)", trial, r2, ii, lts)
 					}
@@ -244,16 +227,4 @@ func TestFitStateBitmapOps(t *testing.T) {
 		t.Fatalf("conflict = %d, want 2", d)
 	}
 
-	// gapTo against the reference gapBefore.
-	st.ends = make([]uint64, 2)
-	placed := []arc{{start: 10, end: 18}}
-	st.ends[18>>6] |= 1 << 18
-	for p := 0; p < 100; p++ {
-		if got, want := st.gapTo(p, 100), gapBefore(placed, p, 100); got != want {
-			t.Fatalf("gapTo(%d) = %d, want %d", p, got, want)
-		}
-	}
-	if got := (&fitState{ends: make([]uint64, 2)}).gapTo(5, 100); got != 100 {
-		t.Fatalf("empty gapTo = %d, want 100", got)
-	}
 }

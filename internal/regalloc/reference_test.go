@@ -10,8 +10,8 @@ import (
 // The pre-bitset allocator, kept verbatim as the executable
 // specification of the fit core in fit.go. Every placement decision the
 // optimized allocator makes is pinned against these functions by the
-// differential tests (fit_diff_test.go): same Registers, same Spec, for
-// every strategy, over the kernels corpus and randomized lifetimes.
+// differential tests (fit_diff_test.go): same Registers, same Spec,
+// over the kernels corpus and randomized lifetimes.
 // Nothing here is reachable from production paths.
 
 // arc is a placed interval on the allocation circle.
@@ -114,130 +114,6 @@ func refTryFit(lts []lifetime.Lifetime, ii, r int) (map[int]int, bool) {
 		}
 	}
 	return spec, true
-}
-
-// refAllocate is the reference strategy allocator.
-func refAllocate(lts []lifetime.Lifetime, ii int, strat Strategy) (*Allocation, error) {
-	if ii < 1 {
-		return nil, fmt.Errorf("regalloc: II = %d", ii)
-	}
-	for _, l := range lts {
-		if l.Len() <= 0 {
-			return nil, fmt.Errorf("regalloc: value %d has non-positive lifetime [%d,%d)", l.Node, l.Start, l.End)
-		}
-	}
-	if len(lts) == 0 {
-		return &Allocation{Registers: 0, II: ii, Spec: map[int]int{}}, nil
-	}
-	low := lifetime.AvgLiveBound(lts, ii)
-	if ml := lifetime.MaxLive(lts, ii); ml > low {
-		low = ml
-	}
-	for r := low; ; r++ {
-		if spec, ok := refTryFitStrategy(lts, ii, r, strat); ok {
-			return &Allocation{Registers: r, II: ii, Spec: spec}, nil
-		}
-	}
-}
-
-// refTryFitStrategy attempts placement with exactly r registers under
-// the given heuristic.
-func refTryFitStrategy(lts []lifetime.Lifetime, ii, r int, strat Strategy) (map[int]int, bool) {
-	c := r * ii
-	order := append([]lifetime.Lifetime(nil), lts...)
-	switch strat {
-	case StrategyEndFit:
-		sort.Slice(order, func(i, j int) bool {
-			if order[i].End != order[j].End {
-				return order[i].End < order[j].End
-			}
-			if order[i].Start != order[j].Start {
-				return order[i].Start < order[j].Start
-			}
-			return order[i].Node < order[j].Node
-		})
-	default:
-		sort.Slice(order, func(i, j int) bool {
-			if order[i].Start != order[j].Start {
-				return order[i].Start < order[j].Start
-			}
-			if order[i].End != order[j].End {
-				return order[i].End > order[j].End
-			}
-			return order[i].Node < order[j].Node
-		})
-	}
-	var placed []arc
-	spec := make(map[int]int, len(order))
-	for _, l := range order {
-		if l.Len() > c {
-			return nil, false
-		}
-		q, ok := refPickSpec(placed, l, ii, r, c, strat)
-		if !ok {
-			return nil, false
-		}
-		placed = append(placed, arc{start: l.Start + q*ii, end: l.End + q*ii})
-		spec[l.Node] = q
-	}
-	return spec, true
-}
-
-// refPickSpec chooses the specifier for one value under the heuristic.
-func refPickSpec(placed []arc, l lifetime.Lifetime, ii, r, c int, strat Strategy) (int, bool) {
-	feasible := func(q int) bool {
-		cand := arc{start: l.Start + q*ii, end: l.End + q*ii}
-		for _, p := range placed {
-			if cand.overlaps(p, c) {
-				return false
-			}
-		}
-		return true
-	}
-	if strat != StrategyBestFit {
-		for q := 0; q < r; q++ {
-			if feasible(q) {
-				return q, true
-			}
-		}
-		return 0, false
-	}
-	// Best fit: among feasible specifiers, minimize the idle gap between
-	// the preceding placed arc's end and this arc's start on the circle.
-	bestQ, bestGap := -1, c+1
-	for q := 0; q < r; q++ {
-		if !feasible(q) {
-			continue
-		}
-		gap := gapBefore(placed, mod(l.Start+q*ii, c), c)
-		if gap < bestGap {
-			bestQ, bestGap = q, gap
-		}
-	}
-	if bestQ < 0 {
-		return 0, false
-	}
-	return bestQ, true
-}
-
-// gapBefore returns the circular distance from the nearest placed arc
-// end at or before position p to p; c when nothing is placed.
-func gapBefore(placed []arc, p, c int) int {
-	if len(placed) == 0 {
-		return c
-	}
-	best := c
-	for _, a := range placed {
-		end := mod(a.end, c)
-		d := p - end
-		if d < 0 {
-			d += c
-		}
-		if d < best {
-			best = d
-		}
-	}
-	return best
 }
 
 // refValidate is the reference Validate: O(n^2) pairwise arc overlap.

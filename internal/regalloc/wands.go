@@ -40,15 +40,11 @@ type Allocation struct {
 // First Fit heuristic can manage, searching the file size upward from the
 // average-live lower bound. An error is returned only for invalid input
 // (non-positive II or a non-positive lifetime).
+//
+// The placement order is sorted once and one pooled fitState serves
+// every size tried; the specifier map is built only for the successful
+// size.
 func FirstFit(lts []lifetime.Lifetime, ii int) (*Allocation, error) {
-	return allocate(lts, ii, StrategyFirstFit)
-}
-
-// allocate is the shared driver behind FirstFit and Allocate: validate,
-// sort the placement order once, then search the file size upward from
-// the exact lower bound, reusing one pooled fitState for every size
-// tried. The specifier map is built only for the successful size.
-func allocate(lts []lifetime.Lifetime, ii int, strat Strategy) (*Allocation, error) {
 	if ii < 1 {
 		return nil, fmt.Errorf("regalloc: II = %d", ii)
 	}
@@ -65,9 +61,9 @@ func allocate(lts []lifetime.Lifetime, ii int, strat Strategy) (*Allocation, err
 		low = ml
 	}
 	st := fitStates.Get().(*fitState)
-	st.prepare(lts, strat)
+	st.prepare(lts)
 	for r := low; ; r++ {
-		if st.tryFit(ii, r, strat) {
+		if st.tryFit(ii, r) {
 			spec := make(map[int]int, len(st.order))
 			for i := range st.order {
 				spec[st.order[i].Node] = int(st.qs[i])
@@ -122,14 +118,14 @@ func (f *Fitter) FitsIn(r int) bool {
 	switch f.tests {
 	case 1:
 		st := fitStates.Get().(*fitState)
-		st.prepare(f.lts, StrategyFirstFit)
-		ok := st.tryFit(f.ii, r, StrategyFirstFit)
+		st.prepare(f.lts)
+		ok := st.tryFit(f.ii, r)
 		fitStates.Put(st)
 		return ok
 	case 2:
-		f.st.prepare(f.lts, StrategyFirstFit)
+		f.st.prepare(f.lts)
 	}
-	return f.st.tryFit(f.ii, r, StrategyFirstFit)
+	return f.st.tryFit(f.ii, r)
 }
 
 // Validate checks that an allocation is conflict-free for the given

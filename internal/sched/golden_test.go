@@ -319,8 +319,8 @@ func TestOptimizedSchedulerMatchesReferenceForcedMinII(t *testing.T) {
 	}
 }
 
-// TestOptimizedSchedulerMatchesReferenceBudgets covers the ablation
-// budgets: a tight eviction budget exercises the eviction/worklist
+// TestOptimizedSchedulerMatchesReferenceBudgets covers budgets below
+// the default 8: a tight eviction budget exercises the eviction/worklist
 // machinery far harder than the default.
 func TestOptimizedSchedulerMatchesReferenceBudgets(t *testing.T) {
 	m := machine.Eval(6)
