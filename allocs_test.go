@@ -58,7 +58,7 @@ func TestHotPathAllocs(t *testing.T) {
 		want float64
 		run  func() error
 	}{
-		{"sched.Run/kernels", 1354, func() error {
+		{"sched.Run/kernels", 1255, func() error {
 			for _, g := range ks {
 				if _, err := sched.Run(g, m, sched.Options{}); err != nil {
 					return err
@@ -74,13 +74,13 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 			return nil
 		}},
-		{"core.Swap/kernels", 1005, func() error {
+		{"core.Swap/kernels", 701, func() error {
 			for _, s := range scheds {
 				core.Swap(s, core.SwapOptions{})
 			}
 			return nil
 		}},
-		{"spill.Run/lfk7-eos-24-unified", 1884, func() error {
+		{"spill.Run/lfk7-eos-24-unified", 801, func() error {
 			_, err := spill.Run(spillG, m, 24, core.Fit(core.Unified), sched.Options{})
 			return err
 		}},

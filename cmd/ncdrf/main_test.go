@@ -18,6 +18,7 @@ import (
 	"ncdrf/internal/experiment"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
+	"ncdrf/internal/pipeline"
 	"ncdrf/internal/store"
 	"ncdrf/internal/sweep"
 )
@@ -231,10 +232,11 @@ func TestCmdSweepJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &st); err != nil {
 		t.Fatalf("stats line is not JSON: %v", err)
 	}
-	// Iteration-0 schedules are shared across the two models and sizes,
-	// so both counters must be live.
-	if st["cache_misses"] == 0 || st["cache_hits"] == 0 {
-		t.Fatalf("degenerate cache stats: %v", st)
+	// A cold run schedules every request exactly once: each group's
+	// models and sizes share one spill walk, so no schedule is requested
+	// twice.
+	if st["cache_misses"] == 0 || st["cache_requests"] != st["cache_misses"] || st["cache_hits"] != 0 {
+		t.Fatalf("cold-run cache stats want requests = computed > 0 and no hits: %v", st)
 	}
 }
 
@@ -892,6 +894,51 @@ func TestStreamRowsCancelsOnDeadWriter(t *testing.T) {
 				t.Fatalf("computed %d units after the writer died, as many as a full run (%d)", computed, full)
 			}
 		})
+	}
+}
+
+// countingWriter records what reaches it and in how many writes.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestStreamRowsBuffersWrites: a row stream reaches the underlying
+// writer in one write per 4 KiB, not one write per row, and every row
+// gets there by the time streamRows returns.
+func TestStreamRowsBuffersWrites(t *testing.T) {
+	grid := sweep.Grid{
+		Corpus:   loops.Kernels(),
+		Machines: []*machine.Config{experiment.EvalN(2, 3)},
+		Models:   core.Models[:],
+		Regs:     []int{16, 32, 64},
+	}
+	var w countingWriter
+	var want bytes.Buffer
+	rows := 0
+	run := denseExecutor(testEng(), grid, grid.Plan())
+	err := streamRows(ctx0, func(ctx context.Context, emit func(sweep.Result), done func()) error {
+		return run(ctx, func(r sweep.Result) {
+			rows++
+			if err := pipeline.EncodeRow(&want, r); err != nil {
+				t.Error(err)
+			}
+			emit(r)
+		}, done)
+	}, nil, &w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.String() != want.String() {
+		t.Fatalf("stream holds %d bytes, want the %d bytes of %d encoded rows", w.Len(), want.Len(), rows)
+	}
+	if limit := w.Len()/4096 + 1; w.writes > limit || rows <= limit {
+		t.Fatalf("%d rows (%d bytes) took %d writes, want at most %d", rows, w.Len(), w.writes, limit)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -262,12 +263,13 @@ func parseShardSpec(s string) (i, n int, err error) {
 }
 
 // streamRows writes the executor's rows as JSON lines — preceded by the
-// shard header when sharded — in plan order. A dead output (e.g. a
-// closed pipe) cancels the run instead of burning CPU on results
-// nobody will see.
-func streamRows(ctx context.Context, run executor, header *sweep.ShardHeader, w io.Writer, prog *progress) error {
+// shard header when sharded — in plan order, through one buffer flushed
+// when the executor returns. A dead output (e.g. a closed pipe) cancels
+// the run instead of burning CPU on results nobody will see.
+func streamRows(ctx context.Context, run executor, header *sweep.ShardHeader, out io.Writer, prog *progress) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	w := bufio.NewWriter(out)
 	if header != nil {
 		if err := sweep.WriteShardHeader(w, *header); err != nil {
 			return fmt.Errorf("writing shard header: %w", err)
@@ -287,6 +289,9 @@ func streamRows(ctx context.Context, run executor, header *sweep.ShardHeader, w 
 		}
 		prog.incEmitted()
 	}, prog.incDone)
+	if encErr == nil {
+		encErr = w.Flush()
+	}
 	if encErr != nil {
 		return fmt.Errorf("writing results: %w", encErr)
 	}

@@ -83,5 +83,5 @@ func PartitionedRequirement(s *sched.Schedule, lts []lifetime.Lifetime) (int, er
 func FitsDual(c *Classification, r int) bool {
 	var d dualFit
 	d.reset(c)
-	return d.fits(r)
+	return d.place(r)
 }

@@ -185,3 +185,42 @@ func TestRoundFitSwappedChoosesPerBudget(t *testing.T) {
 		t.Fatal("no kernel whose swap pass lowers its requirement; the test needs one")
 	}
 }
+
+// TestRoundFitsMatchesFit pins the shared all-model round fitter to the
+// per-budget fit predicate of every model. One fitter runs across all
+// rounds; within a round it interleaves the models budget by budget —
+// forwards with descending budgets, then backwards with ascending ones —
+// so a plain-partition answer shared between Partitioned and Swapped,
+// or state carried over from an earlier round, model or budget, would
+// surface.
+func TestRoundFitsMatchesFit(t *testing.T) {
+	round := RoundFits()
+	var oracles, fits [NumModels]func(*sched.Schedule, []lifetime.Lifetime, int) (*sched.Schedule, bool)
+	for _, model := range Models {
+		oracles[model], fits[model] = oracleFit(model), Fit(model)
+	}
+	for _, c := range kernelFitCases(t) {
+		test := round(c.s, c.lts)
+		for pass := 0; pass < 2; pass++ {
+			for i := 0; i <= c.hi-c.lo; i++ {
+				r := c.hi - i
+				if pass == 1 {
+					r = c.lo + i
+				}
+				for j := range Models {
+					model := Models[j]
+					if pass == 1 {
+						model = Models[len(Models)-1-j]
+					}
+					ws, wok := oracles[model](c.s, c.lts, r)
+					if gs, gok := test(model, r); !sameFit(gs, gok, ws, wok) {
+						t.Fatalf("%s: shared round fitter, %v at %d regs = %v, oracle %v", c.name, model, r, gok, wok)
+					}
+					if fs, fok := fits[model](c.s, c.lts, r); !sameFit(fs, fok, ws, wok) {
+						t.Fatalf("%s: Fit(%v) at %d regs = %v, oracle %v", c.name, model, r, fok, wok)
+					}
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,8 @@ package ddg
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -226,18 +228,36 @@ func (g *Graph) MemOps() int {
 	return n
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. The copy is built in bulk —
+// the nodes in one slab, the edge list in one copy, each adjacency
+// index in one backing array — and its adjacency lists are capped at
+// their own length, so growing one list reallocates it instead of
+// overwriting its neighbour.
 func (g *Graph) Clone() *Graph {
-	c := New(g.LoopName, g.Trips)
-	for _, n := range g.nodes {
-		id := c.AddNode(n.Op, n.Name)
-		c.nodes[id].Sym = n.Sym
-		c.nodes[id].SpillSlot = n.SpillSlot
+	c := &Graph{LoopName: g.LoopName, Trips: g.Trips, byName: maps.Clone(g.byName)}
+	slab := make([]Node, len(g.nodes))
+	c.nodes = make([]*Node, len(g.nodes))
+	for i, n := range g.nodes {
+		slab[i] = *n
+		c.nodes[i] = &slab[i]
 	}
-	for _, e := range g.edges {
-		c.MustAddEdge(e)
-	}
+	c.edges = slices.Clone(g.edges)
+	c.out = cloneAdjacency(g.out, len(g.edges))
+	c.in = cloneAdjacency(g.in, len(g.edges))
 	return c
+}
+
+// cloneAdjacency copies an adjacency index holding total entries into
+// one backing array, each list's capacity limited to its length.
+func cloneAdjacency(adj [][]int, total int) [][]int {
+	out := make([][]int, len(adj))
+	backing := make([]int, 0, total)
+	for i, l := range adj {
+		lo := len(backing)
+		backing = append(backing, l...)
+		out[i] = backing[lo:len(backing):len(backing)]
+	}
+	return out
 }
 
 // TripsOrOne returns the trip count, defaulting to 1 when unset.

@@ -2,6 +2,7 @@ package ddg
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -189,6 +190,86 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if c.NodeByName("L1") == nil {
 		t.Fatal("clone lost name index")
+	}
+}
+
+// graphState renders everything a graph holds: its encoding, every
+// node's spill slot, and both adjacency indexes.
+func graphState(g *Graph) string {
+	var b bytes.Buffer
+	if err := g.Encode(&b); err != nil {
+		panic(err)
+	}
+	for id := 0; id < g.NumNodes(); id++ {
+		fmt.Fprintf(&b, "%d slot %d out %v in %v\n", id, g.Node(id).SpillSlot, g.OutEdgeIndices(id), g.InEdgeIndices(id))
+	}
+	return b.String()
+}
+
+// rebuild is Clone as it stood before the bulk copy: node by node
+// through AddNode, edge by edge through AddEdge.
+func rebuild(g *Graph) *Graph {
+	c := New(g.LoopName, g.Trips)
+	for _, n := range g.Nodes() {
+		id := c.AddNode(n.Op, n.Name)
+		c.Node(id).Sym = n.Sym
+		c.Node(id).SpillSlot = n.SpillSlot
+	}
+	for i := 0; i < g.NumEdges(); i++ {
+		c.MustAddEdge(g.Edge(i))
+	}
+	return c
+}
+
+// TestCloneIndependence mutates either side of a clone through every
+// graph mutator and checks that the other side is unchanged, and that
+// the mutated side ends up exactly like the same mutation applied to a
+// node-by-node rebuild — so the bulk copy's shared adjacency backing
+// never lets one list's growth overwrite its neighbour's.
+func TestCloneIndependence(t *testing.T) {
+	mutations := []struct {
+		name string
+		f    func(g *Graph)
+	}{
+		{"AddNode", func(g *Graph) { g.AddNode(FADD, "extra") }},
+		{"AddEdge", func(g *Graph) { g.FlowD(2, 1, 1); g.Flow(0, 2) }},
+		{"AddNode+AddEdge", func(g *Graph) { id := g.AddNode(FMUL, ""); g.Flow(1, id); g.Flow(id, 2) }},
+		{"RewriteEdges", func(g *Graph) {
+			g.RewriteEdges(func(edges []Edge) []Edge {
+				edges[0].Distance = 2
+				return append(edges, Edge{From: 2, To: 0, Kind: Flow, Distance: 1}, Edge{From: 1, To: 2, Kind: Flow})
+			})
+		}},
+		{"node fields", func(g *Graph) { g.Node(1).Sym = "y"; g.Node(1).SpillSlot = 3; g.Node(2).Op = FSUB }},
+	}
+	graphs := map[string]func() *Graph{
+		"chain":  func() *Graph { return buildChain(t) },
+		"random": func() *Graph { return randomDAG(rand.New(rand.NewSource(7)), 12) },
+	}
+	for gname, build := range graphs {
+		for _, mut := range mutations {
+			for _, side := range []string{"clone", "original"} {
+				g := build()
+				c := g.Clone()
+				if graphState(c) != graphState(g) {
+					t.Fatalf("%s: clone differs from its original", gname)
+				}
+				before := graphState(g)
+				target, other := c, g
+				if side == "original" {
+					target, other = g, c
+				}
+				ref := rebuild(g)
+				mut.f(ref)
+				mut.f(target)
+				if graphState(other) != before {
+					t.Fatalf("%s: %s on the %s changed the other side", gname, mut.name, side)
+				}
+				if got, want := graphState(target), graphState(ref); got != want {
+					t.Fatalf("%s: %s on the %s gave\n%s\nwant\n%s", gname, mut.name, side, got, want)
+				}
+			}
+		}
 	}
 }
 

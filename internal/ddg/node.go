@@ -6,6 +6,7 @@ package ddg
 
 import (
 	"fmt"
+	"strconv"
 
 	"ncdrf/internal/machine"
 )
@@ -109,7 +110,7 @@ func (n *Node) Label() string {
 	if n.Name != "" {
 		return n.Name
 	}
-	return fmt.Sprintf("n%d", n.ID)
+	return "n" + strconv.Itoa(n.ID)
 }
 
 // String renders the node as "name:op".

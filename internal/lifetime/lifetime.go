@@ -51,7 +51,8 @@ func Compute(s *sched.Schedule) []Lifetime {
 		}
 		start := s.Start[n.ID]
 		end := start + s.Mach.Latency(n.Op.FUKind())
-		for _, e := range g.OutEdges(n.ID) {
+		for _, ei := range g.OutEdgeIndices(n.ID) {
+			e := g.Edge(ei)
 			if e.Kind != ddg.Flow {
 				continue
 			}

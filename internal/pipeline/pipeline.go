@@ -155,30 +155,48 @@ func (r *ModelResult) Requirement() (int, *sched.Schedule, error) {
 // registers per (sub)file (regs <= 0 = unlimited). The base artifacts
 // are consumed read-only; the scheduler only runs for post-spill rounds,
 // never for the base schedule itself. The requirement measurement is
-// deferred to ModelResult.Requirement. Evaluate is the one-budget case
-// of EvaluateSeries.
+// deferred to ModelResult.Requirement. Evaluate is the one-cell case of
+// EvaluateCells.
 func Evaluate(ctx context.Context, sr Scheduler, b *Base, model core.Model, regs int) (*ModelResult, error) {
-	res, errs := EvaluateSeries(ctx, sr, b, model, []int{regs})
+	res, errs := EvaluateCells(ctx, sr, b, []Cell{{Model: model, Regs: regs}})
 	return res[0], errs[0]
 }
 
-// EvaluateSeries evaluates one model over the shared base at every
-// budget of regs with a single walk of the spill chain (spill.RunSeries):
-// the chain does not depend on the budget, so each budget takes the
-// first round that fits it, with the result Evaluate would return for
-// that budget alone. The Ideal model fits every budget at round 0.
-// Results and errors are indexed like regs; errs[i] is non-nil exactly
-// when results[i] is nil. A spilled result's Graph may be the read-only
-// graph of a cached schedule.
-func EvaluateSeries(ctx context.Context, sr Scheduler, b *Base, model core.Model, regs []int) ([]*ModelResult, []error) {
-	res, errs := spill.RunSeries(ctx, sr, b.Graph, b.Machine, regs, core.RoundFit(model), b.Opts, b.seed())
+// Cell is one (model, register budget) evaluation over a shared base.
+type Cell struct {
+	Model core.Model
+	Regs  int
+}
+
+// EvaluateCells evaluates every cell over the shared base with a single
+// walk of the spill chain (spill.RunSeries): the chain depends on
+// neither the model nor the budget, so each cell takes the first round
+// that fits it, with the result Evaluate would return for that cell
+// alone, and the models share each round's fit work (core.RoundFits).
+// The Ideal model fits every budget at round 0. Results and errors are
+// indexed like cells; errs[i] is non-nil exactly when results[i] is
+// nil. A spilled result's Graph may be the read-only graph of a cached
+// schedule.
+func EvaluateCells(ctx context.Context, sr Scheduler, b *Base, cells []Cell) ([]*ModelResult, []error) {
+	walk := make([]spill.Cell, len(cells))
+	for i, c := range cells {
+		walk[i] = spill.Cell{Test: int(c.Model), Regs: c.Regs}
+	}
+	rounds := core.RoundFits()
+	var test func(core.Model, int) (*sched.Schedule, bool)
+	byModel := func(model, regs int) (*sched.Schedule, bool) { return test(core.Model(model), regs) }
+	fit := func(s *sched.Schedule, lts []lifetime.Lifetime) func(int, int) (*sched.Schedule, bool) {
+		test = rounds(s, lts)
+		return byModel
+	}
+	res, errs := spill.RunSeries(ctx, sr, b.Graph, b.Machine, walk, fit, b.Opts, b.seed())
 	out := make([]*ModelResult, len(res))
 	for i, r := range res {
 		if r == nil {
 			continue
 		}
 		out[i] = &ModelResult{
-			Model:         model,
+			Model:         cells[i].Model,
 			Sched:         r.Sched,
 			Graph:         r.Graph,
 			Lifetimes:     r.Lifetimes,
@@ -193,16 +211,21 @@ func EvaluateSeries(ctx context.Context, sr Scheduler, b *Base, model core.Model
 }
 
 // EvaluateAll evaluates every model over one shared base, in the paper's
-// presentation order. The base schedule and lifetimes are computed once
-// (by the caller, building b) and reused by all four models.
+// presentation order, with one walk of the spill chain for all four.
+// The base schedule and lifetimes are computed once (by the caller,
+// building b) and reused by every model.
 func EvaluateAll(ctx context.Context, sr Scheduler, b *Base, regs int) ([core.NumModels]*ModelResult, error) {
 	var out [core.NumModels]*ModelResult
-	for _, model := range core.Models {
-		r, err := Evaluate(ctx, sr, b, model, regs)
-		if err != nil {
-			return out, fmt.Errorf("%s/%v: %w", b.Graph.LoopName, model, err)
+	cells := make([]Cell, len(core.Models))
+	for i, model := range core.Models {
+		cells[i] = Cell{Model: model, Regs: regs}
+	}
+	res, errs := EvaluateCells(ctx, sr, b, cells)
+	for i, model := range core.Models {
+		if errs[i] != nil {
+			return out, fmt.Errorf("%s/%v: %w", b.Graph.LoopName, model, errs[i])
 		}
-		out[model] = r
+		out[model] = res[i]
 	}
 	return out, nil
 }

@@ -88,7 +88,7 @@ func FitsIn(lts []lifetime.Lifetime, ii, r int) bool {
 // so a set tested once costs what FitsIn costs. From the second test on,
 // the Fitter sorts the First Fit placement order once into an arena of
 // its own, and each budget only runs the placement. Reset reuses that
-// arena for the next set, which is how the spill series walk keeps one
+// arena for the next set, which is how the spill walk keeps one
 // Fitter per region across its rounds. Not safe for concurrent use.
 type Fitter struct {
 	lts     []lifetime.Lifetime

@@ -210,6 +210,44 @@ func TestVerifyCatchesViolations(t *testing.T) {
 	}
 }
 
+// TestVerifyMessages pins Verify's error text for a seeded dependence
+// violation and a seeded resource clash, at an II whose occupancy table
+// fits Verify's stack buffer and at one that does not.
+func TestVerifyMessages(t *testing.T) {
+	g := loops.PaperExample()
+	for _, c := range []struct {
+		minII    int
+		dep, res string
+	}{
+		{0, "sched: edge 0->2 flow d=0 violated: start(L1:load)=0, start(M3:fmul)=0, delay=1, II=1",
+			"sched: nodes L1:load and L2:load share unit 2 at kernel row 0"},
+		{200, "sched: edge 0->2 flow d=0 violated: start(L1:load)=0, start(M3:fmul)=0, delay=1, II=200",
+			"sched: nodes L1:load and L2:load share unit 2 at kernel row 0"},
+	} {
+		s, err := Run(g, machine.Example(), Options{MinII: c.minII})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Verify(); err != nil {
+			t.Fatalf("II %d: valid schedule rejected: %v", s.II, err)
+		}
+		dep := *s
+		dep.Start = append([]int(nil), s.Start...)
+		dep.Start[g.NodeByName("M3").ID] = 0 // before L1 completes
+		if err := dep.Verify(); err == nil || err.Error() != c.dep {
+			t.Errorf("II %d: dependence violation reported as %v, want %q", s.II, err, c.dep)
+		}
+		res := *s
+		res.FU = append([]int(nil), s.FU...)
+		res.Start = append([]int(nil), s.Start...)
+		l1, l2 := g.NodeByName("L1").ID, g.NodeByName("L2").ID
+		res.FU[l2], res.Start[l2] = res.FU[l1], res.Start[l1]
+		if err := res.Verify(); err == nil || err.Error() != c.res {
+			t.Errorf("II %d: resource clash reported as %v, want %q", s.II, err, c.res)
+		}
+	}
+}
+
 // randomLoop builds a random schedulable loop graph.
 func randomLoop(r *rand.Rand, n int) *ddg.Graph {
 	g := ddg.New("rand", 1)

@@ -86,22 +86,35 @@ func (s *Schedule) Verify() error {
 		}
 	}
 	// Dependences: start(to) >= start(from) + delay - II*distance.
-	for _, e := range s.Graph.Edges() {
+	for i, ne := 0, s.Graph.NumEdges(); i < ne; i++ {
+		e := s.Graph.Edge(i)
 		delay := EdgeDelay(s.Graph, s.Mach, e)
 		if s.Start[e.To] < s.Start[e.From]+delay-s.II*e.Distance {
 			return fmt.Errorf("sched: edge %v violated: start(%s)=%d, start(%s)=%d, delay=%d, II=%d",
 				e, s.Graph.Node(e.From), s.Start[e.From], s.Graph.Node(e.To), s.Start[e.To], delay, s.II)
 		}
 	}
-	// Resources: at most one op per (unit, kernel row).
-	occupied := map[[2]int]int{}
+	// Resources: at most one op per (unit, kernel row). occupied holds
+	// the node on each (unit, row) cell, unit-major, or -1; the table
+	// lives on the stack for the machines and IIs of this repository.
+	var small [256]int
+	cells := s.Mach.NumUnits() * s.II
+	occupied := small[:]
+	if cells > len(small) {
+		occupied = make([]int, cells)
+	}
+	occupied = occupied[:cells]
+	for i := range occupied {
+		occupied[i] = -1
+	}
 	for id := range s.Start {
-		key := [2]int{s.FU[id], s.Slot(id)}
-		if prev, clash := occupied[key]; clash {
+		unit, row := s.FU[id], s.Slot(id)
+		cell := &occupied[unit*s.II+row]
+		if *cell >= 0 {
 			return fmt.Errorf("sched: nodes %s and %s share unit %d at kernel row %d",
-				s.Graph.Node(prev), s.Graph.Node(id), key[0], key[1])
+				s.Graph.Node(*cell), s.Graph.Node(id), unit, row)
 		}
-		occupied[key] = id
+		*cell = id
 	}
 	return nil
 }

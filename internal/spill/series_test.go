@@ -1,10 +1,11 @@
 package spill
 
-// Pins the series walk (RunSeries) budget by budget against the spill
-// loop it replaced: one independent spill chain per budget, run with the
-// one-budget fit predicate. Whatever the axis — unsorted, with
-// duplicates, with budgets that never converge — every budget must get
-// exactly the result, or the error, its own chain produces.
+// Pins the walk (RunSeries) over one model's budgets, budget by budget,
+// against the spill loop it replaced: one independent spill chain per
+// budget, run with the one-budget fit predicate. Whatever the axis —
+// unsorted, with duplicates, with budgets that never converge — every
+// budget must get exactly the result, or the error, its own chain
+// produces. group_test.go pins the walk over several models' cells.
 
 import (
 	"bytes"
@@ -96,6 +97,25 @@ func oracleRunSeeded(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine
 	}
 	return nil, fmt.Errorf("spill: loop %s did not converge in %d rounds (regs=%d)",
 		g.LoopName, maxIterations, regs)
+}
+
+// roundFits is core.RoundFits in the walk's RoundFit shape: a cell's
+// Test is its core.Model.
+func roundFits() RoundFit {
+	rounds := core.RoundFits()
+	return func(s *sched.Schedule, lts []lifetime.Lifetime) func(int, int) (*sched.Schedule, bool) {
+		test := rounds(s, lts)
+		return func(model, regs int) (*sched.Schedule, bool) { return test(core.Model(model), regs) }
+	}
+}
+
+// modelCells lists one model's cells over a budget axis.
+func modelCells(model core.Model, axis []int) []Cell {
+	cells := make([]Cell, len(axis))
+	for i, r := range axis {
+		cells[i] = Cell{Test: int(model), Regs: r}
+	}
+	return cells
 }
 
 // memoScheduler is a content-addressed schedule cache in the shape of
@@ -213,7 +233,7 @@ func checkWalk(t *testing.T, sr Scheduler, g *ddg.Graph, m *machine.Config, mode
 		seed = &Seed{Sched: s, Lifetimes: lifetime.Compute(s)}
 	}
 	before := graphText(g)
-	got, errs := RunSeries(ctx, sr, g, m, axis, core.RoundFit(model), sched.Options{}, seed)
+	got, errs := RunSeries(ctx, sr, g, m, modelCells(model, axis), roundFits(), sched.Options{}, seed)
 	if len(got) != len(axis) || len(errs) != len(axis) {
 		t.Fatalf("%s: %d results, %d errors for a %d-budget axis", g.LoopName, len(got), len(errs), len(axis))
 	}
@@ -349,7 +369,7 @@ func TestRunSeriesCancelledMidWalk(t *testing.T) {
 	k := (lo + hi) / 2
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, errs := RunSeries(ctx, &cancelAfter{sr: sr, n: k - 1, cancel: cancel}, g, m, axis, core.RoundFit(core.Unified), sched.Options{}, seed)
+	got, errs := RunSeries(ctx, &cancelAfter{sr: sr, n: k - 1, cancel: cancel}, g, m, modelCells(core.Unified, axis), roundFits(), sched.Options{}, seed)
 	for i := range axis {
 		if want[i].Iterations <= k {
 			if d := sameResult(got[i], errs[i], want[i], nil); d != "" {
@@ -387,7 +407,7 @@ func TestRunSeriesSwappedPicksSchedulePerBudget(t *testing.T) {
 				continue
 			}
 			axis := []int{plain + 2, swapped, plain}
-			got, errs := RunSeries(context.Background(), nil, g, m, axis, core.RoundFit(core.Swapped), sched.Options{},
+			got, errs := RunSeries(context.Background(), nil, g, m, modelCells(core.Swapped, axis), roundFits(), sched.Options{},
 				&Seed{Sched: s, Lifetimes: lts})
 			for i, regs := range axis {
 				want, wantErr := oracleRunSeeded(context.Background(), nil, g, m, regs, core.Fit(core.Swapped), sched.Options{},

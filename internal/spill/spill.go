@@ -82,47 +82,56 @@ func Run(g *ddg.Graph, m *machine.Config, regs int, fit FitFunc, opts sched.Opti
 }
 
 // RunSeeded is the full-control spill loop for one budget: the
-// one-budget case of RunSeries. Scheduling requests route through sr
+// one-cell case of RunSeries. Scheduling requests route through sr
 // (nil = sched.Run), and a non-nil seed supplies the first round's
 // schedule and lifetimes — the caller guarantees they were computed from
 // exactly (g, m, opts). The input graph is never mutated. ctx is checked
 // between rounds, so a cancelled context stops a long spill search
 // promptly.
 func RunSeeded(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Config, regs int, fit FitFunc, opts sched.Options, seed *Seed) (*Result, error) {
-	round := func(s *sched.Schedule, lts []lifetime.Lifetime) func(int) (*sched.Schedule, bool) {
-		return func(regs int) (*sched.Schedule, bool) { return fit(s, lts, regs) }
+	round := func(s *sched.Schedule, lts []lifetime.Lifetime) func(int, int) (*sched.Schedule, bool) {
+		return func(_, regs int) (*sched.Schedule, bool) { return fit(s, lts, regs) }
 	}
-	res, errs := RunSeries(ctx, sr, g, m, []int{regs}, round, opts, seed)
+	res, errs := RunSeries(ctx, sr, g, m, []Cell{{Regs: regs}}, round, opts, seed)
 	return res[0], errs[0]
 }
 
-// RoundFit prepares the fit test of one spill round: given the round's
-// schedule and lifetimes it returns the per-budget test, with FitFunc's
-// meaning. The budget-independent work is meant to be done at most once
-// per round and shared by every budget the walk tests against it.
-type RoundFit func(s *sched.Schedule, lts []lifetime.Lifetime) func(regs int) (*sched.Schedule, bool)
+// Cell is one cell of a spill walk: the fit test that decides it, by
+// the RoundFit's numbering, and its register budget (<= 0 = unlimited).
+type Cell struct {
+	Test, Regs int
+}
 
-// RunSeries runs the spill loop for every budget of regs with a single
-// walk of the spill chain. pickVictim never looks at the budget, so the
-// victims, graph rewrites, re-schedules and II bumps form one chain; a
-// budget only decides the round where its loop stops. The walk tests
-// every still-open budget against each round's schedule, and a budget
-// closes at its first fitting round (round 0 for regs <= 0) with that
+// RoundFit prepares the fit tests of one spill round: given the round's
+// schedule and lifetimes it returns the test of every (test, budget)
+// cell, each with FitFunc's meaning. The budget-independent work is
+// meant to be done at most once per round and shared by every cell the
+// walk tests against it.
+type RoundFit func(s *sched.Schedule, lts []lifetime.Lifetime) func(test, regs int) (*sched.Schedule, bool)
+
+// RunSeries runs the spill loop for every cell with a single walk of the
+// spill chain. pickVictim looks at neither the budget nor the fit test,
+// so the victims, graph rewrites, re-schedules and II bumps form one
+// chain; a cell only decides the round where its loop stops. The walk
+// tests every still-open cell against each round's schedule, and a cell
+// closes at its first fitting round (round 0 for Regs <= 0) with that
 // round's schedule, graph, lifetimes and accumulated counters — exactly
-// what RunSeeded with that budget alone returns. The walk ends when the
-// last budget closes; budgets still open after maxIterations rounds get
-// the non-convergence error naming their own regs.
+// what RunSeeded with that cell's test and budget alone returns. The
+// walk ends when the last cell closes; cells still open after
+// maxIterations rounds get the non-convergence error naming their own
+// budget.
 //
-// Results and errors are indexed like regs, which may be unsorted and
-// hold duplicates; errs[i] is non-nil exactly when results[i] is nil. A
-// scheduler error or a cancelled ctx fails every budget still open.
+// Results and errors are indexed like cells, which may come in any
+// order and hold duplicates; errs[i] is non-nil exactly when results[i]
+// is nil. A scheduler error or a cancelled ctx fails every cell still
+// open.
 //
-// A closed budget's Graph is the input graph while nothing has been
+// A closed cell's Graph is the input graph while nothing has been
 // spilled, and otherwise the round's schedule graph (s.Graph), which a
 // caching scheduler already hands out as a private read-only copy. Only
 // when the scheduler returned the working graph itself, and the walk
-// goes on to rewrite it, is the graph cloned for the closed budgets.
-func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Config, regs []int, fit RoundFit, opts sched.Options, seed *Seed) ([]*Result, []error) {
+// goes on to rewrite it, is the graph cloned for the closed cells.
+func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Config, cells []Cell, fit RoundFit, opts sched.Options, seed *Seed) ([]*Result, []error) {
 	schedule := sched.Run
 	if sr != nil {
 		schedule = sr.Schedule
@@ -137,9 +146,9 @@ func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 			}
 		}
 	}()
-	results := make([]*Result, len(regs))
-	errs := make([]error, len(regs))
-	open := len(regs) // budgets without a result yet
+	results := make([]*Result, len(cells))
+	errs := make([]error, len(cells))
+	open := len(cells) // cells without a result yet
 	fail := func(err error) ([]*Result, []error) {
 		for i, r := range results {
 			if r == nil {
@@ -173,19 +182,19 @@ func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 		if cloned {
 			kept = s.Graph
 		}
-		var test func(int) (*sched.Schedule, bool)
+		var test func(int, int) (*sched.Schedule, bool)
 		closed := 0
-		for i, r := range regs {
+		for i, c := range cells {
 			if results[i] != nil {
 				continue
 			}
 			final := s
-			if r > 0 {
+			if c.Regs > 0 {
 				if test == nil {
 					test = fit(s, lts)
 				}
 				var ok bool
-				if final, ok = test(r); !ok {
+				if final, ok = test(c.Test, c.Regs); !ok {
 					continue
 				}
 			}
@@ -238,7 +247,7 @@ func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 	for i, r := range results {
 		if r == nil {
 			errs[i] = fmt.Errorf("spill: loop %s did not converge in %d rounds (regs=%d)",
-				g.LoopName, maxIterations, regs[i])
+				g.LoopName, maxIterations, cells[i].Regs)
 		}
 	}
 	return results, errs
@@ -265,8 +274,8 @@ func pickVictim(g *ddg.Graph, lts []lifetime.Lifetime, unspillable map[int]bool)
 }
 
 func hasFlowConsumer(g *ddg.Graph, node int) bool {
-	for _, e := range g.OutEdges(node) {
-		if e.Kind == ddg.Flow {
+	for _, ei := range g.OutEdgeIndices(node) {
+		if g.Edge(ei).Kind == ddg.Flow {
 			return true
 		}
 	}
@@ -287,8 +296,8 @@ func hasFlowConsumer(g *ddg.Graph, node int) bool {
 func insertSpill(g *ddg.Graph, producer, slot int, unspillable map[int]bool) (stores, loads int) {
 	// Distinct consumption distances of the producer's value.
 	distSet := map[int]bool{}
-	for _, e := range g.OutEdges(producer) {
-		if e.Kind == ddg.Flow {
+	for _, ei := range g.OutEdgeIndices(producer) {
+		if e := g.Edge(ei); e.Kind == ddg.Flow {
 			distSet[e.Distance] = true
 		}
 	}

@@ -55,12 +55,12 @@ func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, em
 }
 
 // TestBaseMajorMatchesFlatStream is the equivalence property of the
-// group → series → cell executor: over randomized grids (unsorted
-// register axes included) and randomized shard splits, it emits a
-// stream byte-identical to the flat unit-at-a-time reference path. Each
-// trial's shards run on a fresh engine, so a shard that cuts a series
-// mid-axis walks its partial series itself. Run under -race in CI, this
-// also exercises the group leader / reorder-buffer synchronization.
+// group → cell executor: over randomized grids (unsorted register axes
+// included) and randomized shard splits, it emits a stream
+// byte-identical to the flat unit-at-a-time reference path. Each
+// trial's shards run on a fresh engine, so a shard that cuts a group
+// walks its partial group itself. Run under -race in CI, this also
+// exercises the reorder-buffer synchronization.
 func TestBaseMajorMatchesFlatStream(t *testing.T) {
 	kernels := loops.Kernels()
 	machinePool := []*machine.Config{
@@ -256,11 +256,12 @@ func TestGroupUnitsShardPartial(t *testing.T) {
 	}
 }
 
-// TestSeriesWalkOneScheduleRequestPerRound pins the series executor's
-// stage-counter contract: on a cold engine, every series walks its spill
-// chain once, so the schedule stage sees exactly one request per base
-// plus one per chain round after the seeded first — the series' largest
-// row Rounds minus one — however many budgets share the chain.
+// TestSeriesWalkOneScheduleRequestPerRound pins the group executor's
+// stage-counter contract: on a cold engine, every (loop, machine) group
+// walks its spill chain once for all its models and budgets, so the
+// schedule stage sees exactly one request per base plus one per chain
+// round after the seeded first — the group's largest row Rounds minus
+// one — and computes every request it sees.
 func TestSeriesWalkOneScheduleRequestPerRound(t *testing.T) {
 	grid := Grid{
 		Corpus:   loops.Kernels(),
@@ -269,13 +270,13 @@ func TestSeriesWalkOneScheduleRequestPerRound(t *testing.T) {
 		Regs:     []int{16, 24, 32, 40, 48, 56, 64},
 	}
 	eng := New(0)
-	type skey struct{ loop, machine, model string }
-	maxRounds := map[skey]int{}
+	type gkey struct{ loop, machine string }
+	maxRounds := map[gkey]int{}
 	if err := eng.Sweep(context.Background(), grid, func(r Result) {
 		if r.Error != "" {
 			t.Fatalf("%s/%s/%s at %d regs failed: %s", r.Loop, r.Machine, r.Model, r.Regs, r.Error)
 		}
-		k := skey{r.Loop, r.Machine, r.Model}
+		k := gkey{r.Loop, r.Machine}
 		maxRounds[k] = max(maxRounds[k], r.Rounds)
 	}); err != nil {
 		t.Fatal(err)
@@ -289,8 +290,12 @@ func TestSeriesWalkOneScheduleRequestPerRound(t *testing.T) {
 		t.Fatalf("schedule stage: %d requests, want base requests %d + chain rounds %d = %d",
 			st.Schedule.Requests(), st.Base.Requests(), chainRounds, want)
 	}
-	if chainRounds == 0 {
-		t.Fatal("no series spilled; the grid must exercise spill chains")
+	if st.Schedule.Misses != st.Schedule.Requests() {
+		t.Fatalf("schedule stage: %d of %d requests computed; a cold group walk requests no schedule twice",
+			st.Schedule.Misses, st.Schedule.Requests())
 	}
-	t.Logf("%d series, %d chain rounds, %d schedule requests", len(maxRounds), chainRounds, st.Schedule.Requests())
+	if chainRounds == 0 {
+		t.Fatal("no group spilled; the grid must exercise spill chains")
+	}
+	t.Logf("%d groups, %d chain rounds, %d schedule requests", len(maxRounds), chainRounds, st.Schedule.Requests())
 }

@@ -355,25 +355,25 @@ func (c *Cache) Evaluate(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 	})
 }
 
-// evalSeries serves the cells of one (loop, machine, model) series over
-// the shared base — held by the caller, so the base stage is not
-// requested again — through the eval stage, in the order of regs, and
-// hands each cell's outcome to each; a non-nil error from each stops the
-// series. Every cell is requested through the flight and disk tiers
-// under its own key. The first cell that misses both walks the spill
-// chain once (pipeline.EvaluateSeries) for itself and every later cell,
-// and a later cell that misses too takes its result from that walk — so
-// a series costs one walk, and a warm store never walks at all.
-func (c *Cache) evalSeries(ctx context.Context, b *pipeline.Base, model core.Model, regs []int, each func(k int, res *pipeline.ModelResult, err error) error) error {
+// evalCells serves cells of one (loop, machine) group over the shared
+// base — held by the caller, so the base stage is not requested again —
+// through the eval stage, in order, and hands each cell's outcome to
+// each; a non-nil error from each stops the group. Every cell is
+// requested through the flight and disk tiers under its own key. The
+// first cell that misses both walks the spill chain once
+// (pipeline.EvaluateCells) for itself and every later cell, and a later
+// cell that misses too takes its result from that walk — so a group
+// costs one walk, and a warm store never walks at all.
+func (c *Cache) evalCells(ctx context.Context, b *pipeline.Base, cells []pipeline.Cell, each func(k int, res *pipeline.ModelResult, err error) error) error {
 	var walk []*pipeline.ModelResult
 	var walkErrs []error
 	from := 0
-	for k, r := range regs {
-		key := c.evalKeyOf(b.Graph, b.Machine, b.Opts, model, r)
+	for k, cell := range cells {
+		key := c.evalKeyOf(b.Graph, b.Machine, b.Opts, cell.Model, cell.Regs)
 		res, err := c.evalThrough(ctx, key, b.Machine, func() (*pipeline.ModelResult, error) {
 			if walk == nil {
 				from = k
-				walk, walkErrs = pipeline.EvaluateSeries(ctx, c, b, model, regs[k:])
+				walk, walkErrs = pipeline.EvaluateCells(ctx, c, b, cells[k:])
 			}
 			return walk[k-from], walkErrs[k-from]
 		})
@@ -409,7 +409,7 @@ func (c *Cache) evalThrough(ctx context.Context, key evalKey, m *machine.Config,
 }
 
 // Forget drops the digest memo for g. The spill loop calls this (via an
-// optional interface check in spill.RunSeeded) when a private working
+// optional interface check in spill.RunSeries) when a private working
 // graph dies, so the memo doesn't pin dead graphs for the engine's
 // lifetime. The schedule entries themselves are kept — they ARE the
 // cache, and later identical content still hits them.

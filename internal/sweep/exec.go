@@ -8,18 +8,18 @@ import (
 	"ncdrf/internal/pipeline"
 )
 
-// This file is the sweep executor: the three-level plan the engine runs
-// grids with, group → series → cell. The unit list is partitioned by
-// (loop, machine) into groups, whose shared pipeline.Base is requested
-// exactly once, by the first worker to reach the group. Each group is
-// split into (loop, machine, model) series, the unit of dispatch: one
-// worker serves a series' cells in order through the eval tiers
-// (Cache.evalSeries), so the budget-independent spill chain of the
-// series is walked at most once instead of once per cell. A reorder
-// buffer keyed by the unit's original index keeps the emitted stream
-// byte-identical to the flat plan-order stream, so shard files, `ncdrf
-// merge` and PlanDigest compatibility are unaffected by the execution
-// shape.
+// This file is the sweep executor: the two-level plan the engine runs
+// grids with, group → cell. The unit list is partitioned by (loop,
+// machine) into groups (GroupUnits), the unit of dispatch: one worker
+// requests the group's shared pipeline.Base once and serves every
+// (model, regs) cell of the group through the eval tiers
+// (Cache.evalCells), so the spill chain — independent of both model and
+// budget — is walked at most once per group instead of once per cell. A
+// reorder buffer keyed by the unit's original index keeps the emitted
+// stream byte-identical to the flat plan-order stream, so shard files,
+// `ncdrf merge` and PlanDigest compatibility are unaffected by the
+// execution shape. The (loop, machine, model) series survives only as
+// the frontier executor's probe unit (frontier.go).
 
 // Sweep plans the grid and compiles every unit on the worker pool,
 // calling emit once per unit. Emit calls are serialized and follow plan
@@ -39,9 +39,11 @@ func (e *Engine) Sweep(ctx context.Context, grid Grid, emit func(Result)) error 
 
 // groupShared is the per-group cell of one executor call: the shared
 // base artifact, computed by whichever worker reaches the group first.
-// Series of the group arriving while the leader computes block in the
-// Once — the same wait they would have spent inside the base stage's
-// single-flight — and every series observes the same (base, err) pair.
+// The dense executor serves a group from one worker; the frontier's
+// series of one group run on several, and those arriving while the
+// leader computes block in the Once — the same wait they would have
+// spent inside the base stage's single-flight — so every series
+// observes the same (base, err) pair.
 type groupShared struct {
 	once sync.Once
 	base *pipeline.Base
@@ -52,13 +54,13 @@ type groupShared struct {
 // Shard of it. Units index into grid's Corpus and Machines; emit calls
 // are serialized and follow the order of units.
 //
-// Execution is group → series → cell: series are dispatched
-// group-major, the group's base artifact is requested once, and each
-// series walks its spill chain at most once. Because plan order
-// interleaves a group's units across the whole (model × regs) span, the
-// reorder buffer can hold up to roughly a plan's worth of finished rows
-// in the worst case — rows are small value structs, so a dense
-// corpus-wide curve stays in the tens of megabytes.
+// Execution is group → cell: groups are dispatched in order of first
+// appearance, and each requests its base artifact once and walks its
+// spill chain at most once. Because plan order interleaves a group's
+// units across the whole (model × regs) span, the reorder buffer can
+// hold up to roughly a plan's worth of finished rows in the worst case
+// — rows are small value structs, so a dense corpus-wide curve stays in
+// the tens of megabytes.
 func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit func(Result)) error {
 	return e.SweepUnitsObserved(ctx, grid, units, emit, nil)
 }
@@ -70,32 +72,33 @@ func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit f
 // counting emitted rows instead would underreport by the reorder
 // buffer's depth. done may be nil.
 func (e *Engine) SweepUnitsObserved(ctx context.Context, grid Grid, units []Unit, emit func(Result), done func()) error {
-	series := planSeries(units)
+	groups := GroupUnits(units)
 	out := newReorder(emit)
-	return e.ForEach(ctx, len(series), func(si int) error {
-		s := &series[si]
-		return e.seriesCells(ctx, grid, units, s, s.all(), func(i int, r Result) {
+	return e.ForEach(ctx, len(groups), func(gi int) error {
+		g := &groups[gi]
+		return e.groupCells(ctx, grid, units, new(groupShared), g.Units, func(k int, r Result) {
 			if done != nil {
 				done()
 			}
-			out.put(s.planIdx[i], r)
+			out.put(g.Units[k], r)
 		})
 	})
 }
 
-// seriesCells computes the listed cells (axis indices, ascending) of
-// one series through the eval tiers — one spill walk at most — and
-// hands each finished row to put. A cell whose group base failed carries
-// the base error. Cancellation is the sweep's error, not the cell's: it
-// is returned instead of emitted, so consumers never mistake it for a
-// compile failure.
-func (e *Engine) seriesCells(ctx context.Context, grid Grid, units []Unit, s *seriesUnits, cells []int, put func(i int, r Result)) error {
-	gs := s.group
+// groupCells computes the listed units (indices into units, all of one
+// (loop, machine) group) through the eval tiers — one spill walk at
+// most — and hands each finished row to put with its position in idx.
+// gs holds the group's base, requested by the first caller. A cell
+// whose group base failed carries the base error. Cancellation is the
+// sweep's error, not the cell's: it is returned instead of emitted, so
+// consumers never mistake it for a compile failure.
+func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, gs *groupShared, idx []int, put func(k int, r Result)) error {
+	first := units[idx[0]]
 	gs.once.Do(func() {
-		gs.base, gs.err = e.Base(ctx, grid.Corpus[s.loop], grid.Machines[s.machine])
+		gs.base, gs.err = e.Base(ctx, grid.Corpus[first.Loop], grid.Machines[first.Machine])
 	})
-	fill := func(i int, res *pipeline.ModelResult, err error) error {
-		r := rowFor(grid, units[s.planIdx[i]])
+	fill := func(k int, res *pipeline.ModelResult, err error) error {
+		r := rowFor(grid, units[idx[k]])
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
@@ -105,29 +108,27 @@ func (e *Engine) seriesCells(ctx context.Context, grid Grid, units []Unit, s *se
 			r.Fill(res)
 		}
 		e.rowsComputed.Add(1)
-		put(i, r)
+		put(k, r)
 		return nil
 	}
 	if gs.err != nil {
-		for _, i := range cells {
-			if err := fill(i, nil, gs.err); err != nil {
+		for k := range idx {
+			if err := fill(k, nil, gs.err); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	regs := make([]int, len(cells))
-	for k, i := range cells {
-		regs[k] = s.axis[i]
+	cells := make([]pipeline.Cell, len(idx))
+	for k, ui := range idx {
+		cells[k] = pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs}
 	}
-	return e.cache.evalSeries(ctx, gs.base, s.model, regs, func(k int, res *pipeline.ModelResult, err error) error {
-		return fill(cells[k], res, err)
-	})
+	return e.cache.evalCells(ctx, gs.base, cells, fill)
 }
 
 // seriesUnits is one series of a unit list: every unit sharing a
-// (loop, machine, model) triple, in unit-list order. A shard of a plan
-// yields partial series — only the shard's own cells of each axis.
+// (loop, machine, model) triple, in unit-list order — the frontier
+// executor's search unit.
 type seriesUnits struct {
 	loop, machine int
 	model         core.Model
@@ -138,15 +139,6 @@ type seriesUnits struct {
 	// group is the shared base cell of the series' (loop, machine)
 	// group; planSeries sets it.
 	group *groupShared
-}
-
-// all returns every axis index of the series, ascending.
-func (s *seriesUnits) all() []int {
-	cells := make([]int, len(s.axis))
-	for i := range cells {
-		cells[i] = i
-	}
-	return cells
 }
 
 // seriesOf partitions a unit list into series, ordered by first

@@ -87,11 +87,15 @@ func (e *Engine) SweepFrontier(ctx context.Context, grid Grid, emit func(Result)
 	return e.ForEach(ctx, len(series), func(si int) error {
 		s := &series[si]
 		probe := func(cells []int, put func(i int, r Result)) error {
-			return e.seriesCells(ctx, grid, units, s, cells, func(i int, r Result) {
+			idx := make([]int, len(cells))
+			for k, i := range cells {
+				idx[k] = s.planIdx[i]
+			}
+			return e.groupCells(ctx, grid, units, s.group, idx, func(k int, r Result) {
 				if opts.Done != nil {
 					opts.Done()
 				}
-				put(i, r)
+				put(cells[k], r)
 			})
 		}
 		rows, implied, violation, err := frontierSeries(s.axis, probe)
