@@ -284,7 +284,7 @@ func runAll(ctx context.Context, eng *sweep.Engine, o corpusOpts) error {
 	// The trailer is rendered by StageStats.String — the one formatter
 	// for the cache counters — so `all`, `sweep -stats` and the stage
 	// tests cannot drift apart.
-	fmt.Printf("\n%s\n", eng.StageStats())
+	fmt.Printf("\n%s\n", eng.Cache().StageStats())
 	return nil
 }
 

@@ -140,7 +140,6 @@ func cmdCurve(ctx context.Context, eng *sweep.Engine, args []string) error {
 	csv := fs.Bool("csv", false, "emit one flat CSV over every (machine, model, regs) cell")
 	chart := fs.Bool("chart", false, "render ASCII charts instead of tables")
 	ndjson := fs.Bool("ndjson", false, "emit the raw result-row stream instead of curves")
-	frontier := fs.Bool("frontier", false, "prune the register axis by dominance: binary-search each series' fit boundary and imply the cells above it (needs a strictly ascending finite axis)")
 	from := fs.String("from", "", "render curves from this NDJSON row stream (e.g. 'ncdrf merge' output) instead of sweeping")
 	strict := fs.Bool("strict", false, "exit non-zero when any grid cell failed to compile (default: render the failed column and warn on stderr)")
 	pf := addProfileFlags(fs)
@@ -204,71 +203,36 @@ func cmdCurve(ctx context.Context, eng *sweep.Engine, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *frontier && *gf.shard != "" {
-		// A shard slices the plan mid-series; the frontier search needs
-		// every cell of a (loop, machine, model) series to pick its probes,
-		// so a partial series cannot be searched.
-		return fmt.Errorf("-frontier searches whole register-axis series and cannot run on a shard of the plan; drop -shard (sharded runs are dense-only)")
-	}
 	units, header, err := planShard(grid, *gf.shard)
 	if err != nil {
 		return err
 	}
 
 	run := denseExecutor(eng, grid, units)
-	// Each series whose observed results contradict the dominance
-	// assumptions is reported on stderr as it falls back to dense
-	// evaluation; its rows are still correct (recomputed densely), but
-	// -strict makes the violation the exit status, since the
-	// monotonicity the pruning relies on did not hold.
-	violations := 0
-	if *frontier {
-		run = func(ctx context.Context, emit func(sweep.Result), done func()) error {
-			return eng.SweepFrontier(ctx, grid, emit, sweep.FrontierOptions{
-				Done: done,
-				// Serialized by the engine, so the counter needs no lock.
-				OnViolation: func(v sweep.FrontierViolation) {
-					violations++
-					fmt.Fprintf(os.Stderr, "curve: frontier fell back to dense for %s/%s (%s): %s\n",
-						v.Loop, v.Model, v.Machine, v.Detail)
-				},
-			})
-		}
-	}
-
 	return gf.observe(eng, pf, len(units), func(prog *progress) error {
 		// A sharded curve file is a sweep shard file, which is exactly
 		// what lets `ncdrf merge` splice curve shards back into the
 		// unsharded -ndjson stream.
 		if header != nil || *ndjson {
-			if err := gf.stream(ctx, eng, run, header, prog); err != nil {
-				return err
-			}
-		} else {
-			var rows []pipeline.Row
-			if err := run(ctx, func(r sweep.Result) {
-				rows = append(rows, r)
-				prog.incEmitted()
-			}, prog.incDone); err != nil {
-				return err
-			}
-			curve := experiment.BuildCurve(rows)
-			if err := render(curve); err != nil {
-				return err
-			}
-			if *gf.stats {
-				// Same renderer as the `ncdrf all` trailer, so the CI contract
-				// (one base schedule per (loop, machine) group) greps one format.
-				fmt.Printf("\n%s\n", eng.StageStats())
-			}
-			if err := curveErr(curve, *strict); err != nil {
-				return err
-			}
+			return gf.stream(ctx, eng, run, header, prog)
 		}
-		if *strict && violations > 0 {
-			return fmt.Errorf("%d series violated the dominance assumptions and fell back to dense evaluation (rows are correct; -strict makes the violation fatal)", violations)
+		var rows []pipeline.Row
+		if err := run(ctx, func(r sweep.Result) {
+			rows = append(rows, r)
+			prog.incEmitted()
+		}, prog.incDone); err != nil {
+			return err
 		}
-		return nil
+		curve := experiment.BuildCurve(rows)
+		if err := render(curve); err != nil {
+			return err
+		}
+		if *gf.stats {
+			// Same renderer as the `ncdrf all` trailer, so the CI contract
+			// (one base schedule per (loop, machine) group) greps one format.
+			fmt.Printf("\n%s\n", eng.Cache().StageStats())
+		}
+		return curveErr(curve, *strict)
 	})
 }
 

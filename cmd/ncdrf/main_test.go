@@ -320,7 +320,7 @@ func TestCmdAllCacheDirIncremental(t *testing.T) {
 	}
 	body1, trailer1 := stripTrailer(first)
 	body2, trailer2 := stripTrailer(second)
-	if len(trailer1) != 4 || len(trailer2) != 4 {
+	if len(trailer1) != 3 || len(trailer2) != 3 {
 		t.Fatalf("trailer shape wrong:\n%v\n%v", trailer1, trailer2)
 	}
 	if body1 != body2 {
@@ -336,12 +336,8 @@ func TestCmdAllCacheDirIncremental(t *testing.T) {
 			}
 		}
 	}
-	// The cold run must already advertise the disk tier in its trailer
-	// (the rows line is provenance, not a cache stage, so it has none).
+	// The cold run must already advertise the disk tier in its trailer.
 	for _, line := range trailer1 {
-		if strings.HasPrefix(line, "stage rows:") {
-			continue
-		}
 		if !strings.Contains(line, "from disk") {
 			t.Fatalf("cold run trailer missing disk tier: %q", line)
 		}
@@ -611,7 +607,6 @@ func TestCmdCurveShardMergeFrom(t *testing.T) {
 		{"clusters", "4"},
 		{"regs", "8:9"},
 		{"ndjson", ""},
-		{"frontier", ""},
 		{"shard", "1/2"},
 		{"stats", ""},
 		{"progress", ""},
@@ -721,126 +716,6 @@ func TestCmdCurveBadRegsSpecs(t *testing.T) {
 	}
 }
 
-// TestCmdCurveFrontier is the CLI acceptance scenario of the frontier
-// executor: -frontier -ndjson is byte-identical to the dense stream
-// over the kernels corpus, the stats trailer separates implied from
-// computed rows, and the dense-only flags are refused with pointers at
-// why.
-func TestCmdCurveFrontier(t *testing.T) {
-	args := []string{"-kernels-only", "-lats", "3,6", "-regs", "8:128:8"}
-	dense := capture(t, func() error {
-		return cmdCurve(ctx0, testEng(), append(append([]string{}, args...), "-ndjson"))
-	})
-	pruned := capture(t, func() error {
-		return cmdCurve(ctx0, testEng(), append(append([]string{}, args...), "-ndjson", "-frontier"))
-	})
-	if dense != pruned {
-		t.Fatalf("-frontier -ndjson differs from the dense stream:\ndense:\n%s\nfrontier:\n%s", dense, pruned)
-	}
-
-	// Tables with -stats: the trailer must show implied rows and fewer
-	// computed evals than the plan has cells.
-	out := capture(t, func() error {
-		return cmdCurve(ctx0, testEng(), append(append([]string{}, args...), "-frontier", "-stats"))
-	})
-	denseOut := capture(t, func() error { return cmdCurve(ctx0, testEng(), args) })
-	stripStage := func(s string) string {
-		var body string
-		for _, line := range strings.SplitAfter(s, "\n") {
-			if !strings.HasPrefix(line, "stage ") && strings.TrimSpace(line) != "" {
-				body += line
-			}
-		}
-		return body
-	}
-	if stripStage(out) != stripStage(denseOut) {
-		t.Fatalf("-frontier tables differ from dense tables:\ndense:\n%s\nfrontier:\n%s", denseOut, out)
-	}
-	var rowsLine string
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "stage rows:") {
-			rowsLine = line
-		}
-	}
-	var computed, implied int
-	if _, err := fmt.Sscanf(rowsLine, "stage rows: %d computed, %d implied", &computed, &implied); err != nil {
-		t.Fatalf("rows trailer line unparseable: %q (%v)", rowsLine, err)
-	}
-	// kernels x 2 machines x 4 models x 16 axis points.
-	if total := 44 * 2 * 4 * 16; computed+implied != total {
-		t.Fatalf("rows %d computed + %d implied != %d plan cells", computed, implied, total)
-	}
-	if implied == 0 || computed >= implied {
-		t.Fatalf("no meaningful pruning: %d computed, %d implied", computed, implied)
-	}
-
-	// Dense-only flags are refused up front, naming the reason.
-	err := cmdCurve(ctx0, testEng(), append(append([]string{}, args...), "-frontier", "-shard", "1/2"))
-	if err == nil || !strings.Contains(err.Error(), "dense-only") {
-		t.Fatalf("-frontier -shard: %v", err)
-	}
-	f := filepath.Join(t.TempDir(), "rows.ndjson")
-	if err := os.WriteFile(f, []byte(dense), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = cmdCurve(ctx0, testEng(), []string{"-from", f, "-frontier"})
-	if err == nil || !strings.Contains(err.Error(), "-frontier") {
-		t.Fatalf("-from -frontier: %v", err)
-	}
-	// An axis without dominance structure (0 = unlimited) is refused.
-	err = cmdCurve(ctx0, testEng(), []string{"-kernels-only", "-regs", "0,32", "-frontier"})
-	if err == nil || !strings.Contains(err.Error(), "run dense") {
-		t.Fatalf("-frontier with an unlimited size: %v", err)
-	}
-}
-
-// TestCmdCurveFrontierStreamOutputs covers the frontier executor on
-// the shared row writer: -ndjson with -stats and with -o emit the dense
-// rows byte for byte, and the stats object carries the dense key set
-// with implied rows counted.
-func TestCmdCurveFrontierStreamOutputs(t *testing.T) {
-	args := []string{"-kernels-only", "-lats", "3", "-regs", "8:64:8", "-ndjson"}
-	run := func(extra ...string) string {
-		return capture(t, func() error {
-			return cmdCurve(ctx0, testEng(), append(append([]string{}, args...), extra...))
-		})
-	}
-	splitStats := func(out string) (string, map[string]uint64) {
-		i := strings.LastIndex(strings.TrimSuffix(out, "\n"), "\n")
-		var st map[string]uint64
-		if err := json.Unmarshal([]byte(out[i+1:]), &st); err != nil {
-			t.Fatalf("last line is not the stats object: %v\n%s", err, out[i+1:])
-		}
-		return out[:i+1], st
-	}
-	dense := run()
-	denseRows, denseStats := splitStats(run("-stats"))
-	rows, stats := splitStats(run("-frontier", "-stats"))
-	if denseRows != dense || rows != dense {
-		t.Fatalf("-stats rows differ from the plain dense stream:\ndense:\n%s\nfrontier -stats:\n%s", dense, rows)
-	}
-	if len(stats) != len(denseStats) {
-		t.Fatalf("frontier stats keys %v, dense %v", stats, denseStats)
-	}
-	for k := range denseStats {
-		if _, ok := stats[k]; !ok {
-			t.Fatalf("frontier stats missing %q: %v", k, stats)
-		}
-	}
-	if stats["rows_implied"] == 0 || denseStats["rows_implied"] != 0 {
-		t.Fatalf("rows_implied: frontier %d (want > 0), dense %d (want 0)", stats["rows_implied"], denseStats["rows_implied"])
-	}
-
-	p := filepath.Join(t.TempDir(), "rows.ndjson")
-	out, st := splitStats(run("-frontier", "-o", p, "-stats"))
-	if out != "" || st["rows_implied"] == 0 {
-		t.Fatalf("with -o, stdout must hold only the stats object: %q", out)
-	}
-	if got := readFileT(t, p); got != dense {
-		t.Fatalf("-frontier -o file differs from the dense stream:\n%s", got)
-	}
-}
-
 // deadWriter fails every write, like a closed pipe.
 type deadWriter struct{}
 
@@ -849,7 +724,7 @@ var errDeadWriter = errors.New("dead writer")
 func (deadWriter) Write([]byte) (int, error) { return 0, errDeadWriter }
 
 // TestStreamRowsCancelsOnDeadWriter: a failing output cancels the run
-// for either executor, instead of computing rows nobody will see.
+// instead of computing rows nobody will see.
 func TestStreamRowsCancelsOnDeadWriter(t *testing.T) {
 	grid := sweep.Grid{
 		Corpus:   loops.Kernels(),
@@ -857,44 +732,34 @@ func TestStreamRowsCancelsOnDeadWriter(t *testing.T) {
 		Models:   core.Models[:],
 		Regs:     []int{8, 16, 24, 32, 40, 48, 56, 64, 80, 96, 112, 128},
 	}
-	executors := map[string]func(eng *sweep.Engine) executor{
-		"dense": func(eng *sweep.Engine) executor { return denseExecutor(eng, grid, grid.Plan()) },
-		"frontier": func(eng *sweep.Engine) executor {
-			return func(ctx context.Context, emit func(sweep.Result), done func()) error {
-				return eng.SweepFrontier(ctx, grid, emit, sweep.FrontierOptions{Done: done})
-			}
-		},
-	}
-	for _, name := range []string{"dense", "frontier"} {
-		t.Run(name, func(t *testing.T) {
-			// counted runs the executor on a fresh engine and reports how
-			// many units it computed and whether it saw the cancel.
-			counted := func(w io.Writer) (computed int64, canceled bool, err error) {
-				var n atomic.Int64
-				inner := executors[name](testEng())
-				err = streamRows(ctx0, func(ctx context.Context, emit func(sweep.Result), done func()) error {
-					err := inner(ctx, emit, func() { n.Add(1); done() })
-					canceled = ctx.Err() != nil
-					return err
-				}, nil, w, nil)
-				return n.Load(), canceled, err
-			}
-			full, _, err := counted(io.Discard)
-			if err != nil {
-				t.Fatal(err)
-			}
-			computed, canceled, err := counted(deadWriter{})
-			if !errors.Is(err, errDeadWriter) || !strings.Contains(err.Error(), "writing results") {
-				t.Fatalf("err = %v, want the wrapped writer error", err)
-			}
-			if !canceled {
-				t.Fatal("the executor returned without its context being canceled")
-			}
-			if computed >= full {
-				t.Fatalf("computed %d units after the writer died, as many as a full run (%d)", computed, full)
-			}
-		})
-	}
+	t.Run("dense", func(t *testing.T) {
+		// counted runs the executor on a fresh engine and reports how
+		// many units it computed and whether it saw the cancel.
+		counted := func(w io.Writer) (computed int64, canceled bool, err error) {
+			var n atomic.Int64
+			inner := denseExecutor(testEng(), grid, grid.Plan())
+			err = streamRows(ctx0, func(ctx context.Context, emit func(sweep.Result), done func()) error {
+				err := inner(ctx, emit, func() { n.Add(1); done() })
+				canceled = ctx.Err() != nil
+				return err
+			}, nil, w, nil)
+			return n.Load(), canceled, err
+		}
+		full, _, err := counted(io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		computed, canceled, err := counted(deadWriter{})
+		if !errors.Is(err, errDeadWriter) || !strings.Contains(err.Error(), "writing results") {
+			t.Fatalf("err = %v, want the wrapped writer error", err)
+		}
+		if !canceled {
+			t.Fatal("the executor returned without its context being canceled")
+		}
+		if computed >= full {
+			t.Fatalf("computed %d units after the writer died, as many as a full run (%d)", computed, full)
+		}
+	})
 }
 
 // countingWriter records what reaches it and in how many writes.

@@ -90,7 +90,7 @@ func (p *progress) line() {
 	if p.total > 0 {
 		pct = 100 * float64(done) / float64(p.total)
 	}
-	st := p.eng.StageStats()
+	st := p.eng.Cache().StageStats()
 	rate := func(cs sweep.CacheStats) string {
 		req := cs.Requests()
 		if req == 0 {
@@ -98,14 +98,8 @@ func (p *progress) line() {
 		}
 		return fmt.Sprintf("%.0f%%", 100*float64(cs.Hits+cs.DiskHits)/float64(req))
 	}
-	// Rows by provenance: a frontier run's "done" count stops short of
-	// the total by exactly the implied rows, so the line names them.
-	rows := fmt.Sprintf("%d computed", st.RowsComputed)
-	if st.RowsImplied > 0 {
-		rows = fmt.Sprintf("%s + %d implied", rows, st.RowsImplied)
-	}
-	fmt.Fprintf(p.w, "progress: %d/%d units done (%.1f%%), %d emitted, rows %s, elapsed %s, hit rates: schedule %s, base %s, eval %s\n",
-		done, p.total, pct, p.emitted.Load(), rows,
+	fmt.Fprintf(p.w, "progress: %d/%d units done (%.1f%%), %d emitted, elapsed %s, hit rates: schedule %s, base %s, eval %s\n",
+		done, p.total, pct, p.emitted.Load(),
 		//lint:allow wallclock -- elapsed time on stderr, never in artifacts
 		time.Since(p.start).Round(time.Second/10),
 		rate(st.Schedule), rate(st.Base), rate(st.Eval))

@@ -84,16 +84,16 @@ func (f gridFlags) stream(ctx context.Context, eng *sweep.Engine, run executor, 
 	return writeStatsJSON(eng, os.Stdout)
 }
 
-// executor runs one grid — densely or by frontier search — delivering
-// its rows to emit in plan order and calling done once per computed
-// unit. It is the one seam between the commands' output paths and the
-// engine's executors.
+// executor runs one grid, delivering its rows to emit in plan order and
+// calling done once per computed unit. It is the one seam between the
+// commands' output paths and the engine, and the test seam of the row
+// writer.
 type executor func(ctx context.Context, emit func(sweep.Result), done func()) error
 
 // denseExecutor evaluates every unit of the (possibly sharded) plan.
 func denseExecutor(eng *sweep.Engine, grid sweep.Grid, units []sweep.Unit) executor {
 	return func(ctx context.Context, emit func(sweep.Result), done func()) error {
-		return eng.SweepUnitsObserved(ctx, grid, units, emit, done)
+		return eng.SweepUnits(ctx, grid, units, emit, done)
 	}
 }
 
@@ -300,11 +300,10 @@ func streamRows(ctx context.Context, run executor, header *sweep.ShardHeader, ou
 
 // writeStatsJSON emits the -stats object: the legacy cache_* keys
 // describe the schedule stage; the stage_* keys add the full per-stage
-// picture (computed vs memory vs disk tier), the rows_* keys the row
-// provenance (computed vs dominance-implied), and the entries_* keys
-// the retained entry counts.
+// picture (computed vs memory vs disk tier), and the entries_* keys the
+// retained entry counts.
 func writeStatsJSON(eng *sweep.Engine, w io.Writer) error {
-	st := eng.StageStats()
+	st := eng.Cache().StageStats()
 	lens := eng.Cache().Lens()
 	obj := map[string]uint64{
 		"cache_requests": st.Schedule.Requests(),
@@ -323,8 +322,6 @@ func writeStatsJSON(eng *sweep.Engine, w io.Writer) error {
 		obj["stage_"+s.name+"_memory_hits"] = s.cs.Hits
 		obj["stage_"+s.name+"_disk_hits"] = s.cs.DiskHits
 	}
-	obj["rows_computed"] = st.RowsComputed
-	obj["rows_implied"] = st.RowsImplied
 	obj["entries_schedule"] = uint64(lens.Schedule)
 	obj["entries_base"] = uint64(lens.Base)
 	obj["entries_eval"] = uint64(lens.Eval)

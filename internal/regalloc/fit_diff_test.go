@@ -58,8 +58,8 @@ func TestDifferentialCorpusAllocator(t *testing.T) {
 			if err := got.Validate(lts); err != nil {
 				t.Fatalf("%s on %s: invalid: %v", g.LoopName, m.Name(), err)
 			}
-			// The frontier probe path: FitsIn must flip at the same
-			// boundary, probed across the search region.
+			// The fit-test path: FitsIn must flip at the same boundary,
+			// probed around the allocator's register count.
 			for r := want.Registers - 3; r <= want.Registers+3; r++ {
 				if FitsIn(lts, s.II, r) != refFitsIn(lts, s.II, r) {
 					t.Fatalf("%s on %s: FitsIn(%d) diverges", g.LoopName, m.Name(), r)

@@ -75,8 +75,9 @@ func FirstFit(lts []lifetime.Lifetime, ii int) (*Allocation, error) {
 }
 
 // FitsIn reports whether First Fit succeeds with at most r registers.
-// This is the frontier probe path: no specifier map is materialized,
-// only the placement feasibility is computed. It is a Fitter asked once.
+// This is the fit-test path: no specifier map is materialized, only the
+// placement feasibility is computed. It is a Fitter asked once; core's
+// round fits ask a Fitter directly, the benchmark probe times FitsIn.
 func FitsIn(lts []lifetime.Lifetime, ii, r int) bool {
 	var f Fitter
 	f.Reset(lts, ii)

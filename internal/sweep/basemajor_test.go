@@ -48,7 +48,6 @@ func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, em
 		} else {
 			r.Fill(res)
 		}
-		e.rowsComputed.Add(1)
 		out.put(i, r)
 		return nil
 	})
@@ -76,7 +75,7 @@ func TestBaseMajorMatchesFlatStream(t *testing.T) {
 	}
 	ctx := context.Background()
 	flatEng, groupEng := New(4), New(4)
-	cuts := 0 // shard series shorter than their full-plan series
+	cuts := 0 // shard groups smaller than their full-plan groups
 	for trial := 0; trial < 12; trial++ {
 		var grid Grid
 		for _, ki := range pick(1+rng.Intn(5), len(kernels)) {
@@ -97,10 +96,10 @@ func TestBaseMajorMatchesFlatStream(t *testing.T) {
 			return flatEng.sweepUnitsFlat(ctx, grid, units, emit)
 		})
 		grouped := encodeStream(t, func(emit func(Result)) error {
-			return groupEng.SweepUnits(ctx, grid, units, emit)
+			return groupEng.SweepUnits(ctx, grid, units, emit, nil)
 		})
 		if !bytes.Equal(flat, grouped) {
-			t.Fatalf("trial %d: series-major stream differs from flat stream\nflat:\n%s\ngrouped:\n%s",
+			t.Fatalf("trial %d: group-major stream differs from flat stream\nflat:\n%s\ngrouped:\n%s",
 				trial, flat, grouped)
 		}
 
@@ -108,9 +107,9 @@ func TestBaseMajorMatchesFlatStream(t *testing.T) {
 		// same stream: shards are contiguous plan slices and each shard
 		// regroups only its own units.
 		n := 2 + rng.Intn(4)
-		full := map[[3]int]int{}
-		for _, s := range seriesOf(units) {
-			full[[3]int{s.loop, s.machine, int(s.model)}] = len(s.axis)
+		full := map[[2]int]int{}
+		for _, g := range GroupUnits(units) {
+			full[[2]int{g.Loop, g.Machine}] = len(g.Units)
 		}
 		shardEng := New(4)
 		var spliced []byte
@@ -119,13 +118,13 @@ func TestBaseMajorMatchesFlatStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range seriesOf(shard) {
-				if len(s.axis) < full[[3]int{s.loop, s.machine, int(s.model)}] {
+			for _, g := range GroupUnits(shard) {
+				if len(g.Units) < full[[2]int{g.Loop, g.Machine}] {
 					cuts++
 				}
 			}
 			spliced = append(spliced, encodeStream(t, func(emit func(Result)) error {
-				return shardEng.SweepUnits(ctx, grid, shard, emit)
+				return shardEng.SweepUnits(ctx, grid, shard, emit, nil)
 			})...)
 		}
 		if !bytes.Equal(flat, spliced) {
@@ -133,7 +132,7 @@ func TestBaseMajorMatchesFlatStream(t *testing.T) {
 		}
 	}
 	if cuts == 0 {
-		t.Fatal("no shard split cut a series mid-axis; the property needs partial series")
+		t.Fatal("no shard split cut a group; the property needs partial groups")
 	}
 }
 

@@ -445,13 +445,6 @@ type StageStats struct {
 	// Persistent reports whether a disk tier is attached; when true the
 	// rendered lines include the per-stage disk hit counts.
 	Persistent bool
-	// RowsComputed and RowsImplied count emitted result rows by
-	// provenance: computed rows went through a per-cell evaluation,
-	// implied rows were synthesized from dominance by the frontier
-	// executor (see internal/sweep/frontier.go) without one. The cache
-	// never sees rows, so Cache.StageStats leaves both zero;
-	// Engine.StageStats fills them.
-	RowsComputed, RowsImplied uint64
 }
 
 // String renders the per-stage counters, one line per stage. This is the
@@ -469,8 +462,7 @@ func (s StageStats) String() string {
 	}
 	return line("schedule", s.Schedule) + "\n" +
 		line("base", s.Base) + "\n" +
-		line("eval", s.Eval) + "\n" +
-		fmt.Sprintf("stage rows: %d computed, %d implied", s.RowsComputed, s.RowsImplied)
+		line("eval", s.Eval)
 }
 
 // StageStats returns a snapshot of every stage's counters.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"ncdrf/internal/core"
 	"ncdrf/internal/pipeline"
 )
 
@@ -18,8 +17,7 @@ import (
 // reorder buffer keyed by the unit's original index keeps the emitted
 // stream byte-identical to the flat plan-order stream, so shard files,
 // `ncdrf merge` and PlanDigest compatibility are unaffected by the
-// execution shape. The (loop, machine, model) series survives only as
-// the frontier executor's probe unit (frontier.go).
+// execution shape.
 
 // Sweep plans the grid and compiles every unit on the worker pool,
 // calling emit once per unit. Emit calls are serialized and follow plan
@@ -34,25 +32,18 @@ func (e *Engine) Sweep(ctx context.Context, grid Grid, emit func(Result)) error 
 	if err := grid.Validate(); err != nil {
 		return err
 	}
-	return e.SweepUnits(ctx, grid, grid.Plan(), emit)
-}
-
-// groupShared is the per-group cell of one executor call: the shared
-// base artifact, computed by whichever worker reaches the group first.
-// The dense executor serves a group from one worker; the frontier's
-// series of one group run on several, and those arriving while the
-// leader computes block in the Once — the same wait they would have
-// spent inside the base stage's single-flight — so every series
-// observes the same (base, err) pair.
-type groupShared struct {
-	once sync.Once
-	base *pipeline.Base
-	err  error
+	return e.SweepUnits(ctx, grid, grid.Plan(), emit, nil)
 }
 
 // SweepUnits is Sweep over an explicit unit list — a whole plan or one
 // Shard of it. Units index into grid's Corpus and Machines; emit calls
 // are serialized and follow the order of units.
+//
+// done, when non-nil, is called (concurrently) as each unit finishes
+// computing — possibly long before its row is emittable, since
+// group-major completion order runs ahead of unit-order emission.
+// Progress reporters hang off this hook; counting emitted rows instead
+// would underreport by the reorder buffer's depth.
 //
 // Execution is group → cell: groups are dispatched in order of first
 // appearance, and each requests its base artifact once and walks its
@@ -61,22 +52,12 @@ type groupShared struct {
 // hold up to roughly a plan's worth of finished rows in the worst case
 // — rows are small value structs, so a dense corpus-wide curve stays in
 // the tens of megabytes.
-func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit func(Result)) error {
-	return e.SweepUnitsObserved(ctx, grid, units, emit, nil)
-}
-
-// SweepUnitsObserved is SweepUnits with a per-unit completion hook,
-// called (concurrently) as each unit finishes computing — possibly long
-// before its row is emittable, since group-major completion order runs
-// ahead of plan-order emission. Progress reporters hang off this hook;
-// counting emitted rows instead would underreport by the reorder
-// buffer's depth. done may be nil.
-func (e *Engine) SweepUnitsObserved(ctx context.Context, grid Grid, units []Unit, emit func(Result), done func()) error {
+func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit func(Result), done func()) error {
 	groups := GroupUnits(units)
 	out := newReorder(emit)
 	return e.ForEach(ctx, len(groups), func(gi int) error {
 		g := &groups[gi]
-		return e.groupCells(ctx, grid, units, new(groupShared), g.Units, func(k int, r Result) {
+		return e.groupCells(ctx, grid, units, g.Units, func(k int, r Result) {
 			if done != nil {
 				done()
 			}
@@ -86,17 +67,15 @@ func (e *Engine) SweepUnitsObserved(ctx context.Context, grid Grid, units []Unit
 }
 
 // groupCells computes the listed units (indices into units, all of one
-// (loop, machine) group) through the eval tiers — one spill walk at
-// most — and hands each finished row to put with its position in idx.
-// gs holds the group's base, requested by the first caller. A cell
-// whose group base failed carries the base error. Cancellation is the
-// sweep's error, not the cell's: it is returned instead of emitted, so
-// consumers never mistake it for a compile failure.
-func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, gs *groupShared, idx []int, put func(k int, r Result)) error {
+// (loop, machine) group) through the eval tiers — one base request and
+// one spill walk at most — and hands each finished row to put with its
+// position in idx. A cell whose group base failed carries the base
+// error. Cancellation is the sweep's error, not the cell's: it is
+// returned instead of emitted, so consumers never mistake it for a
+// compile failure.
+func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, idx []int, put func(k int, r Result)) error {
 	first := units[idx[0]]
-	gs.once.Do(func() {
-		gs.base, gs.err = e.Base(ctx, grid.Corpus[first.Loop], grid.Machines[first.Machine])
-	})
+	base, baseErr := e.Base(ctx, grid.Corpus[first.Loop], grid.Machines[first.Machine])
 	fill := func(k int, res *pipeline.ModelResult, err error) error {
 		r := rowFor(grid, units[idx[k]])
 		if err != nil {
@@ -107,13 +86,12 @@ func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, gs *gr
 		} else {
 			r.Fill(res)
 		}
-		e.rowsComputed.Add(1)
 		put(k, r)
 		return nil
 	}
-	if gs.err != nil {
+	if baseErr != nil {
 		for k := range idx {
-			if err := fill(k, nil, gs.err); err != nil {
+			if err := fill(k, nil, baseErr); err != nil {
 				return err
 			}
 		}
@@ -123,73 +101,7 @@ func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, gs *gr
 	for k, ui := range idx {
 		cells[k] = pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs}
 	}
-	return e.cache.evalCells(ctx, gs.base, cells, fill)
-}
-
-// seriesUnits is one series of a unit list: every unit sharing a
-// (loop, machine, model) triple, in unit-list order — the frontier
-// executor's search unit.
-type seriesUnits struct {
-	loop, machine int
-	model         core.Model
-	// axis[i] is the register budget of the series' i-th cell; planIdx[i]
-	// its index in the unit list (the emission slot).
-	axis    []int
-	planIdx []int
-	// group is the shared base cell of the series' (loop, machine)
-	// group; planSeries sets it.
-	group *groupShared
-}
-
-// seriesOf partitions a unit list into series, ordered by first
-// appearance. Within a plan, a series' units appear in grid axis order,
-// because Plan enumerates regs in grid order.
-func seriesOf(units []Unit) []seriesUnits {
-	type skey struct {
-		loop, machine int
-		model         core.Model
-	}
-	index := map[skey]int{}
-	var series []seriesUnits
-	for pi, u := range units {
-		k := skey{u.Loop, u.Machine, u.Model}
-		si, ok := index[k]
-		if !ok {
-			si = len(series)
-			index[k] = si
-			series = append(series, seriesUnits{loop: u.Loop, machine: u.Machine, model: u.Model})
-		}
-		series[si].axis = append(series[si].axis, u.Regs)
-		series[si].planIdx = append(series[si].planIdx, pi)
-	}
-	return series
-}
-
-// planSeries is seriesOf in group-major order — the series of one
-// (loop, machine) group adjacent, groups ordered by first appearance —
-// with every series of a group sharing one base cell.
-func planSeries(units []Unit) []seriesUnits {
-	var byGroup [][]seriesUnits
-	index := map[[2]int]int{}
-	for _, s := range seriesOf(units) {
-		k := [2]int{s.loop, s.machine}
-		gi, ok := index[k]
-		if !ok {
-			gi = len(byGroup)
-			index[k] = gi
-			byGroup = append(byGroup, nil)
-		}
-		byGroup[gi] = append(byGroup[gi], s)
-	}
-	states := make([]groupShared, len(byGroup))
-	var out []seriesUnits
-	for gi, series := range byGroup {
-		for _, s := range series {
-			s.group = &states[gi]
-			out = append(out, s)
-		}
-	}
-	return out
+	return e.cache.evalCells(ctx, base, cells, fill)
 }
 
 // rowFor starts the result row of one unit with its cell identity.

@@ -126,7 +126,7 @@ func runShard(t *testing.T, eng *Engine, grid Grid, i, n int) []byte {
 		if err := pipeline.EncodeRow(&buf, r); err != nil {
 			t.Error(err)
 		}
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -236,7 +236,7 @@ func TestShardsShareStoreAcrossEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.SweepUnits(context.Background(), grid, units, func(Result) {}); err != nil {
+		if err := eng.SweepUnits(context.Background(), grid, units, func(Result) {}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if i == 2 {

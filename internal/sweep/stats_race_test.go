@@ -10,18 +10,17 @@ import (
 	"ncdrf/internal/machine"
 )
 
-// TestStageStatsDuringFrontierSweep is the regression test for the
-// frontier-executor counter audit: rowsComputed/rowsImplied are bumped
-// from pool workers while stats consumers (the -progress reporter) read
-// them mid-flight. Running a reader against a live frontier sweep pins
-// the counters as race-free — `go test -race` fails here if either side
-// ever regresses to plain ints.
-func TestStageStatsDuringFrontierSweep(t *testing.T) {
+// TestStageStatsDuringSweep pins the stage counters as race-free: pool
+// workers bump them while stats consumers (the -progress reporter) read
+// them mid-flight. Running a reader against a live sweep makes
+// `go test -race` fail here if either side ever regresses to plain
+// ints.
+func TestStageStatsDuringSweep(t *testing.T) {
 	eng := New(4)
 	grid := Grid{
 		Corpus:   loops.Kernels()[:6],
 		Machines: []*machine.Config{machine.Eval(3)},
-		Models:   []core.Model{core.Unified},
+		Models:   []core.Model{core.Unified, core.Swapped},
 		Regs:     []int{4, 8, 16, 32, 64, 128},
 	}
 
@@ -35,22 +34,24 @@ func TestStageStatsDuringFrontierSweep(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				eng.StageStats() // concurrent read of the row counters
+				eng.Cache().StageStats() // concurrent read of the stage counters
 			}
 		}
 	}()
 
-	var rows uint64
-	err := eng.SweepFrontier(context.Background(), grid, func(Result) { rows++ }, FrontierOptions{})
+	var rows int
+	err := eng.Sweep(context.Background(), grid, func(Result) { rows++ })
 	close(stop)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	st := eng.StageStats()
-	if got := st.RowsComputed + st.RowsImplied; got != rows || rows != uint64(len(grid.Plan())) {
-		t.Fatalf("counters drifted: computed %d + implied %d != emitted %d (plan %d)",
-			st.RowsComputed, st.RowsImplied, rows, len(grid.Plan()))
+	plan := len(grid.Plan())
+	if rows != plan {
+		t.Fatalf("emitted %d rows, plan has %d units", rows, plan)
+	}
+	if got := eng.Cache().StageStats().Eval.Requests(); got != uint64(plan) {
+		t.Fatalf("eval stage saw %d requests, want one per plan unit (%d)", got, plan)
 	}
 }

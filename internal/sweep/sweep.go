@@ -51,7 +51,6 @@ package sweep
 import (
 	"context"
 	"runtime"
-	"sync/atomic"
 
 	"ncdrf/internal/core"
 	"ncdrf/internal/ddg"
@@ -71,14 +70,6 @@ type Engine struct {
 
 	// memos shares whole result sets between runners; see Memo.
 	memos *flight[string, any]
-
-	// rowsComputed and rowsImplied count emitted result rows by
-	// provenance across the engine's lifetime: computed rows went
-	// through a per-cell evaluation (cache tiers included), implied rows
-	// were synthesized from dominance by the frontier executor without
-	// any evaluation. Surfaced through StageStats so a pruned sweep is
-	// distinguishable from a computed one in stats output.
-	rowsComputed, rowsImplied atomic.Uint64
 }
 
 // New returns an engine with the given worker-pool width; workers <= 0
@@ -105,18 +96,6 @@ func (e *Engine) Store() *store.Store { return e.cache.Store() }
 
 // Cache returns the engine's schedule cache (for stats reporting).
 func (e *Engine) Cache() *Cache { return e.cache }
-
-// StageStats returns the cache's per-stage counters plus the engine's
-// row-provenance counters. Cache.StageStats alone leaves RowsComputed
-// and RowsImplied zero — rows are an executor concept the cache never
-// sees — so stats consumers that care about pruning report through the
-// engine.
-func (e *Engine) StageStats() StageStats {
-	st := e.cache.StageStats()
-	st.RowsComputed = e.rowsComputed.Load()
-	st.RowsImplied = e.rowsImplied.Load()
-	return st
-}
 
 // Schedule modulo-schedules g on m through the cache. It implements
 // spill.Scheduler, so the engine can be plugged into the spill loop.
