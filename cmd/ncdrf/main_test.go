@@ -272,6 +272,9 @@ func TestCmdSweepLatsAreIntegers(t *testing.T) {
 
 // TestCmdSweepStatsEntries checks the -stats object surfaces the
 // per-stage entry counts (Cache.Lens) and the per-stage tier counters.
+// A streaming sweep releases every eval entry it created once its group
+// is served, so entries_eval is exactly 0 while the schedule and base
+// stages keep theirs.
 func TestCmdSweepStatsEntries(t *testing.T) {
 	out := capture(t, func() error {
 		return cmdSweep(ctx0, testEng(), []string{
@@ -290,8 +293,12 @@ func TestCmdSweepStatsEntries(t *testing.T) {
 			t.Fatalf("stats object missing %q: %v", key, st)
 		}
 	}
-	if st["entries_schedule"] == 0 || st["entries_base"] == 0 || st["entries_eval"] == 0 {
+	if st["entries_schedule"] == 0 || st["entries_base"] == 0 {
 		t.Fatalf("degenerate entry counts: %v", st)
+	}
+	if st["entries_eval"] != 0 || st["stage_eval_computed"] == 0 {
+		t.Fatalf("streaming sweep retained eval entries (want 0 of %d computed): %v",
+			st["stage_eval_computed"], st)
 	}
 	if st["stage_schedule_disk_hits"] != 0 {
 		t.Fatalf("disk hits without a store: %v", st)

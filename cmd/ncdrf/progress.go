@@ -23,9 +23,10 @@ type progress struct {
 	eng   *sweep.Engine
 	total int
 	// done counts computed units (the executor's completion hook);
-	// emitted counts rows released in plan order. The two diverge by the
-	// reorder buffer's depth under base-major execution, so the line
-	// reports both.
+	// emitted counts rows released in plan order. Rows reach the reorder
+	// buffer a whole group at a time and leave it only once the plan
+	// prefix before them is complete, so emitted trails done and the
+	// line reports both.
 	done    atomic.Int64
 	emitted atomic.Int64
 	start   time.Time

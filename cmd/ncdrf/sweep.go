@@ -280,8 +280,8 @@ func streamRows(ctx context.Context, run executor, header *sweep.ShardHeader, ou
 		if encErr != nil {
 			return
 		}
-		// The pooled row encoder (internal/pipeline) produces the same
-		// bytes json.Encoder would, without a fresh encoder per row.
+		// EncodeRow (internal/pipeline) produces the bytes json.Encoder
+		// would, from a pooled buffer and without reflection.
 		if e := pipeline.EncodeRow(w, r); e != nil {
 			encErr = e
 			cancel()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"ncdrf/internal/core"
 	"ncdrf/internal/ddg"
@@ -147,17 +148,26 @@ type PerfResult struct {
 
 // Fig8and9 runs the full limited-register pipeline over the corpus for
 // every configuration and model, producing both figures at once. It is
-// a thin projection over the register-sensitivity curve subsystem: each
-// configuration is one point of the (memoized, base-major) PerfCurve,
-// and the figure metrics are the curve's projections.
+// a thin projection over the register-sensitivity curve subsystem: the
+// configurations of one latency are points of one (memoized,
+// base-major) PerfCurve over that latency's budgets, so each (loop,
+// machine) group walks its spill chain once for every budget and the
+// Ideal cells, which ignore the budget, are shared within the group.
+// The figure metrics are the curve's projections.
 func Fig8and9(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, configs []PerfConfig) (*PerfResult, error) {
 	if len(configs) == 0 {
 		configs = PerfConfigs
 	}
+	budgets := map[int][]int{}
+	for _, cfg := range configs {
+		if !slices.Contains(budgets[cfg.Latency], cfg.Regs) {
+			budgets[cfg.Latency] = append(budgets[cfg.Latency], cfg.Regs)
+		}
+	}
 	res := &PerfResult{Configs: configs}
 	for _, cfg := range configs {
 		m := machine.Eval(cfg.Latency)
-		curve, err := PerfCurve(ctx, eng, corpus, m, []int{cfg.Regs})
+		curve, err := PerfCurve(ctx, eng, corpus, m, budgets[cfg.Latency])
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 )
 
@@ -47,38 +48,73 @@ func (r *Row) Fill(res *ModelResult) {
 	r.Rounds = res.Iterations
 }
 
-// rowEncoder is a reusable buffer with a json.Encoder bound to it; the
-// pool amortizes both across every row a sweep emits instead of
-// allocating a fresh encoder (plus its internal state) per row.
-type rowEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var rowEncoders = sync.Pool{
-	New: func() any {
-		re := &rowEncoder{}
-		re.enc = json.NewEncoder(&re.buf)
-		return re
-	},
-}
+// rowBufs recycles EncodeRow's line buffers, so steady-state row
+// encoding allocates nothing.
+var rowBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // EncodeRow writes r's canonical single-line encoding: compact JSON in
-// struct field order, terminated by a newline — the same bytes
-// json.Encoder produces, so streamed output and re-encoded shard rows
-// are interchangeable. The encoding runs through a pooled encoder and
-// reaches w in a single Write, so concurrent emitters interleave whole
-// lines, never fragments.
+// struct field order, omitempty metrics left out at zero, terminated by
+// a newline — the same bytes json.Encoder produces (pinned by
+// TestEncodeRowMatchesJSONEncoder and FuzzRowCodec), so streamed output
+// and re-encoded shard rows are interchangeable. The line is built in a
+// pooled buffer and reaches w in a single Write, so concurrent emitters
+// interleave whole lines, never fragments.
 func EncodeRow(w io.Writer, r Row) error {
-	re := rowEncoders.Get().(*rowEncoder)
-	re.buf.Reset()
-	if err := re.enc.Encode(r); err != nil {
-		rowEncoders.Put(re)
-		return err
-	}
-	_, err := w.Write(re.buf.Bytes())
-	rowEncoders.Put(re)
+	bp := rowBufs.Get().(*[]byte)
+	buf := appendRow((*bp)[:0], r)
+	_, err := w.Write(buf)
+	*bp = buf
+	rowBufs.Put(bp)
 	return err
+}
+
+// appendRow appends r's encoding, newline included, to buf.
+func appendRow(buf []byte, r Row) []byte {
+	buf = append(buf, `{"loop":`...)
+	buf = appendString(buf, r.Loop)
+	buf = append(buf, `,"machine":`...)
+	buf = appendString(buf, r.Machine)
+	buf = append(buf, `,"model":`...)
+	buf = appendString(buf, r.Model)
+	buf = append(buf, `,"regs":`...)
+	buf = strconv.AppendInt(buf, int64(r.Regs), 10)
+	buf = appendInt(buf, `,"ii":`, int64(r.II))
+	buf = appendInt(buf, `,"stages":`, int64(r.Stages))
+	buf = appendInt(buf, `,"trips":`, r.Trips)
+	buf = appendInt(buf, `,"mem_ops":`, int64(r.MemOps))
+	buf = appendInt(buf, `,"spilled":`, int64(r.Spilled))
+	buf = appendInt(buf, `,"ii_bumps":`, int64(r.IIBumps))
+	buf = appendInt(buf, `,"rounds":`, int64(r.Rounds))
+	if r.Error != "" {
+		buf = append(buf, `,"error":`...)
+		buf = appendString(buf, r.Error)
+	}
+	return append(buf, "}\n"...)
+}
+
+// appendInt appends an omitempty integer field: nothing when v is zero.
+func appendInt(buf []byte, key string, v int64) []byte {
+	if v == 0 {
+		return buf
+	}
+	return strconv.AppendInt(append(buf, key...), v, 10)
+}
+
+// appendString appends s as a JSON string. Printable ASCII that
+// encoding/json would not escape — everything but '"', '\\' and the
+// HTML-escaped '<', '>', '&' — is copied as-is; any other string goes
+// through json.Marshal, which keeps the control-byte, invalid-UTF-8 and
+// U+2028/U+2029 escaping byte-exact.
+func appendString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(buf, q...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // DecodeRow parses one NDJSON line into a Row, strictly: unknown

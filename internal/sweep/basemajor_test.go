@@ -35,7 +35,11 @@ func encodeStream(t *testing.T, run func(emit func(Result)) error) []byte {
 // the executor equivalence property test — the two executors must emit
 // byte-identical streams over any grid and any shard split.
 func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, emit func(Result)) error {
-	out := newReorder(emit)
+	singles := make([]Group, len(units))
+	for i, u := range units {
+		singles[i] = Group{Loop: u.Loop, Machine: u.Machine, Units: []int{i}}
+	}
+	out := newReorder(singles, len(units), emit)
 	return e.ForEach(ctx, len(units), func(i int) error {
 		u := units[i]
 		r := rowFor(grid, u)
@@ -48,7 +52,7 @@ func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, em
 		} else {
 			r.Fill(res)
 		}
-		out.put(i, r)
+		out.put(i, []Result{r})
 		return nil
 	})
 }

@@ -346,12 +346,14 @@ func (c *Cache) Base(ctx context.Context, g *ddg.Graph, m *machine.Config, opts 
 // sweep cannot poison a concurrent one.
 func (c *Cache) Evaluate(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options, model core.Model, regs int) (*pipeline.ModelResult, error) {
 	key := c.evalKeyOf(g, m, opts, model, regs)
-	return c.evalThrough(ctx, key, m, func() (*pipeline.ModelResult, error) {
-		b, err := c.Base(ctx, g, m, opts)
-		if err != nil {
-			return nil, err
-		}
-		return pipeline.Evaluate(ctx, c, b, key.model, key.regs)
+	return c.evals.do(ctx, key, func() (*pipeline.ModelResult, error) {
+		return c.evalMiss(key, m, func() (*pipeline.ModelResult, error) {
+			b, err := c.Base(ctx, g, m, opts)
+			if err != nil {
+				return nil, err
+			}
+			return pipeline.Evaluate(ctx, c, b, key.model, key.regs)
+		})
 	})
 }
 
@@ -364,24 +366,38 @@ func (c *Cache) Evaluate(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 // (pipeline.EvaluateCells) for itself and every later cell, and a later
 // cell that misses too takes its result from that walk — so a group
 // costs one walk, and a warm store never walks at all.
-func (c *Cache) evalCells(ctx context.Context, b *pipeline.Base, cells []pipeline.Cell, each func(k int, res *pipeline.ModelResult, err error) error) error {
+//
+// It returns the keys of the eval entries this call created — the
+// cells whose flight request it served itself, from disk or by
+// computing — so a streaming caller can release them once the group is
+// served (see evalHolds). Entries another requester created are not
+// its to drop.
+func (c *Cache) evalCells(ctx context.Context, b *pipeline.Base, cells []pipeline.Cell, each func(k int, res *pipeline.ModelResult, err error) error) ([]evalKey, error) {
 	var walk []*pipeline.ModelResult
 	var walkErrs []error
 	from := 0
+	created := make([]evalKey, 0, len(cells))
 	for k, cell := range cells {
 		key := c.evalKeyOf(b.Graph, b.Machine, b.Opts, cell.Model, cell.Regs)
-		res, err := c.evalThrough(ctx, key, b.Machine, func() (*pipeline.ModelResult, error) {
-			if walk == nil {
-				from = k
-				walk, walkErrs = pipeline.EvaluateCells(ctx, c, b, cells[k:])
-			}
-			return walk[k-from], walkErrs[k-from]
+		own := false
+		res, err := c.evals.do(ctx, key, func() (*pipeline.ModelResult, error) {
+			own = true
+			return c.evalMiss(key, b.Machine, func() (*pipeline.ModelResult, error) {
+				if walk == nil {
+					from = k
+					walk, walkErrs = pipeline.EvaluateCells(ctx, c, b, cells[k:])
+				}
+				return walk[k-from], walkErrs[k-from]
+			})
 		})
+		if own {
+			created = append(created, key)
+		}
 		if err := each(k, res, err); err != nil {
-			return err
+			return created, err
 		}
 	}
-	return nil
+	return created, nil
 }
 
 // evalKeyOf normalizes the budget and builds the eval-stage key.
@@ -392,20 +408,18 @@ func (c *Cache) evalKeyOf(g *ddg.Graph, m *machine.Config, opts sched.Options, m
 	return evalKey{base: c.keyOf(g, m, opts), model: model, regs: regs}
 }
 
-// evalThrough serves one eval-stage request through the flight and disk
-// tiers; eval computes the result only on a full miss, and a computed
-// result is written behind to the store.
-func (c *Cache) evalThrough(ctx context.Context, key evalKey, m *machine.Config, eval func() (*pipeline.ModelResult, error)) (*pipeline.ModelResult, error) {
-	return c.evals.do(ctx, key, func() (*pipeline.ModelResult, error) {
-		if res, ok := c.loadEval(key, m); ok {
-			return res, nil
-		}
-		res, err := eval()
-		if err == nil {
-			c.saveEval(key, res)
-		}
-		return res, err
-	})
+// evalMiss serves a flight miss of the eval stage: read through the
+// disk tier, else compute with eval and write a computed result behind
+// to the store.
+func (c *Cache) evalMiss(key evalKey, m *machine.Config, eval func() (*pipeline.ModelResult, error)) (*pipeline.ModelResult, error) {
+	if res, ok := c.loadEval(key, m); ok {
+		return res, nil
+	}
+	res, err := eval()
+	if err == nil {
+		c.saveEval(key, res)
+	}
+	return res, err
 }
 
 // Forget drops the digest memo for g. The spill loop calls this (via an

@@ -10,7 +10,8 @@ import (
 // flight is the one single-flight cache implementation shared by every
 // stage of the engine (schedule, base, eval, and the whole-result-set
 // memo). It guarantees that a value is computed at most once per key
-// while the computation succeeds, shares in-flight computations between
+// while the computation succeeds and its entry is not forgotten (see
+// forget), shares in-flight computations between
 // concurrent callers, and counts hits and misses uniformly.
 //
 // Error retention is the only axis on which the stages differ, so it is
@@ -56,7 +57,7 @@ func newFlight[K comparable, V any](retain func(error) bool) *flight[K, V] {
 
 // do returns the value for key, computing it with compute at most once
 // concurrently and — while compute succeeds or fails deterministically —
-// at most once ever. Callers that must never abandon a wait pass
+// at most once until the entry is forgotten. Callers that must never abandon a wait pass
 // context.Background().
 func (f *flight[K, V]) do(ctx context.Context, key K, compute func() (V, error)) (V, error) {
 	var zero V
@@ -140,6 +141,20 @@ func (f *flight[K, V]) settle(key K, s *slot[V]) {
 		f.mu.Unlock()
 	}
 	close(s.ready)
+}
+
+// forget drops the entries of keys, so a later request for one of them
+// starts afresh. Streaming sweeps use it to let go of results no later
+// request of the run reads (see evalHolds).
+func (f *flight[K, V]) forget(keys []K) {
+	if len(keys) == 0 {
+		return
+	}
+	f.mu.Lock()
+	for _, k := range keys {
+		delete(f.slots, k)
+	}
+	f.mu.Unlock()
 }
 
 // len returns the number of retained entries.
