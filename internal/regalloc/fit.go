@@ -34,6 +34,11 @@ type fitState struct {
 	order []lifetime.Lifetime // placement order, sorted once per call
 	qs    []int32             // chosen specifier per order index
 	occ   []uint64            // circle occupancy, C = R*II bits
+	// crossed reports whether the last tryFit reduced a start modulo
+	// the circle: a lifetime starting outside [0, C), or a probe whose
+	// interval ran past C. A successful placement without a crossing is
+	// wrap-free, which Fitter's certificate relies on.
+	crossed bool
 }
 
 var fitStates = sync.Pool{New: func() any { return new(fitState) }}
@@ -60,7 +65,8 @@ func (st *fitState) prepare(lts []lifetime.Lifetime) {
 }
 
 // tryFit attempts placement with exactly r registers, recording
-// specifiers in st.qs. The order must have been prepared and be
+// specifiers in st.qs and whether any probe crossed the end of the
+// circle in st.crossed. The order must have been prepared and be
 // non-empty.
 func (st *fitState) tryFit(ii, r int) bool {
 	c := r * ii
@@ -69,11 +75,15 @@ func (st *fitState) tryFit(ii, r int) bool {
 	}
 	nw := (c + 63) >> 6
 	st.occ = clearWords(st.occ, nw)
+	st.crossed = false
 	for i := range st.order {
 		l := &st.order[i]
 		length := l.End - l.Start
 		if length > c {
 			return false // a single wand cannot exceed the circle
+		}
+		if l.Start < 0 || l.Start >= c {
+			st.crossed = true
 		}
 		p0 := mod(l.Start, c)
 		q, p := st.firstQ(p0, length, ii, r, c)
@@ -96,6 +106,9 @@ func (st *fitState) tryFit(ii, r int) bool {
 func (st *fitState) firstQ(p0, length, ii, r, c int) (int, int) {
 	for q := 0; q < r; {
 		p := p0 + q*ii
+		if p+length > c {
+			st.crossed = true
+		}
 		if p >= c {
 			p -= c
 		}

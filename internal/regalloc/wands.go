@@ -74,10 +74,15 @@ func FirstFit(lts []lifetime.Lifetime, ii int) (*Allocation, error) {
 	}
 }
 
-// FitsIn reports whether First Fit succeeds with at most r registers.
-// This is the fit-test path: no specifier map is materialized, only the
-// placement feasibility is computed. It is a Fitter asked once; core's
-// round fits ask a Fitter directly, the benchmark probe times FitsIn.
+// FitsIn reports whether First Fit succeeds with exactly r registers.
+// First Fit is not monotone in r (TestFitterCertificateMatchesFitsIn
+// pins sets that fit at r, fail at r+1 and fit again), so a success at
+// r says nothing by itself about r+1; the Fitter's wrap-free
+// certificate is the only inference across budgets this package makes.
+// This is the fit-test path: no specifier map is materialized, only
+// the placement feasibility is computed. It is a Fitter asked once;
+// core's round fits ask a Fitter directly, the benchmark probe times
+// FitsIn.
 func FitsIn(lts []lifetime.Lifetime, ii, r int) bool {
 	var f Fitter
 	f.Reset(lts, ii)
@@ -91,23 +96,36 @@ func FitsIn(lts []lifetime.Lifetime, ii, r int) bool {
 // its own, and each budget only runs the placement. Reset reuses that
 // arena for the next set, which is how the spill walk keeps one
 // Fitter per region across its rounds. Not safe for concurrent use.
+//
+// Wrap-free certificate. A placement that succeeds at r without any
+// probe crossing the end of the circle — every lifetime starts in
+// [0, r*II) and every probed interval [Start+q*II, Start+q*II+len)
+// ends by r*II — runs exactly the same probes at every r' > r: each
+// start reduces to itself on both circles, every interval stays
+// linear, so the occupancy bits, each conflict offset and hence each
+// specifier jump are the same, and every chosen q < r <= r'. The Fitter
+// records the smallest such r and answers every larger budget true
+// without a placement. Budgets below it, and placements that wrapped,
+// run as before.
 type Fitter struct {
-	lts     []lifetime.Lifetime
-	ii, low int
-	tests   int      // placements run since Reset
-	st      fitState // own arena, prepared on the second placement
+	lts      []lifetime.Lifetime
+	ii, low  int
+	tests    int      // placements run since Reset
+	fitsFrom int      // smallest wrap-free fitting budget; 0 when none
+	st       fitState // own arena, prepared on the second placement
 }
 
 // Reset points f at lts and interval ii, reusing its arena.
 func (f *Fitter) Reset(lts []lifetime.Lifetime, ii int) {
-	f.lts, f.ii, f.tests = lts, ii, 0
+	f.lts, f.ii, f.tests, f.fitsFrom = lts, ii, 0, 0
 	if len(lts) > 0 {
 		f.low = lifetime.AvgLiveBound(lts, ii)
 	}
 }
 
-// FitsIn reports whether First Fit succeeds with at most r registers
-// for the lifetimes f was Reset to.
+// FitsIn reports whether First Fit succeeds with exactly r registers
+// for the lifetimes f was Reset to. The answer always equals FitsIn's;
+// budgets at or above a wrap-free fit are answered by the certificate.
 func (f *Fitter) FitsIn(r int) bool {
 	if len(f.lts) == 0 {
 		return true
@@ -115,18 +133,31 @@ func (f *Fitter) FitsIn(r int) bool {
 	if r < f.low {
 		return false
 	}
+	if f.fitsFrom > 0 && r >= f.fitsFrom {
+		return true
+	}
 	f.tests++
 	switch f.tests {
 	case 1:
 		st := fitStates.Get().(*fitState)
 		st.prepare(f.lts)
-		ok := st.tryFit(f.ii, r)
+		ok := f.place(st, r)
 		fitStates.Put(st)
 		return ok
 	case 2:
 		f.st.prepare(f.lts)
 	}
-	return f.st.tryFit(f.ii, r)
+	return f.place(&f.st, r)
+}
+
+// place runs the placement at r on st and keeps a wrap-free fit as the
+// certificate; r is below any earlier one, or that would have answered.
+func (f *Fitter) place(st *fitState, r int) bool {
+	ok := st.tryFit(f.ii, r)
+	if ok && !st.crossed {
+		f.fitsFrom = r
+	}
+	return ok
 }
 
 // Validate checks that an allocation is conflict-free for the given

@@ -188,8 +188,10 @@ func TestPropertyFirstFitValidAndBounded(t *testing.T) {
 	}
 }
 
-// Property: FitsIn is monotone in the register count and consistent with
-// FirstFit's result.
+// Property: FitsIn is consistent with FirstFit's result: it fits at the
+// size FirstFit found and not one below, and on these inputs three
+// above too. (First Fit is not monotone in general; see
+// TestFitterCertificateMatchesFitsIn.)
 func TestPropertyFitsInMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

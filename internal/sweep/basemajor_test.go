@@ -11,6 +11,7 @@ import (
 	"ncdrf/internal/core"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
+	"ncdrf/internal/pipeline"
 )
 
 // encodeStream renders an emitted result stream the way cmd/ncdrf does,
@@ -39,20 +40,18 @@ func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, em
 	for i, u := range units {
 		singles[i] = Group{Loop: u.Loop, Machine: u.Machine, Units: []int{i}}
 	}
-	out := newReorder(singles, len(units), emit)
+	out := newReorder(grid, units, singles, emit)
 	return e.ForEach(ctx, len(units), func(i int) error {
 		u := units[i]
-		r := rowFor(grid, u)
 		res, err := e.Compile(ctx, grid.Corpus[u.Loop], grid.Machines[u.Machine], u.Model, u.Regs)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
-			r.Error = err.Error()
-		} else {
-			r.Fill(res)
 		}
-		out.put(i, []Result{r})
+		var rows groupRows
+		rows.add(new(pipeline.Measurer), res, err)
+		out.put(i, rows)
 		return nil
 	})
 }

@@ -359,41 +359,83 @@ func (c *Cache) Evaluate(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 
 // evalCells serves cells of one (loop, machine) group over the shared
 // base — held by the caller, so the base stage is not requested again —
-// through the eval stage, in order, and hands each cell's outcome to
-// each; a non-nil error from each stops the group. Every cell is
-// requested through the flight and disk tiers under its own key. The
-// first cell that misses both walks the spill chain once
-// (pipeline.EvaluateCells) for itself and every later cell, and a later
-// cell that misses too takes its result from that walk — so a group
-// costs one walk, and a warm store never walks at all.
+// through the eval stage, and hands each cell's outcome to each, in
+// order; a non-nil error from each stops the group. Every cell is
+// requested under its own key, but the group claims all of its keys at
+// once (flight.claimAll): it reads the disk tier for the cells it owns,
+// walks the spill chain once (pipeline.EvaluateCells) for the owned
+// cells the disk missed, and settles them together. Only then does it
+// wait on cells another requester owns. So a group costs one claim and
+// one walk, and a warm store never walks at all; hit, miss and disk
+// counters stay per cell.
 //
 // It returns the keys of the eval entries this call created — the
 // cells whose flight request it served itself, from disk or by
 // computing — so a streaming caller can release them once the group is
 // served (see evalHolds). Entries another requester created are not
 // its to drop.
-func (c *Cache) evalCells(ctx context.Context, b *pipeline.Base, cells []pipeline.Cell, each func(k int, res *pipeline.ModelResult, err error) error) ([]evalKey, error) {
-	var walk []*pipeline.ModelResult
-	var walkErrs []error
-	from := 0
-	created := make([]evalKey, 0, len(cells))
+func (c *Cache) evalCells(ctx context.Context, b *pipeline.Base, cells []pipeline.Cell, each func(res *pipeline.ModelResult, err error) error) ([]evalKey, error) {
+	base := c.keyOf(b.Graph, b.Machine, b.Opts)
+	keys := make([]evalKey, len(cells))
 	for k, cell := range cells {
-		key := c.evalKeyOf(b.Graph, b.Machine, b.Opts, cell.Model, cell.Regs)
-		own := false
-		res, err := c.evals.do(ctx, key, func() (*pipeline.ModelResult, error) {
-			own = true
-			return c.evalMiss(key, b.Machine, func() (*pipeline.ModelResult, error) {
-				if walk == nil {
-					from = k
-					walk, walkErrs = pipeline.EvaluateCells(ctx, c, b, cells[k:])
-				}
-				return walk[k-from], walkErrs[k-from]
-			})
-		})
-		if own {
-			created = append(created, key)
+		keys[k] = evalKeyFor(base, cell.Model, cell.Regs)
+	}
+	cl, err := c.evals.claimAll(ctx, keys)
+	if err != nil {
+		return nil, err
+	}
+	created := make([]evalKey, 0, len(keys))
+	c.evals.runClaim(cl, func() ([]*pipeline.ModelResult, []error) {
+		vals := make([]*pipeline.ModelResult, len(keys))
+		errs := make([]error, len(keys))
+		walk := make([]pipeline.Cell, 0, len(keys))
+		at := make([]int, 0, len(keys))
+		for k, owned := range cl.owned {
+			if !owned {
+				continue
+			}
+			created = append(created, keys[k])
+			if res, ok := c.loadEval(keys[k], b.Machine); ok {
+				vals[k] = res
+				continue
+			}
+			walk = append(walk, cells[k])
+			at = append(at, k)
 		}
-		if err := each(k, res, err); err != nil {
+		if len(walk) == 0 {
+			return vals, errs
+		}
+		res, walkErrs := pipeline.EvaluateCells(ctx, c, b, walk)
+		for i, k := range at {
+			vals[k], errs[k] = res[i], walkErrs[i]
+			if errs[k] == nil {
+				c.saveEval(keys[k], vals[k])
+			}
+		}
+		return vals, errs
+	})
+	for k, s := range cl.slots {
+		var res *pipeline.ModelResult
+		var err error
+		if cl.owned[k] {
+			res, err = s.val, s.err
+		} else {
+			var settled bool
+			if res, err, settled = c.evals.wait(ctx, keys[k], s); !settled {
+				// The owner was cancelled: compute this cell afresh.
+				own := false
+				res, err = c.evals.do(ctx, keys[k], func() (*pipeline.ModelResult, error) {
+					own = true
+					return c.evalMiss(keys[k], b.Machine, func() (*pipeline.ModelResult, error) {
+						return pipeline.Evaluate(ctx, c, b, cells[k].Model, cells[k].Regs)
+					})
+				})
+				if own {
+					created = append(created, keys[k])
+				}
+			}
+		}
+		if err := each(res, err); err != nil {
 			return created, err
 		}
 	}
@@ -402,10 +444,16 @@ func (c *Cache) evalCells(ctx context.Context, b *pipeline.Base, cells []pipelin
 
 // evalKeyOf normalizes the budget and builds the eval-stage key.
 func (c *Cache) evalKeyOf(g *ddg.Graph, m *machine.Config, opts sched.Options, model core.Model, regs int) evalKey {
+	return evalKeyFor(c.keyOf(g, m, opts), model, regs)
+}
+
+// evalKeyFor builds the eval-stage key of a model and budget over a
+// base key: Ideal ignores the budget, and all negatives mean unlimited.
+func evalKeyFor(base cacheKey, model core.Model, regs int) evalKey {
 	if model == core.Ideal || regs < 0 {
-		regs = 0 // Ideal ignores the budget; all negatives mean unlimited
+		regs = 0
 	}
-	return evalKey{base: c.keyOf(g, m, opts), model: model, regs: regs}
+	return evalKey{base: base, model: model, regs: regs}
 }
 
 // evalMiss serves a flight miss of the eval stage: read through the

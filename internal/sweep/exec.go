@@ -63,17 +63,10 @@ func (e *Engine) Sweep(ctx context.Context, grid Grid, emit func(Result)) error 
 // stage counter equals that of an engine that retains everything.
 func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit func(Result), done func()) error {
 	groups := GroupUnits(units)
-	out := newReorder(groups, len(units), emit)
+	out := newReorder(grid, units, groups, emit)
 	holds := e.holdBases(grid, groups)
 	return e.ForEach(ctx, len(groups), func(gi int) error {
-		g := &groups[gi]
-		rows := make([]Result, len(g.Units))
-		created, err := e.groupCells(ctx, grid, units, g.Units, func(k int, r Result) {
-			rows[k] = r
-			if done != nil {
-				done()
-			}
-		})
+		rows, created, err := e.groupCells(ctx, grid, units, groups[gi], done)
 		if err == nil {
 			out.put(gi, rows)
 		}
@@ -82,43 +75,44 @@ func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit f
 	})
 }
 
-// groupCells computes the listed units (indices into units, all of one
-// (loop, machine) group) through the eval tiers — one base request and
-// one spill walk at most — and hands each finished row to put with its
-// position in idx. A cell whose group base failed carries the base
-// error. Cancellation is the sweep's error, not the cell's: it is
-// returned instead of handed over, so consumers never mistake it for a
-// compile failure. It returns the eval entries it created (see
-// Cache.evalCells), on every path.
-func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, idx []int, put func(k int, r Result)) ([]evalKey, error) {
-	first := units[idx[0]]
-	base, baseErr := e.Base(ctx, grid.Corpus[first.Loop], grid.Machines[first.Machine])
-	fill := func(k int, res *pipeline.ModelResult, err error) error {
-		r := rowFor(grid, units[idx[k]])
+// groupCells computes the cells of group g — indices into units, all
+// of one (loop, machine) — through the eval tiers, with one base
+// request and one spill walk at most, and returns their rows, calling
+// done (when non-nil) as each cell finishes. A cell whose group base
+// failed carries the base error. Cancellation is the sweep's error, not
+// the cell's: it is returned instead of recorded, so consumers never
+// mistake it for a compile failure. It returns the eval entries it
+// created (see Cache.evalCells), on every path.
+func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, g Group, done func()) (groupRows, []evalKey, error) {
+	rows := groupRows{cells: make([]cellRow, 0, len(g.Units))}
+	var m pipeline.Measurer
+	add := func(res *pipeline.ModelResult, err error) error {
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
-			r.Error = err.Error()
-		} else {
-			r.Fill(res)
 		}
-		put(k, r)
+		rows.add(&m, res, err)
+		if done != nil {
+			done()
+		}
 		return nil
 	}
+	base, baseErr := e.Base(ctx, grid.Corpus[g.Loop], grid.Machines[g.Machine])
 	if baseErr != nil {
-		for k := range idx {
-			if err := fill(k, nil, baseErr); err != nil {
-				return nil, err
+		for range g.Units {
+			if err := add(nil, baseErr); err != nil {
+				return groupRows{}, nil, err
 			}
 		}
-		return nil, nil
+		return rows, nil, nil
 	}
-	cells := make([]pipeline.Cell, len(idx))
-	for k, ui := range idx {
+	cells := make([]pipeline.Cell, len(g.Units))
+	for k, ui := range g.Units {
 		cells[k] = pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs}
 	}
-	return e.cache.evalCells(ctx, base, cells, fill)
+	created, err := e.cache.evalCells(ctx, base, cells, add)
+	return rows, created, err
 }
 
 // evalHolds reference-counts base keys across one sweep's groups, so
@@ -186,46 +180,81 @@ func rowFor(grid Grid, u Unit) Result {
 	}
 }
 
+// groupRows is one group's finished cells in the order of its Units,
+// as the reorder buffer holds them until emission: fixed-size metric
+// records, with the few error messages in a side list. The identity of
+// each row is rebuilt from the grid at emit time (rowFor), so the
+// records hold no pointers for the collector to scan.
+type groupRows struct {
+	cells []cellRow
+	errs  []string
+}
+
+// cellRow is one finished cell: its metrics, zero for a failed cell,
+// and 1 + the index of its error in the group's errs, or 0.
+type cellRow struct {
+	pipeline.Metrics
+	err int32
+}
+
+// add appends one cell's outcome, measuring res with m when err is nil.
+func (g *groupRows) add(m *pipeline.Measurer, res *pipeline.ModelResult, err error) {
+	if err != nil {
+		g.errs = append(g.errs, err.Error())
+		g.cells = append(g.cells, cellRow{err: int32(len(g.errs))})
+		return
+	}
+	g.cells = append(g.cells, cellRow{Metrics: m.Measure(res)})
+}
+
 // reorder serializes whole groups' rows back into unit order: put
 // hands over one group's rows and emits the longest ready prefix of the
 // unit list, following a precomputed unit → (group, position) table. A
 // group's rows are dropped as soon as its last one is emitted. Emit
 // calls happen under the lock, so they are serialized.
 type reorder struct {
-	mu   sync.Mutex
-	at   []rowAt
-	rows [][]Result
-	next int
-	emit func(Result)
+	grid  Grid
+	units []Unit
+	mu    sync.Mutex
+	at    []rowAt
+	rows  []groupRows
+	next  int
+	emit  func(Result)
 }
 
 // rowAt locates one unit's row: its group and its position there.
 type rowAt struct{ group, pos int }
 
-func newReorder(groups []Group, units int, emit func(Result)) *reorder {
-	at := make([]rowAt, units)
+func newReorder(grid Grid, units []Unit, groups []Group, emit func(Result)) *reorder {
+	at := make([]rowAt, len(units))
 	for gi, g := range groups {
 		for k, ui := range g.Units {
 			at[ui] = rowAt{group: gi, pos: k}
 		}
 	}
-	return &reorder{at: at, rows: make([][]Result, len(groups)), emit: emit}
+	return &reorder{grid: grid, units: units, at: at, rows: make([]groupRows, len(groups)), emit: emit}
 }
 
 // put hands over group g's rows, in the order of the group's Units.
-func (o *reorder) put(g int, rows []Result) {
+func (o *reorder) put(g int, rows groupRows) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.rows[g] = rows
 	for ; o.next < len(o.at); o.next++ {
 		at := o.at[o.next]
-		ready := o.rows[at.group]
-		if ready == nil {
+		ready := &o.rows[at.group]
+		if ready.cells == nil {
 			return
 		}
-		o.emit(ready[at.pos])
-		if at.pos == len(ready)-1 {
-			o.rows[at.group] = nil
+		c := ready.cells[at.pos]
+		r := rowFor(o.grid, o.units[o.next])
+		r.SetMetrics(c.Metrics)
+		if c.err > 0 {
+			r.Error = ready.errs[c.err-1]
+		}
+		o.emit(r)
+		if at.pos == len(ready.cells)-1 {
+			*ready = groupRows{}
 		}
 	}
 }

@@ -60,7 +60,6 @@ func newFlight[K comparable, V any](retain func(error) bool) *flight[K, V] {
 // at most once until the entry is forgotten. Callers that must never abandon a wait pass
 // context.Background().
 func (f *flight[K, V]) do(ctx context.Context, key K, compute func() (V, error)) (V, error) {
-	var zero V
 	for {
 		f.mu.Lock()
 		s, ok := f.slots[key]
@@ -68,35 +67,13 @@ func (f *flight[K, V]) do(ctx context.Context, key K, compute func() (V, error))
 			break // this caller computes; f.mu still held
 		}
 		f.mu.Unlock()
-		// Wait for the in-flight computation, but honour our own
-		// context: a waiter must not be pinned to another caller's long
-		// computation after its own work is cancelled.
-		select {
-		case <-s.ready:
-		case <-ctx.Done():
-			return zero, ctx.Err()
-		}
-		if s.err == nil {
-			f.hits.Add(1)
-			return s.val, nil
-		}
-		// The computation failed. A retained slot means the failure is
-		// deterministic — share it. A dropped slot means it was
-		// caller-dependent (e.g. the computing caller's cancellation):
-		// retry with our own context if it is still live.
-		f.mu.Lock()
-		retained := f.slots[key] == s
-		f.mu.Unlock()
-		if retained {
-			f.hits.Add(1)
-			return zero, s.err
-		}
-		if err := ctx.Err(); err != nil {
-			return zero, err
+		if v, err, settled := f.wait(ctx, key, s); settled {
+			return v, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		f.mu.Unlock()
+		var zero V
 		return zero, err
 	}
 	s := &slot[V]{ready: make(chan struct{})}
@@ -106,6 +83,124 @@ func (f *flight[K, V]) do(ctx context.Context, key K, compute func() (V, error))
 
 	f.run(key, s, compute)
 	return s.val, s.err
+}
+
+// wait blocks on another caller's slot s for key and returns its
+// outcome, counting a hit. It honours ctx: a waiter must not be pinned
+// to another caller's long computation after its own work is
+// cancelled. settled is false when the computation failed and its slot
+// was dropped — the failure was caller-dependent (e.g. the computing
+// caller's cancellation) — and ctx is still live: the caller retries.
+func (f *flight[K, V]) wait(ctx context.Context, key K, s *slot[V]) (v V, err error, settled bool) {
+	select {
+	case <-s.ready:
+	case <-ctx.Done():
+		return v, ctx.Err(), true
+	}
+	if s.err == nil {
+		f.hits.Add(1)
+		return s.val, nil, true
+	}
+	// A retained slot means the failure is deterministic — share it.
+	f.mu.Lock()
+	retained := f.slots[key] == s
+	f.mu.Unlock()
+	if retained {
+		f.hits.Add(1)
+		return v, s.err, true
+	}
+	if err := ctx.Err(); err != nil {
+		return v, err, true
+	}
+	return v, nil, false
+}
+
+// claim is one caller's lookup of many keys at once (see claimAll).
+type claim[K comparable, V any] struct {
+	keys  []K
+	slots []*slot[V] // slots[i] serves keys[i]
+	owned []bool     // owned[i]: this claim created slots[i]
+	ready chan struct{}
+}
+
+// claimAll looks up every key under one lock and creates a slot for
+// each one not in flight; the claim owns those, and they share one
+// ready channel. A key listed twice is owned at its first position and
+// found at the later ones. Every owned slot must be computed and
+// settled through runClaim before the caller waits on any slot it does
+// not own: since a claim is taken atomically and settled before its
+// owner waits, claims form a DAG in lock order and two callers
+// claiming overlapping key sets cannot deadlock. ctx is consulted
+// before anything is claimed.
+func (f *flight[K, V]) claimAll(ctx context.Context, keys []K) (*claim[K, V], error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	c := &claim[K, V]{
+		keys:  keys,
+		slots: make([]*slot[V], len(keys)),
+		owned: make([]bool, len(keys)),
+		ready: make(chan struct{}),
+	}
+	fresh := make([]slot[V], len(keys))
+	owned := 0
+	f.mu.Lock()
+	for i, key := range keys {
+		s, ok := f.slots[key]
+		if !ok {
+			s = &fresh[i]
+			s.ready = c.ready
+			f.slots[key] = s
+			c.owned[i] = true
+			owned++
+		}
+		c.slots[i] = s
+	}
+	f.mu.Unlock()
+	f.misses.Add(uint64(owned))
+	return c, nil
+}
+
+// runClaim runs compute, which returns the outcome of every key of c
+// (indexed like c.keys; only the owned positions are read), publishes
+// the owned ones into their slots and settles them all at once: the
+// retention policy applies per key, and the shared ready channel is
+// closed once. A panicking compute becomes every owned slot's error,
+// settled the same way, and is then re-raised, as in run.
+func (f *flight[K, V]) runClaim(c *claim[K, V], compute func() ([]V, []error)) {
+	defer func() {
+		if r := recover(); r != nil {
+			err := fmt.Errorf("sweep: cached computation panicked: %v", r)
+			for i, s := range c.slots {
+				if c.owned[i] {
+					s.err = err
+				}
+			}
+			f.settleClaim(c)
+			panic(r)
+		}
+	}()
+	vals, errs := compute()
+	for i, s := range c.slots {
+		if c.owned[i] {
+			s.val, s.err = vals[i], errs[i]
+		}
+	}
+	f.settleClaim(c)
+}
+
+// settleClaim is settle for every slot c owns.
+func (f *flight[K, V]) settleClaim(c *claim[K, V]) {
+	if f.retain != nil {
+		f.mu.Lock()
+		for i, s := range c.slots {
+			if c.owned[i] && s.err != nil && !f.retain(s.err) && f.slots[c.keys[i]] == s {
+				delete(f.slots, c.keys[i])
+			}
+		}
+		f.mu.Unlock()
+	}
+	close(c.ready)
 }
 
 // run executes compute into s and settles the slot. A panicking compute

@@ -11,15 +11,16 @@ import (
 	"ncdrf/internal/ddg"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
+	"ncdrf/internal/pipeline"
 )
 
 // sweepUnitsRetaining is SweepUnits without the release step: the same
-// group walk, every eval entry kept. It is the reference the releasing
-// executor's stage counters are held to.
-func (e *Engine) sweepUnitsRetaining(ctx context.Context, grid Grid, units []Unit) error {
+// group walk, every eval entry kept, done called as in SweepUnits. It
+// is the reference the releasing executor's stage counters are held to.
+func (e *Engine) sweepUnitsRetaining(ctx context.Context, grid Grid, units []Unit, done func()) error {
 	groups := GroupUnits(units)
 	return e.ForEach(ctx, len(groups), func(gi int) error {
-		_, err := e.groupCells(ctx, grid, units, groups[gi].Units, func(int, Result) {})
+		_, _, err := e.groupCells(ctx, grid, units, groups[gi], done)
 		return err
 	})
 }
@@ -63,7 +64,7 @@ func TestSweepReleasesEvalEntries(t *testing.T) {
 			}
 
 			retaining := New(4)
-			if err := retaining.sweepUnitsRetaining(ctx, grid, units); err != nil {
+			if err := retaining.sweepUnitsRetaining(ctx, grid, units, nil); err != nil {
 				t.Fatal(err)
 			}
 			got, want := eng.Cache().StageStats(), retaining.Cache().StageStats()
@@ -130,7 +131,9 @@ func TestSweepReleasesOnlyItsOwnEntries(t *testing.T) {
 // TestReorderShuffledGroups feeds whole groups to the reorder buffer in
 // shuffled completion order, sequentially and from concurrent workers:
 // rows come out in unit order, each as soon as the prefix before it is
-// complete, and no group's rows are held once emitted.
+// complete and with its identity rebuilt from the grid, and no group's
+// rows are held once emitted. Each cell's record carries its unit index
+// in II, so the emitted order is checked row by row.
 func TestReorderShuffledGroups(t *testing.T) {
 	grid := Grid{
 		Corpus:   loops.Kernels()[:5],
@@ -140,10 +143,10 @@ func TestReorderShuffledGroups(t *testing.T) {
 	}
 	units := grid.Plan()
 	groups := GroupUnits(units)
-	rowsOf := func(g Group) []Result {
-		rows := make([]Result, len(g.Units))
-		for k, ui := range g.Units {
-			rows[k] = Result{Loop: "l", Machine: "m", Model: "x", Regs: ui}
+	rowsOf := func(g Group) groupRows {
+		var rows groupRows
+		for _, ui := range g.Units {
+			rows.cells = append(rows.cells, cellRow{Metrics: pipeline.Metrics{II: int32(ui)}})
 		}
 		return rows
 	}
@@ -153,11 +156,19 @@ func TestReorderShuffledGroups(t *testing.T) {
 			groupOf[ui] = gi
 		}
 	}
+	var got []int
+	collect := func(r Result) {
+		if want := rowFor(grid, units[r.II]); r.Loop != want.Loop || r.Machine != want.Machine || r.Model != want.Model || r.Regs != want.Regs {
+			t.Errorf("row of unit %d has identity %s/%s/%s/%d, want %s/%s/%s/%d",
+				r.II, r.Loop, r.Machine, r.Model, r.Regs, want.Loop, want.Machine, want.Model, want.Regs)
+		}
+		got = append(got, r.II)
+	}
 
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
-		var got []int
-		o := newReorder(groups, len(units), func(r Result) { got = append(got, r.Regs) })
+		got = nil
+		o := newReorder(grid, units, groups, collect)
 		put := map[int]bool{}
 		for _, gi := range rng.Perm(len(groups)) {
 			o.put(gi, rowsOf(groups[gi]))
@@ -177,14 +188,14 @@ func TestReorderShuffledGroups(t *testing.T) {
 			}
 		}
 		for gi, rows := range o.rows {
-			if rows != nil {
+			if rows.cells != nil || rows.errs != nil {
 				t.Fatalf("trial %d: group %d's rows still held after emission", trial, gi)
 			}
 		}
 	}
 
-	var got []int
-	o := newReorder(groups, len(units), func(r Result) { got = append(got, r.Regs) })
+	got = nil
+	o := newReorder(grid, units, groups, collect)
 	var wg sync.WaitGroup
 	for _, gi := range rng.Perm(len(groups)) {
 		wg.Add(1)
