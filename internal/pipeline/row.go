@@ -7,9 +7,6 @@ import (
 	"io"
 	"strconv"
 	"sync"
-
-	"ncdrf/internal/ddg"
-	"ncdrf/internal/sched"
 )
 
 // Row is the streaming result record of one evaluated grid cell: the
@@ -39,12 +36,11 @@ type Row struct {
 }
 
 // Fill copies the measured metrics of res into r, leaving the identity
-// fields alone. Through Measurer.Measure it is the one place the row
-// shape meets the artifact shape, so a new metric is added to the Row
-// field, the Metrics field, Measure and SetMetrics.
+// fields alone. Through Measure it is the one place the row shape meets
+// the artifact shape, so a new metric is added to the Row field, the
+// Metrics field, Measure and SetMetrics.
 func (r *Row) Fill(res *ModelResult) {
-	var m Measurer
-	r.SetMetrics(m.Measure(res))
+	r.SetMetrics(Measure(res))
 }
 
 // Metrics is the measured part of a Row as fixed-size integers. It
@@ -55,6 +51,18 @@ type Metrics struct {
 	II, Stages, MemOps, Spilled, IIBumps, Rounds int32
 }
 
+// Measure returns res's metrics.
+func Measure(res *ModelResult) Metrics {
+	return Metrics{
+		II:      int32(res.Sched.II),
+		Stages:  int32(res.Sched.Stages()),
+		MemOps:  int32(res.MemOps()),
+		Spilled: int32(res.SpilledValues),
+		IIBumps: int32(res.IIBumps),
+		Rounds:  int32(res.Iterations),
+	}
+}
+
 // SetMetrics copies m into r's metric fields.
 func (r *Row) SetMetrics(m Metrics) {
 	r.II = int(m.II)
@@ -63,48 +71,6 @@ func (r *Row) SetMetrics(m Metrics) {
 	r.Spilled = int(m.Spilled)
 	r.IIBumps = int(m.IIBumps)
 	r.Rounds = int(m.Rounds)
-}
-
-// Measurer measures many results, computing the O(nodes) stage count
-// of each distinct schedule and the memory-operation count of each
-// distinct graph once: most cells of one (loop, machine) group share
-// the base schedule and graph. It remembers the last few of each. The
-// zero value is ready; not safe for concurrent use.
-type Measurer struct {
-	stages memo[sched.Schedule]
-	memOps memo[ddg.Graph]
-}
-
-// Measure returns res's metrics.
-func (m *Measurer) Measure(res *ModelResult) Metrics {
-	return Metrics{
-		II:      int32(res.Sched.II),
-		Stages:  m.stages.of(res.Sched, (*sched.Schedule).Stages),
-		MemOps:  m.memOps.of(res.Graph, (*ddg.Graph).MemOps),
-		Spilled: int32(res.SpilledValues),
-		IIBumps: int32(res.IIBumps),
-		Rounds:  int32(res.Iterations),
-	}
-}
-
-// memo remembers count for the last few distinct pointers it was asked
-// about, replacing the oldest when full.
-type memo[T any] struct {
-	keys [4]*T
-	vals [4]int32
-	next int
-}
-
-func (c *memo[T]) of(key *T, count func(*T) int) int32 {
-	for i, k := range c.keys {
-		if k == key && k != nil {
-			return c.vals[i]
-		}
-	}
-	v := int32(count(key))
-	c.keys[c.next], c.vals[c.next] = key, v
-	c.next = (c.next + 1) % len(c.keys)
-	return v
 }
 
 // rowBufs recycles EncodeRow's line buffers, so steady-state row

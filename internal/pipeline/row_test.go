@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -204,6 +205,37 @@ func TestDecodeRowRejectsForeignLines(t *testing.T) {
 	} {
 		if _, err := DecodeRow([]byte(bad)); err == nil {
 			t.Fatalf("DecodeRow accepted %q", bad)
+		}
+	}
+}
+
+// TestMetricsCoverRowMetrics keeps the compact Metrics record and Row's
+// metric fields one list: every Metrics field has a Row field of the
+// same name that SetMetrics fills, and every numeric Row field outside
+// the cell identity (Regs, Trips) is a Metrics field.
+func TestMetricsCoverRowMetrics(t *testing.T) {
+	var m Metrics
+	mv := reflect.ValueOf(&m).Elem()
+	for i := range mv.NumField() {
+		mv.Field(i).SetInt(int64(i + 1))
+	}
+	var r Row
+	r.SetMetrics(m)
+	rv := reflect.ValueOf(r)
+	for i := range mv.NumField() {
+		name := mv.Type().Field(i).Name
+		f := rv.FieldByName(name)
+		if !f.IsValid() || f.Int() != int64(i+1) {
+			t.Errorf("Metrics.%s = %d is not copied into Row.%s", name, i+1, name)
+		}
+	}
+	for i := range rv.NumField() {
+		f := rv.Type().Field(i)
+		if f.Type.Kind() == reflect.String || f.Name == "Regs" || f.Name == "Trips" {
+			continue
+		}
+		if _, ok := mv.Type().FieldByName(f.Name); !ok {
+			t.Errorf("Row.%s is a metric with no Metrics field", f.Name)
 		}
 	}
 }

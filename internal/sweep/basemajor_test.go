@@ -11,7 +11,6 @@ import (
 	"ncdrf/internal/core"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
-	"ncdrf/internal/pipeline"
 )
 
 // encodeStream renders an emitted result stream the way cmd/ncdrf does,
@@ -50,7 +49,7 @@ func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, em
 			}
 		}
 		var rows groupRows
-		rows.add(new(pipeline.Measurer), res, err)
+		rows.add(res, err)
 		out.put(i, rows)
 		return nil
 	})

@@ -385,9 +385,7 @@ func (c *Cache) evalCells(ctx context.Context, b *pipeline.Base, cells []pipelin
 		return nil, err
 	}
 	created := make([]evalKey, 0, len(keys))
-	c.evals.runClaim(cl, func() ([]*pipeline.ModelResult, []error) {
-		vals := make([]*pipeline.ModelResult, len(keys))
-		errs := make([]error, len(keys))
+	c.evals.run(cl, func() {
 		walk := make([]pipeline.Cell, 0, len(keys))
 		at := make([]int, 0, len(keys))
 		for k, owned := range cl.owned {
@@ -396,23 +394,22 @@ func (c *Cache) evalCells(ctx context.Context, b *pipeline.Base, cells []pipelin
 			}
 			created = append(created, keys[k])
 			if res, ok := c.loadEval(keys[k], b.Machine); ok {
-				vals[k] = res
+				cl.set(k, res, nil)
 				continue
 			}
 			walk = append(walk, cells[k])
 			at = append(at, k)
 		}
 		if len(walk) == 0 {
-			return vals, errs
+			return
 		}
-		res, walkErrs := pipeline.EvaluateCells(ctx, c, b, walk)
+		res, errs := pipeline.EvaluateCells(ctx, c, b, walk)
 		for i, k := range at {
-			vals[k], errs[k] = res[i], walkErrs[i]
-			if errs[k] == nil {
-				c.saveEval(keys[k], vals[k])
+			cl.set(k, res[i], errs[i])
+			if errs[i] == nil {
+				c.saveEval(keys[k], res[i])
 			}
 		}
-		return vals, errs
 	})
 	for k, s := range cl.slots {
 		var res *pipeline.ModelResult

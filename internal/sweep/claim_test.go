@@ -128,7 +128,7 @@ func TestGroupClaimPanicSettlesEverySlot(t *testing.T) {
 
 	recovered := func() (r any) {
 		defer func() { r = recover() }()
-		f.runClaim(cl, func() ([]int, []error) { panic("boom") })
+		f.run(cl, func() { panic("boom") })
 		return nil
 	}()
 	if recovered == nil {
@@ -149,7 +149,7 @@ func TestGroupClaimPanicSettlesEverySlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.runClaim(later, func() ([]int, []error) { return []int{0, 4}, []error{nil, nil} })
+	f.run(later, func() { later.set(1, 4, nil) })
 	if _, err, _ := f.wait(context.Background(), "c", later.slots[0]); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("later claim error = %v, want the retained panic error", err)
 	}
@@ -181,8 +181,9 @@ func TestGroupClaimWaiterRetriesDroppedSlot(t *testing.T) {
 	}
 	time.Sleep(10 * time.Millisecond) // let the waiters enter their wait
 	deterministic := errors.New("deterministic")
-	f.runClaim(cl, func() ([]int, []error) {
-		return []int{0, 0}, []error{context.Canceled, deterministic}
+	f.run(cl, func() {
+		cl.set(0, 0, context.Canceled)
+		cl.set(1, 0, deterministic)
 	})
 	var retried, shared int
 	for range 2 {

@@ -85,14 +85,13 @@ func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit f
 // created (see Cache.evalCells), on every path.
 func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, g Group, done func()) (groupRows, []evalKey, error) {
 	rows := groupRows{cells: make([]cellRow, 0, len(g.Units))}
-	var m pipeline.Measurer
 	add := func(res *pipeline.ModelResult, err error) error {
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
 		}
-		rows.add(&m, res, err)
+		rows.add(res, err)
 		if done != nil {
 			done()
 		}
@@ -197,14 +196,14 @@ type cellRow struct {
 	err int32
 }
 
-// add appends one cell's outcome, measuring res with m when err is nil.
-func (g *groupRows) add(m *pipeline.Measurer, res *pipeline.ModelResult, err error) {
+// add appends one cell's outcome, measuring res when err is nil.
+func (g *groupRows) add(res *pipeline.ModelResult, err error) {
 	if err != nil {
 		g.errs = append(g.errs, err.Error())
 		g.cells = append(g.cells, cellRow{err: int32(len(g.errs))})
 		return
 	}
-	g.cells = append(g.cells, cellRow{Metrics: m.Measure(res)})
+	g.cells = append(g.cells, cellRow{Metrics: pipeline.Measure(res)})
 }
 
 // reorder serializes whole groups' rows back into unit order: put

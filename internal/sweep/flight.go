@@ -81,7 +81,8 @@ func (f *flight[K, V]) do(ctx context.Context, key K, compute func() (V, error))
 	f.mu.Unlock()
 	f.misses.Add(1)
 
-	f.run(key, s, compute)
+	f.run(&claim[K, V]{keys: []K{key}, slots: []*slot[V]{s}, owned: []bool{true}, ready: s.ready},
+		func() { s.val, s.err = compute() })
 	return s.val, s.err
 }
 
@@ -115,7 +116,10 @@ func (f *flight[K, V]) wait(ctx context.Context, key K, s *slot[V]) (v V, err er
 	return v, nil, false
 }
 
-// claim is one caller's lookup of many keys at once (see claimAll).
+// claim is one caller's lookup of one or more keys: the slots serving
+// them, which of those the caller created (and so must compute and
+// settle), and the ready channel its own slots share. do's compute path
+// is a claim of one key.
 type claim[K comparable, V any] struct {
 	keys  []K
 	slots []*slot[V] // slots[i] serves keys[i]
@@ -127,11 +131,11 @@ type claim[K comparable, V any] struct {
 // each one not in flight; the claim owns those, and they share one
 // ready channel. A key listed twice is owned at its first position and
 // found at the later ones. Every owned slot must be computed and
-// settled through runClaim before the caller waits on any slot it does
-// not own: since a claim is taken atomically and settled before its
-// owner waits, claims form a DAG in lock order and two callers
-// claiming overlapping key sets cannot deadlock. ctx is consulted
-// before anything is claimed.
+// settled through run before the caller waits on any slot it does not
+// own: since a claim is taken atomically and settled before its owner
+// waits, claims form a DAG in lock order and two callers claiming
+// overlapping key sets cannot deadlock. ctx is consulted before
+// anything is claimed.
 func (f *flight[K, V]) claimAll(ctx context.Context, keys []K) (*claim[K, V], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -161,13 +165,22 @@ func (f *flight[K, V]) claimAll(ctx context.Context, keys []K) (*claim[K, V], er
 	return c, nil
 }
 
-// runClaim runs compute, which returns the outcome of every key of c
-// (indexed like c.keys; only the owned positions are read), publishes
-// the owned ones into their slots and settles them all at once: the
-// retention policy applies per key, and the shared ready channel is
-// closed once. A panicking compute becomes every owned slot's error,
-// settled the same way, and is then re-raised, as in run.
-func (f *flight[K, V]) runClaim(c *claim[K, V], compute func() ([]V, []error)) {
+// set records the outcome of c's i-th key; run's compute calls it for
+// every slot c owns. The owner writes a slot only before settling it,
+// and waiters read it only after ready closes.
+func (c *claim[K, V]) set(i int, v V, err error) {
+	c.slots[i].val, c.slots[i].err = v, err
+}
+
+// run calls compute, which sets the outcome of every slot c owns, and
+// settles them. A panicking compute must not strand the slots: left in
+// the map with ready never closed, they would block every concurrent
+// and future caller for their keys (e.g. on the stale-digest invariant
+// panic in cache.go). So the panic becomes every owned slot's error —
+// settled under the normal retention policy, so waiters observe a real
+// failure — and is then re-raised on the computing goroutine, which is
+// the one that owns the broken invariant.
+func (f *flight[K, V]) run(c *claim[K, V], compute func()) {
 	defer func() {
 		if r := recover(); r != nil {
 			err := fmt.Errorf("sweep: cached computation panicked: %v", r)
@@ -176,66 +189,30 @@ func (f *flight[K, V]) runClaim(c *claim[K, V], compute func() ([]V, []error)) {
 					s.err = err
 				}
 			}
-			f.settleClaim(c)
+			f.settle(c)
 			panic(r)
 		}
 	}()
-	vals, errs := compute()
-	for i, s := range c.slots {
-		if c.owned[i] {
-			s.val, s.err = vals[i], errs[i]
-		}
-	}
-	f.settleClaim(c)
+	compute()
+	f.settle(c)
 }
 
-// settleClaim is settle for every slot c owns.
-func (f *flight[K, V]) settleClaim(c *claim[K, V]) {
-	if f.retain != nil {
-		f.mu.Lock()
-		for i, s := range c.slots {
-			if c.owned[i] && s.err != nil && !f.retain(s.err) && f.slots[c.keys[i]] == s {
-				delete(f.slots, c.keys[i])
-			}
-		}
-		f.mu.Unlock()
-	}
-	close(c.ready)
-}
-
-// run executes compute into s and settles the slot. A panicking compute
-// must not strand the slot: before PR 4 the slot stayed in the map with
-// ready never closed, so every concurrent and future caller for the key
-// blocked forever (e.g. the stale-digest invariant panic in cache.go).
-// Now the panic is converted into the slot's error — settled under the
-// normal retention policy, so waiters observe a real failure — and then
-// re-raised on the computing goroutine, which is the one that owns the
-// broken invariant.
-func (f *flight[K, V]) run(key K, s *slot[V], compute func() (V, error)) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.err = fmt.Errorf("sweep: cached computation panicked: %v", r)
-			f.settle(key, s)
-			panic(r)
-		}
-	}()
-	s.val, s.err = compute()
-	f.settle(key, s)
-}
-
-// settle applies the retention policy and publishes the outcome. The
-// drop-from-map must happen before close(ready): waiters distinguish
+// settle applies the retention policy to every slot c owns and then
+// publishes their outcomes by closing the shared ready channel once.
+// The drop-from-map must happen before the close: waiters distinguish
 // retained from dropped failures by checking whether the slot is still
 // mapped after ready closes.
-func (f *flight[K, V]) settle(key K, s *slot[V]) {
-	if s.err != nil && f.retain != nil && !f.retain(s.err) {
-		f.mu.Lock()
-		if f.slots[key] == s {
-			delete(f.slots, key)
+func (f *flight[K, V]) settle(c *claim[K, V]) {
+	for i, s := range c.slots {
+		if c.owned[i] && s.err != nil && f.retain != nil && !f.retain(s.err) {
+			f.mu.Lock()
+			if f.slots[c.keys[i]] == s {
+				delete(f.slots, c.keys[i])
+			}
+			f.mu.Unlock()
 		}
-		f.mu.Unlock()
 	}
-	close(s.ready)
+	close(c.ready)
 }
 
 // forget drops the entries of keys, so a later request for one of them
