@@ -74,9 +74,17 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 			return nil
 		}},
-		{"core.Swap/kernels", 701, func() error {
+		{"core.Swap/kernels", 523, func() error {
 			for _, s := range scheds {
 				core.Swap(s, core.SwapOptions{})
+			}
+			return nil
+		}},
+		{"core.Requirements/kernels", 1104, func() error {
+			for i, s := range scheds {
+				if _, err := core.Requirements(s, jobs[i].lts); err != nil {
+					return err
+				}
 			}
 			return nil
 		}},

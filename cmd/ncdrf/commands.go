@@ -88,13 +88,13 @@ func cmdExample(args []string) error {
 	}
 
 	fmt.Println()
+	regs, err := b.Requirements()
+	if err != nil {
+		return err
+	}
 	tb = &report.Table{Title: "register requirements", Headers: []string{"model", "registers"}}
 	for _, model := range core.Models {
-		req, _, err := b.Requirement(model)
-		if err != nil {
-			return err
-		}
-		label := fmt.Sprintf("%d", req)
+		label := fmt.Sprintf("%d", regs[model])
 		if model == core.Ideal {
 			label = "unbounded"
 		}
@@ -372,13 +372,13 @@ func cmdAlloc(args []string) error {
 	s, lts := b.Sched, b.Lifetimes
 	fmt.Printf("loop %s on %s: II=%d, %d values, MaxLive=%d\n",
 		g.LoopName, m.Name(), s.II, len(lts), lifetime.MaxLive(lts, s.II))
+	regs, err := b.Requirements()
+	if err != nil {
+		return err
+	}
 	tb := &report.Table{Headers: []string{"model", "registers"}}
 	for _, model := range core.Models[1:] {
-		req, _, err := b.Requirement(model)
-		if err != nil {
-			return err
-		}
-		tb.Add(model.String(), fmt.Sprintf("%d", req))
+		tb.Add(model.String(), fmt.Sprintf("%d", regs[model]))
 	}
 	return tb.Render(os.Stdout)
 }

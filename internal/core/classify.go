@@ -58,23 +58,30 @@ type Classification struct {
 //   - a value consumed by several clusters is global;
 //   - a value with no consumers is local to its producer's cluster.
 func Classify(s *sched.Schedule, lts []lifetime.Lifetime) *Classification {
-	g := s.Graph
+	return classify(s, lts, make(map[int]Class, len(lts)))
+}
+
+// classify partitions the lifetimes by class, recording each value's
+// class in byValue when it is non-nil. The requirement path and the fit
+// tests pass nil: they only read the per-class lifetime sets.
+func classify(s *sched.Schedule, lts []lifetime.Lifetime, byValue map[int]Class) *Classification {
 	cl := &Classification{
 		II:       s.II,
 		Clusters: s.Mach.NumClusters(),
-		ByValue:  make(map[int]Class, len(lts)),
+		ByValue:  byValue,
 		LocalLts: make([][]lifetime.Lifetime, s.Mach.NumClusters()),
 	}
 	for _, l := range lts {
 		class := classOf(s, l.Node)
-		cl.ByValue[l.Node] = class
+		if byValue != nil {
+			byValue[l.Node] = class
+		}
 		if class == Global {
 			cl.GlobalLts = append(cl.GlobalLts, l)
 		} else {
 			cl.LocalLts[int(class)] = append(cl.LocalLts[int(class)], l)
 		}
 	}
-	_ = g
 	return cl
 }
 

@@ -56,26 +56,29 @@ func AllocateDual(c *Classification) (*DualAllocation, error) {
 	return da, nil
 }
 
-// UnifiedRequirement allocates every value into a single rotating file —
-// the paper's "unified" model, which also covers the consistent dual
-// register file (both subfiles hold all values).
-func UnifiedRequirement(lts []lifetime.Lifetime, ii int) (int, error) {
-	a, err := regalloc.FirstFit(lts, ii)
-	if err != nil {
-		return 0, err
-	}
-	return a.Registers, nil
-}
-
 // PartitionedRequirement computes the non-consistent dual register file
 // requirement of a schedule without swapping (the paper's "partitioned"
 // model).
 func PartitionedRequirement(s *sched.Schedule, lts []lifetime.Lifetime) (int, error) {
-	da, err := AllocateDual(Classify(s, lts))
+	return dualRequirement(classify(s, lts, nil))
+}
+
+// dualRequirement is AllocateDual's Requirement, counted without
+// building the allocations.
+func dualRequirement(c *Classification) (int, error) {
+	global, err := regalloc.Registers(c.GlobalLts, c.II)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("core: global region: %w", err)
 	}
-	return da.Requirement, nil
+	req := 0
+	for cluster := 0; cluster < c.Clusters; cluster++ {
+		local, err := regalloc.Registers(c.LocalLts[cluster], c.II)
+		if err != nil {
+			return 0, fmt.Errorf("core: cluster %d region: %w", cluster, err)
+		}
+		req = max(req, global+local)
+	}
+	return req, nil
 }
 
 // FitsDual reports whether the classified values fit in subfiles of r

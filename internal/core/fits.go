@@ -94,7 +94,7 @@ func (rf *roundFit) fits(model Model, regs int) (*sched.Schedule, bool) {
 	checkModel(model) // Partitioned or Swapped from here on
 	// Cheap path first: if the unswapped partition fits, accept.
 	if !rf.plainReady {
-		rf.plain.reset(Classify(s, rf.lts))
+		rf.plain.reset(classify(s, rf.lts, nil))
 		rf.plainReady = true
 	}
 	if ok := rf.plain.fits(regs); ok || model == Partitioned {
@@ -102,7 +102,7 @@ func (rf *roundFit) fits(model Model, regs int) (*sched.Schedule, bool) {
 	}
 	if !rf.swappedReady {
 		rf.swapped, _ = Swap(s, SwapOptions{})
-		rf.rebalanced.reset(Classify(rf.swapped, rf.lts))
+		rf.rebalanced.reset(classify(rf.swapped, rf.lts, nil))
 		rf.swappedReady = true
 	}
 	return rf.swapped, rf.rebalanced.fits(regs)
@@ -124,8 +124,8 @@ type dualFit struct {
 
 func (d *dualFit) reset(c *Classification) {
 	d.c, d.global = c, -1
-	if ga, err := regalloc.FirstFit(c.GlobalLts, c.II); err == nil {
-		d.global = ga.Registers
+	if global, err := regalloc.Registers(c.GlobalLts, c.II); err == nil {
+		d.global = global
 	}
 	if len(d.local) != c.Clusters {
 		d.local = make([]regalloc.Fitter, c.Clusters)

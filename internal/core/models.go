@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ncdrf/internal/lifetime"
+	"ncdrf/internal/regalloc"
 	"ncdrf/internal/sched"
 )
 
@@ -64,7 +65,7 @@ func Requirement(model Model, s *sched.Schedule, lts []lifetime.Lifetime) (int, 
 	case Ideal:
 		return 0, s, nil
 	case Unified:
-		r, err := UnifiedRequirement(lts, s.II)
+		r, err := regalloc.Registers(lts, s.II)
 		return r, s, err
 	case Partitioned:
 		r, err := PartitionedRequirement(s, lts)
@@ -76,4 +77,39 @@ func Requirement(model Model, s *sched.Schedule, lts []lifetime.Lifetime) (int, 
 	default:
 		return 0, nil, fmt.Errorf("core: unknown model %d", int(model))
 	}
+}
+
+// Requirements returns Requirement's register count for every model,
+// indexed by Model, from one call. Two exact shortcuts skip work that
+// would repeat another model's:
+//
+//   - on a machine with fewer than two clusters every value is local to
+//     cluster 0, so the global region is empty and the local region is
+//     Unified's lifetime set (First Fit sorts it by a total order), and
+//     Swap takes no step: Partitioned and Swapped equal Unified;
+//   - when Swap takes no step the units, hence the classification, are
+//     unchanged: Swapped equals Partitioned.
+func Requirements(s *sched.Schedule, lts []lifetime.Lifetime) ([NumModels]int, error) {
+	var out [NumModels]int
+	unified, err := regalloc.Registers(lts, s.II)
+	if err != nil {
+		return out, fmt.Errorf("%v: %w", Unified, err)
+	}
+	out[Unified] = unified
+	if s.Mach.NumClusters() < 2 {
+		out[Partitioned], out[Swapped] = unified, unified
+		return out, nil
+	}
+	if out[Partitioned], err = PartitionedRequirement(s, lts); err != nil {
+		return out, fmt.Errorf("%v: %w", Partitioned, err)
+	}
+	swapped, steps := Swap(s, SwapOptions{})
+	if steps == 0 {
+		out[Swapped] = out[Partitioned]
+		return out, nil
+	}
+	if out[Swapped], err = PartitionedRequirement(swapped, lts); err != nil {
+		return out, fmt.Errorf("%v: %w", Swapped, err)
+	}
+	return out, nil
 }

@@ -49,7 +49,9 @@ func EvalN(n, lat int) *machine.Config {
 // ClusterScaling evaluates the register-file models while the machine
 // widens from one to several clusters: more clusters mean more
 // parallelism (lower II) but also more cross-cluster consumers, testing
-// how far the non-consistent organization's advantage extends.
+// how far the non-consistent organization's advantage extends. Each
+// width reads the memoized RegisterSweep, so the two-cluster row at a
+// paper latency is the Figure 6/7 sweep itself.
 func ClusterScaling(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, lat int, clusterCounts []int) (*ClusterScalingResult, error) {
 	if len(clusterCounts) == 0 {
 		clusterCounts = []int{1, 2, 4}
@@ -57,37 +59,16 @@ func ClusterScaling(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph,
 	res := &ClusterScalingResult{Latency: lat}
 	for _, nc := range clusterCounts {
 		m := EvalN(nc, lat)
-		row := ClusterScalingRow{Clusters: nc}
-		type acc struct {
-			ii   int
-			regs [core.NumModels]int
-		}
-		accs := make([]acc, len(corpus))
-		err := eng.ForEach(ctx, len(corpus), func(i int) error {
-			g := corpus[i]
-			b, err := eng.Base(ctx, g, m)
-			if err != nil {
-				return fmt.Errorf("%s on %s: %w", g.LoopName, m.Name(), err)
-			}
-			a := acc{ii: b.Sched.II}
-			for _, model := range core.Models {
-				req, _, err := b.Requirement(model)
-				if err != nil {
-					return err
-				}
-				a.regs[model] = req
-			}
-			accs[i] = a
-			return nil
-		})
+		reqs, err := RegisterSweep(ctx, eng, corpus, m)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", m.Name(), err)
 		}
+		row := ClusterScalingRow{Clusters: nc}
 		n := float64(len(corpus))
-		for _, a := range accs {
-			row.AvgII += float64(a.ii) / n
+		for _, r := range reqs {
+			row.AvgII += float64(r.II) / n
 			for _, model := range core.Models {
-				row.AvgRegs[model] += float64(a.regs[model]) / n
+				row.AvgRegs[model] += float64(r.Regs[model]) / n
 			}
 		}
 		res.Rows = append(res.Rows, row)

@@ -60,15 +60,11 @@ func registerSweep(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, 
 		if err != nil {
 			return fmt.Errorf("%s: %w", g.LoopName, err)
 		}
-		r := Requirements{Name: g.LoopName, Trips: g.TripsOrOne(), II: b.Sched.II, Ops: g.NumNodes()}
-		for _, model := range core.Models {
-			req, _, err := b.Requirement(model)
-			if err != nil {
-				return fmt.Errorf("%s/%v: %w", g.LoopName, model, err)
-			}
-			r.Regs[model] = req
+		regs, err := b.Requirements()
+		if err != nil {
+			return fmt.Errorf("%s: %w", g.LoopName, err)
 		}
-		out[i] = r
+		out[i] = Requirements{Name: g.LoopName, Trips: g.TripsOrOne(), II: b.Sched.II, Ops: g.NumNodes(), Regs: regs}
 		return nil
 	})
 	if err != nil {

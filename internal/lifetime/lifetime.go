@@ -106,14 +106,11 @@ func LiveProfile(lts []Lifetime, ii int, buf []int) []int {
 	clear(buf)
 	base := 0
 	for _, l := range lts {
-		length := l.End - l.Start
-		a := floorDiv(length, ii)
+		a, w, b := Window(l, ii)
 		base += a
-		b := length - a*ii // in [0, ii)
 		if b == 0 {
 			continue
 		}
-		w := l.Start - floorDiv(l.Start, ii)*ii // Start mod II, in [0, ii)
 		if w+b <= ii {
 			buf[w]++
 			buf[w+b]--
@@ -129,6 +126,24 @@ func LiveProfile(lts []Lifetime, ii int, buf []int) []int {
 		buf[t] = run
 	}
 	return buf[:ii]
+}
+
+// Window splits a lifetime's share of a live profile of interval ii >= 1
+// (LiveProfile's decomposition): for length L = a*II + b it is live a
+// times at every kernel cycle, plus once more on the circular window of
+// b cycles starting at w = Start mod II. a = floor(L/II), b is in
+// [0, ii) and w in [0, ii). It is small enough to inline into
+// LiveProfile's loop.
+func Window(l Lifetime, ii int) (a, w, b int) {
+	length := l.End - l.Start
+	a, b = length/ii, length%ii
+	if b < 0 {
+		a, b = a-1, b+ii
+	}
+	if w = l.Start % ii; w < 0 {
+		w += ii
+	}
+	return a, w, b
 }
 
 // MaxLive returns the maximum number of simultaneously live value

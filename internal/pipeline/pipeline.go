@@ -78,12 +78,12 @@ func NewBaseWith(sr Scheduler, g *ddg.Graph, m *machine.Config, opts sched.Optio
 	return &Base{Graph: g, Machine: m, Opts: opts, Sched: s, Lifetimes: lifetime.Compute(s)}, nil
 }
 
-// Requirement runs the unlimited-register Classified → Allocated stages
-// for one model on the shared base artifacts: the per-(sub)file register
-// requirement and the (possibly swap-rebalanced) schedule it was measured
-// on. Ideal requires 0 registers.
-func (b *Base) Requirement(model core.Model) (int, *sched.Schedule, error) {
-	return core.Requirement(model, b.Sched, b.Lifetimes)
+// Requirements runs the unlimited-register Classified → Allocated
+// stages for every model on the shared base artifacts: the per-(sub)file
+// register requirement of each, indexed by core.Model, from one
+// core.Requirements pass. Ideal requires 0 registers.
+func (b *Base) Requirements() ([core.NumModels]int, error) {
+	return core.Requirements(b.Sched, b.Lifetimes)
 }
 
 // seed converts the base artifacts into the spill loop's first-round

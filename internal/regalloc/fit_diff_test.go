@@ -58,6 +58,9 @@ func TestDifferentialCorpusAllocator(t *testing.T) {
 			if err := got.Validate(lts); err != nil {
 				t.Fatalf("%s on %s: invalid: %v", g.LoopName, m.Name(), err)
 			}
+			if n, err := Registers(lts, s.II); err != nil || n != want.Registers {
+				t.Fatalf("%s on %s: Registers = %d, %v; want %d", g.LoopName, m.Name(), n, err, want.Registers)
+			}
 			// The fit-test path: FitsIn must flip at the same boundary,
 			// probed around the allocator's register count.
 			for r := want.Registers - 3; r <= want.Registers+3; r++ {
@@ -91,6 +94,9 @@ func TestDifferentialRandomizedAllocator(t *testing.T) {
 				}
 				if err := specEqual(got, want); err != nil {
 					t.Fatalf("trial %d (ii=%d, %v): %v", trial, ii, lts, err)
+				}
+				if n, err := Registers(lts, ii); err != nil || n != want.Registers {
+					t.Fatalf("trial %d: Registers = %d, %v; want %d", trial, n, err, want.Registers)
 				}
 				for r2 := got.Registers - 2; r2 <= got.Registers+2; r2++ {
 					if FitsIn(lts, ii, r2) != refFitsIn(lts, ii, r2) {

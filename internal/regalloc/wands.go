@@ -41,20 +41,50 @@ type Allocation struct {
 // average-live lower bound. An error is returned only for invalid input
 // (non-positive II or a non-positive lifetime).
 //
-// The placement order is sorted once and one pooled fitState serves
-// every size tried; the specifier map is built only for the successful
-// size.
+// The specifier map is built only for the successful size; Registers is
+// the same search without it.
 func FirstFit(lts []lifetime.Lifetime, ii int) (*Allocation, error) {
+	st, r, err := search(lts, ii)
+	if err != nil {
+		return nil, err
+	}
+	spec := make(map[int]int, len(lts))
+	if st != nil {
+		for i := range st.order {
+			spec[st.order[i].Node] = int(st.qs[i])
+		}
+		fitStates.Put(st)
+	}
+	return &Allocation{Registers: r, II: ii, Spec: spec}, nil
+}
+
+// Registers returns FirstFit's register count without materializing the
+// specifier map: the requirement path only counts.
+func Registers(lts []lifetime.Lifetime, ii int) (int, error) {
+	st, r, err := search(lts, ii)
+	if st != nil {
+		fitStates.Put(st)
+	}
+	return r, err
+}
+
+// search is First Fit's upward register search: it validates the input
+// and returns the smallest size r from the average-live and MaxLive
+// lower bounds up at which the placement succeeds. The placement order
+// is sorted once and one pooled fitState serves every size tried; it is
+// returned holding the successful placement, for the caller to read and
+// Put back, or nil when there are no lifetimes.
+func search(lts []lifetime.Lifetime, ii int) (*fitState, int, error) {
 	if ii < 1 {
-		return nil, fmt.Errorf("regalloc: II = %d", ii)
+		return nil, 0, fmt.Errorf("regalloc: II = %d", ii)
 	}
 	for _, l := range lts {
 		if l.Len() <= 0 {
-			return nil, fmt.Errorf("regalloc: value %d has non-positive lifetime [%d,%d)", l.Node, l.Start, l.End)
+			return nil, 0, fmt.Errorf("regalloc: value %d has non-positive lifetime [%d,%d)", l.Node, l.Start, l.End)
 		}
 	}
 	if len(lts) == 0 {
-		return &Allocation{Registers: 0, II: ii, Spec: map[int]int{}}, nil
+		return nil, 0, nil
 	}
 	low := lifetime.AvgLiveBound(lts, ii)
 	if ml := lifetime.MaxLive(lts, ii); ml > low {
@@ -64,12 +94,7 @@ func FirstFit(lts []lifetime.Lifetime, ii int) (*Allocation, error) {
 	st.prepare(lts)
 	for r := low; ; r++ {
 		if st.tryFit(ii, r) {
-			spec := make(map[int]int, len(st.order))
-			for i := range st.order {
-				spec[st.order[i].Node] = int(st.qs[i])
-			}
-			fitStates.Put(st)
-			return &Allocation{Registers: r, II: ii, Spec: spec}, nil
+			return st, r, nil
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"ncdrf/internal/lifetime"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
+	"ncdrf/internal/regalloc"
 	"ncdrf/internal/sched"
 )
 
@@ -57,7 +58,7 @@ func TestSpillReducesUnifiedRequirement(t *testing.T) {
 		t.Fatalf("MemOps = %d, want > 3 (spill traffic)", res.MemOps())
 	}
 	lts := lifetime.Compute(res.Sched)
-	req, err := core.UnifiedRequirement(lts, res.Sched.II)
+	req, err := regalloc.Registers(lts, res.Sched.II)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -290,20 +290,20 @@ func Verify(l *Loop, m Machine, model Model, regs, iters int) error {
 // Requirements returns the unlimited-register requirement of the loop
 // under every model (Ideal maps to 0), plus the schedule's II. It is a
 // thin wrapper over the base stage: one schedule, one lifetime analysis,
-// four classification/allocation passes.
+// one requirement pass for every model.
 func Requirements(l *Loop, m Machine) (map[Model]int, int, error) {
 	b, err := pipeline.NewBase(l.g, m.cfg, sched.Options{})
+	if err != nil {
+		return nil, 0, err
+	}
+	regs, err := b.Requirements()
 	if err != nil {
 		return nil, 0, err
 	}
 	out := make(map[Model]int, len(Models))
 	for _, model := range Models {
 		cm, _ := model.internal() // Models holds only valid models
-		req, _, err := b.Requirement(cm)
-		if err != nil {
-			return nil, 0, err
-		}
-		out[model] = req
+		out[model] = regs[cm]
 	}
 	return out, b.Sched.II, nil
 }
