@@ -52,7 +52,7 @@ func main() {
 		os.Exit(2)
 	}
 	// One engine per process: every experiment command shares the same
-	// schedule cache and worker pool, and an interrupt cancels the sweep.
+	// stage caches and worker pool, and an interrupt cancels the sweep.
 	// After the first interrupt the handler unregisters, so a second
 	// Ctrl-C kills the process the default way instead of being
 	// swallowed while in-flight work drains.

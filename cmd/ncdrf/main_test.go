@@ -273,8 +273,9 @@ func TestCmdSweepLatsAreIntegers(t *testing.T) {
 // TestCmdSweepStatsEntries checks the -stats object surfaces the
 // per-stage entry counts (Cache.Lens) and the per-stage tier counters.
 // A streaming sweep releases every eval entry it created once its group
-// is served, so entries_eval is exactly 0 while the schedule and base
-// stages keep theirs.
+// is served, so entries_eval is exactly 0 while the base stage keeps
+// its entries; the schedule stage has no in-memory tier, so there is no
+// entries_schedule key and every schedule request is computed.
 func TestCmdSweepStatsEntries(t *testing.T) {
 	out := capture(t, func() error {
 		return cmdSweep(ctx0, testEng(), []string{
@@ -286,15 +287,21 @@ func TestCmdSweepStatsEntries(t *testing.T) {
 		t.Fatalf("stats line is not JSON: %v", err)
 	}
 	for _, key := range []string{
-		"entries_schedule", "entries_base", "entries_eval",
+		"entries_base", "entries_eval",
 		"stage_eval_requests", "stage_eval_computed", "stage_base_memory_hits",
 	} {
 		if _, ok := st[key]; !ok {
 			t.Fatalf("stats object missing %q: %v", key, st)
 		}
 	}
-	if st["entries_schedule"] == 0 || st["entries_base"] == 0 {
+	if _, ok := st["entries_schedule"]; ok {
+		t.Fatalf("stats object reports schedule entries, but the stage keeps none: %v", st)
+	}
+	if st["entries_base"] == 0 {
 		t.Fatalf("degenerate entry counts: %v", st)
+	}
+	if st["stage_schedule_memory_hits"] != 0 || st["stage_schedule_computed"] != st["stage_schedule_requests"] {
+		t.Fatalf("schedule requests served from memory: %v", st)
 	}
 	if st["entries_eval"] != 0 || st["stage_eval_computed"] == 0 {
 		t.Fatalf("streaming sweep retained eval entries (want 0 of %d computed): %v",

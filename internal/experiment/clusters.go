@@ -35,7 +35,7 @@ type ClusterScalingResult struct {
 func EvalN(n, lat int) *machine.Config {
 	if n == 2 {
 		// Identical to the paper's evaluation machine; returning it by
-		// its canonical name keeps the name-keyed schedule cache shared
+		// its canonical name keeps the name-keyed stage caches shared
 		// between the cluster study and the figure runners.
 		return machine.Eval(lat)
 	}

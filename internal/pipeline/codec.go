@@ -7,16 +7,17 @@
 // read old shapes — a format change here must bump that constant.
 //
 // A schedule artifact is self-contained: it embeds the dependence graph
-// the schedule was computed on (cached schedules are computed on private
-// clones, and a spilled result's graph differs from the caller's input),
-// so decoding rebuilds an equivalent graph instead of borrowing the
-// caller's. The embedded graph IS the canonical ddg text encoding — the
-// same bytes the cache keys digest — framed by a byte count, so there is
-// exactly one graph grammar in the repository; the codec only adds what
-// that encoding lacks (spill-slot marks, machine binding, the schedule
-// itself). Only the machine is resolved by reference: the caller passes
-// the *machine.Config the store key was derived from, and the artifact
-// records its name for verification.
+// the schedule was computed on (a spill round's graph is the walk's
+// working graph, which dies with the walk, and a spilled result's graph
+// differs from the caller's input), so decoding rebuilds an equivalent
+// graph instead of borrowing the caller's. The embedded graph IS the
+// canonical ddg text encoding — the same bytes the cache keys digest —
+// framed by a byte count, so there is exactly one graph grammar in the
+// repository; the codec only adds what that encoding lacks (spill-slot
+// marks, machine binding, the schedule itself). Only the machine is
+// resolved by reference: the caller passes the *machine.Config the store
+// key was derived from, and the artifact records its name for
+// verification.
 //
 // Round-trip guarantee: DecodeModelResult(EncodeModelResult(r)) yields a
 // result content-equivalent to r — same canonical graph encoding, same
@@ -46,6 +47,13 @@ import (
 // field cannot provoke a huge allocation. The store's own checksum makes
 // this nearly unreachable; it guards hand-damaged files.
 const maxGraphBytes = 8 << 20
+
+// maxScheduleII bounds a decoded schedule's II, so a damaged ii line
+// cannot size Schedule.Verify's units × II table past memory or overflow
+// it. sched.Run ends its II search at MII + MaxIISlack + nodes, and a
+// spill walk bumps the II at most once per round of its 400, so real IIs
+// stay in the hundreds (TestScheduleCodecIIBound pins the margin).
+const maxScheduleII = 1 << 16
 
 // EncodeSchedule writes s (embedded graph, spill-slot marks, II, issue
 // cycles, unit bindings) in the canonical artifact format.
@@ -174,6 +182,9 @@ func decodeSchedule(lr *lineReader, m *machine.Config) (*sched.Schedule, error) 
 	if err != nil {
 		return nil, fmt.Errorf("pipeline codec line %d: bad II: %v", lr.line, err)
 	}
+	if ii < 1 || ii > maxScheduleII {
+		return nil, fmt.Errorf("pipeline codec line %d: II %d outside [1, %d]", lr.line, ii, maxScheduleII)
+	}
 	s := &sched.Schedule{
 		Graph: g,
 		Mach:  m,
@@ -209,8 +220,8 @@ func EncodeModelResult(w io.Writer, r *ModelResult) error {
 		r.SpilledValues, r.SpillStores, r.SpillLoads, r.IIBumps, r.Iterations)
 	// r.Graph and r.Sched.Graph are content-identical by the pipeline's
 	// ownership rules (the final schedule is always a schedule OF the
-	// final graph, possibly via a private clone), so one embedded graph
-	// serves both fields on decode.
+	// final graph, possibly of a copy the spill walk kept), so one
+	// embedded graph serves both fields on decode.
 	if err := writeSchedule(bw, r.Sched); err != nil {
 		return err
 	}

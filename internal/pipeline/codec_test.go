@@ -3,11 +3,14 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"ncdrf/internal/core"
 	"ncdrf/internal/ddg"
+	"ncdrf/internal/loopgen"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
 	"ncdrf/internal/sched"
@@ -177,5 +180,154 @@ func TestCodecRejectsDamage(t *testing.T) {
 	// Unknown directive in place of the model line.
 	if _, err := DecodeModelResult(strings.NewReader("bogus x\n"+art), m); err == nil {
 		t.Fatal("leading garbage not detected")
+	}
+}
+
+// recordingScheduler is sched.Run that encodes every schedule it
+// returns at once — the spill walk rewrites the graph a schedule shares
+// before the next round — and tracks the largest II.
+type recordingScheduler struct {
+	mu        sync.Mutex
+	artifacts [][]byte
+	maxII     int
+}
+
+func (r *recordingScheduler) Schedule(g *ddg.Graph, m *machine.Config, opts sched.Options) (*sched.Schedule, error) {
+	s, err := sched.Run(g, m, opts)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := EncodeSchedule(&buf, s); err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	r.artifacts = append(r.artifacts, buf.Bytes())
+	r.maxII = max(r.maxII, s.II)
+	r.mu.Unlock()
+	return s, nil
+}
+
+// TestScheduleCodecIIBound pins maxScheduleII against the schedules the
+// scheduler and the spill walk produce: every round of spill walks over
+// the kernels and a synthetic corpus — including walks at budgets that
+// never fit, which spill everything and then bump the II until they run
+// out of rounds — round-trips through the codec, and the largest II
+// stays two orders of magnitude below the bound.
+func TestScheduleCodecIIBound(t *testing.T) {
+	spec := loopgen.Defaults()
+	spec.Loops = 100
+	synthetic := loopgen.Generate(spec)
+	ctx := context.Background()
+	sr := &recordingScheduler{}
+	// Every eighth kernel also walks a budget no round fits.
+	tight := []Cell{{Model: core.Unified, Regs: 2}, {Model: core.Swapped, Regs: 32}}
+	axis := []Cell{{Model: core.Unified, Regs: 32}, {Model: core.Partitioned, Regs: 40}, {Model: core.Swapped, Regs: 24}}
+	kernels := loops.Kernels()
+	bumped := 0
+	for _, m := range []*machine.Config{machine.Eval(3), machine.Eval(6)} {
+		for i, g := range append(kernels, synthetic...) {
+			cells := axis
+			if i < len(kernels) && i%8 == 0 {
+				cells = tight
+			}
+			b, err := NewBase(g, m, sched.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, errs := EvaluateCells(ctx, sr, b, cells)
+			for k, r := range res {
+				if r != nil && r.IIBumps > 0 || errs[k] != nil {
+					bumped++
+				}
+			}
+		}
+	}
+	if bumped == 0 {
+		t.Fatal("no walk bumped the II; the test needs the bump path")
+	}
+	for _, m := range []*machine.Config{machine.Eval(3), machine.Eval(6)} {
+		for _, art := range sr.artifacts {
+			if !bytes.HasPrefix(art, []byte("machine "+m.Name()+"\n")) {
+				continue
+			}
+			s, err := DecodeSchedule(bytes.NewReader(art), m)
+			if err != nil {
+				t.Fatalf("a produced schedule does not decode: %v", err)
+			}
+			var again bytes.Buffer
+			if err := EncodeSchedule(&again, s); err != nil || !bytes.Equal(again.Bytes(), art) {
+				t.Fatalf("a produced schedule does not round-trip (%v)", err)
+			}
+		}
+	}
+	if sr.maxII*100 > maxScheduleII {
+		t.Fatalf("largest II %d is within two orders of magnitude of maxScheduleII %d", sr.maxII, maxScheduleII)
+	}
+	t.Logf("%d schedules, %d walks bumped or ran out of rounds, largest II %d", len(sr.artifacts), bumped, sr.maxII)
+}
+
+// FuzzScheduleCodec checks the artifact decoders on arbitrary bytes:
+// DecodeSchedule and DecodeModelResult never panic — nor run out of
+// memory on a damaged ii line, the committed seeds under
+// testdata/fuzz — and whatever either accepts re-encodes to an artifact
+// that decodes back to the same bytes. Seeds are the kernels' base
+// schedule artifacts on both evaluation machines and their model-result
+// artifacts at a budget that spills part of them.
+func FuzzScheduleCodec(f *testing.F) {
+	machines := []*machine.Config{machine.Eval(3), machine.Eval(6)}
+	for _, m := range machines {
+		for _, g := range loops.Kernels() {
+			b, err := NewBase(g, m, sched.Options{})
+			if err != nil {
+				f.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := EncodeSchedule(&buf, b.Sched); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+			if m != machines[1] {
+				continue
+			}
+			for _, model := range core.Models {
+				res, err := Evaluate(context.Background(), nil, b, model, 16)
+				if err != nil {
+					f.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := EncodeModelResult(&buf, res); err != nil {
+					f.Fatal(err)
+				}
+				f.Add(buf.Bytes())
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, m := range machines {
+			if s, err := DecodeSchedule(bytes.NewReader(data), m); err == nil {
+				roundTrip(t, s, EncodeSchedule, func(r io.Reader) (*sched.Schedule, error) { return DecodeSchedule(r, m) })
+			}
+			if res, err := DecodeModelResult(bytes.NewReader(data), m); err == nil {
+				roundTrip(t, res, EncodeModelResult, func(r io.Reader) (*ModelResult, error) { return DecodeModelResult(r, m) })
+			}
+		}
+	})
+}
+
+// roundTrip encodes a decoded artifact v, decodes that encoding and
+// requires the result to encode to the same bytes.
+func roundTrip[T any](t *testing.T, v T, encode func(io.Writer, T) error, decode func(io.Reader) (T, error)) {
+	t.Helper()
+	var first, second bytes.Buffer
+	if err := encode(&first, v); err != nil {
+		t.Fatalf("decoded %T does not encode: %v", v, err)
+	}
+	back, err := decode(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("re-encoded %T does not decode: %v\n%s", v, err, first.Bytes())
+	}
+	if err := encode(&second, back); err != nil || !bytes.Equal(second.Bytes(), first.Bytes()) {
+		t.Fatalf("%T round trip changed the artifact (%v):\n%s\nthen\n%s", v, err, first.Bytes(), second.Bytes())
 	}
 }

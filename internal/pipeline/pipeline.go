@@ -34,8 +34,8 @@ import (
 	"ncdrf/internal/spill"
 )
 
-// Scheduler abstracts sched.Run so every stage can be driven through a
-// shared schedule cache; it is the same seam the spill loop uses.
+// Scheduler abstracts sched.Run so every stage can be driven through the
+// engine's stage caches; it is the same seam the spill loop uses.
 type Scheduler = spill.Scheduler
 
 // Base is the model-independent stage of the pipeline: the parsed loop,
@@ -65,7 +65,8 @@ func NewBase(g *ddg.Graph, m *machine.Config, opts sched.Options) (*Base, error)
 }
 
 // NewBaseWith is NewBase with the scheduling request routed through sr
-// (e.g. a shared schedule cache); a nil sr schedules directly.
+// (e.g. the sweep engine); a nil sr schedules directly. The base
+// schedule's Graph may be g itself.
 func NewBaseWith(sr Scheduler, g *ddg.Graph, m *machine.Config, opts sched.Options) (*Base, error) {
 	schedule := sched.Run
 	if sr != nil {
@@ -105,8 +106,9 @@ type ModelResult struct {
 	// spilled and/or swap-rebalanced schedule.
 	Sched *sched.Schedule
 	// Graph is the final dependence graph including spill code; it is the
-	// base graph itself when nothing was spilled, and otherwise usually
-	// the read-only graph of the final (cached) schedule.
+	// base graph itself when nothing was spilled, and otherwise the final
+	// schedule's graph: a copy the spill walk kept, or a graph decoded
+	// from the store. Read-only either way.
 	Graph *ddg.Graph
 	// Lifetimes are the value lifetimes of the final schedule.
 	Lifetimes []lifetime.Lifetime
@@ -175,8 +177,7 @@ type Cell struct {
 // alone, and the models share each round's fit work (core.RoundFits).
 // The Ideal model fits every budget at round 0. Results and errors are
 // indexed like cells; errs[i] is non-nil exactly when results[i] is
-// nil. A spilled result's Graph may be the read-only graph of a cached
-// schedule.
+// nil. A spilled result's Graph is its final schedule's graph.
 func EvaluateCells(ctx context.Context, sr Scheduler, b *Base, cells []Cell) ([]*ModelResult, []error) {
 	walk := make([]spill.Cell, len(cells))
 	for i, c := range cells {

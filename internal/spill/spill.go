@@ -32,8 +32,7 @@ type Result struct {
 	// Graph is the final dependence graph including spill code. When
 	// nothing was spilled it is the caller's input graph itself (the
 	// spill loop only clones once it has to mutate); otherwise it is
-	// usually the final schedule's graph, shared with the scheduler's
-	// cache (see RunSeries). Treat it as read-only.
+	// the final schedule's graph (see RunSeries). Treat it as read-only.
 	Graph *ddg.Graph
 	// Lifetimes are the value lifetimes of the final round's schedule.
 	// They also hold for a swap-rebalanced Sched: lifetimes depend only
@@ -58,9 +57,10 @@ func (r *Result) MemOps() int { return r.Graph.MemOps() }
 const maxIterations = 400
 
 // Scheduler abstracts sched.Run so the spill loop can be driven through
-// a shared schedule cache (internal/sweep). Implementations must return
-// a schedule that stays valid when the caller mutates g afterwards, as
-// the spill loop rewrites its working graph between rounds.
+// the sweep engine (internal/sweep). A returned schedule may share g —
+// its Graph may be g itself, as sched.Run's is — so it is only valid
+// until the caller next mutates g; the spill walk keeps copies for the
+// cells that close on a round it goes on to rewrite.
 type Scheduler interface {
 	Schedule(g *ddg.Graph, m *machine.Config, opts sched.Options) (*sched.Schedule, error)
 }
@@ -127,10 +127,10 @@ type RoundFit func(s *sched.Schedule, lts []lifetime.Lifetime) func(test, regs i
 // open.
 //
 // A closed cell's Graph is the input graph while nothing has been
-// spilled, and otherwise the round's schedule graph (s.Graph), which a
-// caching scheduler already hands out as a private read-only copy. Only
-// when the scheduler returned the working graph itself, and the walk
-// goes on to rewrite it, is the graph cloned for the closed cells.
+// spilled, and otherwise the round's schedule graph (s.Graph). When that
+// is the working graph itself (sched.Run's, or the sweep engine's
+// without a store) and the walk goes on to rewrite it, the closed cells
+// get one clone; a schedule read from a store owns its graph already.
 func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Config, cells []Cell, fit RoundFit, opts sched.Options, seed *Seed) ([]*Result, []error) {
 	schedule := sched.Run
 	if sr != nil {

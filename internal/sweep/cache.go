@@ -49,7 +49,8 @@ type evalKey struct {
 // tiers.
 type CacheStats struct {
 	// Hits is the number of requests served from the in-memory tier
-	// (including calls that waited on an in-flight computation).
+	// (including calls that waited on an in-flight computation); 0 for
+	// the schedule stage, which has none.
 	Hits uint64
 	// DiskHits is the number of requests served from the persistent
 	// artifact store; always 0 when no store is attached.
@@ -61,34 +62,36 @@ type CacheStats struct {
 // Requests returns the total number of requests observed.
 func (s CacheStats) Requests() uint64 { return s.Hits + s.DiskHits + s.Misses }
 
-// Cache is a tiered, content-addressed, single-flight artifact cache for
-// the pipeline stages (schedule, base, per-model eval). It is safe for
-// concurrent use.
+// Cache is a tiered, content-addressed artifact cache for the pipeline
+// stages (schedule, base, per-model eval). It is safe for concurrent
+// use.
 //
-// Tier 1 is one in-memory single-flight implementation per stage (see
-// flight), differing only in error-retention policy: the schedule and
-// base stages retain every error (their computations are ctx-free and
-// deterministic — retrying an unschedulable problem cannot succeed),
-// while the eval stage drops caller-dependent context-cancellation
-// errors so one cancelled sweep cannot poison a concurrent or later one.
+// The base and eval stages each sit on an in-memory single-flight tier
+// (see flight), differing only in error-retention policy: the base stage
+// retains every error (its computation is ctx-free and deterministic —
+// retrying an unschedulable problem cannot succeed), while the eval
+// stage drops caller-dependent context-cancellation errors so one
+// cancelled sweep cannot poison a concurrent or later one. The schedule
+// stage has none: its requests are one per base miss and one per spill
+// round, which no other request repeats.
 //
-// Tier 2, optional (SetStore), is a persistent content-addressed
-// artifact store shared across processes: a read-through/write-behind
-// layer below the flight tier. A flight miss first consults the store
-// and only computes on a disk miss; computed schedule and eval artifacts
-// are written back best-effort. Negative results are never persisted —
-// an error is cheap to recompute and pinning one on disk risks masking
-// an environment-dependent failure.
+// The persistent tier, optional (SetStore), is a content-addressed
+// artifact store shared across processes, read-through/write-behind: a
+// miss consults it and only computes on a disk miss; computed schedule
+// and eval artifacts are written back best-effort. Negative results are
+// never persisted — an error is cheap to recompute and pinning one on
+// disk risks masking an environment-dependent failure.
 type Cache struct {
-	scheds *flight[cacheKey, *sched.Schedule]
-	bases  *flight[cacheKey, *pipeline.Base]
-	evals  *flight[evalKey, *pipeline.ModelResult]
+	bases *flight[cacheKey, *pipeline.Base]
+	evals *flight[evalKey, *pipeline.ModelResult]
 
 	// store is the optional persistent tier; nil means memory-only.
-	// The per-stage counters record successful disk loads; unsuccessful
+	// The disk counters record successful disk loads; unsuccessful
 	// ones are observable through the store's own Stats (misses/faults).
 	store                       *store.Store
 	schedDiskHits, evalDiskHits atomic.Uint64
+	// schedComputed counts the schedule stage's sched.Run calls.
+	schedComputed atomic.Uint64
 
 	// digests memoizes the canonical digest per graph pointer, keyed on
 	// the graph's (node count, edge count) for invalidation: every graph
@@ -114,9 +117,8 @@ func retainDeterministic(err error) bool {
 // NewCache returns an empty, memory-only cache.
 func NewCache() *Cache {
 	return &Cache{
-		scheds: newFlight[cacheKey, *sched.Schedule](nil),
-		bases:  newFlight[cacheKey, *pipeline.Base](nil),
-		evals:  newFlight[evalKey, *pipeline.ModelResult](retainDeterministic),
+		bases: newFlight[cacheKey, *pipeline.Base](nil),
+		evals: newFlight[evalKey, *pipeline.ModelResult](retainDeterministic),
 	}
 }
 
@@ -227,45 +229,9 @@ func (k evalKey) storeExtra() string {
 	return fmt.Sprintf("%s/%d", k.model, k.regs)
 }
 
-// loadSched is the read-through path of the schedule stage: fetch and
-// decode a persisted schedule, treating any damage as a recomputable
-// miss.
-func (c *Cache) loadSched(key cacheKey, m *machine.Config) (*sched.Schedule, bool) {
-	if c.store == nil {
-		return nil, false
-	}
-	dk := diskKey(key, m, "")
-	data, ok := c.store.Get(stageSched, dk)
-	if ok {
-		s, err := pipeline.DecodeSchedule(bytes.NewReader(data), m)
-		if err == nil {
-			c.schedDiskHits.Add(1)
-			return s, true
-		}
-		// Verified container, undecodable payload: discard the file so
-		// the recompute's write-behind replaces it instead of the same
-		// artifact faulting on every future run.
-		c.store.Discard(stageSched, dk)
-	}
-	return nil, false
-}
-
-// saveSched is the write-behind path of the schedule stage: best-effort,
-// a failed write only means the next process recomputes.
-func (c *Cache) saveSched(key cacheKey, s *sched.Schedule) {
-	if c.store == nil {
-		return
-	}
-	var buf bytes.Buffer
-	if err := pipeline.EncodeSchedule(&buf, s); err != nil {
-		c.store.Fault()
-		return
-	}
-	_ = c.store.Put(stageSched, diskKey(key, s.Mach, ""), buf.Bytes())
-}
-
-// loadEval and saveEval are the eval stage's persistent paths, mirroring
-// loadSched/saveSched.
+// loadEval is the read-through path of the eval stage: fetch and decode
+// a persisted result, treating any damage as a recomputable miss (see
+// Schedule). Without a store it misses.
 func (c *Cache) loadEval(key evalKey, m *machine.Config) (*pipeline.ModelResult, bool) {
 	if c.store == nil {
 		return nil, false
@@ -283,6 +249,8 @@ func (c *Cache) loadEval(key evalKey, m *machine.Config) (*pipeline.ModelResult,
 	return nil, false
 }
 
+// saveEval is the write-behind path of the eval stage: best-effort, a
+// failed write only means the next process recomputes.
 func (c *Cache) saveEval(key evalKey, res *pipeline.ModelResult) {
 	if c.store == nil {
 		return
@@ -295,27 +263,41 @@ func (c *Cache) saveEval(key evalKey, res *pipeline.ModelResult) {
 	_ = c.store.Put(stageEval, diskKey(key.base, res.Sched.Mach, key.storeExtra()), buf.Bytes())
 }
 
-// Schedule returns the (possibly shared) schedule of g on m, computing it
-// at most once per distinct (graph content, machine, options) triple.
-// The schedule is computed on a private clone of g, so callers may mutate
-// g afterwards; the returned schedule must be treated as read-only.
-// Waiters block unconditionally — scheduling is ctx-free — and negative
-// results (scheduling errors) are cached too: scheduling is
-// deterministic, so retrying an unschedulable problem cannot succeed.
+// Schedule returns the schedule of g on m. Without a store it is
+// sched.Run on g itself, so the schedule's Graph is g and a caller that
+// rewrites g afterwards must copy what it keeps (spill.RunSeries does).
+// With a store it reads through the disk tier — a decoded schedule owns
+// a fresh graph; a damaged artifact is discarded and recomputed — and
+// writes a computed schedule behind, best-effort. Either way the
+// schedule is read-only. Errors are neither retained nor persisted (the
+// base stage retains them for its requests).
 func (c *Cache) Schedule(g *ddg.Graph, m *machine.Config, opts sched.Options) (*sched.Schedule, error) {
-	key := c.keyOf(g, m, opts)
-	//lint:allow ctxflow -- scheduling is deliberately ctx-free: waiters block, results are retained (see the doc comment)
-	return c.scheds.do(context.Background(), key, func() (*sched.Schedule, error) {
-		if s, ok := c.loadSched(key, m); ok {
+	if c.store == nil {
+		c.schedComputed.Add(1)
+		return sched.Run(g, m, opts)
+	}
+	dk := diskKey(c.keyOf(g, m, opts), m, "")
+	if data, ok := c.store.Get(stageSched, dk); ok {
+		if s, err := pipeline.DecodeSchedule(bytes.NewReader(data), m); err == nil {
+			c.schedDiskHits.Add(1)
 			return s, nil
 		}
-		clone := g.Clone()
-		s, err := sched.Run(clone, m, opts)
-		if err == nil {
-			c.saveSched(key, s)
+		// Verified container, undecodable payload: discard the file so
+		// the recompute's write-behind replaces it instead of the same
+		// artifact faulting on every future run.
+		c.store.Discard(stageSched, dk)
+	}
+	c.schedComputed.Add(1)
+	s, err := sched.Run(g, m, opts)
+	if err == nil {
+		var buf bytes.Buffer
+		if err := pipeline.EncodeSchedule(&buf, s); err != nil {
+			c.store.Fault()
+		} else {
+			_ = c.store.Put(stageSched, dk, buf.Bytes())
 		}
-		return s, err
-	})
+	}
+	return s, err
 }
 
 // Base returns the (possibly shared) base-stage artifact of g on m: the
@@ -323,7 +305,8 @@ func (c *Cache) Schedule(g *ddg.Graph, m *machine.Config, opts sched.Options) (*
 // computed at most once per distinct (graph content, machine, options)
 // triple. The underlying scheduling request routes through Schedule, so
 // the schedule-stage counters (and the persistent tier) still observe
-// it. The returned Base is immutable and shared; treat it as read-only.
+// it. The returned Base, whose schedule may share g, is immutable and
+// shared; treat it as read-only.
 // ctx is consulted before starting a computation and while waiting on
 // another caller's in-flight one; a computation once started runs to
 // completion (it is ctx-free and deterministic, so its result stays
@@ -470,8 +453,7 @@ func (c *Cache) evalMiss(key evalKey, m *machine.Config, eval func() (*pipeline.
 // Forget drops the digest memo for g. The spill loop calls this (via an
 // optional interface check in spill.RunSeries) when a private working
 // graph dies, so the memo doesn't pin dead graphs for the engine's
-// lifetime. The schedule entries themselves are kept — they ARE the
-// cache, and later identical content still hits them.
+// lifetime. Only a store-backed schedule stage digests working graphs.
 func (c *Cache) Forget(g *ddg.Graph) { c.digests.Delete(g) }
 
 // tierStats composes one stage's flight counters with its disk counter
@@ -484,9 +466,10 @@ func tierStats(diskHits, hits, misses uint64) CacheStats {
 	return CacheStats{Hits: hits, DiskHits: diskHits, Misses: misses - diskHits}
 }
 
-// Stats returns a snapshot of the schedule-stage counters.
+// Stats returns a snapshot of the schedule-stage counters. The stage
+// has no memory tier, so every request is a disk hit or computed.
 func (c *Cache) Stats() CacheStats {
-	return tierStats(c.schedDiskHits.Load(), c.scheds.hits.Load(), c.scheds.misses.Load())
+	return CacheStats{DiskHits: c.schedDiskHits.Load(), Misses: c.schedComputed.Load()}
 }
 
 // StageStats is a per-stage snapshot of the cache counters: one
@@ -534,18 +517,12 @@ func (c *Cache) StageStats() StageStats {
 	}
 }
 
-// StageLens is the number of retained entries per stage.
+// StageLens is the number of retained entries per in-memory stage.
 type StageLens struct {
-	Schedule, Base, Eval int
+	Base, Eval int
 }
 
 // Lens returns the per-stage entry counts.
 func (c *Cache) Lens() StageLens {
-	return StageLens{Schedule: c.scheds.len(), Base: c.bases.len(), Eval: c.evals.len()}
-}
-
-// Len returns the total number of retained entries across all stages.
-func (c *Cache) Len() int {
-	l := c.Lens()
-	return l.Schedule + l.Base + l.Eval
+	return StageLens{Base: c.bases.len(), Eval: c.evals.len()}
 }

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"ncdrf/internal/core"
 	"ncdrf/internal/ddg"
+	"ncdrf/internal/loopgen"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
+	"ncdrf/internal/pipeline"
 	"ncdrf/internal/sched"
 )
 
@@ -44,10 +48,13 @@ func TestAppendEncodingMatchesDDGEncode(t *testing.T) {
 }
 
 // TestCacheSharesWork drives the cache concurrently (run under -race in
-// CI) and checks that identical requests are computed exactly once while
-// distinct graphs, machines and options stay separate.
+// CI) and checks that identical base requests are computed exactly once
+// while distinct graphs, machines and options stay separate. The
+// schedule stage keeps no in-memory tier: each of its requests, the
+// base stage's and direct ones alike, is computed.
 func TestCacheSharesWork(t *testing.T) {
 	c := NewCache()
+	ctx := context.Background()
 	corpus := loops.Kernels()
 	machines := []*machine.Config{machine.Eval(3), machine.Eval(6)}
 	const rounds = 8
@@ -59,13 +66,18 @@ func TestCacheSharesWork(t *testing.T) {
 				wg.Add(1)
 				go func(g *ddg.Graph, m *machine.Config) {
 					defer wg.Done()
+					b, err := c.Base(ctx, g, m, sched.Options{})
+					if err != nil {
+						t.Error(err)
+						return
+					}
 					s, err := c.Schedule(g, m, sched.Options{})
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if s.II < 1 || len(s.Start) != g.NumNodes() {
-						t.Errorf("%s: bad shared schedule", g.LoopName)
+					if b.Sched.II < 1 || len(b.Sched.Start) != g.NumNodes() || s.II != b.Sched.II {
+						t.Errorf("%s: bad shared base", g.LoopName)
 					}
 				}(g, m)
 			}
@@ -73,68 +85,187 @@ func TestCacheSharesWork(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := c.Stats()
+	st := c.StageStats()
 	distinct := uint64(len(corpus) * len(machines))
-	if st.Misses != distinct {
-		t.Fatalf("misses = %d, want %d (one per distinct problem)", st.Misses, distinct)
+	if st.Base.Misses != distinct {
+		t.Fatalf("base misses = %d, want %d (one per distinct problem)", st.Base.Misses, distinct)
 	}
-	if st.Hits != distinct*(rounds-1) {
-		t.Fatalf("hits = %d, want %d", st.Hits, distinct*(rounds-1))
+	if st.Base.Hits != distinct*(rounds-1) {
+		t.Fatalf("base hits = %d, want %d", st.Base.Hits, distinct*(rounds-1))
 	}
-	if c.Len() != int(distinct) {
-		t.Fatalf("cache holds %d entries, want %d", c.Len(), distinct)
+	if l := c.Lens(); l.Base != int(distinct) || l.Eval != 0 {
+		t.Fatalf("cache holds %+v entries, want %d bases", l, distinct)
+	}
+	// One schedule request per computed base plus every direct one.
+	if want := distinct + distinct*rounds; st.Schedule.Misses != want || st.Schedule.Requests() != want {
+		t.Fatalf("schedule stage %+v, want %d requests, all computed", st.Schedule, want)
 	}
 
 	// Different options are a different problem.
-	if _, err := c.Schedule(corpus[0], machines[0], sched.Options{MinII: 9}); err != nil {
+	if _, err := c.Base(ctx, corpus[0], machines[0], sched.Options{MinII: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stats().Misses; got != distinct+1 {
-		t.Fatalf("MinII variant not keyed separately: misses = %d", got)
+	if got := c.StageStats().Base.Misses; got != distinct+1 {
+		t.Fatalf("MinII variant not keyed separately: base misses = %d", got)
 	}
 }
 
-// TestCacheSurvivesCallerMutation checks the content-addressing contract
-// the spiller relies on: mutating the request graph after a hit must not
-// corrupt the cached schedule, and the mutated graph is a fresh key.
-func TestCacheSurvivesCallerMutation(t *testing.T) {
-	c := NewCache()
-	m := machine.Eval(3)
-	g := loops.PaperExample().Clone()
+// TestEngineWalkMatchesUncachedWalk pins the ownership contract of the
+// schedule stage without a clone: every cell the engine serves — through
+// CompileAll and through a spill-axis grid walked group by group, as the
+// sweep executor does — equals the uncached walk pipeline.EvaluateCells
+// with sched.Run, in schedule, graph, lifetimes and spill counters, and
+// no result's graph is rewritten after the walk handed it out.
+func TestEngineWalkMatchesUncachedWalk(t *testing.T) {
+	spec := loopgen.Defaults()
+	spec.Loops = 100
+	corpus := append(loops.Kernels(), loopgen.Generate(spec)...)
+	// experiment.EvalN(4, 6), which this package cannot import.
+	four := make([]machine.ClusterSpec, 4)
+	for i := range four {
+		four[i] = machine.ClusterSpec{Adders: 1, Multipliers: 1, MemPorts: 1}
+	}
+	grid := Grid{
+		Corpus:   corpus,
+		Machines: []*machine.Config{machine.Eval(3), machine.Eval(6), machine.MustNew("eval4c-L6", four, 6, 6, 1)},
+		Models:   core.Models[:],
+		Regs:     []int{32, 36, 40, 44, 48, 52, 56, 60, 64},
+	}
+	// CompileAll runs on an engine of its own, so its cells are walks,
+	// not reads of the grid's entries.
+	const compileRegs = 32
+	ctx := context.Background()
 
-	s1, err := c.Schedule(g, m, sched.Options{})
+	// The uncached reference: one walk per (loop, machine) over the
+	// grid's cells and CompileAll's four.
+	units := grid.Plan()
+	groups := GroupUnits(units)
+	want := make([]*pipeline.ModelResult, len(units))
+	wantErrs := make([]error, len(units))
+	wantAll := make([][core.NumModels]*pipeline.ModelResult, len(groups))
+	eng := New(2)
+	err := eng.ForEach(ctx, len(groups), func(gi int) error {
+		g := groups[gi]
+		b, err := pipeline.NewBase(grid.Corpus[g.Loop], grid.Machines[g.Machine], sched.Options{})
+		if err != nil {
+			return err
+		}
+		cells := make([]pipeline.Cell, 0, len(g.Units)+len(core.Models))
+		for _, ui := range g.Units {
+			cells = append(cells, pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs})
+		}
+		for _, model := range core.Models {
+			cells = append(cells, pipeline.Cell{Model: model, Regs: compileRegs})
+		}
+		res, errs := pipeline.EvaluateCells(ctx, nil, b, cells)
+		for k, ui := range g.Units {
+			want[ui], wantErrs[ui] = res[k], errs[k]
+		}
+		for i, model := range core.Models {
+			k := len(g.Units) + i
+			if errs[k] != nil {
+				return errs[k]
+			}
+			wantAll[gi][model] = res[k]
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1 := s1.Graph.NumNodes()
 
-	// Grow the caller's graph the way insertSpill does.
-	ld := g.AddNode(ddg.LOAD, "extra")
-	g.Flow(ld, 0)
-
-	if s1.Graph.NumNodes() != n1 {
-		t.Fatal("cached schedule's graph aliased the caller's graph")
-	}
-	s2, err := c.Schedule(g, m, sched.Options{})
+	compiler := New(1)
+	got := make([]*pipeline.ModelResult, len(units))
+	gotErrs := make([]error, len(units))
+	gotAll := make([][core.NumModels]*pipeline.ModelResult, len(groups))
+	err = eng.ForEach(ctx, len(groups), func(gi int) error {
+		g := groups[gi]
+		loop, m := grid.Corpus[g.Loop], grid.Machines[g.Machine]
+		b, err := eng.Base(ctx, loop, m)
+		if err != nil {
+			return err
+		}
+		cells := make([]pipeline.Cell, len(g.Units))
+		for k, ui := range g.Units {
+			cells[k] = pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs}
+		}
+		k := 0
+		if _, err := eng.cache.evalCells(ctx, b, cells, func(res *pipeline.ModelResult, err error) error {
+			got[g.Units[k]], gotErrs[g.Units[k]] = res, err
+			k++
+			return nil
+		}); err != nil {
+			return err
+		}
+		gotAll[gi], err = compiler.CompileAll(ctx, loop, m, compileRegs)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().Misses != 2 {
-		t.Fatalf("mutated graph reused a stale entry: %+v", c.Stats())
+
+	spilled := 0
+	for ui, u := range units {
+		name := fmt.Sprintf("%s/%s/%v/%d", grid.Corpus[u.Loop].LoopName, grid.Machines[u.Machine].Name(), u.Model, u.Regs)
+		if (gotErrs[ui] == nil) != (wantErrs[ui] == nil) || gotErrs[ui] != nil && gotErrs[ui].Error() != wantErrs[ui].Error() {
+			t.Fatalf("%s: error %v, uncached walk %v", name, gotErrs[ui], wantErrs[ui])
+		}
+		if want[ui] != nil {
+			mustSameResult(t, name, got[ui], want[ui])
+			if want[ui].SpilledValues > 0 {
+				spilled++
+			}
+		}
 	}
-	if s2.Graph.NumNodes() != n1+1 {
-		t.Fatal("second schedule lost the mutation")
+	for gi, g := range groups {
+		for _, model := range core.Models {
+			name := fmt.Sprintf("CompileAll %s/%s/%v", grid.Corpus[g.Loop].LoopName, grid.Machines[g.Machine].Name(), model)
+			mustSameResult(t, name, gotAll[gi][model], wantAll[gi][model])
+		}
 	}
-	if err := s1.Verify(); err != nil {
-		t.Fatalf("cached schedule corrupted by caller mutation: %v", err)
+	if spilled == 0 {
+		t.Fatal("no grid cell spilled; the test needs walks that rewrite their graph")
+	}
+}
+
+// mustSameResult asserts that got equals the uncached walk's want in
+// everything the walk decides, and that got's graphs still match its
+// schedule after the walk has ended.
+func mustSameResult(t *testing.T, name string, got, want *pipeline.ModelResult) {
+	t.Helper()
+	if got.Sched.Graph.NumNodes() != len(got.Sched.Start) || got.Graph.NumNodes() != len(got.Sched.Start) {
+		t.Fatalf("%s: graphs of %d and %d nodes under a schedule of %d: rewritten after the walk",
+			name, got.Sched.Graph.NumNodes(), got.Graph.NumNodes(), len(got.Sched.Start))
+	}
+	if got.Model != want.Model || got.Sched.II != want.Sched.II ||
+		!slices.Equal(got.Sched.Start, want.Sched.Start) || !slices.Equal(got.Sched.FU, want.Sched.FU) {
+		t.Fatalf("%s: schedule differs from the uncached walk's", name)
+	}
+	enc := appendEncoding(nil, want.Graph)
+	if !bytes.Equal(appendEncoding(nil, got.Graph), enc) || !bytes.Equal(appendEncoding(nil, got.Sched.Graph), enc) {
+		t.Fatalf("%s: graph differs from the uncached walk's", name)
+	}
+	for id, n := range want.Graph.Nodes() {
+		if got.Graph.Node(id).SpillSlot != n.SpillSlot {
+			t.Fatalf("%s: node %d spill slot %d, uncached walk %d", name, id, got.Graph.Node(id).SpillSlot, n.SpillSlot)
+		}
+	}
+	if !slices.Equal(got.Lifetimes, want.Lifetimes) {
+		t.Fatalf("%s: lifetimes differ from the uncached walk's", name)
+	}
+	if got.SpilledValues != want.SpilledValues || got.SpillStores != want.SpillStores ||
+		got.SpillLoads != want.SpillLoads || got.IIBumps != want.IIBumps || got.Iterations != want.Iterations {
+		t.Fatalf("%s: spill counters %+v, uncached walk %+v", name, got, want)
 	}
 }
 
 // TestCompileForgetsWorkingGraphs checks that the spill loop's private
 // working graphs do not pile up in the digest memo: after a spilling
-// compile, only the caller's graph remains memoized.
+// compile, only the caller's graph remains memoized. It runs with a
+// store attached, since only a store-backed schedule stage digests the
+// working graph of every round.
 func TestCompileForgetsWorkingGraphs(t *testing.T) {
-	eng := New(1)
+	eng := storeEng(t, 1, t.TempDir())
 	g, ok := loops.KernelByName("lfk7-eos")
 	if !ok {
 		t.Fatal("missing kernel")
@@ -146,6 +277,9 @@ func TestCompileForgetsWorkingGraphs(t *testing.T) {
 	if res.SpilledValues == 0 {
 		t.Fatal("test needs a spilling compile to exercise working-graph cleanup")
 	}
+	if st := eng.Cache().Stats(); st.Misses <= 1 {
+		t.Fatalf("the walk scheduled no spill round through the store: %+v", st)
+	}
 	memoized := 0
 	eng.cache.digests.Range(func(any, any) bool { memoized++; return true })
 	// The base stage digested the caller's long-lived graph (that memo is
@@ -156,19 +290,25 @@ func TestCompileForgetsWorkingGraphs(t *testing.T) {
 }
 
 // TestCacheCachesErrors checks that deterministic scheduling failures
-// are cached instead of recomputed.
+// are cached at the base stage instead of recomputed: the second request
+// is a memory hit with the same error, and the scheduler ran once.
 func TestCacheCachesErrors(t *testing.T) {
 	c := NewCache()
+	ctx := context.Background()
 	// A machine with no memory ports cannot host any kernel with loads.
 	m := machine.MustNew("no-mem", []machine.ClusterSpec{{Adders: 1, Multipliers: 1}}, 3, 3, 1)
 	g := loops.Kernels()[0]
-	_, err1 := c.Schedule(g, m, sched.Options{})
+	_, err1 := c.Base(ctx, g, m, sched.Options{})
 	if err1 == nil {
 		t.Fatal("expected scheduling failure")
 	}
-	_, err2 := c.Schedule(g, m, sched.Options{})
-	if err2 == nil || c.Stats().Misses != 1 || c.Stats().Hits != 1 {
-		t.Fatalf("error result not served from cache: %+v", c.Stats())
+	_, err2 := c.Base(ctx, g, m, sched.Options{})
+	st := c.StageStats()
+	if err2 != err1 || st.Base.Misses != 1 || st.Base.Hits != 1 {
+		t.Fatalf("error result not served from cache: %v vs %v, %+v", err2, err1, st.Base)
+	}
+	if st.Schedule.Requests() != 1 {
+		t.Fatalf("scheduler ran %d times, want 1", st.Schedule.Requests())
 	}
 }
 
@@ -215,8 +355,8 @@ func TestEngineCompileAllStageSharing(t *testing.T) {
 	}
 }
 
-// TestCacheLensPerStage pins the per-stage entry accounting: Len used to
-// count only schedule entries, silently ignoring bases and evals.
+// TestCacheLensPerStage pins the per-stage entry accounting of the two
+// in-memory stages: one CompileAll keeps one base and four evals.
 func TestCacheLensPerStage(t *testing.T) {
 	eng := New(1)
 	g := loops.Kernels()[0]
@@ -229,12 +369,6 @@ func TestCacheLensPerStage(t *testing.T) {
 	}
 	if lens.Eval != len(core.Models) {
 		t.Fatalf("eval entries = %d, want %d", lens.Eval, len(core.Models))
-	}
-	if lens.Schedule < 1 {
-		t.Fatalf("schedule entries = %d, want >= 1", lens.Schedule)
-	}
-	if got := eng.Cache().Len(); got != lens.Schedule+lens.Base+lens.Eval {
-		t.Fatalf("Len() = %d, want the sum of all stages %+v", got, lens)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 )
 
-// flight is the one single-flight cache implementation shared by every
-// stage of the engine (schedule, base, eval, and the whole-result-set
+// flight is the one single-flight cache implementation shared by the
+// engine's in-memory stages (base, eval, and the whole-result-set
 // memo). It guarantees that a value is computed at most once per key
 // while the computation succeeds and its entry is not forgotten (see
 // forget), shares in-flight computations between

@@ -34,7 +34,7 @@ type Unit struct {
 // contract), so repeated register sizes or same-name machines add
 // nothing. Distinct cells whose computations coincide (e.g. the Ideal
 // model at every register size) are kept — each requested cell gets its
-// own Result row — and the schedule cache absorbs the shared work.
+// own Result row — and the stage caches absorb the shared work.
 type unitKey struct {
 	loop    int
 	machine string

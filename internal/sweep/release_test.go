@@ -31,8 +31,9 @@ func (e *Engine) sweepUnitsRetaining(ctx context.Context, grid Grid, units []Uni
 // for a corpus that lists loops twice, where the later group must find
 // the earlier group's entries however far apart the two are dispatched.
 // Against the flat per-unit reference, whose base and schedule requests
-// differ by design (it requests both per cell), the eval stage matches
-// in full and every stage computes the same artifacts.
+// differ by design (it requests both per cell, and each cell walks its
+// own chain), the eval stage matches in full, the base stage computes
+// the same artifacts and the schedule stage computes no more.
 func TestSweepReleasesEvalEntries(t *testing.T) {
 	kernels := loops.Kernels()
 	// Kernel 0 again by pointer, kernel 1 again by content only.
@@ -59,8 +60,8 @@ func TestSweepReleasesEvalEntries(t *testing.T) {
 			if rows != len(units) {
 				t.Fatalf("emitted %d rows, want %d", rows, len(units))
 			}
-			if l := eng.Cache().Lens(); l.Eval != 0 || l.Schedule == 0 || l.Base == 0 {
-				t.Fatalf("after the sweep: %+v entries, want no eval entries and some schedule/base ones", l)
+			if l := eng.Cache().Lens(); l.Eval != 0 || l.Base == 0 {
+				t.Fatalf("after the sweep: %+v entries, want no eval entries and some base ones", l)
 			}
 
 			retaining := New(4)
@@ -83,7 +84,9 @@ func TestSweepReleasesEvalEntries(t *testing.T) {
 			if got.Eval != fs.Eval {
 				t.Fatalf("eval stage %+v, flat reference %+v", got.Eval, fs.Eval)
 			}
-			if got.Schedule.Misses != fs.Schedule.Misses || got.Base.Misses != fs.Base.Misses {
+			// Without a schedule memory tier the flat path reschedules each
+			// cell's own chain, so the group walk schedules no more.
+			if got.Schedule.Misses > fs.Schedule.Misses || got.Base.Misses != fs.Base.Misses {
 				t.Fatalf("computed schedule/base %d/%d, flat reference %d/%d",
 					got.Schedule.Misses, got.Base.Misses, fs.Schedule.Misses, fs.Base.Misses)
 			}

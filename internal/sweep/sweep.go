@@ -1,7 +1,7 @@
 // Package sweep is the batch evaluation engine behind every experiment
 // runner: it executes (corpus × machine × model × register-size) grids on
-// a bounded, cancellable worker pool and shares modulo-scheduling work
-// across consumers through a content-addressed schedule cache.
+// a bounded, cancellable worker pool and shares pipeline work across
+// consumers through content-addressed stage caches.
 //
 // # Cache key scheme
 //
@@ -21,29 +21,27 @@
 //   - the sched.Options value (a small comparable struct), so the
 //     spiller's forced-MinII retries do not collide with the defaults.
 //
-// Each cached schedule is computed on a private clone of the request
-// graph, so the shared *sched.Schedule stays valid even when the caller
-// mutates its own graph afterwards (as the spill loop does). Cached
-// schedules are shared between consumers and must be treated as
+// Cached artifacts are shared between consumers and must be treated as
 // read-only; every consumer in this repository already does (core.Swap
 // copies before rebalancing).
 //
-// Hit/miss counters are exported through Cache.Stats for benchmarking:
-// Misses is the number of schedules actually computed, Hits the number of
-// sched.Run calls the in-memory tier absorbed, DiskHits the number served
+// Hit/miss counters are exported per stage through Cache.StageStats:
+// Misses is the number of artifacts actually computed, Hits the number
+// of requests the in-memory tier absorbed, DiskHits the number served
 // by the optional persistent tier.
 //
 // # Tiers
 //
-// Every stage cache is a stack of (up to) two tiers sharing the key
-// scheme above:
+// Every stage shares the key scheme above and stacks (up to) two tiers:
 //
 //	flight  — one generic in-memory single-flight implementation per
 //	          stage (see flight.go), parameterized only on error
-//	          retention; shares in-flight work within the process.
+//	          retention; shares in-flight work within the process. The
+//	          schedule stage has none: it computes on the caller's graph
+//	          itself, with no clone, or reads from disk.
 //	store   — an optional content-addressed on-disk artifact store
-//	          (internal/store, attached with Engine.SetStore): a flight
-//	          miss reads through it before computing, and computed
+//	          (internal/store, attached with Engine.SetStore): a miss
+//	          reads through it before computing, and computed
 //	          schedule/eval artifacts are written behind it, making a
 //	          second process's run incremental.
 package sweep
@@ -60,7 +58,7 @@ import (
 	"ncdrf/internal/store"
 )
 
-// Engine bundles the schedule cache with a worker-pool width. The zero
+// Engine bundles the stage caches with a worker-pool width. The zero
 // value is not useful; construct with New. One Engine is meant to be
 // shared across every runner of a process (that is where the cross-figure
 // cache sharing comes from) and is safe for concurrent use.
@@ -94,7 +92,7 @@ func (e *Engine) SetStore(st *store.Store) { e.cache.SetStore(st) }
 // Store returns the attached persistent tier, or nil.
 func (e *Engine) Store() *store.Store { return e.cache.Store() }
 
-// Cache returns the engine's schedule cache (for stats reporting).
+// Cache returns the engine's stage caches (for stats reporting).
 func (e *Engine) Cache() *Cache { return e.cache }
 
 // Schedule modulo-schedules g on m through the cache. It implements
@@ -122,17 +120,23 @@ func (e *Engine) Compile(ctx context.Context, g *ddg.Graph, m *machine.Config, m
 	return e.cache.Evaluate(ctx, g, m, sched.Options{}, model, regs)
 }
 
-// CompileAll evaluates every register-file model of one loop over a
-// single shared base artifact: the scheduler and the lifetime analysis
-// run (at most) once, and the four models reuse the result.
-func (e *Engine) CompileAll(ctx context.Context, g *ddg.Graph, m *machine.Config, regs int) ([core.NumModels]*pipeline.ModelResult, error) {
-	var out [core.NumModels]*pipeline.ModelResult
-	for _, model := range core.Models {
-		r, err := e.Compile(ctx, g, m, model, regs)
-		if err != nil {
-			return out, err
-		}
-		out[model] = r
+// CompileAll evaluates every register-file model of one loop with one
+// base request and one eval-flight claim over the four (model, regs)
+// cells — one walk of the spill chain, the path sweeps take
+// (Cache.evalCells). Unlike a sweep it keeps the eval entries.
+func (e *Engine) CompileAll(ctx context.Context, g *ddg.Graph, m *machine.Config, regs int) (out [core.NumModels]*pipeline.ModelResult, err error) {
+	b, err := e.Base(ctx, g, m)
+	if err != nil {
+		return out, err
 	}
-	return out, nil
+	cells := make([]pipeline.Cell, len(core.Models))
+	for i, model := range core.Models {
+		cells[i] = pipeline.Cell{Model: model, Regs: regs}
+	}
+	next := 0
+	_, err = e.cache.evalCells(ctx, b, cells, func(res *pipeline.ModelResult, err error) error {
+		out[core.Models[next]], next = res, next+1
+		return err
+	})
+	return out, err
 }

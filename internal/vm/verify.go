@@ -38,7 +38,7 @@ type compiler interface {
 }
 
 // VerifyModelWith is VerifyModel with every pipeline stage routed through
-// sr (e.g. a shared schedule cache); a nil sr computes stages directly.
+// sr (e.g. the sweep engine); a nil sr computes stages directly.
 // ctx cancels the compilation between pipeline stages and spill rounds.
 func VerifyModelWith(ctx context.Context, sr spill.Scheduler, g *ddg.Graph, m *machine.Config, model core.Model, regs, iters int) error {
 	want, err := RunReference(g, iters)
