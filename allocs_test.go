@@ -58,7 +58,7 @@ func TestHotPathAllocs(t *testing.T) {
 		want float64
 		run  func() error
 	}{
-		{"sched.Run/kernels", 1255, func() error {
+		{"sched.Run/kernels", 331, func() error {
 			for _, g := range ks {
 				if _, err := sched.Run(g, m, sched.Options{}); err != nil {
 					return err
@@ -80,7 +80,7 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 			return nil
 		}},
-		{"core.Requirements/kernels", 1104, func() error {
+		{"core.Requirements/kernels", 959, func() error {
 			for i, s := range scheds {
 				if _, err := core.Requirements(s, jobs[i].lts); err != nil {
 					return err
@@ -88,7 +88,7 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 			return nil
 		}},
-		{"spill.Run/lfk7-eos-24-unified", 801, func() error {
+		{"spill.Run/lfk7-eos-24-unified", 462, func() error {
 			_, err := spill.Run(spillG, m, 24, core.Fit(core.Unified), sched.Options{})
 			return err
 		}},

@@ -58,18 +58,26 @@ type Classification struct {
 //   - a value consumed by several clusters is global;
 //   - a value with no consumers is local to its producer's cluster.
 func Classify(s *sched.Schedule, lts []lifetime.Lifetime) *Classification {
-	return classify(s, lts, make(map[int]Class, len(lts)))
+	cl := new(Classification)
+	classifyInto(cl, s, lts, make(map[int]Class, len(lts)))
+	return cl
 }
 
-// classify partitions the lifetimes by class, recording each value's
-// class in byValue when it is non-nil. The requirement path and the fit
-// tests pass nil: they only read the per-class lifetime sets.
-func classify(s *sched.Schedule, lts []lifetime.Lifetime, byValue map[int]Class) *Classification {
-	cl := &Classification{
-		II:       s.II,
-		Clusters: s.Mach.NumClusters(),
-		ByValue:  byValue,
-		LocalLts: make([][]lifetime.Lifetime, s.Mach.NumClusters()),
+// classifyInto partitions the lifetimes by class into cl, recording each
+// value's class in byValue when it is non-nil. The requirement path and
+// the fit tests pass nil: they only read the per-class lifetime sets.
+// The backing arrays of cl's GlobalLts and LocalLts are reused, and
+// whatever cl held before is overwritten.
+func classifyInto(cl *Classification, s *sched.Schedule, lts []lifetime.Lifetime, byValue map[int]Class) {
+	clusters := s.Mach.NumClusters()
+	cl.II, cl.Clusters, cl.ByValue = s.II, clusters, byValue
+	cl.GlobalLts = cl.GlobalLts[:0]
+	if cap(cl.LocalLts) < clusters {
+		cl.LocalLts = make([][]lifetime.Lifetime, clusters)
+	}
+	cl.LocalLts = cl.LocalLts[:clusters]
+	for i := range cl.LocalLts {
+		cl.LocalLts[i] = cl.LocalLts[i][:0]
 	}
 	for _, l := range lts {
 		class := classOf(s, l.Node)
@@ -82,7 +90,6 @@ func classify(s *sched.Schedule, lts []lifetime.Lifetime, byValue map[int]Class)
 			cl.LocalLts[int(class)] = append(cl.LocalLts[int(class)], l)
 		}
 	}
-	return cl
 }
 
 // classOf computes the class of a single value under the current cluster

@@ -60,7 +60,9 @@ func AllocateDual(c *Classification) (*DualAllocation, error) {
 // requirement of a schedule without swapping (the paper's "partitioned"
 // model).
 func PartitionedRequirement(s *sched.Schedule, lts []lifetime.Lifetime) (int, error) {
-	return dualRequirement(classify(s, lts, nil))
+	var cl Classification
+	classifyInto(&cl, s, lts, nil)
+	return dualRequirement(&cl)
 }
 
 // dualRequirement is AllocateDual's Requirement, counted without

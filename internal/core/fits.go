@@ -61,10 +61,12 @@ type roundFit struct {
 
 	unified      regalloc.Fitter
 	unifiedReady bool
-	plain        dualFit // the round's own partition
+	plainCl      Classification // the round's own partition
+	plain        dualFit
 	plainReady   bool
 	swapped      *sched.Schedule // the swap-rebalanced schedule
-	rebalanced   dualFit         // and its partition
+	rebalancedCl Classification  // and its partition
+	rebalanced   dualFit
 	swappedReady bool
 }
 
@@ -94,7 +96,8 @@ func (rf *roundFit) fits(model Model, regs int) (*sched.Schedule, bool) {
 	checkModel(model) // Partitioned or Swapped from here on
 	// Cheap path first: if the unswapped partition fits, accept.
 	if !rf.plainReady {
-		rf.plain.reset(classify(s, rf.lts, nil))
+		classifyInto(&rf.plainCl, s, rf.lts, nil)
+		rf.plain.reset(&rf.plainCl)
 		rf.plainReady = true
 	}
 	if ok := rf.plain.fits(regs); ok || model == Partitioned {
@@ -102,7 +105,8 @@ func (rf *roundFit) fits(model Model, regs int) (*sched.Schedule, bool) {
 	}
 	if !rf.swappedReady {
 		rf.swapped, _ = Swap(s, SwapOptions{})
-		rf.rebalanced.reset(classify(rf.swapped, rf.lts, nil))
+		classifyInto(&rf.rebalancedCl, rf.swapped, rf.lts, nil)
+		rf.rebalanced.reset(&rf.rebalancedCl)
 		rf.swappedReady = true
 	}
 	return rf.swapped, rf.rebalanced.fits(regs)

@@ -100,7 +100,9 @@ func Requirements(s *sched.Schedule, lts []lifetime.Lifetime) ([NumModels]int, e
 		out[Partitioned], out[Swapped] = unified, unified
 		return out, nil
 	}
-	if out[Partitioned], err = PartitionedRequirement(s, lts); err != nil {
+	var cl Classification // one set of buffers for both partitions
+	classifyInto(&cl, s, lts, nil)
+	if out[Partitioned], err = dualRequirement(&cl); err != nil {
 		return out, fmt.Errorf("%v: %w", Partitioned, err)
 	}
 	swapped, steps := Swap(s, SwapOptions{})
@@ -108,7 +110,8 @@ func Requirements(s *sched.Schedule, lts []lifetime.Lifetime) ([NumModels]int, e
 		out[Swapped] = out[Partitioned]
 		return out, nil
 	}
-	if out[Swapped], err = PartitionedRequirement(swapped, lts); err != nil {
+	classifyInto(&cl, swapped, lts, nil)
+	if out[Swapped], err = dualRequirement(&cl); err != nil {
 		return out, fmt.Errorf("%v: %w", Swapped, err)
 	}
 	return out, nil

@@ -145,9 +145,10 @@ func (c *Config) Unit(i int) FU { return c.units[i] }
 // Units returns a copy of all functional units in index order.
 func (c *Config) Units() []FU { return append([]FU(nil), c.units...) }
 
-// UnitsOfKind returns the global indices of all units of kind k, ascending.
-func (c *Config) UnitsOfKind(k FUKind) []int {
-	return append([]int(nil), c.byKind[k]...)
+// AppendUnitsOfKind appends the global indices of all units of kind k,
+// ascending, to dst and returns the extended slice.
+func (c *Config) AppendUnitsOfKind(dst []int, k FUKind) []int {
+	return append(dst, c.byKind[k]...)
 }
 
 // CountOfKind returns the machine-wide number of units of kind k.

@@ -51,14 +51,14 @@ func TestUnitLayout(t *testing.T) {
 		t.Fatalf("CountOfKind(MemPort) = %d, want 3", got)
 	}
 	// Each unit's Index must equal its position and be consistent with
-	// UnitsOfKind.
+	// AppendUnitsOfKind.
 	for i := 0; i < c.NumUnits(); i++ {
 		if c.Unit(i).Index != i {
 			t.Fatalf("Unit(%d).Index = %d", i, c.Unit(i).Index)
 		}
 	}
 	for _, k := range Kinds {
-		for _, ui := range c.UnitsOfKind(k) {
+		for _, ui := range c.AppendUnitsOfKind(nil, k) {
 			if c.Unit(ui).Kind != k {
 				t.Fatalf("unit %d listed under kind %v but has kind %v", ui, k, c.Unit(ui).Kind)
 			}

@@ -27,10 +27,11 @@ func checkFitter(t *testing.T, f *regalloc.Fitter, name string, lts []lifetime.L
 	}
 }
 
-// TestFitterCertificateMatchesFitsIn pins the wrap-free certificate:
-// over the kernels and a 400-loop synthetic corpus on both evaluation
-// machines, for the Unified lifetime set and every cluster's local
-// region, a Fitter asked every budget from below MaxLive to 256 in
+// TestFitterCertificateMatchesFitsIn pins the prefix and wrap-free
+// certificates: over the kernels and a 400-loop synthetic corpus on
+// both evaluation machines, for the Unified lifetime set, the global
+// region and every cluster's local region, a Fitter asked every budget
+// from below MaxLive to 256 in
 // ascending, descending and shuffled order answers exactly what a fresh
 // FitsIn and the reference answer. On the dense fit axis 56:256:8,
 // asked in ascending order as a curve asks it, the certificate must
@@ -61,7 +62,8 @@ func TestFitterCertificateMatchesFitsIn(t *testing.T) {
 					t.Fatal(err)
 				}
 				lts := lifetime.Compute(s)
-				sets := append([][]lifetime.Lifetime{lts}, core.Classify(s, lts).LocalLts...)
+				cl := core.Classify(s, lts)
+				sets := append([][]lifetime.Lifetime{lts, cl.GlobalLts}, cl.LocalLts...)
 				for k, set := range sets {
 					if len(set) == 0 {
 						continue

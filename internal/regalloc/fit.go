@@ -34,11 +34,15 @@ type fitState struct {
 	order []lifetime.Lifetime // placement order, sorted once per call
 	qs    []int32             // chosen specifier per order index
 	occ   []uint64            // circle occupancy, C = R*II bits
-	// crossed reports whether the last tryFit reduced a start modulo
-	// the circle: a lifetime starting outside [0, C), or a probe whose
-	// interval ran past C. A successful placement without a crossing is
-	// wrap-free, which Fitter's certificate relies on.
+	// prefix is the number of leading values of order the last
+	// tryFitFrom placed with no crossing: none of them, nor any value
+	// before them, started outside [0, C) or probed an interval running
+	// past C. crossed is set by the first crossing of the placement.
+	prefix  int
 	crossed bool
+	// placed counts the values placed since prepare, resumed prefixes
+	// excluded; tests read it to pin that the upward search resumes.
+	placed int
 }
 
 var fitStates = sync.Pool{New: func() any { return new(fitState) }}
@@ -62,21 +66,37 @@ func (st *fitState) prepare(lts []lifetime.Lifetime) {
 		st.qs = make([]int32, len(st.order))
 	}
 	st.qs = st.qs[:len(st.order)]
+	st.prefix, st.placed = 0, 0
 }
 
-// tryFit attempts placement with exactly r registers, recording
-// specifiers in st.qs and whether any probe crossed the end of the
-// circle in st.crossed. The order must have been prepared and be
-// non-empty.
-func (st *fitState) tryFit(ii, r int) bool {
+// tryFitFrom attempts placement with exactly r registers, recording
+// specifiers in st.qs and the crossing-free prefix in st.prefix. The
+// order must have been prepared and be non-empty, and k must not
+// exceed the prefix of a placement at some r0 <= r: order[:k] is then
+// re-marked at its recorded specifiers without a probe and placement
+// resumes at k.
+//
+// The prefix certificate. A value placed without a crossing at r0
+// starts in [0, r0*II), and every interval it probed ended by r0*II.
+// At r >= r0 its start reduces to itself and each probe stays linear,
+// so if the values before it occupy the same bits, every conflict
+// offset, every specifier jump and the chosen q < r0 <= r are the
+// same. By induction the whole prefix places identically at every
+// larger size, where it is crossing-free again: the prefix never
+// shrinks as r grows.
+func (st *fitState) tryFitFrom(ii, r, k int) bool {
+	st.prefix, st.crossed = k, false
 	c := r * ii
 	if c < 1 {
 		return false
 	}
-	nw := (c + 63) >> 6
-	st.occ = clearWords(st.occ, nw)
-	st.crossed = false
-	for i := range st.order {
+	st.occ = clearWords(st.occ, (c+63)>>6)
+	for i := range st.order[:k] {
+		l := &st.order[i]
+		st.mark(l.Start+int(st.qs[i])*ii, l.End-l.Start, c)
+	}
+	for i := k; i < len(st.order); i++ {
+		st.placed++
 		l := &st.order[i]
 		length := l.End - l.Start
 		if length > c {
@@ -92,6 +112,9 @@ func (st *fitState) tryFit(ii, r int) bool {
 		}
 		st.qs[i] = int32(q)
 		st.mark(p, length, c)
+		if !st.crossed {
+			st.prefix = i + 1
+		}
 	}
 	return true
 }

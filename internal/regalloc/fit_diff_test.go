@@ -3,9 +3,11 @@ package regalloc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ncdrf/internal/lifetime"
+	"ncdrf/internal/loopgen"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
 	"ncdrf/internal/sched"
@@ -103,6 +105,148 @@ func TestDifferentialRandomizedAllocator(t *testing.T) {
 						t.Fatalf("trial %d: FitsIn(%d) diverges (ii=%d, %v)", trial, r2, ii, lts)
 					}
 				}
+				var rs []int
+				for r2 := max(got.Registers-4, 1); r2 <= got.Registers+4; r2++ {
+					rs = append(rs, r2)
+				}
+				checkAskOrders(t, r, fmt.Sprintf("trial %d (ii=%d, %v)", trial, ii, lts), lts, ii, rs)
+			}
+		})
+	}
+}
+
+// checkAskOrders asks one Fitter every budget of rs in ascending,
+// descending and shuffled order: each answer must equal the reference
+// and a fresh FitsIn, whatever the Fitter placed before it.
+func checkAskOrders(t *testing.T, rng *rand.Rand, name string, lts []lifetime.Lifetime, ii int, rs []int) {
+	t.Helper()
+	want := map[int]bool{}
+	for _, r := range rs {
+		want[r] = refFitsIn(lts, ii, r)
+		if got := FitsIn(lts, ii, r); got != want[r] {
+			t.Fatalf("%s: FitsIn(%d) = %v, reference %v", name, r, got, want[r])
+		}
+	}
+	down := slices.Clone(rs)
+	slices.Reverse(down)
+	shuffled := slices.Clone(rs)
+	rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+	var f Fitter
+	for _, asks := range [][]int{rs, down, shuffled} {
+		f.Reset(lts, ii)
+		for _, r := range asks {
+			if got := f.FitsIn(r); got != want[r] {
+				t.Fatalf("%s: Fitter.FitsIn(%d) = %v after asking %v, reference %v", name, r, got, asks, want[r])
+			}
+		}
+	}
+}
+
+// TestPrefixCertificateMidOrder pins the prefix certificate on
+// hand-built sets whose first crossing sits mid-order: at some size the
+// placement puts down a crossing-free prefix and then a value that
+// starts beyond the circle or probes past its end. The upward search
+// and a Fitter asked in every order must still answer what the
+// reference answers; a resume that kept the crossing value, or a
+// prefix kept for a smaller budget, diverges on these sets.
+func TestPrefixCertificateMidOrder(t *testing.T) {
+	lt := func(node, start, end int) lifetime.Lifetime {
+		return lifetime.Lifetime{Node: node, Start: start, End: end}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i, tc := range []struct {
+		ii  int
+		lts []lifetime.Lifetime
+	}{
+		{1, []lifetime.Lifetime{lt(0, 7, 9), lt(1, 2, 3), lt(2, 4, 5), lt(3, 0, 1), lt(4, 6, 9)}},
+		{2, []lifetime.Lifetime{lt(0, 4, 5), lt(1, 0, 1), lt(2, 3, 5), lt(3, 6, 8)}},
+		{2, []lifetime.Lifetime{lt(0, 5, 9), lt(1, 0, 1), lt(2, 6, 8), lt(3, 0, 1)}},
+		{2, []lifetime.Lifetime{lt(0, 7, 10), lt(1, 7, 11), lt(2, 6, 8), lt(3, 7, 10), lt(4, 1, 3), lt(5, 7, 9)}},
+	} {
+		name := fmt.Sprintf("set %d (ii=%d, %v)", i, tc.ii, tc.lts)
+		var st fitState
+		st.prepare(tc.lts)
+		mid := false
+		var rs []int
+		for r := 1; r <= 16; r++ {
+			st.tryFitFrom(tc.ii, r, 0)
+			mid = mid || st.prefix > 0 && st.prefix < len(tc.lts)
+			rs = append(rs, r)
+		}
+		if !mid {
+			t.Fatalf("%s: no size puts the first crossing mid-order", name)
+		}
+		got, err := FirstFit(tc.lts, tc.ii)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refFirstFit(tc.lts, tc.ii)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := specEqual(got, want); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkAskOrders(t, rng, name, tc.lts, tc.ii, rs)
+	}
+}
+
+// TestSearchResumesPastPrefix pins that the upward search resumes: over
+// the kernels and a synthetic corpus on both evaluation machines, on
+// every Unified lifetime set, it must choose what the reference chooses
+// while placing well under the values a from-scratch placement at every
+// size it tries would place. The ceilings sit above the measured shares
+// (0.34 on eval-L3 and 0.20 on eval-L6 at 400 loops), so a resume that
+// stopped working fails here rather than only costing time.
+func TestSearchResumesPastPrefix(t *testing.T) {
+	spec := loopgen.Defaults()
+	spec.Loops = 400
+	if testing.Short() {
+		spec.Loops = 100
+	}
+	corpus := append(loops.Kernels(), loopgen.Generate(spec)...)
+	for _, tc := range []struct {
+		m       *machine.Config
+		ceiling float64
+	}{{machine.Eval(3), 0.45}, {machine.Eval(6), 0.3}} {
+		t.Run(tc.m.Name(), func(t *testing.T) {
+			t.Parallel()
+			var scratch fitState
+			resumed, full := 0, 0
+			for _, g := range corpus {
+				s, err := sched.Run(g.Clone(), tc.m, sched.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				lts := lifetime.Compute(s)
+				want, err := refFirstFit(lts, s.II)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := FirstFit(lts, s.II)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := specEqual(got, want); err != nil {
+					t.Fatalf("%s on %s: %v", g.LoopName, tc.m.Name(), err)
+				}
+				st, r, _ := search(lts, s.II)
+				if st == nil {
+					continue
+				}
+				resumed += st.placed
+				fitStates.Put(st)
+				scratch.prepare(lts)
+				low := max(lifetime.AvgLiveBound(lts, s.II), lifetime.MaxLive(lts, s.II))
+				for size := low; size <= r; size++ {
+					scratch.tryFitFrom(s.II, size, 0)
+				}
+				full += scratch.placed
+			}
+			share := float64(resumed) / float64(full)
+			t.Logf("%d values placed, %d from scratch (%.2f)", resumed, full, share)
+			if share > tc.ceiling {
+				t.Fatalf("search placed %d values where placing from scratch takes %d: share %.2f above %.2f", resumed, full, share, tc.ceiling)
 			}
 		})
 	}

@@ -71,9 +71,11 @@ func Registers(lts []lifetime.Lifetime, ii int) (int, error) {
 // search is First Fit's upward register search: it validates the input
 // and returns the smallest size r from the average-live and MaxLive
 // lower bounds up at which the placement succeeds. The placement order
-// is sorted once and one pooled fitState serves every size tried; it is
-// returned holding the successful placement, for the caller to read and
-// Put back, or nil when there are no lifetimes.
+// is sorted once and one pooled fitState serves every size tried, each
+// resuming past the crossing-free prefix of the size before (the prefix
+// certificate, see tryFitFrom); it is returned holding the successful
+// placement, for the caller to read and Put back, or nil when there are
+// no lifetimes.
 func search(lts []lifetime.Lifetime, ii int) (*fitState, int, error) {
 	if ii < 1 {
 		return nil, 0, fmt.Errorf("regalloc: II = %d", ii)
@@ -93,7 +95,7 @@ func search(lts []lifetime.Lifetime, ii int) (*fitState, int, error) {
 	st := fitStates.Get().(*fitState)
 	st.prepare(lts)
 	for r := low; ; r++ {
-		if st.tryFit(ii, r) {
+		if st.tryFitFrom(ii, r, st.prefix) {
 			return st, r, nil
 		}
 	}
@@ -102,42 +104,47 @@ func search(lts []lifetime.Lifetime, ii int) (*fitState, int, error) {
 // FitsIn reports whether First Fit succeeds with exactly r registers.
 // First Fit is not monotone in r (TestFitterCertificateMatchesFitsIn
 // pins sets that fit at r, fail at r+1 and fit again), so a success at
-// r says nothing by itself about r+1; the Fitter's wrap-free
-// certificate is the only inference across budgets this package makes.
-// This is the fit-test path: no specifier map is materialized, only
-// the placement feasibility is computed. It is a Fitter asked once;
-// core's round fits ask a Fitter directly, the benchmark probe times
-// FitsIn.
+// r says nothing by itself about r+1; only the prefix certificate
+// carries a placement across budgets (see Fitter). This is the fit-test
+// path: no specifier map is materialized, only the placement
+// feasibility is computed, on an arena borrowed from the pool. core's
+// round fits ask a Fitter, the benchmark probe times FitsIn.
 func FitsIn(lts []lifetime.Lifetime, ii, r int) bool {
-	var f Fitter
-	f.Reset(lts, ii)
-	return f.FitsIn(r)
+	if len(lts) == 0 {
+		return true
+	}
+	if r < lifetime.AvgLiveBound(lts, ii) {
+		return false
+	}
+	st := fitStates.Get().(*fitState)
+	st.prepare(lts)
+	ok := st.tryFitFrom(ii, r, 0)
+	fitStates.Put(st)
+	return ok
 }
 
-// Fitter is FitsIn for one lifetime set and many budgets. Its first test
-// runs on an arena borrowed from the fitState pool for that call alone,
-// so a set tested once costs what FitsIn costs. From the second test on,
-// the Fitter sorts the First Fit placement order once into an arena of
-// its own, and each budget only runs the placement. Reset reuses that
-// arena for the next set, which is how the spill walk keeps one
-// Fitter per region across its rounds. Not safe for concurrent use.
+// Fitter is FitsIn for one lifetime set and many budgets. It sorts the
+// First Fit placement order once per Reset, on its first placement,
+// into an arena of its own; Reset reuses that arena for the next set,
+// which is how the spill walk keeps one Fitter per region across its
+// rounds. Not safe for concurrent use.
 //
-// Wrap-free certificate. A placement that succeeds at r without any
-// probe crossing the end of the circle — every lifetime starts in
-// [0, r*II) and every probed interval [Start+q*II, Start+q*II+len)
-// ends by r*II — runs exactly the same probes at every r' > r: each
-// start reduces to itself on both circles, every interval stays
-// linear, so the occupancy bits, each conflict offset and hence each
-// specifier jump are the same, and every chosen q < r <= r'. The Fitter
-// records the smallest such r and answers every larger budget true
-// without a placement. Budgets below it, and placements that wrapped,
-// run as before.
+// Two budgets share work through the prefix certificate (tryFitFrom):
+// the values its last placement put down before the first crossing
+// place identically at every larger budget. So a budget above the last
+// placed one re-marks that prefix and resumes after it, and a smaller
+// budget places from scratch. When the prefix is the whole set — every
+// lifetime starts in [0, r*II) and every probed interval ends by r*II —
+// the fit at r is wrap-free and the same placement fits every r' > r:
+// the Fitter records the smallest such r and answers every larger
+// budget true without a placement.
 type Fitter struct {
 	lts      []lifetime.Lifetime
 	ii, low  int
 	tests    int      // placements run since Reset
+	placedAt int      // budget of the last placement
 	fitsFrom int      // smallest wrap-free fitting budget; 0 when none
-	st       fitState // own arena, prepared on the second placement
+	st       fitState // own arena, prepared on the first placement
 }
 
 // Reset points f at lts and interval ii, reusing its arena.
@@ -161,26 +168,17 @@ func (f *Fitter) FitsIn(r int) bool {
 	if f.fitsFrom > 0 && r >= f.fitsFrom {
 		return true
 	}
-	f.tests++
-	switch f.tests {
-	case 1:
-		st := fitStates.Get().(*fitState)
-		st.prepare(f.lts)
-		ok := f.place(st, r)
-		fitStates.Put(st)
-		return ok
-	case 2:
+	k := 0
+	if f.tests == 0 {
 		f.st.prepare(f.lts)
+	} else if r > f.placedAt {
+		k = f.st.prefix
 	}
-	return f.place(&f.st, r)
-}
-
-// place runs the placement at r on st and keeps a wrap-free fit as the
-// certificate; r is below any earlier one, or that would have answered.
-func (f *Fitter) place(st *fitState, r int) bool {
-	ok := st.tryFit(f.ii, r)
-	if ok && !st.crossed {
-		f.fitsFrom = r
+	f.tests++
+	f.placedAt = r
+	ok := f.st.tryFitFrom(f.ii, r, k)
+	if ok && f.st.prefix == len(f.st.order) {
+		f.fitsFrom = r // below any earlier one, or that would have answered
 	}
 	return ok
 }

@@ -171,7 +171,7 @@ func (st *refState) earliestStart(u int) int {
 
 func (st *refState) findSlot(u, estart int) (slot, fu int, ok bool) {
 	kind := st.g.Node(u).Op.FUKind()
-	units := st.m.UnitsOfKind(kind)
+	units := st.m.AppendUnitsOfKind(nil, kind)
 	for t := estart; t < estart+st.ii; t++ {
 		row := mod(t, st.ii)
 		best := -1

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"ncdrf/internal/ddg"
 	"ncdrf/internal/machine"
@@ -41,25 +42,27 @@ func (o Options) maxIISlack() int {
 // Run modulo-schedules the loop onto the machine with iterative modulo
 // scheduling. The returned schedule is always verified.
 //
-// The hot path is allocation-reused: one imsState is built per Run and
-// every II attempt resets it in place (see DESIGN.md "Hot path"), so the
-// II search never reallocates its priority order, heights, reservation
-// table or free-row bitsets. Placement decisions are pinned byte-identical
-// to the pre-optimization scheduler by the golden corpus test
+// The hot path is allocation-reused: Run borrows one pooled imsState,
+// resized to the (graph, machine) pair, and every II attempt resets it
+// in place (see DESIGN.md "Hot path"), so neither the II search nor the
+// next Run reallocates the priority order, heights, reservation table or
+// free-row bitsets. The search starts at max(ResMII, MinII) and runs
+// RecMII's binary search only when that floor still has a positive
+// cycle. Placement decisions are pinned byte-identical to the
+// pre-optimization scheduler by the golden corpus test
 // (TestOptimizedSchedulerMatchesReference), which is why AlgorithmVersion
 // needs no bump for this layout.
 func Run(g *ddg.Graph, m *machine.Config, opts Options) (*Schedule, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	mii, _, _, err := MII(g, m)
+	res, err := ResMII(g, m)
 	if err != nil {
 		return nil, err
 	}
-	if opts.MinII > mii {
-		mii = opts.MinII
-	}
 	st := newIMSState(g, m)
+	defer st.release()
+	mii := st.minII(max(res, opts.MinII))
 	maxII := mii + opts.maxIISlack() + g.NumNodes()
 	for ii := mii; ii <= maxII; ii++ {
 		s, ok, err := st.tryII(ii, opts.budgetRatio())
@@ -77,13 +80,14 @@ func Run(g *ddg.Graph, m *machine.Config, opts Options) (*Schedule, error) {
 	return nil, fmt.Errorf("sched: loop %s not schedulable up to II=%d on %s", g.LoopName, maxII, m.Name())
 }
 
-// imsState is the scheduler's working state, owned by a single Run call:
-// it is built once per (graph, machine) pair and reset in place for every
-// II attempt, so the II search allocates nothing per attempt. It must not
-// be retained or shared after Run returns — except for the start/fu
-// arrays of a successful attempt, which Run hands to the returned
-// Schedule and never touches again (Run returns immediately on success,
-// so no later attempt can scribble on them).
+// imsState is the scheduler's working state, owned by a single Run call
+// between newIMSState and release: it is sized once per (graph, machine)
+// pair and reset in place for every II attempt, so the II search
+// allocates nothing per attempt. States are pooled across Runs and
+// every buffer only grows. Nothing of a state escapes its Run except
+// the start/fu arrays of a successful attempt, which tryII hands to the
+// returned Schedule and drops from the state, so no later Run can
+// scribble on them.
 type imsState struct {
 	g *ddg.Graph
 	m *machine.Config
@@ -123,39 +127,55 @@ type imsState struct {
 	ptr   int
 }
 
-// newIMSState builds the per-Run scheduler state: the node-kind and
-// edge-delay tables (so the placement loops never re-derive latencies
-// through EdgeDelay) and the per-kind unit lists (so findSlot never
-// re-copies them out of the machine config).
+var imsStates = sync.Pool{New: func() any { return new(imsState) }}
+
+// newIMSState borrows a scheduler state from the pool and sizes it for
+// the pair: the node-kind and edge-delay tables (so the placement loops
+// never re-derive latencies through EdgeDelay) and the per-kind unit
+// lists (so findSlot never re-copies them out of the machine config).
 func newIMSState(g *ddg.Graph, m *machine.Config) *imsState {
 	n := g.NumNodes()
-	st := &imsState{
-		g:        g,
-		m:        m,
-		n:        n,
-		nodeKind: make([]machine.FUKind, n),
-		delay:    make([]int, n),
-		kindOf:   make([]int, n),
-		units:    make([][]int, len(machine.Kinds)),
-		start:    make([]int, n),
-		fu:       make([]int, n),
-		placed:   make([]bool, n),
-		unitLoad: make([]int, m.NumUnits()),
-		h:        make([]int, n),
-		w:        make([]int, g.NumEdges()),
-		order:    make([]int, n),
-		rank:     make([]int, n),
-	}
+	st := imsStates.Get().(*imsState)
+	st.g, st.m, st.n = g, m, n
+	st.nodeKind = resize(st.nodeKind, n)
+	st.delay = resize(st.delay, n)
+	st.kindOf = resize(st.kindOf, n)
+	st.start = resize(st.start, n)
+	st.fu = resize(st.fu, n)
+	st.placed = resize(st.placed, n)
+	st.unitLoad = resize(st.unitLoad, m.NumUnits())
+	st.h = resize(st.h, n)
+	st.w = resize(st.w, g.NumEdges())
+	st.order = resize(st.order, n)
+	st.rank = resize(st.rank, n)
 	for id, node := range g.Nodes() {
 		k := node.Op.FUKind()
 		st.nodeKind[id] = k
 		st.kindOf[id] = int(k)
 		st.delay[id] = m.Latency(k)
 	}
+	st.units = resize(st.units, len(machine.Kinds))
 	for _, k := range machine.Kinds {
-		st.units[k] = m.UnitsOfKind(k)
+		st.units[k] = m.AppendUnitsOfKind(st.units[k][:0], k)
 	}
 	return st
+}
+
+// release returns the state to the pool, dropping its graph and machine
+// so the pool does not keep the last pair it scheduled alive.
+func (st *imsState) release() {
+	st.g, st.m = nil, nil
+	imsStates.Put(st)
+}
+
+// minII returns max(floor, RecMII) for floor >= 1, using the edge-weight
+// and height buffers as RecMII's delay table and relaxation scratch
+// before the first attempt overwrites them.
+func (st *imsState) minII(floor int) int {
+	for i := range st.w {
+		st.w[i] = st.delay[st.g.Edge(i).From]
+	}
+	return recMIIFrom(st.g, st.w, st.h, floor)
 }
 
 // reset prepares the state for one II attempt, growing the ii-sized
@@ -170,18 +190,14 @@ func (st *imsState) reset(ii int) {
 	for i := range st.unitLoad {
 		st.unitLoad[i] = 0
 	}
-	st.mrt = resizeInts(st.mrt, ii*st.m.NumUnits())
+	st.mrt = resize(st.mrt, ii*st.m.NumUnits())
 	for i := range st.mrt {
 		st.mrt[i] = -1
 	}
 	kinds := len(machine.Kinds)
-	st.freeCnt = resizeInts(st.freeCnt, kinds*ii)
+	st.freeCnt = resize(st.freeCnt, kinds*ii)
 	st.words64 = (ii + 63) / 64
-	if cap(st.freeBits) < kinds*st.words64 {
-		st.freeBits = make([]uint64, kinds*st.words64)
-	} else {
-		st.freeBits = st.freeBits[:kinds*st.words64]
-	}
+	st.freeBits = resize(st.freeBits, kinds*st.words64)
 	for i := range st.freeBits {
 		st.freeBits[i] = 0
 	}
@@ -197,20 +213,20 @@ func (st *imsState) reset(ii int) {
 	st.ptr = 0
 }
 
-// resizeInts returns buf with exactly n elements, reusing its backing
-// array whenever it is large enough.
-func resizeInts(buf []int, n int) []int {
+// resize returns buf with exactly n elements, reusing its backing array
+// whenever it is large enough. The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
 
 // heights computes the height-based priority of every node at the given
 // II into st.h: height(u) = max over out-edges e=(u,v) of
-// height(v) + delay(e) - II*distance(e), with sinks at 0 — the same
-// Bellman-Ford-style relaxation as the standalone heights in mii.go, but
-// over reused buffers and the precomputed delay table.
+// height(v) + delay(e) - II*distance(e), with sinks at 0, by
+// Bellman-Ford-style relaxation over the precomputed delay table. Valid
+// whenever the constraint graph has no positive cycle (II >= RecMII).
 func (st *imsState) heights(ii int) {
 	g := st.g
 	ne := g.NumEdges()
@@ -241,9 +257,9 @@ func (st *imsState) heights(ii int) {
 // II); a non-nil error means the machine configuration itself cannot
 // host the loop and no II will help.
 //
-// On success the start/fu arrays are handed to the Schedule and replaced
-// with fresh ones, so a (hypothetical) later attempt could not alias the
-// returned schedule; in practice Run returns immediately.
+// On success the start/fu arrays are handed to the Schedule and dropped
+// from the state, so neither a later attempt nor the next Run to borrow
+// the state can alias the returned schedule.
 func (st *imsState) tryII(ii, budgetRatio int) (*Schedule, bool, error) {
 	g, n := st.g, st.n
 	st.heights(ii)
@@ -313,8 +329,7 @@ func (st *imsState) tryII(ii, budgetRatio int) (*Schedule, bool, error) {
 		return nil, false, nil
 	}
 	s := &Schedule{Graph: g, Mach: st.m, II: ii, Start: st.start, FU: st.fu}
-	st.start = make([]int, n)
-	st.fu = make([]int, n)
+	st.start, st.fu = nil, nil
 	return s, true, nil
 }
 

@@ -44,20 +44,29 @@ func ResMII(g *ddg.Graph, m *machine.Config) (int, error) {
 // weights delay(e) - II*distance(e) has no positive-weight cycle. For an
 // acyclic graph it is 1.
 func RecMII(g *ddg.Graph, m *machine.Config) int {
-	// Per-edge delays are II-independent: compute them once and share the
-	// relaxation buffers across every probe of the binary search instead
-	// of reallocating dist and weights per candidate II.
-	ne := g.NumEdges()
-	delay := make([]int, ne)
-	hi := 1 // II equal to the sum of all delays kills every cycle
-	for i := 0; i < ne; i++ {
+	delay := make([]int, g.NumEdges())
+	for i := range delay {
 		delay[i] = EdgeDelay(g, m, g.Edge(i))
-		hi += delay[i]
 	}
-	dist := make([]int, g.NumNodes())
-	lo := 1
-	// Binary search on the predicate "no positive cycle at II", which is
-	// monotone in II (raising II only lowers weights).
+	return recMIIFrom(g, delay, make([]int, g.NumNodes()), 1)
+}
+
+// recMIIFrom returns max(floor, RecMII) for floor >= 1. The predicate
+// "no positive cycle at II" is monotone in II (raising II only lowers
+// weights), so one relaxation pass at the floor settles the common case
+// where the floor already kills every cycle; otherwise a binary search
+// runs over (floor, sum of delays + 1], where every cycle is dead. delay
+// holds per-edge delays indexed like g.Edge; dist is scratch of
+// NumNodes length. Both buffers are shared by every probe.
+func recMIIFrom(g *ddg.Graph, delay, dist []int, floor int) int {
+	if !hasPositiveCycle(g, delay, dist, floor) {
+		return floor
+	}
+	hi := 1
+	for _, d := range delay {
+		hi += d
+	}
+	lo := floor + 1
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		if hasPositiveCycle(g, delay, dist, mid) {
@@ -103,17 +112,6 @@ func hasPositiveCycle(g *ddg.Graph, delay, dist []int, ii int) bool {
 	return false
 }
 
-// edgeWeights precomputes the constraint-graph weight of every edge at
-// the given II, delay(e) - II*distance(e), hoisting the delay lookup out
-// of the O(N·E) relaxation loops in hasPositiveCycle and heights.
-func edgeWeights(g *ddg.Graph, m *machine.Config, edges []ddg.Edge, ii int) []int {
-	w := make([]int, len(edges))
-	for i, e := range edges {
-		w[i] = EdgeDelay(g, m, e) - ii*e.Distance
-	}
-	return w
-}
-
 // MII returns max(ResMII, RecMII) along with both components.
 func MII(g *ddg.Graph, m *machine.Config) (mii, res, rec int, err error) {
 	res, err = ResMII(g, m)
@@ -126,28 +124,4 @@ func MII(g *ddg.Graph, m *machine.Config) (mii, res, rec int, err error) {
 		mii = rec
 	}
 	return mii, res, rec, nil
-}
-
-// heights computes the height-based scheduling priority of every node at
-// the given II: height(u) = max over out-edges e=(u,v) of
-// height(v) + delay(e) - II*distance(e), with sinks at 0. Valid whenever
-// the constraint graph has no positive cycle (II >= RecMII).
-func heights(g *ddg.Graph, m *machine.Config, ii int) []int {
-	n := g.NumNodes()
-	h := make([]int, n)
-	edges := g.Edges()
-	w := edgeWeights(g, m, edges, ii)
-	for round := 0; round < n+1; round++ {
-		changed := false
-		for i, e := range edges {
-			if v := h[e.To] + w[i]; v > h[e.From] {
-				h[e.From] = v
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return h
 }

@@ -408,7 +408,10 @@ func TestStagesAndSlots(t *testing.T) {
 func TestHeightsMonotoneAlongChain(t *testing.T) {
 	g := loops.PaperExample()
 	m := machine.Example()
-	h := heights(g, m, 1)
+	st := newIMSState(g, m)
+	defer st.release()
+	st.heights(1)
+	h := st.h
 	get := func(name string) int { return h[g.NodeByName(name).ID] }
 	if !(get("L1") > get("M3") && get("M3") > get("A4") && get("A4") > get("M5") &&
 		get("M5") > get("A6") && get("A6") > get("S7")) {
