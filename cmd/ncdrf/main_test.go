@@ -270,12 +270,11 @@ func TestCmdSweepLatsAreIntegers(t *testing.T) {
 	}
 }
 
-// TestCmdSweepStatsEntries checks the -stats object surfaces the
-// per-stage entry counts (Cache.Lens) and the per-stage tier counters.
-// A streaming sweep releases every eval entry it created once its group
-// is served, so entries_eval is exactly 0 while the base stage keeps
-// its entries; the schedule stage has no in-memory tier, so there is no
-// entries_schedule key and every schedule request is computed.
+// TestCmdSweepStatsEntries checks the -stats object surfaces the base
+// stage's entry count (Cache.Lens) and the per-stage tier counters. The
+// base stage is the only one with an in-memory tier, so there is no
+// entries_schedule or entries_eval key, and every schedule request is
+// computed.
 func TestCmdSweepStatsEntries(t *testing.T) {
 	out := capture(t, func() error {
 		return cmdSweep(ctx0, testEng(), []string{
@@ -287,15 +286,17 @@ func TestCmdSweepStatsEntries(t *testing.T) {
 		t.Fatalf("stats line is not JSON: %v", err)
 	}
 	for _, key := range []string{
-		"entries_base", "entries_eval",
+		"entries_base",
 		"stage_eval_requests", "stage_eval_computed", "stage_base_memory_hits",
 	} {
 		if _, ok := st[key]; !ok {
 			t.Fatalf("stats object missing %q: %v", key, st)
 		}
 	}
-	if _, ok := st["entries_schedule"]; ok {
-		t.Fatalf("stats object reports schedule entries, but the stage keeps none: %v", st)
+	for _, key := range []string{"entries_schedule", "entries_eval"} {
+		if _, ok := st[key]; ok {
+			t.Fatalf("stats object reports %s, but the stage keeps no entries: %v", key, st)
+		}
 	}
 	if st["entries_base"] == 0 {
 		t.Fatalf("degenerate entry counts: %v", st)
@@ -303,9 +304,8 @@ func TestCmdSweepStatsEntries(t *testing.T) {
 	if st["stage_schedule_memory_hits"] != 0 || st["stage_schedule_computed"] != st["stage_schedule_requests"] {
 		t.Fatalf("schedule requests served from memory: %v", st)
 	}
-	if st["entries_eval"] != 0 || st["stage_eval_computed"] == 0 {
-		t.Fatalf("streaming sweep retained eval entries (want 0 of %d computed): %v",
-			st["stage_eval_computed"], st)
+	if st["stage_eval_computed"] == 0 {
+		t.Fatalf("sweep computed no eval cell: %v", st)
 	}
 	if st["stage_schedule_disk_hits"] != 0 {
 		t.Fatalf("disk hits without a store: %v", st)

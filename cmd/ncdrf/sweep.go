@@ -300,9 +300,8 @@ func streamRows(ctx context.Context, run executor, header *sweep.ShardHeader, ou
 
 // writeStatsJSON emits the -stats object: the legacy cache_* keys
 // describe the schedule stage; the stage_* keys add the full per-stage
-// picture (computed vs memory vs disk tier), and the entries_* keys the
-// entry counts the base and eval stages retain (the schedule stage has
-// no in-memory tier).
+// picture (computed vs memory vs disk tier), and entries_base the entry
+// count the base stage retains (no other stage keeps entries).
 func writeStatsJSON(eng *sweep.Engine, w io.Writer) error {
 	st := eng.Cache().StageStats()
 	lens := eng.Cache().Lens()
@@ -324,7 +323,6 @@ func writeStatsJSON(eng *sweep.Engine, w io.Writer) error {
 		obj["stage_"+s.name+"_disk_hits"] = s.cs.DiskHits
 	}
 	obj["entries_base"] = uint64(lens.Base)
-	obj["entries_eval"] = uint64(lens.Eval)
 	return json.NewEncoder(w).Encode(obj)
 }
 

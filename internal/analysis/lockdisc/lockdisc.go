@@ -4,7 +4,7 @@
 //  1. A mutex must not be held across a blocking operation — a channel
 //     send/receive, a range over a channel, a default-less select, or a
 //     call into a function that (transitively) performs one, like
-//     Cache.Evaluate reaching the flight cache's select. Holding a
+//     Cache.Base reaching the flight cache's select. Holding a
 //     lock while parked turns one slow unit into a convoy across every
 //     worker that needs the same lock.
 //  2. A value containing a lock (sync.Mutex, RWMutex, WaitGroup, Once,

@@ -54,6 +54,9 @@ func Decode(r io.Reader) (*Graph, error) {
 		fields := strings.Fields(line)
 		switch fields[0] {
 		case "loop":
+			if g != nil {
+				return nil, fmt.Errorf("ddg decode line %d: duplicate loop header", lineNo)
+			}
 			if len(fields) != 4 || fields[2] != "trips" {
 				return nil, fmt.Errorf("ddg decode line %d: malformed loop header %q", lineNo, line)
 			}

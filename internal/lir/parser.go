@@ -12,6 +12,11 @@ var opArity = map[string]int{
 	"load": 0, "store": 1,
 }
 
+// directives are the words that open a directive line. No statement
+// may use one as its destination or label: Format would write it where
+// a re-parse reads a directive.
+var directives = map[string]bool{"loop": true, "invariant": true, "mem": true, "store": true}
+
 // ParseError is a source-position-annotated parse failure.
 type ParseError struct {
 	Line int
@@ -105,15 +110,15 @@ func parseStmt(line string, lineNo int) (Stmt, error) {
 		eq := strings.Index(rest, "=")
 		if eq < 0 || ci < eq {
 			st.Label = strings.TrimSpace(rest[:ci])
-			if !isIdent(st.Label) {
+			if !isIdent(st.Label) || directives[st.Label] {
 				return st, errf(lineNo, "bad label %q", st.Label)
 			}
 			rest = strings.TrimSpace(rest[ci+1:])
 		}
 	}
 
-	if strings.HasPrefix(rest, "store") {
-		body := strings.TrimSpace(strings.TrimPrefix(rest, "store"))
+	if f := strings.Fields(rest); len(f) > 0 && f[0] == "store" {
+		body := strings.TrimSpace(rest[len("store"):])
 		parts := splitArgs(body)
 		if len(parts) != 2 {
 			return st, errf(lineNo, "want 'store <sym>, <operand>', got %q", rest)
@@ -134,7 +139,7 @@ func parseStmt(line string, lineNo int) (Stmt, error) {
 		return st, errf(lineNo, "expected assignment or store, got %q", rest)
 	}
 	st.Dest = strings.TrimSpace(rest[:eq])
-	if !isIdent(st.Dest) {
+	if !isIdent(st.Dest) || directives[st.Dest] {
 		return st, errf(lineNo, "bad destination %q", st.Dest)
 	}
 	rhs := strings.TrimSpace(rest[eq+1:])

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -37,20 +36,13 @@ type cacheKey struct {
 	opts    sched.Options
 }
 
-// evalKey identifies one per-model evaluation problem: the base-stage key
-// plus the model and the register budget.
-type evalKey struct {
-	base  cacheKey
-	model core.Model
-	regs  int
-}
-
 // CacheStats is a snapshot of one stage's counters across the cache
 // tiers.
 type CacheStats struct {
-	// Hits is the number of requests served from the in-memory tier
-	// (including calls that waited on an in-flight computation); 0 for
-	// the schedule stage, which has none.
+	// Hits is the number of requests served from memory: by the base
+	// stage's flight (including calls that waited on an in-flight
+	// computation), or by an earlier cell of the same group at the eval
+	// stage; 0 for the schedule stage, which keeps nothing.
 	Hits uint64
 	// DiskHits is the number of requests served from the persistent
 	// artifact store; always 0 when no store is attached.
@@ -66,32 +58,32 @@ func (s CacheStats) Requests() uint64 { return s.Hits + s.DiskHits + s.Misses }
 // stages (schedule, base, per-model eval). It is safe for concurrent
 // use.
 //
-// The base and eval stages each sit on an in-memory single-flight tier
-// (see flight), differing only in error-retention policy: the base stage
-// retains every error (its computation is ctx-free and deterministic —
-// retrying an unschedulable problem cannot succeed), while the eval
-// stage drops caller-dependent context-cancellation errors so one
-// cancelled sweep cannot poison a concurrent or later one. The schedule
-// stage has none: its requests are one per base miss and one per spill
-// round, which no other request repeats.
+// Only the base stage sits on an in-memory single-flight tier (see
+// flight). It retains every error: its computation is ctx-free and
+// deterministic, so retrying an unschedulable problem cannot succeed.
+// The schedule and eval stages have none. A schedule request is one per
+// base miss or per spill round, which no other request repeats. An eval
+// request is one cell of a (loop, machine) group, and the group walk
+// (evalCells) shares the only cells that coincide.
 //
 // The persistent tier, optional (SetStore), is a content-addressed
 // artifact store shared across processes, read-through/write-behind: a
-// miss consults it and only computes on a disk miss; computed schedule
-// and eval artifacts are written back best-effort. Negative results are
-// never persisted — an error is cheap to recompute and pinning one on
-// disk risks masking an environment-dependent failure.
+// request consults it and only computes on a disk miss; computed
+// schedule and eval artifacts are written back best-effort. Negative
+// results are never persisted — an error is cheap to recompute and
+// pinning one on disk risks masking an environment-dependent failure.
 type Cache struct {
 	bases *flight[cacheKey, *pipeline.Base]
-	evals *flight[evalKey, *pipeline.ModelResult]
 
 	// store is the optional persistent tier; nil means memory-only.
 	// The disk counters record successful disk loads; unsuccessful
 	// ones are observable through the store's own Stats (misses/faults).
 	store                       *store.Store
 	schedDiskHits, evalDiskHits atomic.Uint64
-	// schedComputed counts the schedule stage's sched.Run calls.
-	schedComputed atomic.Uint64
+	// schedComputed counts the schedule stage's sched.Run calls,
+	// evalComputed the cells the eval stage walked, and evalShared the
+	// cells it served from an earlier cell of the same group.
+	schedComputed, evalComputed, evalShared atomic.Uint64
 
 	// digests memoizes the canonical digest per graph pointer, keyed on
 	// the graph's (node count, edge count) for invalidation: every graph
@@ -107,19 +99,9 @@ type digestMemo struct {
 	sum          [sha256.Size]byte
 }
 
-// retainDeterministic is the eval stage's error-retention policy:
-// deterministic failures (unschedulable or non-converging problems) are
-// cached like results, caller-dependent context errors are not.
-func retainDeterministic(err error) bool {
-	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-}
-
 // NewCache returns an empty, memory-only cache.
 func NewCache() *Cache {
-	return &Cache{
-		bases: newFlight[cacheKey, *pipeline.Base](nil),
-		evals: newFlight[evalKey, *pipeline.ModelResult](retainDeterministic),
-	}
+	return &Cache{bases: newFlight[cacheKey, *pipeline.Base](nil)}
 }
 
 // SetStore attaches the persistent artifact tier. It must be called
@@ -225,22 +207,28 @@ func diskKey(k cacheKey, m *machine.Config, extra string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func (k evalKey) storeExtra() string {
-	return fmt.Sprintf("%s/%d", k.model, k.regs)
+// evalExtra names one cell under its base key on disk: Ideal ignores
+// the budget, and all negatives mean unlimited.
+func evalExtra(cell pipeline.Cell) string {
+	regs := cell.Regs
+	if cell.Model == core.Ideal || regs < 0 {
+		regs = 0
+	}
+	return fmt.Sprintf("%s/%d", cell.Model, regs)
 }
 
 // loadEval is the read-through path of the eval stage: fetch and decode
-// a persisted result, treating any damage as a recomputable miss (see
-// Schedule). Without a store it misses.
-func (c *Cache) loadEval(key evalKey, m *machine.Config) (*pipeline.ModelResult, bool) {
+// a persisted result for cell over the base key, treating any damage as
+// a recomputable miss (see Schedule). Without a store it misses.
+func (c *Cache) loadEval(key cacheKey, m *machine.Config, cell pipeline.Cell) (*pipeline.ModelResult, bool) {
 	if c.store == nil {
 		return nil, false
 	}
-	dk := diskKey(key.base, m, key.storeExtra())
+	dk := diskKey(key, m, evalExtra(cell))
 	data, ok := c.store.Get(stageEval, dk)
 	if ok {
 		res, err := pipeline.DecodeModelResult(bytes.NewReader(data), m)
-		if err == nil && res.Model == key.model {
+		if err == nil && res.Model == cell.Model {
 			c.evalDiskHits.Add(1)
 			return res, true
 		}
@@ -251,7 +239,7 @@ func (c *Cache) loadEval(key evalKey, m *machine.Config) (*pipeline.ModelResult,
 
 // saveEval is the write-behind path of the eval stage: best-effort, a
 // failed write only means the next process recomputes.
-func (c *Cache) saveEval(key evalKey, res *pipeline.ModelResult) {
+func (c *Cache) saveEval(key cacheKey, m *machine.Config, cell pipeline.Cell, res *pipeline.ModelResult) {
 	if c.store == nil {
 		return
 	}
@@ -260,7 +248,7 @@ func (c *Cache) saveEval(key evalKey, res *pipeline.ModelResult) {
 		c.store.Fault()
 		return
 	}
-	_ = c.store.Put(stageEval, diskKey(key.base, res.Sched.Mach, key.storeExtra()), buf.Bytes())
+	_ = c.store.Put(stageEval, diskKey(key, m, evalExtra(cell)), buf.Bytes())
 }
 
 // Schedule returns the schedule of g on m. Without a store it is
@@ -318,136 +306,77 @@ func (c *Cache) Base(ctx context.Context, g *ddg.Graph, m *machine.Config, opts 
 	})
 }
 
-// Evaluate returns the (possibly shared) per-model stage result — the
-// Classified → Allocated → Spilled chain of internal/pipeline — computed
-// at most once per distinct (graph content, machine, options, model,
-// register budget). All models of one loop share a single base artifact.
-// Deterministic failures (unschedulable or non-converging problems) are
-// cached like results; context-cancellation errors are caller-dependent
-// and are not retained. A waiter that observes another caller's
-// cancellation retries while its own context is live, so one cancelled
-// sweep cannot poison a concurrent one.
-func (c *Cache) Evaluate(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options, model core.Model, regs int) (*pipeline.ModelResult, error) {
-	key := c.evalKeyOf(g, m, opts, model, regs)
-	return c.evals.do(ctx, key, func() (*pipeline.ModelResult, error) {
-		return c.evalMiss(key, m, func() (*pipeline.ModelResult, error) {
-			b, err := c.Base(ctx, g, m, opts)
-			if err != nil {
-				return nil, err
-			}
-			return pipeline.Evaluate(ctx, c, b, key.model, key.regs)
-		})
-	})
-}
-
-// evalCells serves cells of one (loop, machine) group over the shared
-// base — held by the caller, so the base stage is not requested again —
-// through the eval stage, and hands each cell's outcome to each, in
-// order; a non-nil error from each stops the group. Every cell is
-// requested under its own key, but the group claims all of its keys at
-// once (flight.claimAll): it reads the disk tier for the cells it owns,
-// walks the spill chain once (pipeline.EvaluateCells) for the owned
-// cells the disk missed, and settles them together. Only then does it
-// wait on cells another requester owns. So a group costs one claim and
-// one walk, and a warm store never walks at all; hit, miss and disk
-// counters stay per cell.
+// evalCells serves the cells of one (loop, machine) group — g on m
+// under opts — and hands each cell's outcome to each, in order; a
+// non-nil error from each stops the group. b is the group's base, or
+// nil to request it through the base stage only if some cell misses
+// the disk.
 //
-// It returns the keys of the eval entries this call created — the
-// cells whose flight request it served itself, from disk or by
-// computing — so a streaming caller can release them once the group is
-// served (see evalHolds). Entries another requester created are not
-// its to drop.
-func (c *Cache) evalCells(ctx context.Context, b *pipeline.Base, cells []pipeline.Cell, each func(res *pipeline.ModelResult, err error) error) ([]evalKey, error) {
-	base := c.keyOf(b.Graph, b.Machine, b.Opts)
-	keys := make([]evalKey, len(cells))
+// The walk is plain. Every Ideal cell has one result whatever its
+// budget, so an Ideal cell after the group's first shares that cell's
+// outcome and counts as a memory hit; Grid.Plan already drops every
+// other repeated cell. Every other cell reads the disk tier, and the
+// cells the disk missed are evaluated by one walk of the spill chain
+// (pipeline.EvaluateCells) and written behind to the store. A cancelled
+// ctx is the group's error: it is checked here before any cell is
+// served, and by the walk between rounds.
+func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options, b *pipeline.Base, cells []pipeline.Cell, each func(res *pipeline.ModelResult, err error) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var key cacheKey
+	if c.store != nil {
+		key = c.keyOf(g, m, opts)
+	}
+	res := make([]*pipeline.ModelResult, len(cells))
+	errs := make([]error, len(cells))
+	ideal := -1 // the group's first Ideal cell
+	var walk []pipeline.Cell
+	var at []int
 	for k, cell := range cells {
-		keys[k] = evalKeyFor(base, cell.Model, cell.Regs)
-	}
-	cl, err := c.evals.claimAll(ctx, keys)
-	if err != nil {
-		return nil, err
-	}
-	created := make([]evalKey, 0, len(keys))
-	c.evals.run(cl, func() {
-		walk := make([]pipeline.Cell, 0, len(keys))
-		at := make([]int, 0, len(keys))
-		for k, owned := range cl.owned {
-			if !owned {
+		if cell.Model == core.Ideal {
+			if ideal >= 0 {
+				c.evalShared.Add(1)
 				continue
 			}
-			created = append(created, keys[k])
-			if res, ok := c.loadEval(keys[k], b.Machine); ok {
-				cl.set(k, res, nil)
-				continue
-			}
-			walk = append(walk, cells[k])
-			at = append(at, k)
+			ideal = k
 		}
-		if len(walk) == 0 {
-			return
+		if r, ok := c.loadEval(key, m, cell); ok {
+			res[k] = r
+			continue
 		}
-		res, errs := pipeline.EvaluateCells(ctx, c, b, walk)
-		for i, k := range at {
-			cl.set(k, res[i], errs[i])
-			if errs[i] == nil {
-				c.saveEval(keys[k], res[i])
-			}
-		}
-	})
-	for k, s := range cl.slots {
-		var res *pipeline.ModelResult
+		walk = append(walk, cell)
+		at = append(at, k)
+	}
+	if len(walk) > 0 {
+		c.evalComputed.Add(uint64(len(walk)))
 		var err error
-		if cl.owned[k] {
-			res, err = s.val, s.err
+		if b == nil {
+			b, err = c.Base(ctx, g, m, opts)
+		}
+		if err != nil {
+			for _, k := range at {
+				errs[k] = err
+			}
 		} else {
-			var settled bool
-			if res, err, settled = c.evals.wait(ctx, keys[k], s); !settled {
-				// The owner was cancelled: compute this cell afresh.
-				own := false
-				res, err = c.evals.do(ctx, keys[k], func() (*pipeline.ModelResult, error) {
-					own = true
-					return c.evalMiss(keys[k], b.Machine, func() (*pipeline.ModelResult, error) {
-						return pipeline.Evaluate(ctx, c, b, cells[k].Model, cells[k].Regs)
-					})
-				})
-				if own {
-					created = append(created, keys[k])
+			out, outErrs := pipeline.EvaluateCells(ctx, c, b, walk)
+			for i, k := range at {
+				res[k], errs[k] = out[i], outErrs[i]
+				if errs[k] == nil {
+					c.saveEval(key, m, cells[k], res[k])
 				}
 			}
 		}
-		if err := each(res, err); err != nil {
-			return created, err
+	}
+	for k, cell := range cells {
+		if cell.Model == core.Ideal {
+			k = ideal
+		}
+		if err := each(res[k], errs[k]); err != nil {
+			return err
 		}
 	}
-	return created, nil
-}
-
-// evalKeyOf normalizes the budget and builds the eval-stage key.
-func (c *Cache) evalKeyOf(g *ddg.Graph, m *machine.Config, opts sched.Options, model core.Model, regs int) evalKey {
-	return evalKeyFor(c.keyOf(g, m, opts), model, regs)
-}
-
-// evalKeyFor builds the eval-stage key of a model and budget over a
-// base key: Ideal ignores the budget, and all negatives mean unlimited.
-func evalKeyFor(base cacheKey, model core.Model, regs int) evalKey {
-	if model == core.Ideal || regs < 0 {
-		regs = 0
-	}
-	return evalKey{base: base, model: model, regs: regs}
-}
-
-// evalMiss serves a flight miss of the eval stage: read through the
-// disk tier, else compute with eval and write a computed result behind
-// to the store.
-func (c *Cache) evalMiss(key evalKey, m *machine.Config, eval func() (*pipeline.ModelResult, error)) (*pipeline.ModelResult, error) {
-	if res, ok := c.loadEval(key, m); ok {
-		return res, nil
-	}
-	res, err := eval()
-	if err == nil {
-		c.saveEval(key, res)
-	}
-	return res, err
+	return nil
 }
 
 // Forget drops the digest memo for g. The spill loop calls this (via an
@@ -455,16 +384,6 @@ func (c *Cache) evalMiss(key evalKey, m *machine.Config, eval func() (*pipeline.
 // graph dies, so the memo doesn't pin dead graphs for the engine's
 // lifetime. Only a store-backed schedule stage digests working graphs.
 func (c *Cache) Forget(g *ddg.Graph) { c.digests.Delete(g) }
-
-// tierStats composes one stage's flight counters with its disk counter
-// into the exported shape: Misses reports what was actually computed, so
-// flight misses absorbed by the persistent tier are subtracted out.
-// Callers pass the disk counter as the first (hence first-evaluated)
-// argument — it trails the flight's miss counter, so that order keeps
-// the subtraction non-negative under concurrency.
-func tierStats(diskHits, hits, misses uint64) CacheStats {
-	return CacheStats{Hits: hits, DiskHits: diskHits, Misses: misses - diskHits}
-}
 
 // Stats returns a snapshot of the schedule-stage counters. The stage
 // has no memory tier, so every request is a disk hit or computed.
@@ -510,19 +429,24 @@ func (s StageStats) String() string {
 // StageStats returns a snapshot of every stage's counters.
 func (c *Cache) StageStats() StageStats {
 	return StageStats{
-		Schedule:   c.Stats(),
-		Base:       tierStats(0, c.bases.hits.Load(), c.bases.misses.Load()),
-		Eval:       tierStats(c.evalDiskHits.Load(), c.evals.hits.Load(), c.evals.misses.Load()),
+		Schedule: c.Stats(),
+		Base:     CacheStats{Hits: c.bases.hits.Load(), Misses: c.bases.misses.Load()},
+		Eval: CacheStats{
+			Hits:     c.evalShared.Load(),
+			DiskHits: c.evalDiskHits.Load(),
+			Misses:   c.evalComputed.Load(),
+		},
 		Persistent: c.store != nil,
 	}
 }
 
-// StageLens is the number of retained entries per in-memory stage.
+// StageLens is the number of retained entries per in-memory stage; the
+// base stage is the only one.
 type StageLens struct {
-	Base, Eval int
+	Base int
 }
 
 // Lens returns the per-stage entry counts.
 func (c *Cache) Lens() StageLens {
-	return StageLens{Base: c.bases.len(), Eval: c.evals.len()}
+	return StageLens{Base: c.bases.len()}
 }

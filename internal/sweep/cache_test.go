@@ -93,7 +93,7 @@ func TestCacheSharesWork(t *testing.T) {
 	if st.Base.Hits != distinct*(rounds-1) {
 		t.Fatalf("base hits = %d, want %d", st.Base.Hits, distinct*(rounds-1))
 	}
-	if l := c.Lens(); l.Base != int(distinct) || l.Eval != 0 {
+	if l := c.Lens(); l.Base != int(distinct) {
 		t.Fatalf("cache holds %+v entries, want %d bases", l, distinct)
 	}
 	// One schedule request per computed base plus every direct one.
@@ -112,7 +112,7 @@ func TestCacheSharesWork(t *testing.T) {
 
 // TestEngineWalkMatchesUncachedWalk pins the ownership contract of the
 // schedule stage without a clone: every cell the engine serves — through
-// CompileAll and through a spill-axis grid walked group by group, as the
+// Compile and through a spill-axis grid walked group by group, as the
 // sweep executor does — equals the uncached walk pipeline.EvaluateCells
 // with sched.Run, in schedule, graph, lifetimes and spill counters, and
 // no result's graph is rewritten after the walk handed it out.
@@ -131,13 +131,12 @@ func TestEngineWalkMatchesUncachedWalk(t *testing.T) {
 		Models:   core.Models[:],
 		Regs:     []int{32, 36, 40, 44, 48, 52, 56, 60, 64},
 	}
-	// CompileAll runs on an engine of its own, so its cells are walks,
-	// not reads of the grid's entries.
+	// Compile runs on an engine of its own, one model at a time.
 	const compileRegs = 32
 	ctx := context.Background()
 
 	// The uncached reference: one walk per (loop, machine) over the
-	// grid's cells and CompileAll's four.
+	// grid's cells and the four Compile calls.
 	units := grid.Plan()
 	groups := GroupUnits(units)
 	want := make([]*pipeline.ModelResult, len(units))
@@ -190,14 +189,14 @@ func TestEngineWalkMatchesUncachedWalk(t *testing.T) {
 			cells[k] = pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs}
 		}
 		k := 0
-		if _, err := eng.cache.evalCells(ctx, b, cells, func(res *pipeline.ModelResult, err error) error {
+		if err := eng.cache.evalCells(ctx, loop, m, sched.Options{}, b, cells, func(res *pipeline.ModelResult, err error) error {
 			got[g.Units[k]], gotErrs[g.Units[k]] = res, err
 			k++
 			return nil
 		}); err != nil {
 			return err
 		}
-		gotAll[gi], err = compiler.CompileAll(ctx, loop, m, compileRegs)
+		gotAll[gi], err = compileAll(compiler, loop, m, compileRegs)
 		return err
 	})
 	if err != nil {
@@ -219,7 +218,7 @@ func TestEngineWalkMatchesUncachedWalk(t *testing.T) {
 	}
 	for gi, g := range groups {
 		for _, model := range core.Models {
-			name := fmt.Sprintf("CompileAll %s/%s/%v", grid.Corpus[g.Loop].LoopName, grid.Machines[g.Machine].Name(), model)
+			name := fmt.Sprintf("Compile %s/%s/%v", grid.Corpus[g.Loop].LoopName, grid.Machines[g.Machine].Name(), model)
 			mustSameResult(t, name, gotAll[gi][model], wantAll[gi][model])
 		}
 	}
@@ -312,63 +311,16 @@ func TestCacheCachesErrors(t *testing.T) {
 	}
 }
 
-// TestEngineCompileAllStageSharing asserts the stage-granular caching
-// contract on the engine: CompileAll for one loop computes exactly one
-// base artifact (one scheduler entry for the base schedule), evaluates
-// four models, and a repeated CompileAll is served entirely from the
-// eval cache.
-func TestEngineCompileAllStageSharing(t *testing.T) {
-	eng := New(2)
-	g := loops.Kernels()[0]
-	m := machine.Eval(6)
-	ctx := context.Background()
-
-	first, err := eng.CompileAll(ctx, g, m, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Cache().StageStats()
-	if st.Base.Misses != 1 {
-		t.Fatalf("base stage computed %d artifacts, want 1", st.Base.Misses)
-	}
-	if st.Eval.Misses != uint64(len(core.Models)) {
-		t.Fatalf("eval stage computed %d results, want %d", st.Eval.Misses, len(core.Models))
-	}
-	for _, model := range core.Models {
-		if first[model] == nil || first[model].Model != model {
-			t.Fatalf("missing or misindexed result for %v", model)
-		}
-	}
-
-	again, err := eng.CompileAll(ctx, g, m, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = eng.Cache().StageStats()
-	if st.Eval.Misses != uint64(len(core.Models)) || st.Eval.Hits != uint64(len(core.Models)) {
-		t.Fatalf("repeat CompileAll not served from eval cache: %+v", st.Eval)
-	}
-	for _, model := range core.Models {
-		if again[model] != first[model] {
-			t.Fatalf("%v: repeat CompileAll returned a different artifact", model)
-		}
-	}
-}
-
-// TestCacheLensPerStage pins the per-stage entry accounting of the two
-// in-memory stages: one CompileAll keeps one base and four evals.
+// TestCacheLensPerStage pins the per-stage entry accounting: the base
+// stage is the only in-memory one, so compiling every model of one loop
+// keeps one base.
 func TestCacheLensPerStage(t *testing.T) {
 	eng := New(1)
-	g := loops.Kernels()[0]
-	if _, err := eng.CompileAll(context.Background(), g, machine.Eval(6), 64); err != nil {
+	if _, err := compileAll(eng, loops.Kernels()[0], machine.Eval(6), 64); err != nil {
 		t.Fatal(err)
 	}
-	lens := eng.Cache().Lens()
-	if lens.Base != 1 {
+	if lens := eng.Cache().Lens(); lens.Base != 1 {
 		t.Fatalf("base entries = %d, want 1", lens.Base)
-	}
-	if lens.Eval != len(core.Models) {
-		t.Fatalf("eval entries = %d, want %d", lens.Eval, len(core.Models))
 	}
 }
 
@@ -424,40 +376,22 @@ func TestFlightWaiterRetriesDroppedFailure(t *testing.T) {
 	}
 }
 
-// TestEvaluateRetainsDeterministicErrors checks that an evaluation that
-// fails for content reasons (an unschedulable problem) is cached like a
-// result, while the cancellation test below shows ctx errors are not.
-func TestEvaluateRetainsDeterministicErrors(t *testing.T) {
-	eng := New(1)
-	m := machine.MustNew("no-mem2", []machine.ClusterSpec{{Adders: 1, Multipliers: 1}}, 3, 3, 1)
-	g := loops.Kernels()[0] // every kernel has loads; cannot schedule
-	ctx := context.Background()
-	if _, err := eng.Compile(ctx, g, m, core.Unified, 16); err == nil {
-		t.Fatal("expected scheduling failure")
-	}
-	if _, err := eng.Compile(ctx, g, m, core.Unified, 16); err == nil {
-		t.Fatal("expected cached scheduling failure")
-	}
-	st := eng.Cache().StageStats()
-	if st.Eval.Misses != 1 || st.Eval.Hits != 1 {
-		t.Fatalf("deterministic failure not retained: %+v", st.Eval)
-	}
-}
-
 // TestEngineCompileAllCancellation checks that a cancelled context
-// aborts the staged compile and that the failed evaluation is not
-// retained (a later call with a live context succeeds).
+// aborts the staged compile of every model and that the cancellation is
+// not retained: a later call with a live context succeeds.
 func TestEngineCompileAllCancellation(t *testing.T) {
 	eng := New(2)
 	g := loops.Kernels()[0]
 	m := machine.Eval(6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// 8 registers forces spilling, whose rounds check the context.
-	if _, err := eng.CompileAll(ctx, g, m, 8); err == nil {
-		t.Fatal("want cancellation error")
+	for _, model := range core.Models {
+		if _, err := eng.Compile(ctx, g, m, model, 8); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: %v, want the cancellation", model, err)
+		}
 	}
-	if _, err := eng.CompileAll(context.Background(), g, m, 8); err != nil {
+	// 8 registers forces spilling, whose rounds check the context.
+	if _, err := compileAll(eng, g, m, 8); err != nil {
 		t.Fatalf("cancelled evaluation was retained: %v", err)
 	}
 }

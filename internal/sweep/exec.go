@@ -12,15 +12,14 @@ import (
 // grids with, group → cell. The unit list is partitioned by (loop,
 // machine) into groups (GroupUnits), the unit of dispatch: one worker
 // requests the group's shared pipeline.Base once and serves every
-// (model, regs) cell of the group through the eval tiers
-// (Cache.evalCells), so the spill chain — independent of both model and
-// budget — is walked at most once per group instead of once per cell.
-// The worker hands the group's finished rows to a reorder buffer in one
-// piece, which emits them in the flat plan order, so shard files,
-// `ncdrf merge` and PlanDigest compatibility are unaffected by the
-// execution shape. Once a group is served, the eval entries it created
-// are released (evalHolds): no later request of the run reads them, and
-// the disk store stays the durable tier.
+// (model, regs) cell of the group in one walk (Cache.evalCells), so the
+// spill chain — independent of both model and budget — is walked at
+// most once per group instead of once per cell. The worker hands the
+// group's finished rows to a reorder buffer in one piece, which emits
+// them in the flat plan order, so shard files, `ncdrf merge` and
+// PlanDigest compatibility are unaffected by the execution shape. The
+// eval stage keeps nothing in memory once a group is served; the disk
+// store is its only durable tier.
 
 // Sweep plans the grid and compiles every unit on the worker pool,
 // calling emit once per unit. Emit calls are serialized and follow plan
@@ -55,35 +54,28 @@ func (e *Engine) Sweep(ctx context.Context, grid Grid, emit func(Result)) error 
 // every finished group whose first unemitted row is still behind the
 // plan-order prefix — in the worst case about a plan's worth of rows,
 // though a group's rows are dropped as soon as its last one is emitted.
-//
-// The sweep keeps no eval-stage entries: each group releases the eval
-// flight entries it created once its rows are handed over, on every
-// return path. Groups that share a base key (the same loop content
-// listed twice) release together, after the last of them, so every
-// stage counter equals that of an engine that retains everything.
+// Groups share only their base: a corpus that lists one loop's content
+// twice evaluates its cells once per listing.
 func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit func(Result), done func()) error {
 	groups := GroupUnits(units)
 	out := newReorder(grid, units, groups, emit)
-	holds := e.holdBases(grid, groups)
 	return e.ForEach(ctx, len(groups), func(gi int) error {
-		rows, created, err := e.groupCells(ctx, grid, units, groups[gi], done)
+		rows, err := e.groupCells(ctx, grid, units, groups[gi], done)
 		if err == nil {
 			out.put(gi, rows)
 		}
-		holds.release(gi, created)
 		return err
 	})
 }
 
 // groupCells computes the cells of group g — indices into units, all
-// of one (loop, machine) — through the eval tiers, with one base
-// request and one spill walk at most, and returns their rows, calling
-// done (when non-nil) as each cell finishes. A cell whose group base
-// failed carries the base error. Cancellation is the sweep's error, not
-// the cell's: it is returned instead of recorded, so consumers never
-// mistake it for a compile failure. It returns the eval entries it
-// created (see Cache.evalCells), on every path.
-func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, g Group, done func()) (groupRows, []evalKey, error) {
+// of one (loop, machine) — with one base request and one spill walk at
+// most, and returns their rows, calling done (when non-nil) as each
+// cell finishes. A cell whose group base failed carries the base error.
+// Cancellation is the sweep's error, not the cell's: it is returned
+// instead of recorded, so consumers never mistake it for a compile
+// failure.
+func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, g Group, done func()) (groupRows, error) {
 	rows := groupRows{cells: make([]cellRow, 0, len(g.Units))}
 	add := func(res *pipeline.ModelResult, err error) error {
 		if err != nil {
@@ -97,74 +89,22 @@ func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, g Grou
 		}
 		return nil
 	}
-	base, baseErr := e.Base(ctx, grid.Corpus[g.Loop], grid.Machines[g.Machine])
+	loop, m := grid.Corpus[g.Loop], grid.Machines[g.Machine]
+	base, baseErr := e.Base(ctx, loop, m)
 	if baseErr != nil {
 		for range g.Units {
 			if err := add(nil, baseErr); err != nil {
-				return groupRows{}, nil, err
+				return groupRows{}, err
 			}
 		}
-		return rows, nil, nil
+		return rows, nil
 	}
 	cells := make([]pipeline.Cell, len(g.Units))
 	for k, ui := range g.Units {
 		cells[k] = pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs}
 	}
-	created, err := e.cache.evalCells(ctx, base, cells, add)
-	return rows, created, err
-}
-
-// evalHolds reference-counts base keys across one sweep's groups, so
-// the eval entries of a base key are released only when the last group
-// holding it is served. Without the count, a loop listed twice would
-// see its second group hit or miss the first group's entries depending
-// on timing; with it, every group of a base key finds the entries its
-// predecessors created, exactly as in a retaining engine.
-type evalHolds struct {
-	cache *Cache
-	// base[gi] is group gi's base key.
-	base []cacheKey
-
-	mu sync.Mutex
-	// left counts each base key's groups not yet served; created holds
-	// the entries its served groups created, until the last one is.
-	left    map[cacheKey]int
-	created map[cacheKey][]evalKey
-}
-
-// holdBases computes every group's base key and counts its holders.
-func (e *Engine) holdBases(grid Grid, groups []Group) *evalHolds {
-	h := &evalHolds{
-		cache:   e.cache,
-		base:    make([]cacheKey, len(groups)),
-		left:    map[cacheKey]int{},
-		created: map[cacheKey][]evalKey{},
-	}
-	for gi, g := range groups {
-		key := e.cache.keyOf(grid.Corpus[g.Loop], grid.Machines[g.Machine], sched.Options{})
-		h.base[gi] = key
-		h.left[key]++
-	}
-	return h
-}
-
-// release records that group gi is served, having created the eval
-// entries created, and drops its base key's entries once no group of
-// the sweep holds the key any more.
-func (h *evalHolds) release(gi int, created []evalKey) {
-	key := h.base[gi]
-	h.mu.Lock()
-	h.left[key]--
-	if h.left[key] > 0 {
-		h.created[key] = append(h.created[key], created...)
-		h.mu.Unlock()
-		return
-	}
-	earlier := h.created[key]
-	delete(h.created, key)
-	h.mu.Unlock()
-	h.cache.evals.forget(earlier)
-	h.cache.evals.forget(created)
+	err := e.cache.evalCells(ctx, loop, m, sched.Options{}, base, cells, add)
+	return rows, err
 }
 
 // rowFor starts the result row of one unit with its cell identity.

@@ -8,13 +8,12 @@ import (
 )
 
 // flight is the one single-flight cache implementation shared by the
-// engine's in-memory stages (base, eval, and the whole-result-set
+// engine's in-memory tiers (the base stage and the whole-result-set
 // memo). It guarantees that a value is computed at most once per key
-// while the computation succeeds and its entry is not forgotten (see
-// forget), shares in-flight computations between
+// while the computation succeeds, shares in-flight computations between
 // concurrent callers, and counts hits and misses uniformly.
 //
-// Error retention is the only axis on which the stages differ, so it is
+// Error retention is the only axis on which the tiers differ, so it is
 // the one policy knob: retain decides whether a failed computation stays
 // in the cache (deterministic failures — retrying an unschedulable
 // problem cannot succeed) or is dropped so the next caller recomputes
@@ -57,7 +56,7 @@ func newFlight[K comparable, V any](retain func(error) bool) *flight[K, V] {
 
 // do returns the value for key, computing it with compute at most once
 // concurrently and — while compute succeeds or fails deterministically —
-// at most once until the entry is forgotten. Callers that must never abandon a wait pass
+// at most once overall. Callers that must never abandon a wait pass
 // context.Background().
 func (f *flight[K, V]) do(ctx context.Context, key K, compute func() (V, error)) (V, error) {
 	for {
@@ -81,8 +80,7 @@ func (f *flight[K, V]) do(ctx context.Context, key K, compute func() (V, error))
 	f.mu.Unlock()
 	f.misses.Add(1)
 
-	f.run(&claim[K, V]{keys: []K{key}, slots: []*slot[V]{s}, owned: []bool{true}, ready: s.ready},
-		func() { s.val, s.err = compute() })
+	f.run(key, s, compute)
 	return s.val, s.err
 }
 
@@ -116,117 +114,39 @@ func (f *flight[K, V]) wait(ctx context.Context, key K, s *slot[V]) (v V, err er
 	return v, nil, false
 }
 
-// claim is one caller's lookup of one or more keys: the slots serving
-// them, which of those the caller created (and so must compute and
-// settle), and the ready channel its own slots share. do's compute path
-// is a claim of one key.
-type claim[K comparable, V any] struct {
-	keys  []K
-	slots []*slot[V] // slots[i] serves keys[i]
-	owned []bool     // owned[i]: this claim created slots[i]
-	ready chan struct{}
-}
-
-// claimAll looks up every key under one lock and creates a slot for
-// each one not in flight; the claim owns those, and they share one
-// ready channel. A key listed twice is owned at its first position and
-// found at the later ones. Every owned slot must be computed and
-// settled through run before the caller waits on any slot it does not
-// own: since a claim is taken atomically and settled before its owner
-// waits, claims form a DAG in lock order and two callers claiming
-// overlapping key sets cannot deadlock. ctx is consulted before
-// anything is claimed.
-func (f *flight[K, V]) claimAll(ctx context.Context, keys []K) (*claim[K, V], error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c := &claim[K, V]{
-		keys:  keys,
-		slots: make([]*slot[V], len(keys)),
-		owned: make([]bool, len(keys)),
-		ready: make(chan struct{}),
-	}
-	fresh := make([]slot[V], len(keys))
-	owned := 0
-	f.mu.Lock()
-	for i, key := range keys {
-		s, ok := f.slots[key]
-		if !ok {
-			s = &fresh[i]
-			s.ready = c.ready
-			f.slots[key] = s
-			c.owned[i] = true
-			owned++
-		}
-		c.slots[i] = s
-	}
-	f.mu.Unlock()
-	f.misses.Add(uint64(owned))
-	return c, nil
-}
-
-// set records the outcome of c's i-th key; run's compute calls it for
-// every slot c owns. The owner writes a slot only before settling it,
-// and waiters read it only after ready closes.
-func (c *claim[K, V]) set(i int, v V, err error) {
-	c.slots[i].val, c.slots[i].err = v, err
-}
-
-// run calls compute, which sets the outcome of every slot c owns, and
-// settles them. A panicking compute must not strand the slots: left in
-// the map with ready never closed, they would block every concurrent
-// and future caller for their keys (e.g. on the stale-digest invariant
-// panic in cache.go). So the panic becomes every owned slot's error —
-// settled under the normal retention policy, so waiters observe a real
-// failure — and is then re-raised on the computing goroutine, which is
-// the one that owns the broken invariant.
-func (f *flight[K, V]) run(c *claim[K, V], compute func()) {
+// run computes s, the slot this caller created for key, and settles
+// it. A panicking compute must not strand the slot: left in the map
+// with ready never closed, it would block every concurrent and future
+// caller for the key (e.g. on the stale-digest invariant panic in
+// cache.go). So the panic becomes the slot's error — settled under the
+// normal retention policy, so waiters observe a real failure — and is
+// then re-raised on the computing goroutine, which is the one that owns
+// the broken invariant.
+func (f *flight[K, V]) run(key K, s *slot[V], compute func() (V, error)) {
 	defer func() {
 		if r := recover(); r != nil {
-			err := fmt.Errorf("sweep: cached computation panicked: %v", r)
-			for i, s := range c.slots {
-				if c.owned[i] {
-					s.err = err
-				}
-			}
-			f.settle(c)
+			s.err = fmt.Errorf("sweep: cached computation panicked: %v", r)
+			f.settle(key, s)
 			panic(r)
 		}
 	}()
-	compute()
-	f.settle(c)
+	s.val, s.err = compute()
+	f.settle(key, s)
 }
 
-// settle applies the retention policy to every slot c owns and then
-// publishes their outcomes by closing the shared ready channel once.
-// The drop-from-map must happen before the close: waiters distinguish
-// retained from dropped failures by checking whether the slot is still
-// mapped after ready closes.
-func (f *flight[K, V]) settle(c *claim[K, V]) {
-	for i, s := range c.slots {
-		if c.owned[i] && s.err != nil && f.retain != nil && !f.retain(s.err) {
-			f.mu.Lock()
-			if f.slots[c.keys[i]] == s {
-				delete(f.slots, c.keys[i])
-			}
-			f.mu.Unlock()
+// settle applies the retention policy to s and then publishes its
+// outcome by closing ready. The drop-from-map must happen before the
+// close: waiters distinguish retained from dropped failures by checking
+// whether the slot is still mapped after ready closes.
+func (f *flight[K, V]) settle(key K, s *slot[V]) {
+	if s.err != nil && f.retain != nil && !f.retain(s.err) {
+		f.mu.Lock()
+		if f.slots[key] == s {
+			delete(f.slots, key)
 		}
+		f.mu.Unlock()
 	}
-	close(c.ready)
-}
-
-// forget drops the entries of keys, so a later request for one of them
-// starts afresh. Streaming sweeps use it to let go of results no later
-// request of the run reads (see evalHolds).
-func (f *flight[K, V]) forget(keys []K) {
-	if len(keys) == 0 {
-		return
-	}
-	f.mu.Lock()
-	for _, k := range keys {
-		delete(f.slots, k)
-	}
-	f.mu.Unlock()
+	close(s.ready)
 }
 
 // len returns the number of retained entries.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 
 	"ncdrf/internal/ddg"
 	"ncdrf/internal/machine"
@@ -15,15 +16,22 @@ import (
 // figure's sweep is a single map lookup. Concurrent callers of the same
 // key block until the first computation finishes and share its result.
 //
-// Memo runs on the same single-flight core as the stage caches, with
-// the eval stage's retention policy: deterministic failures are retained
-// and shared (re-running a whole result set to hit the identical error
-// would waste a corpus-sized computation per waiter), while
+// Memo runs on the same single-flight core as the base stage, with its
+// own retention policy (retainDeterministic): deterministic failures
+// are retained and shared (re-running a whole result set to hit the
+// identical error would waste a corpus-sized computation per waiter), while
 // caller-dependent context-cancellation failures are dropped — a waiter
 // that observes one retries while its own context is live, and later
 // callers recompute.
 func (e *Engine) Memo(ctx context.Context, key string, fn func() (any, error)) (any, error) {
 	return e.memos.do(ctx, key, fn)
+}
+
+// retainDeterministic is Memo's error-retention policy: deterministic
+// failures (unschedulable or non-converging problems) are cached like
+// results, caller-dependent context errors are not.
+func retainDeterministic(err error) bool {
+	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
 // CorpusKey derives a stable Memo key for a computation over (corpus,

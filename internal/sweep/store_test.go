@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ncdrf/internal/core"
+	"ncdrf/internal/ddg"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
 	"ncdrf/internal/pipeline"
@@ -28,13 +29,24 @@ func storeEng(t *testing.T, workers int, dir string) *Engine {
 	return eng
 }
 
-// compileCorpusErr runs CompileAll for every kernel on m and returns the
+// compileAll compiles g under every register-file model on m, one
+// Engine.Compile call per model, indexed by model.
+func compileAll(eng *Engine, g *ddg.Graph, m *machine.Config, regs int) (out [core.NumModels]*pipeline.ModelResult, err error) {
+	for _, model := range core.Models {
+		if out[model], err = eng.Compile(context.Background(), g, m, model, regs); err != nil {
+			return out, fmt.Errorf("%v: %w", model, err)
+		}
+	}
+	return out, nil
+}
+
+// compileCorpusErr runs compileAll for every kernel on m and returns the
 // results by loop name; the error form is safe to call off the test
 // goroutine (t.Fatal is not).
 func compileCorpusErr(eng *Engine, m *machine.Config, regs int) (map[string][core.NumModels]*pipeline.ModelResult, error) {
 	out := map[string][core.NumModels]*pipeline.ModelResult{}
 	for _, g := range loops.Kernels() {
-		res, err := eng.CompileAll(context.Background(), g, m, regs)
+		res, err := compileAll(eng, g, m, regs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", g.LoopName, err)
 		}
@@ -98,7 +110,9 @@ func TestStoreTierIncremental(t *testing.T) {
 	if st1.Schedule.Misses == 0 || st1.Eval.Misses == 0 {
 		t.Fatalf("cold run computed nothing: %+v", st1)
 	}
-	if st1.Schedule.DiskHits != 0 || st1.Eval.DiskHits != 0 {
+	// Each model walks its own spill chain, so a later model may read a
+	// round's schedule an earlier model wrote; no eval cell repeats.
+	if st1.Eval.DiskHits != 0 {
 		t.Fatalf("cold run hit a fresh store: %+v", st1)
 	}
 	if w := eng1.Store().Stats().Writes; w == 0 {
@@ -215,7 +229,7 @@ func TestStoreKeyPinsMachineSpec(t *testing.T) {
 	mB := machine.MustNew("mutating-preset", spec, 6, 6, 1) // same name, new latencies
 
 	eng1 := storeEng(t, 1, dir)
-	if _, err := eng1.CompileAll(context.Background(), g, mA, 32); err != nil {
+	if _, err := compileAll(eng1, g, mA, 32); err != nil {
 		t.Fatal(err)
 	}
 	if eng1.Store().Stats().Writes == 0 {
@@ -223,7 +237,7 @@ func TestStoreKeyPinsMachineSpec(t *testing.T) {
 	}
 
 	eng2 := storeEng(t, 1, dir)
-	if _, err := eng2.CompileAll(context.Background(), g, mB, 32); err != nil {
+	if _, err := compileAll(eng2, g, mB, 32); err != nil {
 		t.Fatal(err)
 	}
 	st := eng2.Cache().StageStats()

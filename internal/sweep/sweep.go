@@ -27,18 +27,20 @@
 //
 // Hit/miss counters are exported per stage through Cache.StageStats:
 // Misses is the number of artifacts actually computed, Hits the number
-// of requests the in-memory tier absorbed, DiskHits the number served
-// by the optional persistent tier.
+// of requests served from memory, DiskHits the number served by the
+// optional persistent tier.
 //
 // # Tiers
 //
-// Every stage shares the key scheme above and stacks (up to) two tiers:
+// Every stage shares the key scheme above and stacks up to two tiers:
 //
-//	flight  — one generic in-memory single-flight implementation per
-//	          stage (see flight.go), parameterized only on error
-//	          retention; shares in-flight work within the process. The
-//	          schedule stage has none: it computes on the caller's graph
-//	          itself, with no clone, or reads from disk.
+//	flight  — the generic in-memory single-flight implementation (see
+//	          flight.go), parameterized only on error retention; shares
+//	          in-flight work within the process. Only the base stage has
+//	          one. The schedule stage computes on the caller's graph
+//	          itself, with no clone, or reads from disk; the eval stage
+//	          serves a group's cells in one walk, sharing an Ideal cell's
+//	          result across the group's budgets (Cache.evalCells).
 //	store   — an optional content-addressed on-disk artifact store
 //	          (internal/store, attached with Engine.SetStore): a miss
 //	          reads through it before computing, and computed
@@ -114,29 +116,15 @@ func (e *Engine) Base(ctx context.Context, g *ddg.Graph, m *machine.Config) (*pi
 
 // Compile runs the staged per-model pipeline for one loop — classify and
 // allocate the shared base schedule, spill until the allocation fits —
-// with every stage served through the cache. The Ideal model ignores
-// regs (its register file is unlimited).
+// as the one-cell case of a sweep group's walk: it reads the disk tier
+// first and requests the base only on a disk miss. The Ideal model
+// ignores regs (its register file is unlimited).
 func (e *Engine) Compile(ctx context.Context, g *ddg.Graph, m *machine.Config, model core.Model, regs int) (*pipeline.ModelResult, error) {
-	return e.cache.Evaluate(ctx, g, m, sched.Options{}, model, regs)
-}
-
-// CompileAll evaluates every register-file model of one loop with one
-// base request and one eval-flight claim over the four (model, regs)
-// cells — one walk of the spill chain, the path sweeps take
-// (Cache.evalCells). Unlike a sweep it keeps the eval entries.
-func (e *Engine) CompileAll(ctx context.Context, g *ddg.Graph, m *machine.Config, regs int) (out [core.NumModels]*pipeline.ModelResult, err error) {
-	b, err := e.Base(ctx, g, m)
-	if err != nil {
-		return out, err
-	}
-	cells := make([]pipeline.Cell, len(core.Models))
-	for i, model := range core.Models {
-		cells[i] = pipeline.Cell{Model: model, Regs: regs}
-	}
-	next := 0
-	_, err = e.cache.evalCells(ctx, b, cells, func(res *pipeline.ModelResult, err error) error {
-		out[core.Models[next]], next = res, next+1
-		return err
-	})
-	return out, err
+	var res *pipeline.ModelResult
+	err := e.cache.evalCells(ctx, g, m, sched.Options{}, nil, []pipeline.Cell{{Model: model, Regs: regs}},
+		func(r *pipeline.ModelResult, err error) error {
+			res = r
+			return err
+		})
+	return res, err
 }

@@ -31,8 +31,8 @@ func VerifyModel(g *ddg.Graph, m *machine.Config, model core.Model, regs, iters 
 
 // compiler is the optional stage-cache interface of a Scheduler: a
 // sweep.Engine compiles through its stage-granular cache, so verifying
-// several models of one loop shares one base artifact and memoizes every
-// per-model evaluation.
+// several models of one loop shares one base artifact and reads every
+// per-model evaluation through the artifact store when one is attached.
 type compiler interface {
 	Compile(ctx context.Context, g *ddg.Graph, m *machine.Config, model core.Model, regs int) (*pipeline.ModelResult, error)
 }
