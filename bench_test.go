@@ -48,7 +48,7 @@ func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// A fresh engine per iteration keeps the cache cold, so the
 		// benchmark measures a from-scratch regeneration.
-		res, err := experiment.Table1(context.Background(), sweep.New(0), corpus)
+		res, err := experiment.Table1(context.Background(), experiment.NewStudy(sweep.New(0), corpus))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func BenchmarkFigure6(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, lat := range []int{3, 6} {
-			res, err := experiment.Fig6(context.Background(), sweep.New(0), corpus, lat)
+			res, err := experiment.Fig6(context.Background(), experiment.NewStudy(sweep.New(0), corpus), lat)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func BenchmarkFigure7(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, lat := range []int{3, 6} {
-			res, err := experiment.Fig7(context.Background(), sweep.New(0), corpus, lat)
+			res, err := experiment.Fig7(context.Background(), experiment.NewStudy(sweep.New(0), corpus), lat)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -174,34 +174,35 @@ func BenchmarkFigure8And9(b *testing.B) {
 }
 
 // BenchmarkPaperPipelineSharedCache regenerates Table 1 plus Figures 6-9
-// on ONE shared engine, the way `ncdrf all` runs: the schedule cache
-// shares identical scheduling work across the exhibits. Compare against
-// the sum of the cold-cache benchmarks above to see the saving.
+// on ONE engine and one Study, the way `ncdrf all` runs: Figure 7 reads
+// Figure 6's requirement sweeps. Compare against the sum of the
+// single-exhibit benchmarks above to see the saving.
 func BenchmarkPaperPipelineSharedCache(b *testing.B) {
 	corpus := benchCorpus()
 	ctx := context.Background()
-	var st sweep.CacheStats
+	var st sweep.StageStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sweep.New(0)
-		if _, err := experiment.Table1(ctx, eng, corpus); err != nil {
+		study := experiment.NewStudy(eng, corpus)
+		if _, err := experiment.Table1(ctx, study); err != nil {
 			b.Fatal(err)
 		}
 		for _, lat := range []int{3, 6} {
-			if _, err := experiment.Fig6(ctx, eng, corpus, lat); err != nil {
+			if _, err := experiment.Fig6(ctx, study, lat); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := experiment.Fig7(ctx, eng, corpus, lat); err != nil {
+			if _, err := experiment.Fig7(ctx, study, lat); err != nil {
 				b.Fatal(err)
 			}
 		}
 		if _, err := experiment.Fig8and9(ctx, eng, corpus, nil); err != nil {
 			b.Fatal(err)
 		}
-		st = eng.Cache().Stats()
+		st = eng.Cache().StageStats()
 	}
-	b.ReportMetric(float64(st.Hits), "hits/op")
-	b.ReportMetric(float64(st.Misses), "misses/op")
+	b.ReportMetric(float64(st.Base.Misses), "bases/op")
+	b.ReportMetric(float64(st.Schedule.Misses), "schedules/op")
 }
 
 // BenchmarkRegfileModel evaluates the section 3.2 area/access-time model

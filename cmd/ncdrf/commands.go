@@ -114,7 +114,7 @@ func cmdTable1(ctx context.Context, eng *sweep.Engine, args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := experiment.Table1(ctx, eng, corpus)
+	res, err := experiment.Table1(ctx, experiment.NewStudy(eng, corpus))
 	if err != nil {
 		return err
 	}
@@ -136,13 +136,14 @@ func cmdFigCDF(ctx context.Context, eng *sweep.Engine, args []string, dynamic bo
 	if err != nil {
 		return err
 	}
+	st := experiment.NewStudy(eng, corpus)
 	for _, lat := range []int{3, 6} {
 		var res *experiment.CDFResult
 		var err error
 		if dynamic {
-			res, err = experiment.Fig7(ctx, eng, corpus, lat)
+			res, err = experiment.Fig7(ctx, st, lat)
 		} else {
-			res, err = experiment.Fig6(ctx, eng, corpus, lat)
+			res, err = experiment.Fig6(ctx, st, lat)
 		}
 		if err != nil {
 			return err
@@ -226,7 +227,10 @@ func runAll(ctx context.Context, eng *sweep.Engine, o corpusOpts) error {
 	}
 	fmt.Println()
 
-	t1, err := experiment.Table1(ctx, eng, corpus)
+	// One Study for every requirement exhibit: Figure 7 and the cluster
+	// study's two-cluster row read Figure 6's sweeps.
+	st := experiment.NewStudy(eng, corpus)
+	t1, err := experiment.Table1(ctx, st)
 	if err != nil {
 		return err
 	}
@@ -238,9 +242,9 @@ func runAll(ctx context.Context, eng *sweep.Engine, o corpusOpts) error {
 		for _, lat := range []int{3, 6} {
 			var res *experiment.CDFResult
 			if dynamic {
-				res, err = experiment.Fig7(ctx, eng, corpus, lat)
+				res, err = experiment.Fig7(ctx, st, lat)
 			} else {
-				res, err = experiment.Fig6(ctx, eng, corpus, lat)
+				res, err = experiment.Fig6(ctx, st, lat)
 			}
 			if err != nil {
 				return err
@@ -263,7 +267,7 @@ func runAll(ctx context.Context, eng *sweep.Engine, o corpusOpts) error {
 		return err
 	}
 	fmt.Println()
-	cs, err := experiment.ClusterScaling(ctx, eng, corpus, 6, nil)
+	cs, err := experiment.ClusterScaling(ctx, st, 6, nil)
 	if err != nil {
 		return err
 	}

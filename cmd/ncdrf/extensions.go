@@ -40,7 +40,7 @@ func cmdClusters(ctx context.Context, eng *sweep.Engine, args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := experiment.ClusterScaling(ctx, eng, corpus, *lat, nil)
+	res, err := experiment.ClusterScaling(ctx, experiment.NewStudy(eng, corpus), *lat, nil)
 	if err != nil {
 		return err
 	}

@@ -270,11 +270,10 @@ func TestCmdSweepLatsAreIntegers(t *testing.T) {
 	}
 }
 
-// TestCmdSweepStatsEntries checks the -stats object surfaces the base
-// stage's entry count (Cache.Lens) and the per-stage tier counters. The
-// base stage is the only one with an in-memory tier, so there is no
-// entries_schedule or entries_eval key, and every schedule request is
-// computed.
+// TestCmdSweepStatsEntries checks the -stats object surfaces the
+// per-stage tier counters and no entry count: no stage keeps an
+// in-memory tier, so there is no entries_* key, and every schedule and
+// base request is computed.
 func TestCmdSweepStatsEntries(t *testing.T) {
 	out := capture(t, func() error {
 		return cmdSweep(ctx0, testEng(), []string{
@@ -286,23 +285,24 @@ func TestCmdSweepStatsEntries(t *testing.T) {
 		t.Fatalf("stats line is not JSON: %v", err)
 	}
 	for _, key := range []string{
-		"entries_base",
 		"stage_eval_requests", "stage_eval_computed", "stage_base_memory_hits",
 	} {
 		if _, ok := st[key]; !ok {
 			t.Fatalf("stats object missing %q: %v", key, st)
 		}
 	}
-	for _, key := range []string{"entries_schedule", "entries_eval"} {
+	for _, key := range []string{"entries_schedule", "entries_base", "entries_eval"} {
 		if _, ok := st[key]; ok {
 			t.Fatalf("stats object reports %s, but the stage keeps no entries: %v", key, st)
 		}
 	}
-	if st["entries_base"] == 0 {
-		t.Fatalf("degenerate entry counts: %v", st)
+	for _, stage := range []string{"schedule", "base"} {
+		if st["stage_"+stage+"_memory_hits"] != 0 || st["stage_"+stage+"_computed"] != st["stage_"+stage+"_requests"] {
+			t.Fatalf("%s requests served from memory: %v", stage, st)
+		}
 	}
-	if st["stage_schedule_memory_hits"] != 0 || st["stage_schedule_computed"] != st["stage_schedule_requests"] {
-		t.Fatalf("schedule requests served from memory: %v", st)
+	if st["stage_base_requests"] == 0 {
+		t.Fatalf("sweep requested no base: %v", st)
 	}
 	if st["stage_eval_computed"] == 0 {
 		t.Fatalf("sweep computed no eval cell: %v", st)

@@ -99,9 +99,9 @@ func (p *progress) line() {
 		}
 		return fmt.Sprintf("%.0f%%", 100*float64(cs.Hits+cs.DiskHits)/float64(req))
 	}
-	fmt.Fprintf(p.w, "progress: %d/%d units done (%.1f%%), %d emitted, elapsed %s, hit rates: schedule %s, base %s, eval %s\n",
+	fmt.Fprintf(p.w, "progress: %d/%d units done (%.1f%%), %d emitted, elapsed %s, hit rates: schedule %s, eval %s\n",
 		done, p.total, pct, p.emitted.Load(),
 		//lint:allow wallclock -- elapsed time on stderr, never in artifacts
 		time.Since(p.start).Round(time.Second/10),
-		rate(st.Schedule), rate(st.Base), rate(st.Eval))
+		rate(st.Schedule), rate(st.Eval))
 }

@@ -300,11 +300,9 @@ func streamRows(ctx context.Context, run executor, header *sweep.ShardHeader, ou
 
 // writeStatsJSON emits the -stats object: the legacy cache_* keys
 // describe the schedule stage; the stage_* keys add the full per-stage
-// picture (computed vs memory vs disk tier), and entries_base the entry
-// count the base stage retains (no other stage keeps entries).
+// picture (computed vs memory vs disk tier).
 func writeStatsJSON(eng *sweep.Engine, w io.Writer) error {
 	st := eng.Cache().StageStats()
-	lens := eng.Cache().Lens()
 	obj := map[string]uint64{
 		"cache_requests": st.Schedule.Requests(),
 		"cache_hits":     st.Schedule.Hits,
@@ -322,7 +320,6 @@ func writeStatsJSON(eng *sweep.Engine, w io.Writer) error {
 		obj["stage_"+s.name+"_memory_hits"] = s.cs.Hits
 		obj["stage_"+s.name+"_disk_hits"] = s.cs.DiskHits
 	}
-	obj["entries_base"] = uint64(lens.Base)
 	return json.NewEncoder(w).Encode(obj)
 }
 

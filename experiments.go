@@ -42,7 +42,7 @@ func (o CorpusOptions) build() []*ddg.Graph {
 // four PxLy configurations) and writes it to w.
 func RenderTable1(opts CorpusOptions, w io.Writer) error {
 	//lint:allow ctxflow -- ctx-free public facade: the render call is the root of its call tree
-	res, err := experiment.Table1(context.Background(), sweep.New(0), opts.build())
+	res, err := experiment.Table1(context.Background(), experiment.NewStudy(sweep.New(0), opts.build()))
 	if err != nil {
 		return err
 	}
@@ -62,16 +62,16 @@ func RenderFig7(opts CorpusOptions, w io.Writer) error {
 }
 
 func renderCDF(opts CorpusOptions, w io.Writer, dynamic bool) error {
-	corpus := opts.build()
+	st := experiment.NewStudy(sweep.New(0), opts.build())
 	//lint:allow ctxflow -- ctx-free public facade: the render call is the root of its call tree
-	ctx, eng := context.Background(), sweep.New(0)
+	ctx := context.Background()
 	for _, lat := range []int{3, 6} {
 		var res *experiment.CDFResult
 		var err error
 		if dynamic {
-			res, err = experiment.Fig7(ctx, eng, corpus, lat)
+			res, err = experiment.Fig7(ctx, st, lat)
 		} else {
-			res, err = experiment.Fig6(ctx, eng, corpus, lat)
+			res, err = experiment.Fig6(ctx, st, lat)
 		}
 		if err != nil {
 			return err

@@ -3,8 +3,8 @@
 //
 //  1. A mutex must not be held across a blocking operation — a channel
 //     send/receive, a range over a channel, a default-less select, or a
-//     call into a function that (transitively) performs one, like
-//     Cache.Base reaching the flight cache's select. Holding a
+//     call into a function that (transitively) performs one, like a
+//     helper that waits for a worker's result on a channel. Holding a
 //     lock while parked turns one slow unit into a convoy across every
 //     worker that needs the same lock.
 //  2. A value containing a lock (sync.Mutex, RWMutex, WaitGroup, Once,
@@ -33,7 +33,7 @@ import (
 
 // Blocks marks a function that (transitively) performs a blocking
 // operation. Op describes the operation and where it bottoms out,
-// e.g. "select in ncdrf/internal/sweep.(*flight).do".
+// e.g. "channel receive in ld.(*Cache).Blocker".
 type Blocks struct {
 	Op string
 }

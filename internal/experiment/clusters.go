@@ -6,10 +6,8 @@ import (
 	"io"
 
 	"ncdrf/internal/core"
-	"ncdrf/internal/ddg"
 	"ncdrf/internal/machine"
 	"ncdrf/internal/report"
-	"ncdrf/internal/sweep"
 )
 
 // ClusterScalingRow is one machine width in the cluster-scaling
@@ -35,8 +33,8 @@ type ClusterScalingResult struct {
 func EvalN(n, lat int) *machine.Config {
 	if n == 2 {
 		// Identical to the paper's evaluation machine; returning it by
-		// its canonical name keeps the name-keyed stage caches shared
-		// between the cluster study and the figure runners.
+		// its canonical name lets the cluster study read the figure
+		// runners' sweep from a Study, which keys sweeps by name.
 		return machine.Eval(lat)
 	}
 	specs := make([]machine.ClusterSpec, n)
@@ -50,21 +48,21 @@ func EvalN(n, lat int) *machine.Config {
 // widens from one to several clusters: more clusters mean more
 // parallelism (lower II) but also more cross-cluster consumers, testing
 // how far the non-consistent organization's advantage extends. Each
-// width reads the memoized RegisterSweep, so the two-cluster row at a
+// width reads its RegisterSweep from s, so the two-cluster row at a
 // paper latency is the Figure 6/7 sweep itself.
-func ClusterScaling(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, lat int, clusterCounts []int) (*ClusterScalingResult, error) {
+func ClusterScaling(ctx context.Context, s *Study, lat int, clusterCounts []int) (*ClusterScalingResult, error) {
 	if len(clusterCounts) == 0 {
 		clusterCounts = []int{1, 2, 4}
 	}
 	res := &ClusterScalingResult{Latency: lat}
 	for _, nc := range clusterCounts {
 		m := EvalN(nc, lat)
-		reqs, err := RegisterSweep(ctx, eng, corpus, m)
+		reqs, err := s.Requirements(ctx, m)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", m.Name(), err)
 		}
 		row := ClusterScalingRow{Clusters: nc}
-		n := float64(len(corpus))
+		n := float64(len(reqs))
 		for _, r := range reqs {
 			row.AvgII += float64(r.II) / n
 			for _, model := range core.Models {

@@ -438,27 +438,20 @@ func (c *Curve) RenderCSV(w io.Writer) error {
 }
 
 // PerfCurve evaluates corpus × all models × regs on machine m with the
-// base-major sweep executor and aggregates the rows into a curve. The
-// whole result set is memoized on the engine (like RegisterSweep), so
-// projections sharing a configuration — Figure 8, Figure 9, repeated
-// CLI metrics — pay for the sweep once.
+// base-major sweep executor and aggregates the rows into a curve. Each
+// (loop, machine) group walks its spill chain once for every budget, so
+// projections sharing a machine — Figures 8 and 9 at both budgets —
+// should read one curve (Fig8and9 does).
 func PerfCurve(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, m *machine.Config, regs []int) (*Curve, error) {
-	key := eng.CorpusKey(fmt.Sprintf("curve/%v", regs), corpus, m)
-	v, err := eng.Memo(ctx, key, func() (any, error) {
-		grid := sweep.Grid{
-			Corpus:   corpus,
-			Machines: []*machine.Config{m},
-			Models:   core.Models[:],
-			Regs:     regs,
-		}
-		rows, err := eng.Rows(ctx, grid)
-		if err != nil {
-			return nil, err
-		}
-		return BuildCurve(rows), nil
-	})
+	grid := sweep.Grid{
+		Corpus:   corpus,
+		Machines: []*machine.Config{m},
+		Models:   core.Models[:],
+		Regs:     regs,
+	}
+	rows, err := eng.Rows(ctx, grid)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*Curve), nil
+	return BuildCurve(rows), nil
 }

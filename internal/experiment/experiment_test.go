@@ -99,7 +99,7 @@ func TestSweepShapePartitionedHelps(t *testing.T) {
 }
 
 func TestTable1ShapeAndRender(t *testing.T) {
-	res, err := Table1(ctx0, testEng(), smallCorpus())
+	res, err := Table1(ctx0, NewStudy(testEng(), smallCorpus()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,12 @@ func TestTable1ShapeAndRender(t *testing.T) {
 func TestFig6And7Shape(t *testing.T) {
 	corpus := smallCorpus()
 	for _, lat := range []int{3, 6} {
-		stat, err := Fig6(ctx0, testEng(), corpus, lat)
+		st := NewStudy(testEng(), corpus)
+		stat, err := Fig6(ctx0, st, lat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dyn, err := Fig7(ctx0, testEng(), corpus, lat)
+		dyn, err := Fig7(ctx0, st, lat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,13 +187,57 @@ func TestFig6And7Shape(t *testing.T) {
 	}
 }
 
+// TestStudySharesSweeps pins the sharing ncdrf all relies on, on one
+// engine: once Figure 6 has measured a latency, Figure 7 and the
+// cluster study's two-cluster row read that sweep and build no base,
+// while the one- and four-cluster rows measure their own machines.
+// Figures 8 and 9 over the four configurations build exactly one base
+// per (loop, evaluation machine): one curve per latency serves both
+// budgets.
+func TestStudySharesSweeps(t *testing.T) {
+	corpus := loops.Kernels()
+	eng := testEng()
+	bases := func() uint64 { return eng.Cache().StageStats().Base.Requests() }
+	st := NewStudy(eng, corpus)
+	n := uint64(len(corpus))
+	if _, err := Fig6(ctx0, st, 6); err != nil {
+		t.Fatal(err)
+	}
+	if got := bases(); got != n {
+		t.Fatalf("Figure 6 made %d base requests, want one per loop = %d", got, n)
+	}
+	if _, err := Fig7(ctx0, st, 6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ClusterScaling(ctx0, st, 6, []int{2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := bases(); got != n {
+		t.Fatalf("Figure 7 and the two-cluster row added %d base requests, want 0", got-n)
+	}
+	if _, err := ClusterScaling(ctx0, st, 6, []int{1, 2, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if got := bases(); got != 3*n {
+		t.Fatalf("the one- and four-cluster rows added %d base requests, want %d", got-n, 2*n)
+	}
+
+	before := bases()
+	if _, err := Fig8and9(ctx0, eng, corpus, PerfConfigs); err != nil {
+		t.Fatal(err)
+	}
+	if got := bases() - before; got != 2*n {
+		t.Fatalf("Figures 8 and 9 made %d base requests, want one per (loop, evaluation machine) = %d", got, 2*n)
+	}
+}
+
 func TestLatencySixNeedsMoreRegisters(t *testing.T) {
 	corpus := smallCorpus()
-	l3, err := Fig6(ctx0, testEng(), corpus, 3)
+	l3, err := Fig6(ctx0, NewStudy(testEng(), corpus), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l6, err := Fig6(ctx0, testEng(), corpus, 6)
+	l6, err := Fig6(ctx0, NewStudy(testEng(), corpus), 6)
 	if err != nil {
 		t.Fatal(err)
 	}

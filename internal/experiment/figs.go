@@ -37,19 +37,18 @@ type CDFResult struct {
 // Fig6 computes the static cumulative distribution of loops over their
 // register requirements for one latency (3 or 6), on the section 5.2
 // two-cluster evaluation machine.
-func Fig6(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, latency int) (*CDFResult, error) {
-	return figCDF(ctx, eng, corpus, latency, false)
+func Fig6(ctx context.Context, s *Study, latency int) (*CDFResult, error) {
+	return figCDF(ctx, s, latency, false)
 }
 
 // Fig7 is Fig6 weighted by executed cycles (II * trips): the dynamic
-// cumulative distribution.
-func Fig7(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, latency int) (*CDFResult, error) {
-	return figCDF(ctx, eng, corpus, latency, true)
+// cumulative distribution, over the same sweep of s.
+func Fig7(ctx context.Context, s *Study, latency int) (*CDFResult, error) {
+	return figCDF(ctx, s, latency, true)
 }
 
-func figCDF(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, latency int, dynamic bool) (*CDFResult, error) {
-	m := machine.Eval(latency)
-	reqs, err := RegisterSweep(ctx, eng, corpus, m)
+func figCDF(ctx context.Context, s *Study, latency int, dynamic bool) (*CDFResult, error) {
+	reqs, err := s.Requirements(ctx, machine.Eval(latency))
 	if err != nil {
 		return nil, err
 	}
@@ -149,11 +148,11 @@ type PerfResult struct {
 // Fig8and9 runs the full limited-register pipeline over the corpus for
 // every configuration and model, producing both figures at once. It is
 // a thin projection over the register-sensitivity curve subsystem: the
-// configurations of one latency are points of one (memoized,
-// base-major) PerfCurve over that latency's budgets, so each (loop,
-// machine) group walks its spill chain once for every budget and the
-// Ideal cells, which ignore the budget, are shared within the group.
-// The figure metrics are the curve's projections.
+// configurations of one latency are points of one base-major PerfCurve
+// over that latency's budgets, computed once, so each (loop, machine)
+// group walks its spill chain once for every budget and the Ideal
+// cells, which ignore the budget, are shared within the group. The
+// figure metrics are the curve's projections.
 func Fig8and9(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, configs []PerfConfig) (*PerfResult, error) {
 	if len(configs) == 0 {
 		configs = PerfConfigs
@@ -165,11 +164,16 @@ func Fig8and9(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, confi
 		}
 	}
 	res := &PerfResult{Configs: configs}
+	curves := map[int]*Curve{}
 	for _, cfg := range configs {
 		m := machine.Eval(cfg.Latency)
-		curve, err := PerfCurve(ctx, eng, corpus, m, budgets[cfg.Latency])
-		if err != nil {
-			return nil, err
+		curve := curves[cfg.Latency]
+		if curve == nil {
+			var err error
+			if curve, err = PerfCurve(ctx, eng, corpus, m, budgets[cfg.Latency]); err != nil {
+				return nil, err
+			}
+			curves[cfg.Latency] = curve
 		}
 		// The figures have no column for broken cells: a loop that cannot
 		// compile fails the whole figure, as the pre-curve runner did.

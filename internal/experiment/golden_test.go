@@ -9,14 +9,14 @@ import (
 
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
+	"ncdrf/internal/sweep"
 )
 
 // TestFigCSVGolden pins the Figure 6/7 CSV output on the curated kernel
 // corpus to golden files captured from the pre-sweep-engine pipeline, so
 // the cached engine provably preserves the paper's numbers byte for byte.
 func TestFigCSVGolden(t *testing.T) {
-	corpus := loops.Kernels()
-	eng := testEng()
+	st := NewStudy(testEng(), loops.Kernels())
 	for _, lat := range []int{3, 6} {
 		for _, dyn := range []bool{false, true} {
 			fig := 6
@@ -28,9 +28,9 @@ func TestFigCSVGolden(t *testing.T) {
 				var res *CDFResult
 				var err error
 				if dyn {
-					res, err = Fig7(ctx0, eng, corpus, lat)
+					res, err = Fig7(ctx0, st, lat)
 				} else {
-					res, err = Fig6(ctx0, eng, corpus, lat)
+					res, err = Fig6(ctx0, st, lat)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -52,47 +52,38 @@ func TestFigCSVGolden(t *testing.T) {
 }
 
 // TestPaperPipelineCacheSharing runs the paper's whole pipeline shape
-// (Table 1, Figures 6-9, verification) on one shared engine and asserts
-// the acceptance property of the staged pipeline: the base stage
-// (schedule + lifetimes) is computed once per (loop, machine) and shared
-// by every model, figure and register size. Since the base-major sweep
-// executor, the figure runs share the base at the *plan* level — one
-// request per (loop, machine) group — so total base requests scale with
-// groups (roughly 10x the corpus here), not with evaluated units (the
-// pre-grouping pipeline made one request per eval miss, 20x+).
+// (Table 1, Figures 6-9, verification) on one engine and one Study and
+// pins the exact base-stage count. No stage keeps a base in memory, so
+// the sharing left is structural: one requirement sweep per machine
+// (Table 1's four configurations and the two evaluation machines, with
+// Figure 7 reading Figure 6's sweeps), one base per (loop, machine)
+// group of Figures 8/9, and one per verified loop and model.
 func TestPaperPipelineCacheSharing(t *testing.T) {
 	corpus := loops.Kernels()
 	eng := testEng()
-	if _, err := Table1(ctx0, eng, corpus); err != nil {
+	st := NewStudy(eng, corpus)
+	if _, err := Table1(ctx0, st); err != nil {
 		t.Fatal(err)
 	}
 	for _, lat := range []int{3, 6} {
-		if _, err := Fig6(ctx0, eng, corpus, lat); err != nil {
+		if _, err := Fig6(ctx0, st, lat); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Fig7(ctx0, eng, corpus, lat); err != nil {
+		if _, err := Fig7(ctx0, st, lat); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := Fig8and9(ctx0, eng, corpus, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifySample(ctx0, eng, corpus, machine.Eval(6), 0, 8, 5); err != nil {
+	const stride = 5
+	if _, err := VerifySample(ctx0, eng, corpus, machine.Eval(6), 0, 8, stride); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Cache().StageStats()
-	if st.Base.Requests() == 0 {
-		t.Fatal("pipeline made no base-stage requests")
+	n := len(corpus)
+	want := uint64(6*n + 2*n + 3*((n+stride-1)/stride))
+	if got := eng.Cache().StageStats().Base; got != (sweep.CacheStats{Misses: want}) {
+		t.Fatalf("base stage %+v, want %d requests, all computed", got, want)
 	}
-	if st.Base.Requests() > 12*uint64(len(corpus)) {
-		t.Fatalf("base-stage requests scale with units, not groups: %d requests for %d loops",
-			st.Base.Requests(), len(corpus))
-	}
-	// Exactly one base artifact per (loop, machine) pair touched by the
-	// exhibits: 4 Table 1 configs + eval machines at latency 3 and 6.
-	if want := uint64(len(corpus) * 6); st.Base.Misses != want {
-		t.Fatalf("base stage computed %d artifacts, want one per loop x machine = %d",
-			st.Base.Misses, want)
-	}
-	t.Logf("stage stats:\n%s", st)
+	t.Logf("stage stats:\n%s", eng.Cache().StageStats())
 }

@@ -1,9 +1,11 @@
 // Package experiment wires the staged pipeline (internal/pipeline) into
 // the paper's evaluation runners: Table 1 and Figures 6, 7, 8 and 9.
-// Every runner executes on a shared sweep.Engine — a cancellable worker
-// pool over a stage-granular, content-addressed cache — so the base
-// stage (modulo schedule + lifetimes) of each (loop, machine) pair is
-// computed once and shared by every model, figure and register size.
+// Every runner executes on a sweep.Engine — a cancellable worker pool
+// over a stage-granular, content-addressed cache. Work is shared by
+// data flow, not by a cache in memory: one requirement sweep per
+// machine measures every model (a Study hands it to every exhibit that
+// weights it), and one group walk per (loop, machine) serves every
+// model and budget of Figures 8 and 9.
 package experiment
 
 import (
@@ -37,22 +39,44 @@ type Requirements struct {
 	Regs  [core.NumModels]int
 }
 
-// RegisterSweep schedules every loop once (registers unlimited) and
-// computes the register requirement under each model. This produces the
-// data behind Figures 6 and 7, which differ only in how they weight the
-// same sweep — so the whole result set is memoized on the engine and the
-// second figure (or a Table 1 config reusing the machine) pays nothing.
-func RegisterSweep(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, m *machine.Config) ([]Requirements, error) {
-	v, err := eng.Memo(ctx, eng.CorpusKey("register-sweep", corpus, m), func() (any, error) {
-		return registerSweep(ctx, eng, corpus, m)
-	})
+// Study is one corpus on one engine, with each machine's RegisterSweep
+// computed on first use and kept by machine name. Table 1, Figures 6
+// and 7 and the cluster study read their sweeps from it, so exhibits
+// that weight one measurement share it: Figure 7 reads Figure 6's
+// sweeps, and the cluster study's two-cluster row reads the evaluation
+// machine's. A failed sweep is not kept. A Study is not safe for
+// concurrent use; its runners run one after another.
+type Study struct {
+	eng    *sweep.Engine
+	corpus []*ddg.Graph
+	sweeps map[string][]Requirements
+}
+
+// NewStudy returns a Study of corpus on eng with no sweep computed yet.
+func NewStudy(eng *sweep.Engine, corpus []*ddg.Graph) *Study {
+	return &Study{eng: eng, corpus: corpus, sweeps: map[string][]Requirements{}}
+}
+
+// Requirements returns the study's RegisterSweep on m, computing it on
+// the first request for m's name.
+func (s *Study) Requirements(ctx context.Context, m *machine.Config) ([]Requirements, error) {
+	if reqs, ok := s.sweeps[m.Name()]; ok {
+		return reqs, nil
+	}
+	reqs, err := RegisterSweep(ctx, s.eng, s.corpus, m)
 	if err != nil {
 		return nil, err
 	}
-	return v.([]Requirements), nil
+	s.sweeps[m.Name()] = reqs
+	return reqs, nil
 }
 
-func registerSweep(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, m *machine.Config) ([]Requirements, error) {
+// RegisterSweep schedules every loop once (registers unlimited) and
+// computes the register requirement under each model: the data behind
+// Table 1, Figures 6 and 7 and the cluster study, which differ only in
+// how they weight it. Runners read it through a Study, which computes
+// it once per machine.
+func RegisterSweep(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, m *machine.Config) ([]Requirements, error) {
 	out := make([]Requirements, len(corpus))
 	err := eng.ForEach(ctx, len(corpus), func(i int) error {
 		g := corpus[i]

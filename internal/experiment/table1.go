@@ -5,10 +5,8 @@ import (
 	"io"
 
 	"ncdrf/internal/core"
-	"ncdrf/internal/ddg"
 	"ncdrf/internal/machine"
 	"ncdrf/internal/report"
-	"ncdrf/internal/sweep"
 )
 
 // Table1Row is one configuration row of Table 1: the percentage of loops
@@ -33,10 +31,10 @@ type Table1Result struct {
 // loop with a unified register file and unlimited registers, then report
 // how many loops (and how much of the dynamic time) fit in 16, 32 and 64
 // registers without spilling.
-func Table1(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph) (*Table1Result, error) {
+func Table1(ctx context.Context, s *Study) (*Table1Result, error) {
 	res := &Table1Result{}
 	for _, m := range machine.Table1Configs() {
-		reqs, err := RegisterSweep(ctx, eng, corpus, m)
+		reqs, err := s.Requirements(ctx, m)
 		if err != nil {
 			return nil, err
 		}

@@ -70,3 +70,24 @@ func TestParseKeywordShapedDestinations(t *testing.T) {
 		})
 	}
 }
+
+// TestParseRejectsMisplacedDirectives pins two shapes Parse once
+// accepted: a mem directive before the loop header (invariants and
+// statements there were already rejected), and an invariant name that
+// is no identifier, which no operand could ever reference.
+func TestParseRejectsMisplacedDirectives(t *testing.T) {
+	for name, src := range map[string]string{
+		"mem-before-header":   "mem a b 1\nloop x trips 1\na: v = load x\nb: store y, v\n",
+		"invariant-not-ident": "loop k trips 1\ninvariant 1x a=b\nv = fadd v1, v1\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			p, err := Parse(src)
+			if err == nil {
+				t.Fatalf("Parse(%q) accepted it, formatting as:\n%s", src, p.Format())
+			}
+			if _, ok := err.(*ParseError); !ok {
+				t.Fatalf("Parse(%q) = %T %v, want a *ParseError", src, err, err)
+			}
+		})
+	}
+}

@@ -62,8 +62,16 @@ func Parse(src string) (*Program, error) {
 			if len(fields) < 2 {
 				return nil, errf(lineNo, "invariant needs at least one name")
 			}
+			for _, name := range fields[1:] {
+				if !isIdent(name) {
+					return nil, errf(lineNo, "bad invariant name %q", name)
+				}
+			}
 			p.Invariants = append(p.Invariants, fields[1:]...)
 		case "mem":
+			if !sawHeader {
+				return nil, errf(lineNo, "mem before loop header")
+			}
 			if len(fields) != 4 {
 				return nil, errf(lineNo, "want 'mem <from> <to> <dist>', got %q", line)
 			}

@@ -1,8 +1,8 @@
 // Package store is a content-addressed, persistent artifact store: the
-// disk tier below internal/sweep's in-memory single-flight caches. It
-// maps (stage, key) pairs — the key being a hex digest derived from the
-// same content triple the in-memory caches use — to opaque artifact
-// payloads, so a second process evaluating the same problems reads the
+// disk tier below internal/sweep's stage caches, and their only tier.
+// It maps (stage, key) pairs — the key being a hex digest derived from
+// the content triple internal/sweep keys its stages on — to opaque
+// artifact payloads, so a second process evaluating the same problems reads the
 // first one's results instead of recomputing them.
 //
 // # Layout and versioning

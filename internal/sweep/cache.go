@@ -39,10 +39,9 @@ type cacheKey struct {
 // CacheStats is a snapshot of one stage's counters across the cache
 // tiers.
 type CacheStats struct {
-	// Hits is the number of requests served from memory: by the base
-	// stage's flight (including calls that waited on an in-flight
-	// computation), or by an earlier cell of the same group at the eval
-	// stage; 0 for the schedule stage, which keeps nothing.
+	// Hits is the number of requests served from memory: by an earlier
+	// cell of the same group at the eval stage; 0 for the schedule and
+	// base stages, which keep nothing.
 	Hits uint64
 	// DiskHits is the number of requests served from the persistent
 	// artifact store; always 0 when no store is attached.
@@ -54,17 +53,15 @@ type CacheStats struct {
 // Requests returns the total number of requests observed.
 func (s CacheStats) Requests() uint64 { return s.Hits + s.DiskHits + s.Misses }
 
-// Cache is a tiered, content-addressed artifact cache for the pipeline
-// stages (schedule, base, per-model eval). It is safe for concurrent
-// use.
+// Cache is a content-addressed artifact cache for the pipeline stages
+// (schedule, base, per-model eval). It is safe for concurrent use.
 //
-// Only the base stage sits on an in-memory single-flight tier (see
-// flight). It retains every error: its computation is ctx-free and
-// deterministic, so retrying an unschedulable problem cannot succeed.
-// The schedule and eval stages have none. A schedule request is one per
-// base miss or per spill round, which no other request repeats. An eval
-// request is one cell of a (loop, machine) group, and the group walk
-// (evalCells) shares the only cells that coincide.
+// No stage keeps an in-memory tier. A schedule request is one per base
+// or per spill round, which no other request repeats. A base request is
+// one per (loop, machine) group that misses the disk, and the callers
+// that need one base twice share it themselves (experiment's
+// requirement sweeps). An eval request is one cell of a group, and the
+// group walk (evalCells) shares the only cells that coincide.
 //
 // The persistent tier, optional (SetStore), is a content-addressed
 // artifact store shared across processes, read-through/write-behind: a
@@ -73,17 +70,16 @@ func (s CacheStats) Requests() uint64 { return s.Hits + s.DiskHits + s.Misses }
 // results are never persisted — an error is cheap to recompute and
 // pinning one on disk risks masking an environment-dependent failure.
 type Cache struct {
-	bases *flight[cacheKey, *pipeline.Base]
-
 	// store is the optional persistent tier; nil means memory-only.
 	// The disk counters record successful disk loads; unsuccessful
 	// ones are observable through the store's own Stats (misses/faults).
 	store                       *store.Store
 	schedDiskHits, evalDiskHits atomic.Uint64
 	// schedComputed counts the schedule stage's sched.Run calls,
-	// evalComputed the cells the eval stage walked, and evalShared the
-	// cells it served from an earlier cell of the same group.
-	schedComputed, evalComputed, evalShared atomic.Uint64
+	// baseComputed the bases built, evalComputed the cells the eval
+	// stage walked, and evalShared the cells it served from an earlier
+	// cell of the same group.
+	schedComputed, baseComputed, evalComputed, evalShared atomic.Uint64
 
 	// digests memoizes the canonical digest per graph pointer, keyed on
 	// the graph's (node count, edge count) for invalidation: every graph
@@ -99,10 +95,8 @@ type digestMemo struct {
 	sum          [sha256.Size]byte
 }
 
-// NewCache returns an empty, memory-only cache.
-func NewCache() *Cache {
-	return &Cache{bases: newFlight[cacheKey, *pipeline.Base](nil)}
-}
+// NewCache returns an empty cache with no store.
+func NewCache() *Cache { return &Cache{} }
 
 // SetStore attaches the persistent artifact tier. It must be called
 // before the cache serves its first request; attachment is not
@@ -181,15 +175,15 @@ func (c *Cache) keyOf(g *ddg.Graph, m *machine.Config, opts sched.Options) cache
 // specification, every sched.Options field, and — for the eval stage —
 // model and register budget), NUL-separated.
 //
-// It is deliberately stricter than the in-memory cacheKey on two
-// counts, because disk outlives the process. The machine contributes
-// its full rendered specification (Config.String: clusters, unit
-// counts, latencies), not just its name — a preset whose spec changes
-// without a rename must not serve stale artifacts, even though within
-// one process name-equality implies spec-equality. And
-// sched.AlgorithmVersion pins the scheduler's observable behavior, so a
-// binary with improved heuristics starts from a cold key space instead
-// of reproducing the old binary's schedules. Hashing %#v of the options
+// It is deliberately stricter than cacheKey on two counts, because
+// disk outlives the process. The machine contributes its full rendered
+// specification (Config.String: clusters, unit counts, latencies), not
+// just its name — a preset whose spec changes without a rename must
+// not serve stale artifacts, even though within one process
+// name-equality implies spec-equality. And sched.AlgorithmVersion pins
+// the scheduler's observable behavior, so a binary with improved
+// heuristics starts from a cold key space instead of reproducing the
+// old binary's schedules. Hashing %#v of the options
 // keeps future option fields from silently aliasing distinct problems.
 func diskKey(k cacheKey, m *machine.Config, extra string) string {
 	h := sha256.New()
@@ -257,8 +251,7 @@ func (c *Cache) saveEval(key cacheKey, m *machine.Config, cell pipeline.Cell, re
 // With a store it reads through the disk tier — a decoded schedule owns
 // a fresh graph; a damaged artifact is discarded and recomputed — and
 // writes a computed schedule behind, best-effort. Either way the
-// schedule is read-only. Errors are neither retained nor persisted (the
-// base stage retains them for its requests).
+// schedule is read-only. Errors are neither retained nor persisted.
 func (c *Cache) Schedule(g *ddg.Graph, m *machine.Config, opts sched.Options) (*sched.Schedule, error) {
 	if c.store == nil {
 		c.schedComputed.Add(1)
@@ -288,29 +281,26 @@ func (c *Cache) Schedule(g *ddg.Graph, m *machine.Config, opts sched.Options) (*
 	return s, err
 }
 
-// Base returns the (possibly shared) base-stage artifact of g on m: the
-// modulo schedule of the unmodified loop plus its value lifetimes,
-// computed at most once per distinct (graph content, machine, options)
-// triple. The underlying scheduling request routes through Schedule, so
-// the schedule-stage counters (and the persistent tier) still observe
-// it. The returned Base, whose schedule may share g, is immutable and
-// shared; treat it as read-only.
-// ctx is consulted before starting a computation and while waiting on
-// another caller's in-flight one; a computation once started runs to
-// completion (it is ctx-free and deterministic, so its result stays
-// valid for every future caller).
+// Base returns the base-stage artifact of g on m: the modulo schedule
+// of the unmodified loop plus its value lifetimes. Nothing is kept: each
+// request builds a fresh Base, routing its scheduling request through
+// Schedule, so the schedule-stage counters (and the persistent tier)
+// observe it. The returned Base, whose schedule may share g, is
+// read-only. ctx is checked once, before the build; the build itself is
+// ctx-free.
 func (c *Cache) Base(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options) (*pipeline.Base, error) {
-	key := c.keyOf(g, m, opts)
-	return c.bases.do(ctx, key, func() (*pipeline.Base, error) {
-		return pipeline.NewBaseWith(c, g, m, opts)
-	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	c.baseComputed.Add(1)
+	return pipeline.NewBaseWith(c, g, m, opts)
 }
 
 // evalCells serves the cells of one (loop, machine) group — g on m
 // under opts — and hands each cell's outcome to each, in order; a
-// non-nil error from each stops the group. b is the group's base, or
-// nil to request it through the base stage only if some cell misses
-// the disk.
+// non-nil error from each stops the group. The group's base is
+// requested through the base stage only if some cell misses the disk,
+// so a group the store serves whole costs no schedule.
 //
 // The walk is plain. Every Ideal cell has one result whatever its
 // budget, so an Ideal cell after the group's first shares that cell's
@@ -320,7 +310,7 @@ func (c *Cache) Base(ctx context.Context, g *ddg.Graph, m *machine.Config, opts 
 // (pipeline.EvaluateCells) and written behind to the store. A cancelled
 // ctx is the group's error: it is checked here before any cell is
 // served, and by the walk between rounds.
-func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options, b *pipeline.Base, cells []pipeline.Cell, each func(res *pipeline.ModelResult, err error) error) error {
+func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options, cells []pipeline.Cell, each func(res *pipeline.ModelResult, err error) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -350,10 +340,7 @@ func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, 
 	}
 	if len(walk) > 0 {
 		c.evalComputed.Add(uint64(len(walk)))
-		var err error
-		if b == nil {
-			b, err = c.Base(ctx, g, m, opts)
-		}
+		b, err := c.Base(ctx, g, m, opts)
 		if err != nil {
 			for _, k := range at {
 				errs[k] = err
@@ -396,10 +383,10 @@ func (c *Cache) Stats() CacheStats {
 type StageStats struct {
 	// Schedule counts modulo-scheduling requests (sched.Run-shaped work).
 	Schedule CacheStats
-	// Base counts base-stage requests: the shared schedule + lifetime
-	// artifact every model evaluation starts from. The base stage has no
-	// disk tier of its own — persisting the schedule stage already makes
-	// a warm-store base computation scheduler-free.
+	// Base counts base-stage requests: the schedule + lifetime artifact
+	// a group's cells start from. The stage has no tier at all, so every
+	// request is computed; persisting the schedule stage already makes a
+	// warm-store base computation scheduler-free.
 	Base CacheStats
 	// Eval counts per-model stage requests (classify/allocate/spill).
 	Eval CacheStats
@@ -430,7 +417,7 @@ func (s StageStats) String() string {
 func (c *Cache) StageStats() StageStats {
 	return StageStats{
 		Schedule: c.Stats(),
-		Base:     CacheStats{Hits: c.bases.hits.Load(), Misses: c.bases.misses.Load()},
+		Base:     CacheStats{Misses: c.baseComputed.Load()},
 		Eval: CacheStats{
 			Hits:     c.evalShared.Load(),
 			DiskHits: c.evalDiskHits.Load(),
@@ -438,15 +425,4 @@ func (c *Cache) StageStats() StageStats {
 		},
 		Persistent: c.store != nil,
 	}
-}
-
-// StageLens is the number of retained entries per in-memory stage; the
-// base stage is the only one.
-type StageLens struct {
-	Base int
-}
-
-// Lens returns the per-stage entry counts.
-func (c *Cache) Lens() StageLens {
-	return StageLens{Base: c.bases.len()}
 }

@@ -11,15 +11,15 @@ import (
 // This file is the sweep executor: the two-level plan the engine runs
 // grids with, group → cell. The unit list is partitioned by (loop,
 // machine) into groups (GroupUnits), the unit of dispatch: one worker
-// requests the group's shared pipeline.Base once and serves every
-// (model, regs) cell of the group in one walk (Cache.evalCells), so the
-// spill chain — independent of both model and budget — is walked at
-// most once per group instead of once per cell. The worker hands the
-// group's finished rows to a reorder buffer in one piece, which emits
-// them in the flat plan order, so shard files, `ncdrf merge` and
-// PlanDigest compatibility are unaffected by the execution shape. The
-// eval stage keeps nothing in memory once a group is served; the disk
-// store is its only durable tier.
+// serves every (model, regs) cell of the group in one walk
+// (Cache.evalCells), so the spill chain — independent of both model and
+// budget — is walked at most once per group instead of once per cell,
+// and the group's pipeline.Base is built only if some cell misses the
+// disk. The worker hands the group's finished rows to a reorder buffer
+// in one piece, which emits them in the flat plan order, so shard
+// files, `ncdrf merge` and PlanDigest compatibility are unaffected by
+// the execution shape. The engine keeps nothing in memory once a group
+// is served; the disk store is its only durable tier.
 
 // Sweep plans the grid and compiles every unit on the worker pool,
 // calling emit once per unit. Emit calls are serialized and follow plan
@@ -48,14 +48,14 @@ func (e *Engine) Sweep(ctx context.Context, grid Grid, emit func(Result)) error 
 // would underreport by the reorder buffer's depth.
 //
 // Execution is group → cell: groups are dispatched in order of first
-// appearance, and each requests its base artifact once and walks its
-// spill chain at most once. Because plan order interleaves a group's
+// appearance, and each requests its base artifact and walks its spill
+// chain at most once. Because plan order interleaves a group's
 // units across the whole (model × regs) span, the reorder buffer holds
 // every finished group whose first unemitted row is still behind the
 // plan-order prefix — in the worst case about a plan's worth of rows,
 // though a group's rows are dropped as soon as its last one is emitted.
-// Groups share only their base: a corpus that lists one loop's content
-// twice evaluates its cells once per listing.
+// Groups share nothing: a corpus that lists one loop's content twice
+// builds its base and evaluates its cells once per listing.
 func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit func(Result), done func()) error {
 	groups := GroupUnits(units)
 	out := newReorder(grid, units, groups, emit)
@@ -71,7 +71,8 @@ func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit f
 // groupCells computes the cells of group g — indices into units, all
 // of one (loop, machine) — with one base request and one spill walk at
 // most, and returns their rows, calling done (when non-nil) as each
-// cell finishes. A cell whose group base failed carries the base error.
+// cell finishes. The base is requested only if some cell misses the
+// disk, and a cell whose group base failed carries the base error.
 // Cancellation is the sweep's error, not the cell's: it is returned
 // instead of recorded, so consumers never mistake it for a compile
 // failure.
@@ -89,21 +90,11 @@ func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, g Grou
 		}
 		return nil
 	}
-	loop, m := grid.Corpus[g.Loop], grid.Machines[g.Machine]
-	base, baseErr := e.Base(ctx, loop, m)
-	if baseErr != nil {
-		for range g.Units {
-			if err := add(nil, baseErr); err != nil {
-				return groupRows{}, err
-			}
-		}
-		return rows, nil
-	}
 	cells := make([]pipeline.Cell, len(g.Units))
 	for k, ui := range g.Units {
 		cells[k] = pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs}
 	}
-	err := e.cache.evalCells(ctx, loop, m, sched.Options{}, base, cells, add)
+	err := e.cache.evalCells(ctx, grid.Corpus[g.Loop], grid.Machines[g.Machine], sched.Options{}, cells, add)
 	return rows, err
 }
 

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"ncdrf/internal/core"
@@ -67,8 +66,8 @@ func TestSweepEmitsEveryUnit(t *testing.T) {
 	}
 	// The base stage (schedule + lifetimes) is shared structurally: the
 	// base-major plan requests exactly one base per (loop, machine)
-	// group — not one per unit absorbed by the cache — so requests and
-	// computations both equal the group count.
+	// group, not one per unit, so requests and computations both equal
+	// the group count.
 	st := eng.Cache().StageStats()
 	wantBases := uint64(len(grid.Corpus) * len(grid.Machines))
 	if st.Base.Misses != wantBases {
@@ -112,61 +111,5 @@ func TestSweepReportsPerUnitErrors(t *testing.T) {
 	}
 	if !badFailed {
 		t.Fatalf("impossible loop did not report an error: %+v", got)
-	}
-}
-
-func TestEngineMemo(t *testing.T) {
-	eng := New(2)
-	calls := 0
-	for i := 0; i < 3; i++ {
-		v, err := eng.Memo(context.Background(), "k", func() (any, error) { calls++; return 42, nil })
-		if err != nil || v.(int) != 42 {
-			t.Fatalf("memo = %v, %v", v, err)
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("computed %d times", calls)
-	}
-	// Cancellation failures are not retained: later callers recompute.
-	fail := true
-	for i := 0; i < 2; i++ {
-		v, err := eng.Memo(context.Background(), "f", func() (any, error) {
-			if fail {
-				fail = false
-				return nil, context.Canceled
-			}
-			return "ok", nil
-		})
-		if i == 0 && err == nil {
-			t.Fatal("first call should fail")
-		}
-		if i == 1 && (err != nil || v.(string) != "ok") {
-			t.Fatalf("retry after failure = %v, %v", v, err)
-		}
-	}
-	// Deterministic failures ARE retained and shared — re-running a
-	// corpus-sized result set to reproduce the identical error would
-	// waste the whole computation (same policy as the eval stage).
-	detErr := errors.New("spill did not converge")
-	if _, err := eng.Memo(context.Background(), "det", func() (any, error) { return nil, detErr }); err != detErr {
-		t.Fatalf("first deterministic failure = %v", err)
-	}
-	recomputed := false
-	if _, err := eng.Memo(context.Background(), "det", func() (any, error) { recomputed = true; return "x", nil }); err != detErr || recomputed {
-		t.Fatalf("deterministic failure not retained: err=%v recomputed=%v", err, recomputed)
-	}
-
-	// CorpusKey distinguishes machines and corpora but not slice identity.
-	ks := loops.Kernels()
-	a := eng.CorpusKey("p", ks[:2], machine.Eval(3))
-	b := eng.CorpusKey("p", append([]*ddg.Graph(nil), ks[:2]...), machine.Eval(3))
-	if a != b {
-		t.Fatal("same content, different keys")
-	}
-	if eng.CorpusKey("p", ks[:2], machine.Eval(6)) == a {
-		t.Fatal("machine not in key")
-	}
-	if eng.CorpusKey("p", ks[:3], machine.Eval(3)) == a {
-		t.Fatal("corpus not in key")
 	}
 }

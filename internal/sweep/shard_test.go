@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestSweepEmitsInPlanOrder(t *testing.T) {
 
 // runShard produces one shard output file in memory, the way
 // `ncdrf sweep -shard i/n -o file` does: header line, then rows.
-func runShard(t *testing.T, eng *Engine, grid Grid, i, n int) []byte {
+func runShard(t testing.TB, eng *Engine, grid Grid, i, n int) []byte {
 	t.Helper()
 	units, err := grid.Shard(i, n)
 	if err != nil {
@@ -169,6 +170,45 @@ func TestThreeShardsMergeGolden(t *testing.T) {
 				merged.String(), single.String())
 		}
 	}
+}
+
+// FuzzShardFile holds ReadShardFile, which reads the files `ncdrf
+// merge` is handed, to two properties: it never panics, and whatever it
+// accepts, written back through WriteShardHeader and EncodeRow, reads
+// back to an equal ShardFile. Seeds are a real 3-shard split of a
+// kernels grid, a truncated shard and an over-long one; testdata/fuzz
+// holds the minimized crashers.
+func FuzzShardFile(f *testing.F) {
+	var shards [][]byte
+	for i := 1; i <= 3; i++ {
+		shards = append(shards, runShard(f, New(2), testGrid(), i, 3))
+		f.Add(shards[i-1])
+	}
+	one, two := shards[0], shards[1]
+	f.Add(one[:bytes.LastIndexByte(one[:len(one)-1], '\n')+1])
+	f.Add(append(slices.Clone(one), two[bytes.IndexByte(two, '\n')+1:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sf, err := ReadShardFile(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteShardHeader(&buf, sf.Header); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range sf.Rows {
+			if err := pipeline.EncodeRow(&buf, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		back, err := ReadShardFile(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading the write-back of an accepted file: %v\n%s", err, buf.Bytes())
+		}
+		if back.Header != sf.Header || !slices.Equal(back.Rows, sf.Rows) {
+			t.Fatalf("write-back changed the file:\n got %+v\nwant %+v", back, sf)
+		}
+	})
 }
 
 // TestMergeRejectsBadShardSets covers the validation surface: missing,

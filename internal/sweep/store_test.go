@@ -218,7 +218,7 @@ func TestStoreTierConcurrentEngines(t *testing.T) {
 }
 
 // TestStoreKeyPinsMachineSpec pins the disk key's extra strictness over
-// the in-memory key: two machines sharing a name but not a specification
+// the machine name: two machines sharing a name but not a specification
 // must not share persisted artifacts — the warm engine takes clean
 // misses (no decode faults from a wrong artifact) and recomputes.
 func TestStoreKeyPinsMachineSpec(t *testing.T) {
@@ -236,8 +236,10 @@ func TestStoreKeyPinsMachineSpec(t *testing.T) {
 		t.Fatal("nothing persisted")
 	}
 
+	// One model: no stage keeps a base in memory, so a second Compile
+	// on eng2 would read the schedule eng2 itself wrote behind.
 	eng2 := storeEng(t, 1, dir)
-	if _, err := compileAll(eng2, g, mB, 32); err != nil {
+	if _, err := eng2.Compile(context.Background(), g, mB, core.Swapped, 32); err != nil {
 		t.Fatal(err)
 	}
 	st := eng2.Cache().StageStats()
@@ -253,8 +255,8 @@ func TestStoreKeyPinsMachineSpec(t *testing.T) {
 }
 
 // TestStoreTierDoesNotPersistErrors pins the negative-result policy:
-// deterministic failures are cached in memory but never written to disk,
-// so a fresh engine recomputes (and re-fails) them.
+// deterministic failures are never written to disk, so a fresh engine
+// recomputes (and re-fails) them.
 func TestStoreTierDoesNotPersistErrors(t *testing.T) {
 	dir := t.TempDir()
 	m := machine.MustNew("no-mem-store", []machine.ClusterSpec{{Adders: 1, Multipliers: 1}}, 3, 3, 1)

@@ -1,7 +1,7 @@
 // Package sweep is the batch evaluation engine behind every experiment
 // runner: it executes (corpus × machine × model × register-size) grids on
-// a bounded, cancellable worker pool and shares pipeline work across
-// consumers through content-addressed stage caches.
+// a bounded, cancellable worker pool and reads and writes pipeline
+// artifacts through content-addressed stage caches.
 //
 // # Cache key scheme
 //
@@ -21,31 +21,28 @@
 //   - the sched.Options value (a small comparable struct), so the
 //     spiller's forced-MinII retries do not collide with the defaults.
 //
-// Cached artifacts are shared between consumers and must be treated as
+// Artifacts are shared between consumers and must be treated as
 // read-only; every consumer in this repository already does (core.Swap
 // copies before rebalancing).
 //
-// Hit/miss counters are exported per stage through Cache.StageStats:
+// Request counters are exported per stage through Cache.StageStats:
 // Misses is the number of artifacts actually computed, Hits the number
 // of requests served from memory, DiskHits the number served by the
 // optional persistent tier.
 //
 // # Tiers
 //
-// Every stage shares the key scheme above and stacks up to two tiers:
-//
-//	flight  — the generic in-memory single-flight implementation (see
-//	          flight.go), parameterized only on error retention; shares
-//	          in-flight work within the process. Only the base stage has
-//	          one. The schedule stage computes on the caller's graph
-//	          itself, with no clone, or reads from disk; the eval stage
-//	          serves a group's cells in one walk, sharing an Ideal cell's
-//	          result across the group's budgets (Cache.evalCells).
-//	store   — an optional content-addressed on-disk artifact store
-//	          (internal/store, attached with Engine.SetStore): a miss
-//	          reads through it before computing, and computed
-//	          schedule/eval artifacts are written behind it, making a
-//	          second process's run incremental.
+// No stage keeps an in-memory tier. The schedule stage computes on the
+// caller's graph itself, with no clone; the base stage builds a fresh
+// Base per request, and a sweep requests one per (loop, machine) group
+// at most; the eval stage serves a group's cells in one walk, sharing
+// an Ideal cell's result across the group's budgets (Cache.evalCells).
+// Callers that need one base or one result set twice keep it
+// themselves. Below every stage sits an optional content-addressed
+// on-disk artifact store (internal/store, attached with
+// Engine.SetStore): a request reads through it before computing, and
+// computed schedule/eval artifacts are written behind it, making a
+// second process's run incremental.
 package sweep
 
 import (
@@ -62,14 +59,12 @@ import (
 
 // Engine bundles the stage caches with a worker-pool width. The zero
 // value is not useful; construct with New. One Engine is meant to be
-// shared across every runner of a process (that is where the cross-figure
-// cache sharing comes from) and is safe for concurrent use.
+// shared across every runner of a process (its counters then describe
+// the whole run, and its store serves every runner) and is safe for
+// concurrent use.
 type Engine struct {
 	cache   *Cache
 	workers int
-
-	// memos shares whole result sets between runners; see Memo.
-	memos *flight[string, any]
 }
 
 // New returns an engine with the given worker-pool width; workers <= 0
@@ -78,17 +73,13 @@ func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{
-		cache:   NewCache(),
-		workers: workers,
-		memos:   newFlight[string, any](retainDeterministic),
-	}
+	return &Engine{cache: NewCache(), workers: workers}
 }
 
-// SetStore attaches a persistent artifact store as the tier below the
-// in-memory caches, making runs incremental across processes: schedule
-// and eval artifacts are read through and written behind the memory
-// tier. Attach before the engine serves its first request.
+// SetStore attaches a persistent artifact store below the stage caches,
+// making runs incremental across processes: schedule and eval artifacts
+// are read through and written behind it. Attach before the engine
+// serves its first request.
 func (e *Engine) SetStore(st *store.Store) { e.cache.SetStore(st) }
 
 // Store returns the attached persistent tier, or nil.
@@ -108,20 +99,20 @@ func (e *Engine) Schedule(g *ddg.Graph, m *machine.Config, opts sched.Options) (
 // hands the engine, not the cache, to vm.VerifyModelWith).
 func (e *Engine) Forget(g *ddg.Graph) { e.cache.Forget(g) }
 
-// Base returns the shared base-stage artifact (schedule + lifetimes) of
-// g on m with default options, served through the stage cache.
+// Base returns the base-stage artifact (schedule + lifetimes) of g on m
+// with default options, built through the stage cache (Cache.Base).
 func (e *Engine) Base(ctx context.Context, g *ddg.Graph, m *machine.Config) (*pipeline.Base, error) {
 	return e.cache.Base(ctx, g, m, sched.Options{})
 }
 
 // Compile runs the staged per-model pipeline for one loop — classify and
-// allocate the shared base schedule, spill until the allocation fits —
+// allocate the base schedule, spill until the allocation fits —
 // as the one-cell case of a sweep group's walk: it reads the disk tier
 // first and requests the base only on a disk miss. The Ideal model
 // ignores regs (its register file is unlimited).
 func (e *Engine) Compile(ctx context.Context, g *ddg.Graph, m *machine.Config, model core.Model, regs int) (*pipeline.ModelResult, error) {
 	var res *pipeline.ModelResult
-	err := e.cache.evalCells(ctx, g, m, sched.Options{}, nil, []pipeline.Cell{{Model: model, Regs: regs}},
+	err := e.cache.evalCells(ctx, g, m, sched.Options{}, []pipeline.Cell{{Model: model, Regs: regs}},
 		func(r *pipeline.ModelResult, err error) error {
 			res = r
 			return err

@@ -71,6 +71,43 @@ func TestGroupWalkCounters(t *testing.T) {
 	}
 }
 
+// TestWarmStoreBuildsNoBase pins the lazy base of the group walk: a
+// group requests its base only when some cell misses the disk, so a
+// sweep over a warm store, where every cell is a disk hit, makes no
+// base request and reads no schedule, and emits the cold run's rows.
+func TestWarmStoreBuildsNoBase(t *testing.T) {
+	grid := Grid{
+		Corpus:   loops.Kernels()[:8],
+		Machines: []*machine.Config{machine.Eval(3), machine.Eval(6)},
+		Models:   core.Models[:],
+		Regs:     []int{16, 32},
+	}
+	dir := t.TempDir()
+	run := func() ([]Result, StageStats) {
+		t.Helper()
+		eng := storeEng(t, 2, dir)
+		rows, err := eng.Rows(context.Background(), grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, eng.Cache().StageStats()
+	}
+	cold, st := run()
+	if groups := uint64(len(grid.Groups())); st.Base.Requests() != groups {
+		t.Fatalf("cold store: %d base requests, want one per group = %d", st.Base.Requests(), groups)
+	}
+	warm, st := run()
+	if st.Base.Requests() != 0 || st.Schedule.Requests() != 0 {
+		t.Fatalf("warm store: base stage %+v, schedule stage %+v; want no request at either", st.Base, st.Schedule)
+	}
+	if st.Eval.Misses != 0 {
+		t.Fatalf("warm store computed %d cells", st.Eval.Misses)
+	}
+	if !slices.Equal(cold, warm) {
+		t.Fatal("warm-store rows differ from the cold run's")
+	}
+}
+
 // TestReorderShuffledGroups feeds whole groups to the reorder buffer in
 // shuffled completion order, sequentially and from concurrent workers:
 // rows come out in unit order, each as soon as the prefix before it is

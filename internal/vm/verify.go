@@ -30,9 +30,9 @@ func VerifyModel(g *ddg.Graph, m *machine.Config, model core.Model, regs, iters 
 }
 
 // compiler is the optional stage-cache interface of a Scheduler: a
-// sweep.Engine compiles through its stage-granular cache, so verifying
-// several models of one loop shares one base artifact and reads every
-// per-model evaluation through the artifact store when one is attached.
+// sweep.Engine compiles through its stage-granular cache, so every
+// per-model evaluation reads through the artifact store when one is
+// attached, and builds its base only on a disk miss.
 type compiler interface {
 	Compile(ctx context.Context, g *ddg.Graph, m *machine.Config, model core.Model, regs int) (*pipeline.ModelResult, error)
 }
