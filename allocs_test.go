@@ -3,6 +3,9 @@
 package ncdrf
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"testing"
 
@@ -38,6 +41,8 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	var scheds []*sched.Schedule
 	var jobs []allocJob
+	var artifacts [][]byte
+	var digests [][sha256.Size]byte
 	for _, g := range ks {
 		s, err := sched.Run(g, m, sched.Options{})
 		if err != nil {
@@ -45,6 +50,15 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 		scheds = append(scheds, s)
 		jobs = append(jobs, allocJob{lifetime.Compute(s), s.II})
+		var art, enc bytes.Buffer
+		if err := pipeline.EncodeSchedule(&art, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Encode(&enc); err != nil {
+			t.Fatal(err)
+		}
+		artifacts = append(artifacts, art.Bytes())
+		digests = append(digests, sha256.Sum256(enc.Bytes()))
 	}
 	spillG, ok := loops.KernelByName("lfk7-eos")
 	if !ok {
@@ -91,6 +105,26 @@ func TestHotPathAllocs(t *testing.T) {
 		{"spill.Run/lfk7-eos-24-unified", 462, func() error {
 			_, err := spill.Run(spillG, m, 24, core.Fit(core.Unified), sched.Options{})
 			return err
+		}},
+		{"pipeline.DecodeSchedule/kernels", 701, func() error {
+			for _, art := range artifacts {
+				if _, err := pipeline.DecodeSchedule(bytes.NewReader(art), m); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"pipeline.DecodeScheduleBound/kernels", 177, func() error {
+			for i, art := range artifacts {
+				s, err := pipeline.DecodeScheduleBound(art, m, ks[i], digests[i])
+				if err != nil {
+					return err
+				}
+				if s.Graph != ks[i] {
+					return fmt.Errorf("%s: the decoded schedule is not bound to its graph", ks[i].LoopName)
+				}
+			}
+			return nil
 		}},
 		{"pipeline.EncodeRow", 0, func() error {
 			return pipeline.EncodeRow(io.Discard, row)

@@ -7,6 +7,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+
+	"ncdrf/internal/fields"
 )
 
 // The text encoding is a line-oriented format used by the CLI and the
@@ -37,95 +40,167 @@ func (g *Graph) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxLineBytes bounds one line of the text format: a line of this
+// length or longer is bufio.ErrTooLong.
+const maxLineBytes = 1 << 20
+
 // Decode parses one graph in the text format. Extra blank lines and
 // #-comments are permitted.
 func Decode(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeString(string(data))
+}
+
+// DecodeString is Decode over text already in memory. The decoded
+// graph's names are substrings of text, so the text is read in one pass
+// with no copy beyond the graph itself: its nodes in one slab, its
+// edges and each adjacency index in one backing array.
+func DecodeString(text string) (*Graph, error) {
 	var g *Graph
-	ids := map[string]int{}
+	var slab []Node
+	var f [6]string
 	lineNo := 0
-	for sc.Scan() {
+	for rest := text; rest != ""; {
+		var raw string
+		raw, rest, _ = strings.Cut(rest, "\n")
+		if len(raw) >= maxLineBytes {
+			return nil, bufio.ErrTooLong
+		}
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := strings.TrimSpace(raw)
+		if line == "" || line[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		n := fields.Split(line, f[:])
+		switch f[0] {
 		case "loop":
 			if g != nil {
 				return nil, fmt.Errorf("ddg decode line %d: duplicate loop header", lineNo)
 			}
-			if len(fields) != 4 || fields[2] != "trips" {
+			if n != 4 || f[2] != "trips" {
 				return nil, fmt.Errorf("ddg decode line %d: malformed loop header %q", lineNo, line)
 			}
-			trips, err := strconv.ParseInt(fields[3], 10, 64)
+			trips, err := strconv.ParseInt(f[3], 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("ddg decode line %d: bad trip count: %v", lineNo, err)
 			}
-			g = New(fields[1], trips)
+			g = New(f[1], trips)
+			nodes, edges := countDirectives(rest)
+			g.nodes = make([]*Node, 0, nodes)
+			g.edges = make([]Edge, 0, edges)
+			g.byName = make(map[string]int, nodes)
+			slab = make([]Node, 0, nodes)
 		case "node":
 			if g == nil {
 				return nil, fmt.Errorf("ddg decode line %d: node before loop header", lineNo)
 			}
-			if len(fields) != 3 && !(len(fields) == 5 && fields[3] == "sym") {
+			if n != 3 && !(n == 5 && f[3] == "sym") {
 				return nil, fmt.Errorf("ddg decode line %d: malformed node %q", lineNo, line)
 			}
-			op, err := ParseOpCode(fields[2])
+			op, err := ParseOpCode(f[2])
 			if err != nil {
 				return nil, fmt.Errorf("ddg decode line %d: %v", lineNo, err)
 			}
-			if _, dup := ids[fields[1]]; dup {
-				return nil, fmt.Errorf("ddg decode line %d: duplicate node %q", lineNo, fields[1])
+			if _, dup := g.byName[f[1]]; dup {
+				return nil, fmt.Errorf("ddg decode line %d: duplicate node %q", lineNo, f[1])
 			}
-			id := g.AddNode(op, fields[1])
-			if len(fields) == 5 {
-				g.Node(id).Sym = fields[4]
+			id := len(g.nodes)
+			slab = append(slab, Node{ID: id, Op: op, Name: f[1], SpillSlot: -1})
+			if n == 5 {
+				slab[len(slab)-1].Sym = f[4]
 			}
-			ids[fields[1]] = id
+			g.nodes = append(g.nodes, &slab[len(slab)-1])
+			g.byName[f[1]] = id
 		case "edge":
 			if g == nil {
 				return nil, fmt.Errorf("ddg decode line %d: edge before loop header", lineNo)
 			}
-			if len(fields) != 5 {
+			if n != 5 {
 				return nil, fmt.Errorf("ddg decode line %d: malformed edge %q", lineNo, line)
 			}
-			from, ok := ids[fields[1]]
+			from, ok := g.byName[f[1]]
 			if !ok {
-				return nil, fmt.Errorf("ddg decode line %d: unknown node %q", lineNo, fields[1])
+				return nil, fmt.Errorf("ddg decode line %d: unknown node %q", lineNo, f[1])
 			}
-			to, ok := ids[fields[2]]
+			to, ok := g.byName[f[2]]
 			if !ok {
-				return nil, fmt.Errorf("ddg decode line %d: unknown node %q", lineNo, fields[2])
+				return nil, fmt.Errorf("ddg decode line %d: unknown node %q", lineNo, f[2])
 			}
 			var kind EdgeKind
-			switch fields[3] {
+			switch f[3] {
 			case "flow":
 				kind = Flow
 			case "mem":
 				kind = Mem
 			default:
-				return nil, fmt.Errorf("ddg decode line %d: unknown edge kind %q", lineNo, fields[3])
+				return nil, fmt.Errorf("ddg decode line %d: unknown edge kind %q", lineNo, f[3])
 			}
-			dist, err := strconv.Atoi(fields[4])
+			dist, err := strconv.Atoi(f[4])
 			if err != nil {
 				return nil, fmt.Errorf("ddg decode line %d: bad distance: %v", lineNo, err)
 			}
-			if err := g.AddEdge(Edge{From: from, To: to, Kind: kind, Distance: dist}); err != nil {
+			e := Edge{From: from, To: to, Kind: kind, Distance: dist}
+			if err := g.checkEdge(e); err != nil {
 				return nil, fmt.Errorf("ddg decode line %d: %v", lineNo, err)
 			}
+			g.edges = append(g.edges, e)
 		default:
-			return nil, fmt.Errorf("ddg decode line %d: unknown directive %q", lineNo, fields[0])
+			return nil, fmt.Errorf("ddg decode line %d: unknown directive %q", lineNo, f[0])
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if g == nil {
 		return nil, fmt.Errorf("ddg decode: no loop header found")
 	}
+	g.index()
 	return g, nil
+}
+
+// countDirectives counts the lines of text that start, after white
+// space, with a node or an edge directive: bounds on the node and edge
+// counts, which Decode presizes the graph to, so the node slab is never
+// reallocated under the pointers into it.
+func countDirectives(text string) (nodes, edges int) {
+	for text != "" {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		line = strings.TrimLeftFunc(line, unicode.IsSpace)
+		switch {
+		case strings.HasPrefix(line, "node"):
+			nodes++
+		case strings.HasPrefix(line, "edge"):
+			edges++
+		}
+	}
+	return nodes, edges
+}
+
+// index builds the adjacency indexes of a graph whose edges were
+// appended without them, in one backing array: each list ascending in
+// edge index, as AddEdge grows it, and capped at its length, as Clone
+// leaves it.
+func (g *Graph) index() {
+	n := len(g.nodes)
+	lists := make([][]int, 2*n)
+	g.out, g.in = lists[:n:n], lists[n:]
+	lo := make([]int, 2*n+1)
+	for _, e := range g.edges {
+		lo[e.From+1]++
+		lo[n+e.To+1]++
+	}
+	for i := 1; i <= 2*n; i++ {
+		lo[i] += lo[i-1]
+	}
+	backing := make([]int, 2*len(g.edges))
+	for i := range lists {
+		lists[i] = backing[lo[i]:lo[i]:lo[i+1]]
+	}
+	for idx, e := range g.edges {
+		g.out[e.From] = append(g.out[e.From], idx)
+		g.in[e.To] = append(g.in[e.To], idx)
+	}
 }
 
 // DOT renders the graph in Graphviz format, flow edges solid and memory

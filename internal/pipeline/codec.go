@@ -9,15 +9,22 @@
 // A schedule artifact is self-contained: it embeds the dependence graph
 // the schedule was computed on (a spill round's graph is the walk's
 // working graph, which dies with the walk, and a spilled result's graph
-// differs from the caller's input), so decoding rebuilds an equivalent
-// graph instead of borrowing the caller's. The embedded graph IS the
-// canonical ddg text encoding — the same bytes the cache keys digest —
-// framed by a byte count, so there is exactly one graph grammar in the
-// repository; the codec only adds what that encoding lacks (spill-slot
-// marks, machine binding, the schedule itself). Only the machine is
-// resolved by reference: the caller passes the *machine.Config the store
-// key was derived from, and the artifact records its name for
-// verification.
+// differs from the caller's input). The embedded graph IS the canonical
+// ddg text encoding — the same bytes the cache keys digest — framed by a
+// byte count, so there is exactly one graph grammar in the repository;
+// the codec only adds what that encoding lacks (spill-slot marks,
+// machine binding, the schedule itself). The machine is resolved by
+// reference: the caller passes the *machine.Config the store key was
+// derived from, and the artifact records its name for verification.
+// The graph may be too: a caller that holds the graph a key digests
+// passes it with that digest (DecodeScheduleBound,
+// DecodeModelResultBound), and an artifact whose graph section hashes
+// to the digest and whose spill-slot marks are the graph's exactly is
+// bound to that graph instead of rebuilding an equal one. Any other
+// artifact decodes to a fresh graph.
+//
+// Decoding reads the payload in one pass, fields as substrings of it,
+// and must consume it whole: bytes after the last op line are an error.
 //
 // Round-trip guarantee: DecodeModelResult(EncodeModelResult(r)) yields a
 // result content-equivalent to r — same canonical graph encoding, same
@@ -31,6 +38,7 @@ package pipeline
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"strconv"
@@ -38,6 +46,7 @@ import (
 
 	"ncdrf/internal/core"
 	"ncdrf/internal/ddg"
+	"ncdrf/internal/fields"
 	"ncdrf/internal/lifetime"
 	"ncdrf/internal/machine"
 	"ncdrf/internal/sched"
@@ -96,30 +105,49 @@ func writeSchedule(bw *bufio.Writer, s *sched.Schedule) error {
 	return nil
 }
 
-// lineReader yields whitespace-split fields line by line with positional
-// error context; the framed graph section is read through it too, so
-// line numbers stay meaningful across sections.
-type lineReader struct {
-	r    *bufio.Reader
-	line int
+// decoder reads an artifact payload line by line, in place: fields are
+// substrings of the payload, so reading a line allocates nothing. The
+// framed graph section is counted in the line numbers too, so they stay
+// meaningful across sections.
+type decoder struct {
+	text string // the payload
+	data []byte // the same bytes, for hashing the graph section
+	off  int    // start of the unread rest of text
+	line int    // lines read so far
+	f    [6]string
 }
 
-func (lr *lineReader) next(directive string, nFields int) ([]string, error) {
-	s, err := lr.r.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("pipeline codec: truncated artifact, want %q at line %d", directive, lr.line+1)
-	}
-	lr.line++
-	f := strings.Fields(s)
-	if len(f) != nFields || f[0] != directive {
-		return nil, fmt.Errorf("pipeline codec line %d: want %d-field %q, got %q", lr.line, nFields, directive, strings.TrimSuffix(s, "\n"))
-	}
-	return f, nil
+func newDecoder(data []byte) *decoder {
+	return &decoder{text: string(data), data: data}
 }
 
-// atoi is strconv.Atoi: strict decimal, no trailing garbage — a mangled
-// field must decode to an error, never to a plausible number.
-func atoi(s string) (int, error) { return strconv.Atoi(s) }
+// next reads one line holding the directive and nFields fields in all.
+// The returned fields are valid until the following call.
+func (d *decoder) next(directive string, nFields int) ([]string, error) {
+	nl := strings.IndexByte(d.text[d.off:], '\n')
+	if nl < 0 {
+		return nil, fmt.Errorf("pipeline codec: truncated artifact, want %q at line %d", directive, d.line+1)
+	}
+	s := d.text[d.off : d.off+nl]
+	d.off += nl + 1
+	d.line++
+	n := fields.Split(s, d.f[:])
+	if n != nFields || d.f[0] != directive {
+		return nil, fmt.Errorf("pipeline codec line %d: want %d-field %q, got %q", d.line, nFields, directive, s)
+	}
+	return d.f[:n], nil
+}
+
+// end reports the first line of any payload left after the artifact:
+// an encoder writes nothing after its last op line, so trailing bytes
+// are damage, not data.
+func (d *decoder) end() error {
+	if d.off == len(d.text) {
+		return nil
+	}
+	s, _, _ := strings.Cut(d.text[d.off:], "\n")
+	return fmt.Errorf("pipeline codec line %d: trailing data %q", d.line+1, s)
+}
 
 // DecodeSchedule parses one schedule artifact produced by EncodeSchedule
 // and rebinds it to m, which must be the configuration the artifact was
@@ -127,11 +155,34 @@ func atoi(s string) (int, error) { return strconv.Atoi(s) }
 // verified as a second line of defence). The decoded schedule owns a
 // fresh graph and passes sched.Verify before it is returned.
 func DecodeSchedule(r io.Reader, m *machine.Config) (*sched.Schedule, error) {
-	return decodeSchedule(&lineReader{r: bufio.NewReader(r)}, m)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline codec: %w", err)
+	}
+	return DecodeScheduleBound(data, m, nil, [sha256.Size]byte{})
 }
 
-func decodeSchedule(lr *lineReader, m *machine.Config) (*sched.Schedule, error) {
-	f, err := lr.next("machine", 2)
+// DecodeScheduleBound is DecodeSchedule over a payload in memory, bound
+// to g when g is the graph the artifact embeds: when the graph section
+// hashes to digest, the SHA-256 of g's canonical text encoding, and the
+// slots section lists exactly g's spill-slot marks, the schedule's Graph
+// is g itself and no graph is parsed. Otherwise, and when g is nil, the
+// schedule owns a freshly decoded graph. Every other check is made
+// either way.
+func DecodeScheduleBound(data []byte, m *machine.Config, g *ddg.Graph, digest [sha256.Size]byte) (*sched.Schedule, error) {
+	d := newDecoder(data)
+	s, err := d.schedule(m, g, digest)
+	if err == nil {
+		err = d.end()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+func (d *decoder) schedule(m *machine.Config, bind *ddg.Graph, digest [sha256.Size]byte) (*sched.Schedule, error) {
+	f, err := d.next("machine", 2)
 	if err != nil {
 		return nil, err
 	}
@@ -139,51 +190,57 @@ func decodeSchedule(lr *lineReader, m *machine.Config) (*sched.Schedule, error) 
 		return nil, fmt.Errorf("pipeline codec: artifact computed on machine %q, want %q", f[1], m.Name())
 	}
 
-	if f, err = lr.next("graph", 2); err != nil {
+	if f, err = d.next("graph", 2); err != nil {
 		return nil, err
 	}
-	size, err := atoi(f[1])
+	size, err := strconv.Atoi(f[1])
 	if err != nil || size < 0 || size > maxGraphBytes {
-		return nil, fmt.Errorf("pipeline codec line %d: bad graph size %q", lr.line, f[1])
+		return nil, fmt.Errorf("pipeline codec line %d: bad graph size %q", d.line, f[1])
 	}
-	raw := make([]byte, size)
-	if _, err := io.ReadFull(lr.r, raw); err != nil {
+	if rest := len(d.text) - d.off; rest < size {
+		err := io.ErrUnexpectedEOF
+		if rest == 0 {
+			err = io.EOF
+		}
 		return nil, fmt.Errorf("pipeline codec: truncated graph section: %v", err)
 	}
-	lr.line += bytes.Count(raw, []byte{'\n'})
-	g, err := ddg.Decode(bytes.NewReader(raw))
-	if err != nil {
-		return nil, fmt.Errorf("pipeline codec: embedded graph: %v", err)
-	}
-
-	if f, err = lr.next("slots", 2); err != nil {
-		return nil, err
-	}
-	marked, err := atoi(f[1])
-	if err != nil || marked < 0 || marked > g.NumNodes() {
-		return nil, fmt.Errorf("pipeline codec line %d: bad slot count %q", lr.line, f[1])
-	}
-	for i := 0; i < marked; i++ {
-		if f, err = lr.next("slot", 3); err != nil {
+	lo := d.off
+	section := d.text[lo : lo+size]
+	d.off += size
+	d.line += strings.Count(section, "\n")
+	g := bind
+	if g == nil || sha256.Sum256(d.data[lo:lo+size]) != digest {
+		if g, err = parseGraph(section); err != nil {
 			return nil, err
 		}
-		id, err1 := atoi(f[1])
-		slot, err2 := atoi(f[2])
-		if err1 != nil || err2 != nil || id < 0 || id >= g.NumNodes() || slot < 0 {
-			return nil, fmt.Errorf("pipeline codec line %d: bad spill-slot mark", lr.line)
-		}
-		g.Node(id).SpillSlot = slot
 	}
 
-	if f, err = lr.next("ii", 2); err != nil {
+	off, line := d.off, d.line
+	exact, err := d.slots(g, g != bind)
+	if err != nil {
 		return nil, err
 	}
-	ii, err := atoi(f[1])
+	if !exact {
+		// g's encoding, other spill-slot marks: the artifact describes
+		// another graph, which it carries whole.
+		if g, err = parseGraph(section); err != nil {
+			return nil, err
+		}
+		d.off, d.line = off, line
+		if _, err := d.slots(g, true); err != nil {
+			return nil, err
+		}
+	}
+
+	if f, err = d.next("ii", 2); err != nil {
+		return nil, err
+	}
+	ii, err := strconv.Atoi(f[1])
 	if err != nil {
-		return nil, fmt.Errorf("pipeline codec line %d: bad II: %v", lr.line, err)
+		return nil, fmt.Errorf("pipeline codec line %d: bad II: %v", d.line, err)
 	}
 	if ii < 1 || ii > maxScheduleII {
-		return nil, fmt.Errorf("pipeline codec line %d: II %d outside [1, %d]", lr.line, ii, maxScheduleII)
+		return nil, fmt.Errorf("pipeline codec line %d: II %d outside [1, %d]", d.line, ii, maxScheduleII)
 	}
 	s := &sched.Schedule{
 		Graph: g,
@@ -193,20 +250,76 @@ func decodeSchedule(lr *lineReader, m *machine.Config) (*sched.Schedule, error) 
 		FU:    make([]int, g.NumNodes()),
 	}
 	for id := range s.Start {
-		if f, err = lr.next("op", 3); err != nil {
+		if f, err = d.next("op", 3); err != nil {
 			return nil, err
 		}
-		if s.Start[id], err = atoi(f[1]); err != nil {
-			return nil, fmt.Errorf("pipeline codec line %d: bad issue cycle: %v", lr.line, err)
+		if s.Start[id], err = strconv.Atoi(f[1]); err != nil {
+			return nil, fmt.Errorf("pipeline codec line %d: bad issue cycle: %v", d.line, err)
 		}
-		if s.FU[id], err = atoi(f[2]); err != nil {
-			return nil, fmt.Errorf("pipeline codec line %d: bad unit binding: %v", lr.line, err)
+		if s.FU[id], err = strconv.Atoi(f[2]); err != nil {
+			return nil, fmt.Errorf("pipeline codec line %d: bad unit binding: %v", d.line, err)
 		}
 	}
 	if err := s.Verify(); err != nil {
 		return nil, fmt.Errorf("pipeline codec: decoded schedule invalid: %w", err)
 	}
 	return s, nil
+}
+
+// parseGraph decodes an embedded graph section.
+func parseGraph(section string) (*ddg.Graph, error) {
+	g, err := ddg.DecodeString(section)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline codec: embedded graph: %v", err)
+	}
+	return g, nil
+}
+
+// slots reads the spill-slot section over g. With apply it marks g's
+// nodes and reports true. Without, it leaves g alone and reports whether
+// the section lists exactly g's marks, in ID order as the encoder writes
+// them, stopping at the first line that does not; the lines it reads are
+// checked the same either way.
+func (d *decoder) slots(g *ddg.Graph, apply bool) (bool, error) {
+	f, err := d.next("slots", 2)
+	if err != nil {
+		return false, err
+	}
+	marked, err := strconv.Atoi(f[1])
+	if err != nil || marked < 0 || marked > g.NumNodes() {
+		return false, fmt.Errorf("pipeline codec line %d: bad slot count %q", d.line, f[1])
+	}
+	nodes := g.Nodes()
+	at := 0 // the next node of g to match a mark against
+	for i := 0; i < marked; i++ {
+		if f, err = d.next("slot", 3); err != nil {
+			return false, err
+		}
+		id, err1 := strconv.Atoi(f[1])
+		slot, err2 := strconv.Atoi(f[2])
+		if err1 != nil || err2 != nil || id < 0 || id >= g.NumNodes() || slot < 0 {
+			return false, fmt.Errorf("pipeline codec line %d: bad spill-slot mark", d.line)
+		}
+		if apply {
+			nodes[id].SpillSlot = slot
+			continue
+		}
+		for at < len(nodes) && nodes[at].SpillSlot < 0 {
+			at++
+		}
+		if at != id || nodes[at].SpillSlot != slot {
+			return false, nil
+		}
+		at++
+	}
+	if !apply {
+		for ; at < len(nodes); at++ {
+			if nodes[at].SpillSlot >= 0 {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
 }
 
 // EncodeModelResult writes r in the canonical artifact format: the model,
@@ -233,27 +346,41 @@ func EncodeModelResult(w io.Writer, r *ModelResult) error {
 // the decoded schedule — they are a deterministic function of it — and
 // the result's graph is the schedule's embedded graph.
 func DecodeModelResult(r io.Reader, m *machine.Config) (*ModelResult, error) {
-	lr := &lineReader{r: bufio.NewReader(r)}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline codec: %w", err)
+	}
+	return DecodeModelResultBound(data, m, nil, [sha256.Size]byte{})
+}
 
-	f, err := lr.next("model", 2)
+// DecodeModelResultBound is DecodeModelResult over a payload in memory,
+// with the result's schedule and graph bound to g as
+// DecodeScheduleBound binds them: a cell the spill loop left untouched
+// embeds its loop's own graph.
+func DecodeModelResultBound(data []byte, m *machine.Config, g *ddg.Graph, digest [sha256.Size]byte) (*ModelResult, error) {
+	d := newDecoder(data)
+	f, err := d.next("model", 2)
 	if err != nil {
 		return nil, err
 	}
 	model, err := core.ParseModel(f[1])
 	if err != nil {
-		return nil, fmt.Errorf("pipeline codec line %d: %v", lr.line, err)
+		return nil, fmt.Errorf("pipeline codec line %d: %v", d.line, err)
 	}
-	if f, err = lr.next("spill", 6); err != nil {
+	if f, err = d.next("spill", 6); err != nil {
 		return nil, err
 	}
 	var counters [5]int
 	for i := range counters {
-		if counters[i], err = atoi(f[i+1]); err != nil {
-			return nil, fmt.Errorf("pipeline codec line %d: bad spill counter: %v", lr.line, err)
+		if counters[i], err = strconv.Atoi(f[i+1]); err != nil {
+			return nil, fmt.Errorf("pipeline codec line %d: bad spill counter: %v", d.line, err)
 		}
 	}
-	s, err := decodeSchedule(lr, m)
+	s, err := d.schedule(m, g, digest)
 	if err != nil {
+		return nil, err
+	}
+	if err := d.end(); err != nil {
 		return nil, err
 	}
 	return &ModelResult{

@@ -3,7 +3,11 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"io"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -271,9 +275,16 @@ func TestScheduleCodecIIBound(t *testing.T) {
 // DecodeSchedule and DecodeModelResult never panic — nor run out of
 // memory on a damaged ii line, the committed seeds under
 // testdata/fuzz — and whatever either accepts re-encodes to an artifact
-// that decodes back to the same bytes. Seeds are the kernels' base
-// schedule artifacts on both evaluation machines and their model-result
-// artifacts at a budget that spills part of them.
+// that decodes back to the same bytes. Both agree with the decoders they
+// replaced (codec_ref_test.go): the same error text, or the same graph
+// encoding, spill-slot marks, schedule and counters. The one exception
+// is intended: they reject trailing data, which the old decoders
+// ignored. Decoding bound to a copy of an accepted artifact's graph
+// yields the same content, uses the copy only when the artifact embeds
+// its canonical encoding, and always uses it for a canonical artifact.
+// Seeds are the kernels' base schedule artifacts on
+// both evaluation machines and their model-result artifacts at a budget
+// that spills part of them.
 func FuzzScheduleCodec(f *testing.F) {
 	machines := []*machine.Config{machine.Eval(3), machine.Eval(6)}
 	for _, m := range machines {
@@ -305,14 +316,141 @@ func FuzzScheduleCodec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, m := range machines {
-			if s, err := DecodeSchedule(bytes.NewReader(data), m); err == nil {
+			s, err := DecodeSchedule(bytes.NewReader(data), m)
+			want, wantErr := refDecodeSchedule(bytes.NewReader(data), m)
+			mustMatchRefDecode(t, err, wantErr, func() { mustSameSchedule(t, s, want) })
+			if err == nil {
 				roundTrip(t, s, EncodeSchedule, func(r io.Reader) (*sched.Schedule, error) { return DecodeSchedule(r, m) })
+				mustBindSoundly(t, data, s, encoded(t, s, EncodeSchedule), func(g *ddg.Graph, digest [sha256.Size]byte) (*sched.Schedule, error) {
+					return DecodeScheduleBound(data, m, g, digest)
+				})
 			}
-			if res, err := DecodeModelResult(bytes.NewReader(data), m); err == nil {
+			res, err := DecodeModelResult(bytes.NewReader(data), m)
+			wantRes, wantErr := refDecodeModelResult(bytes.NewReader(data), m)
+			mustMatchRefDecode(t, err, wantErr, func() { mustSameModelResult(t, res, wantRes) })
+			if err == nil {
 				roundTrip(t, res, EncodeModelResult, func(r io.Reader) (*ModelResult, error) { return DecodeModelResult(r, m) })
+				mustBindSoundly(t, data, res.Sched, encoded(t, res, EncodeModelResult), func(g *ddg.Graph, digest [sha256.Size]byte) (*sched.Schedule, error) {
+					bound, err := DecodeModelResultBound(data, m, g, digest)
+					if err != nil {
+						return nil, err
+					}
+					mustSameModelResult(t, bound, res)
+					return bound.Sched, nil
+				})
 			}
 		}
 	})
+}
+
+// mustMatchRefDecode requires a decoder's error to be its reference's,
+// except that trailing data the reference ignored is rejected, and runs
+// same when both accepted.
+func mustMatchRefDecode(t *testing.T, err, wantErr error, same func()) {
+	t.Helper()
+	switch {
+	case err != nil && strings.Contains(err.Error(), ": trailing data "):
+		if wantErr != nil {
+			t.Fatalf("trailing-data error %v where the reference rejects with %v", err, wantErr)
+		}
+	case (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error():
+		t.Fatalf("decode error %v, reference %v", err, wantErr)
+	case err == nil:
+		same()
+	}
+}
+
+// mustSameSchedule requires got to equal want in graph encoding,
+// spill-slot marks, machine and placement.
+func mustSameSchedule(t *testing.T, got, want *sched.Schedule) {
+	t.Helper()
+	if canonical(t, got.Graph) != canonical(t, want.Graph) {
+		t.Fatalf("decoded graph\n%s\nreference\n%s", canonical(t, got.Graph), canonical(t, want.Graph))
+	}
+	for id, n := range want.Graph.Nodes() {
+		if got.Graph.Node(id).SpillSlot != n.SpillSlot {
+			t.Fatalf("node %d spill slot %d, reference %d", id, got.Graph.Node(id).SpillSlot, n.SpillSlot)
+		}
+	}
+	if got.Mach != want.Mach || got.II != want.II || !slices.Equal(got.Start, want.Start) || !slices.Equal(got.FU, want.FU) {
+		t.Fatalf("decoded schedule II %d %v %v, reference II %d %v %v", got.II, got.Start, got.FU, want.II, want.Start, want.FU)
+	}
+}
+
+// mustSameModelResult is mustSameSchedule for model results, counters
+// and lifetimes included.
+func mustSameModelResult(t *testing.T, got, want *ModelResult) {
+	t.Helper()
+	mustSameSchedule(t, got.Sched, want.Sched)
+	if got.Graph != got.Sched.Graph {
+		t.Fatal("decoded result's graph is not its schedule's")
+	}
+	if got.Model != want.Model || got.SpilledValues != want.SpilledValues || got.SpillStores != want.SpillStores ||
+		got.SpillLoads != want.SpillLoads || got.IIBumps != want.IIBumps || got.Iterations != want.Iterations ||
+		!slices.Equal(got.Lifetimes, want.Lifetimes) {
+		t.Fatalf("decoded result %+v, reference %+v", got, want)
+	}
+}
+
+// mustBindSoundly decodes data, which decoded unbound to s and encodes
+// canonically as canon, bound to two copies of s's graph: one with its
+// spill-slot marks, one without. Either way decode must yield s's
+// content. It may use a copy only when data embeds that copy's canonical
+// encoding, and must use the marked copy when data is canonical.
+func mustBindSoundly(t *testing.T, data []byte, s *sched.Schedule, canon []byte, decode func(*ddg.Graph, [sha256.Size]byte) (*sched.Schedule, error)) {
+	t.Helper()
+	for _, marks := range []bool{true, false} {
+		g := s.Graph.Clone()
+		if !marks {
+			for _, n := range g.Nodes() {
+				n.SpillSlot = -1
+			}
+		}
+		enc := canonical(t, g)
+		got, err := decode(g, sha256.Sum256([]byte(enc)))
+		if err != nil {
+			t.Fatalf("decoding bound to the artifact's own graph (marks %v): %v", marks, err)
+		}
+		mustSameSchedule(t, got, s)
+		if got.Graph == g && !bytes.Contains(data, []byte("\ngraph "+strconv.Itoa(len(enc))+"\n"+enc)) {
+			t.Fatalf("bound to a graph the artifact does not embed:\n%s", enc)
+		}
+		if marks && got.Graph != g && bytes.Equal(canon, data) {
+			t.Fatal("a canonical artifact did not bind to its own graph")
+		}
+	}
+}
+
+// TestCodecRejectsTrailingData: an encoder writes nothing after the last
+// op line, so both decoders consume the whole payload and name the first
+// extra line. The input is a committed FuzzScheduleCodec seed.
+func TestCodecRejectsTrailingData(t *testing.T) {
+	m := machine.Eval(3)
+	g, ok := loops.KernelByName("daxpy")
+	if !ok {
+		t.Fatal("missing kernel")
+	}
+	b, err := NewBase(g, m, sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Evaluate(context.Background(), nil, b, core.Unified, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = "nonsense here\n"
+	for _, c := range []struct {
+		art    []byte
+		decode func(io.Reader) error
+	}{
+		{encoded(t, b.Sched, EncodeSchedule), func(r io.Reader) error { _, err := DecodeSchedule(r, m); return err }},
+		{encoded(t, res, EncodeModelResult), func(r io.Reader) error { _, err := DecodeModelResult(r, m); return err }},
+	} {
+		want := fmt.Sprintf("pipeline codec line %d: trailing data %q", bytes.Count(c.art, []byte("\n"))+1, "nonsense here")
+		if err := c.decode(bytes.NewReader(append(c.art, extra...))); err == nil || err.Error() != want {
+			t.Fatalf("artifact with %q appended: %v, want %s", extra, err, want)
+		}
+	}
 }
 
 // roundTrip encodes a decoded artifact v, decodes that encoding and
@@ -330,4 +468,14 @@ func roundTrip[T any](t *testing.T, v T, encode func(io.Writer, T) error, decode
 	if err := encode(&second, back); err != nil || !bytes.Equal(second.Bytes(), first.Bytes()) {
 		t.Fatalf("%T round trip changed the artifact (%v):\n%s\nthen\n%s", v, err, first.Bytes(), second.Bytes())
 	}
+}
+
+// encoded returns v's encoding.
+func encoded[T any](t *testing.T, v T, encode func(io.Writer, T) error) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := encode(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

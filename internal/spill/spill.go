@@ -128,9 +128,10 @@ type RoundFit func(s *sched.Schedule, lts []lifetime.Lifetime) func(test, regs i
 //
 // A closed cell's Graph is the input graph while nothing has been
 // spilled, and otherwise the round's schedule graph (s.Graph). When that
-// is the working graph itself (sched.Run's, or the sweep engine's
-// without a store) and the walk goes on to rewrite it, the closed cells
-// get one clone; a schedule read from a store owns its graph already.
+// is the working graph itself (sched.Run's, or the sweep engine's, which
+// binds a schedule read from its store to the graph it was asked about)
+// and the walk goes on to rewrite it, the closed cells get one clone; a
+// schedule decoded onto a fresh graph needs none.
 func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Config, cells []Cell, fit RoundFit, opts sched.Options, seed *Seed) ([]*Result, []error) {
 	schedule := sched.Run
 	if sr != nil {

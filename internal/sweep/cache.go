@@ -31,9 +31,8 @@ const (
 // cacheKey identifies one scheduling problem; see the package comment for
 // the key scheme.
 type cacheKey struct {
-	graph   [sha256.Size]byte
-	machine string
-	opts    sched.Options
+	graph [sha256.Size]byte
+	opts  sched.Options
 }
 
 // CacheStats is a snapshot of one stage's counters across the cache
@@ -165,9 +164,10 @@ func (c *Cache) digestOf(g *ddg.Graph) [sha256.Size]byte {
 	return sum
 }
 
-// keyOf builds the cache key for one scheduling problem.
-func (c *Cache) keyOf(g *ddg.Graph, m *machine.Config, opts sched.Options) cacheKey {
-	return cacheKey{graph: c.digestOf(g), machine: m.Name(), opts: opts}
+// keyOf builds the cache key for one scheduling problem; diskKey adds
+// the machine.
+func (c *Cache) keyOf(g *ddg.Graph, opts sched.Options) cacheKey {
+	return cacheKey{graph: c.digestOf(g), opts: opts}
 }
 
 // diskKey derives the on-disk artifact key for one problem: the SHA-256
@@ -175,16 +175,16 @@ func (c *Cache) keyOf(g *ddg.Graph, m *machine.Config, opts sched.Options) cache
 // specification, every sched.Options field, and — for the eval stage —
 // model and register budget), NUL-separated.
 //
-// It is deliberately stricter than cacheKey on two counts, because
-// disk outlives the process. The machine contributes its full rendered
-// specification (Config.String: clusters, unit counts, latencies), not
-// just its name — a preset whose spec changes without a rename must
-// not serve stale artifacts, even though within one process
-// name-equality implies spec-equality. And sched.AlgorithmVersion pins
-// the scheduler's observable behavior, so a binary with improved
-// heuristics starts from a cold key space instead of reproducing the
-// old binary's schedules. Hashing %#v of the options
-// keeps future option fields from silently aliasing distinct problems.
+// It is deliberately strict on two counts, because disk outlives the
+// process. The machine contributes its full rendered specification
+// (Config.String: clusters, unit counts, latencies), not just its name
+// — a preset whose spec changes without a rename must not serve stale
+// artifacts, even though within one process name-equality implies
+// spec-equality. And sched.AlgorithmVersion pins the scheduler's
+// observable behavior, so a binary with improved heuristics starts from
+// a cold key space instead of reproducing the old binary's schedules.
+// Hashing %#v of the options keeps future option fields from silently
+// aliasing distinct problems.
 func diskKey(k cacheKey, m *machine.Config, extra string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "alg%d", sched.AlgorithmVersion)
@@ -212,16 +212,18 @@ func evalExtra(cell pipeline.Cell) string {
 }
 
 // loadEval is the read-through path of the eval stage: fetch and decode
-// a persisted result for cell over the base key, treating any damage as
-// a recomputable miss (see Schedule). Without a store it misses.
-func (c *Cache) loadEval(key cacheKey, m *machine.Config, cell pipeline.Cell) (*pipeline.ModelResult, bool) {
+// a persisted result for cell of g over the base key, treating any
+// damage as a recomputable miss (see Schedule). A result the spill loop
+// left untouched embeds g itself, and decodes bound to it. Without a
+// store it misses.
+func (c *Cache) loadEval(key cacheKey, g *ddg.Graph, m *machine.Config, cell pipeline.Cell) (*pipeline.ModelResult, bool) {
 	if c.store == nil {
 		return nil, false
 	}
 	dk := diskKey(key, m, evalExtra(cell))
 	data, ok := c.store.Get(stageEval, dk)
 	if ok {
-		res, err := pipeline.DecodeModelResult(bytes.NewReader(data), m)
+		res, err := pipeline.DecodeModelResultBound(data, m, g, key.graph)
 		if err == nil && res.Model == cell.Model {
 			c.evalDiskHits.Add(1)
 			return res, true
@@ -245,21 +247,24 @@ func (c *Cache) saveEval(key cacheKey, m *machine.Config, cell pipeline.Cell, re
 	_ = c.store.Put(stageEval, diskKey(key, m, evalExtra(cell)), buf.Bytes())
 }
 
-// Schedule returns the schedule of g on m. Without a store it is
-// sched.Run on g itself, so the schedule's Graph is g and a caller that
-// rewrites g afterwards must copy what it keeps (spill.RunSeries does).
-// With a store it reads through the disk tier — a decoded schedule owns
-// a fresh graph; a damaged artifact is discarded and recomputed — and
-// writes a computed schedule behind, best-effort. Either way the
-// schedule is read-only. Errors are neither retained nor persisted.
+// Schedule returns the schedule of g on m. Its Graph is g itself, so a
+// caller that rewrites g afterwards must copy what it keeps
+// (spill.RunSeries does). Without a store it is sched.Run on g. With a
+// store it reads through the disk tier — the artifact's embedded graph
+// is checked against g's digest and spill-slot marks and the schedule
+// bound to g; an artifact that embeds another graph decodes to a fresh
+// one, and a damaged one is discarded and recomputed — and writes a
+// computed schedule behind, best-effort. Either way the schedule is
+// read-only. Errors are neither retained nor persisted.
 func (c *Cache) Schedule(g *ddg.Graph, m *machine.Config, opts sched.Options) (*sched.Schedule, error) {
 	if c.store == nil {
 		c.schedComputed.Add(1)
 		return sched.Run(g, m, opts)
 	}
-	dk := diskKey(c.keyOf(g, m, opts), m, "")
+	key := c.keyOf(g, opts)
+	dk := diskKey(key, m, "")
 	if data, ok := c.store.Get(stageSched, dk); ok {
-		if s, err := pipeline.DecodeSchedule(bytes.NewReader(data), m); err == nil {
+		if s, err := pipeline.DecodeScheduleBound(data, m, g, key.graph); err == nil {
 			c.schedDiskHits.Add(1)
 			return s, nil
 		}
@@ -316,7 +321,7 @@ func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, 
 	}
 	var key cacheKey
 	if c.store != nil {
-		key = c.keyOf(g, m, opts)
+		key = c.keyOf(g, opts)
 	}
 	res := make([]*pipeline.ModelResult, len(cells))
 	errs := make([]error, len(cells))
@@ -331,7 +336,7 @@ func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, 
 			}
 			ideal = k
 		}
-		if r, ok := c.loadEval(key, m, cell); ok {
+		if r, ok := c.loadEval(key, g, m, cell); ok {
 			res[k] = r
 			continue
 		}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -119,7 +121,11 @@ func TestCacheSharesWork(t *testing.T) {
 // Compile and through a spill-axis grid walked group by group, as the
 // sweep executor does — equals the uncached walk pipeline.EvaluateCells
 // with sched.Run, in schedule, graph, lifetimes and spill counters, and
-// no result's graph is rewritten after the walk handed it out.
+// no result's graph is rewritten after the walk handed it out. The
+// engine walks without a store, then over a store: cold, warm with
+// every cell read from disk, and warm with the eval stage removed, so
+// every base and spill-round schedule is read from disk and bound to
+// the graph the walk goes on to rewrite.
 func TestEngineWalkMatchesUncachedWalk(t *testing.T) {
 	spec := loopgen.Defaults()
 	spec.Loops = 100
@@ -177,54 +183,86 @@ func TestEngineWalkMatchesUncachedWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	compiler := New(1)
-	got := make([]*pipeline.ModelResult, len(units))
-	gotErrs := make([]error, len(units))
-	gotAll := make([][core.NumModels]*pipeline.ModelResult, len(groups))
-	err = eng.ForEach(ctx, len(groups), func(gi int) error {
-		g := groups[gi]
-		loop, m := grid.Corpus[g.Loop], grid.Machines[g.Machine]
-		cells := make([]pipeline.Cell, len(g.Units))
-		for k, ui := range g.Units {
-			cells[k] = pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs}
-		}
-		k := 0
-		if err := eng.cache.evalCells(ctx, loop, m, sched.Options{}, cells, func(res *pipeline.ModelResult, err error) error {
-			got[g.Units[k]], gotErrs[g.Units[k]] = res, err
-			k++
-			return nil
-		}); err != nil {
+	// walk serves the cells and the Compile calls of every stride-th
+	// group through eng and compiler and checks every result once all
+	// walks are done.
+	walk := func(leg string, stride int, eng, compiler *Engine) {
+		t.Helper()
+		got := make([]*pipeline.ModelResult, len(units))
+		gotErrs := make([]error, len(units))
+		gotAll := make([][core.NumModels]*pipeline.ModelResult, len(groups))
+		err := eng.ForEach(ctx, (len(groups)+stride-1)/stride, func(i int) error {
+			gi := i * stride
+			g := groups[gi]
+			loop, m := grid.Corpus[g.Loop], grid.Machines[g.Machine]
+			cells := make([]pipeline.Cell, len(g.Units))
+			for k, ui := range g.Units {
+				cells[k] = pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs}
+			}
+			k := 0
+			if err := eng.cache.evalCells(ctx, loop, m, sched.Options{}, cells, func(res *pipeline.ModelResult, err error) error {
+				got[g.Units[k]], gotErrs[g.Units[k]] = res, err
+				k++
+				return nil
+			}); err != nil {
+				return err
+			}
+			all, err := compileAll(compiler, loop, m, compileRegs)
+			gotAll[gi] = all
 			return err
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		all, err := compileAll(compiler, loop, m, compileRegs)
-		gotAll[gi] = all
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	spilled := 0
-	for ui, u := range units {
-		name := fmt.Sprintf("%s/%s/%v/%d", grid.Corpus[u.Loop].LoopName, grid.Machines[u.Machine].Name(), u.Model, u.Regs)
-		if (gotErrs[ui] == nil) != (wantErrs[ui] == nil) || gotErrs[ui] != nil && gotErrs[ui].Error() != wantErrs[ui].Error() {
-			t.Fatalf("%s: error %v, uncached walk %v", name, gotErrs[ui], wantErrs[ui])
-		}
-		if want[ui] != nil {
-			mustSameResult(t, name, got[ui], want[ui])
-			if want[ui].SpilledValues > 0 {
-				spilled++
+		spilled := 0
+		for ui, u := range units {
+			if got[ui] == nil && gotErrs[ui] == nil {
+				continue // not walked
+			}
+			name := fmt.Sprintf("%s/%s/%v/%d", grid.Corpus[u.Loop].LoopName, grid.Machines[u.Machine].Name(), u.Model, u.Regs)
+			if (gotErrs[ui] == nil) != (wantErrs[ui] == nil) || gotErrs[ui] != nil && gotErrs[ui].Error() != wantErrs[ui].Error() {
+				t.Fatalf("%s %s: error %v, uncached walk %v", leg, name, gotErrs[ui], wantErrs[ui])
+			}
+			if want[ui] != nil {
+				mustSameResult(t, leg+" "+name, got[ui], want[ui])
+				if want[ui].SpilledValues > 0 {
+					spilled++
+				}
 			}
 		}
-	}
-	for gi, g := range groups {
-		for _, model := range core.Models {
-			name := fmt.Sprintf("Compile %s/%s/%v", grid.Corpus[g.Loop].LoopName, grid.Machines[g.Machine].Name(), model)
-			mustSameResult(t, name, gotAll[gi][model], wantAll[gi][model])
+		for gi := 0; gi < len(groups); gi += stride {
+			g := groups[gi]
+			for _, model := range core.Models {
+				name := fmt.Sprintf("Compile %s/%s/%v", grid.Corpus[g.Loop].LoopName, grid.Machines[g.Machine].Name(), model)
+				mustSameResult(t, leg+" "+name, gotAll[gi][model], wantAll[gi][model])
+			}
+		}
+		if spilled == 0 {
+			t.Fatalf("%s: no grid cell spilled; the test needs walks that rewrite their graph", leg)
 		}
 	}
-	if spilled == 0 {
-		t.Fatal("no grid cell spilled; the test needs walks that rewrite their graph")
+
+	walk("memory-only", 1, eng, New(1))
+	// The store legs, which write thousands of artifacts, walk every
+	// eighth group, each machine's among them.
+	const stride = 8
+	dir := t.TempDir()
+	walk("cold store", stride, storeEng(t, 2, dir), storeEng(t, 1, dir))
+	warm, warmCompiler := storeEng(t, 2, dir), storeEng(t, 1, dir)
+	walk("warm store", stride, warm, warmCompiler)
+	for _, e := range []*Engine{warm, warmCompiler} {
+		if st := e.Cache().StageStats(); st.Eval.Misses != 0 || st.Schedule.Requests() != 0 {
+			t.Fatalf("warm store: %+v; want every cell from disk", st)
+		}
+	}
+	if err := os.RemoveAll(filepath.Join(warm.Store().Dir(), stageEval)); err != nil {
+		t.Fatal(err)
+	}
+	rounds, roundsCompiler := storeEng(t, 2, dir), storeEng(t, 1, dir)
+	walk("warm schedules", stride, rounds, roundsCompiler)
+	if st := rounds.Cache().StageStats(); st.Schedule.Misses != 0 || st.Schedule.DiskHits <= st.Base.Misses {
+		t.Fatalf("warm schedules: %+v; want every base and spill-round schedule from disk", st)
 	}
 }
 

@@ -29,19 +29,6 @@ type Unit struct {
 	Regs    int
 }
 
-// unitKey identifies a requested grid cell, for deduplication: machines
-// collapse onto their name (same name = same config, the cache
-// contract), so repeated register sizes or same-name machines add
-// nothing. Distinct cells whose computations coincide (e.g. the Ideal
-// model at every register size) are kept — each requested cell gets its
-// own Result row — and the stage caches absorb the shared work.
-type unitKey struct {
-	loop    int
-	machine string
-	model   core.Model
-	regs    int
-}
-
 // Validate rejects a grid with an empty axis. Such a grid plans zero
 // units, so a sweep over it would emit nothing while appearing to
 // succeed — the classic silently-empty result file. The error names the
@@ -60,31 +47,54 @@ func (g Grid) Validate() error {
 }
 
 // Plan expands the grid into work units, dropping duplicate cells:
-// repeated register sizes and machines with the same name. Units are
-// ordered machine-major, then model, then size, then loop — the order
-// the paper's tables enumerate.
+// repeated register sizes and models, and machines with the same name
+// (same name = same config, the cache contract). Each axis keeps its
+// first occurrences, and since loop indices are unique that drops
+// exactly the repeated cells. Distinct cells whose computations
+// coincide (e.g. the Ideal model at every register size) are kept —
+// each requested cell gets its own Result row — and the group walk
+// shares the work. Units are ordered machine-major, then model, then
+// size, then loop — the order the paper's tables enumerate.
 func (g Grid) Plan() []Unit {
 	regs := g.Regs
 	if len(regs) == 0 {
 		regs = []int{0}
 	}
-	seen := map[unitKey]bool{}
-	var units []Unit
+	var machines []int
+	names := make(map[string]bool, len(g.Machines))
 	for mi, m := range g.Machines {
-		for _, model := range g.Models {
+		if !names[m.Name()] {
+			names[m.Name()] = true
+			machines = append(machines, mi)
+		}
+	}
+	models := firstOccurrences(g.Models)
+	regs = firstOccurrences(regs)
+	units := make([]Unit, 0, len(machines)*len(models)*len(regs)*len(g.Corpus))
+	for _, mi := range machines {
+		for _, model := range models {
 			for _, r := range regs {
 				for li := range g.Corpus {
-					k := unitKey{loop: li, machine: m.Name(), model: model, regs: r}
-					if seen[k] {
-						continue
-					}
-					seen[k] = true
 					units = append(units, Unit{Loop: li, Machine: mi, Model: model, Regs: r})
 				}
 			}
 		}
 	}
 	return units
+}
+
+// firstOccurrences returns the values of axis in order, each at its
+// first occurrence only.
+func firstOccurrences[T comparable](axis []T) []T {
+	seen := make(map[T]bool, len(axis))
+	var out []T
+	for _, v := range axis {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // Shard returns the i-th of n contiguous, balanced partitions of

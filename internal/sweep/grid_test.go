@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ncdrf/internal/core"
@@ -111,5 +113,65 @@ func TestSweepReportsPerUnitErrors(t *testing.T) {
 	}
 	if !badFailed {
 		t.Fatalf("impossible loop did not report an error: %+v", got)
+	}
+}
+
+// unitKey identifies a requested grid cell for planRef: machines
+// collapse onto their name.
+type unitKey struct {
+	loop    int
+	machine string
+	model   core.Model
+	regs    int
+}
+
+// planRef is Grid.Plan as it was before it deduplicated its axes: one
+// map entry per cell. TestPlanMatchesCellDedup holds Plan to it.
+func planRef(g Grid) []Unit {
+	regs := g.Regs
+	if len(regs) == 0 {
+		regs = []int{0}
+	}
+	seen := map[unitKey]bool{}
+	var units []Unit
+	for mi, m := range g.Machines {
+		for _, model := range g.Models {
+			for _, r := range regs {
+				for li := range g.Corpus {
+					k := unitKey{loop: li, machine: m.Name(), model: model, regs: r}
+					if seen[k] {
+						continue
+					}
+					seen[k] = true
+					units = append(units, Unit{Loop: li, Machine: mi, Model: model, Regs: r})
+				}
+			}
+		}
+	}
+	return units
+}
+
+// TestPlanMatchesCellDedup checks Plan against planRef over random
+// grids: same-name machines built apart, repeated models, and budgets
+// that repeat or are negative, zero or missing altogether. The plans
+// must hold the same units in the same order.
+func TestPlanMatchesCellDedup(t *testing.T) {
+	kernels := loops.Kernels()
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 500; trial++ {
+		grid := Grid{Corpus: kernels[:rng.Intn(5)]}
+		for i := rng.Intn(5); i > 0; i-- {
+			grid.Machines = append(grid.Machines, machine.Eval(3+3*rng.Intn(2)))
+		}
+		for i := rng.Intn(6); i > 0; i-- {
+			grid.Models = append(grid.Models, core.Models[rng.Intn(len(core.Models))])
+		}
+		for i := rng.Intn(6); i > 0; i-- {
+			grid.Regs = append(grid.Regs, rng.Intn(5)*8-8)
+		}
+		if got, want := grid.Plan(), planRef(grid); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: machines %d, models %v, regs %v:\nPlan    %v\nplanRef %v",
+				trial, len(grid.Machines), grid.Models, grid.Regs, got, want)
+		}
 	}
 }

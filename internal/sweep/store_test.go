@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io/fs"
@@ -14,6 +15,7 @@ import (
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
 	"ncdrf/internal/pipeline"
+	"ncdrf/internal/sched"
 	"ncdrf/internal/store"
 )
 
@@ -276,5 +278,90 @@ func TestStoreTierDoesNotPersistErrors(t *testing.T) {
 	}
 	if st := eng2.Cache().StageStats(); st.Eval.Misses != 1 || st.Eval.DiskHits != 0 {
 		t.Fatalf("failure unexpectedly served from disk: %+v", st)
+	}
+}
+
+// TestWarmReadBindsInputGraph pins the binding of warm reads: an
+// artifact that embeds the requested graph, spill-slot marks included,
+// decodes onto the caller's graph, and any other decodes a fresh one.
+// A warm cell the spill loop left untouched is bound to the loop, a
+// spilled cell is not, and a warm schedule is bound. A schedule
+// artifact under the loop's key whose graph section differs from the
+// loop's encoding, or whose slot marks differ from the requested
+// graph's, decodes to a graph of its own.
+func TestWarmReadBindsInputGraph(t *testing.T) {
+	g, ok := loops.KernelByName("lfk7-eos")
+	if !ok {
+		t.Fatal("missing kernel")
+	}
+	m := machine.Eval(6)
+	ctx := context.Background()
+	dir := t.TempDir()
+	compile := func(eng *Engine) (plain, spilled *pipeline.ModelResult) {
+		t.Helper()
+		var err error
+		if plain, err = eng.Compile(ctx, g, m, core.Unified, 0); err != nil {
+			t.Fatal(err)
+		}
+		if spilled, err = eng.Compile(ctx, g, m, core.Unified, 24); err != nil {
+			t.Fatal(err)
+		}
+		if spilled.SpilledValues == 0 {
+			t.Fatal("test needs a spilled cell")
+		}
+		return plain, spilled
+	}
+	compile(storeEng(t, 1, dir))
+	eng := storeEng(t, 1, dir)
+	plain, spilled := compile(eng)
+	if st := eng.Cache().StageStats().Eval; st.DiskHits != 2 {
+		t.Fatalf("warm compiles: eval stage %+v, want both from disk", st)
+	}
+	if plain.Graph != g || plain.Sched.Graph != g {
+		t.Fatal("an unspilled warm cell does not reference the caller's graph")
+	}
+	if spilled.Graph == g || spilled.Sched.Graph == g || spilled.Graph.NumNodes() <= g.NumNodes() {
+		t.Fatal("a spilled warm cell references the caller's graph")
+	}
+
+	c := eng.Cache()
+	s, err := c.Schedule(g, m, sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Graph != g || c.Stats().DiskHits != 1 {
+		t.Fatalf("warm schedule bound to the caller's graph: %v; schedule stage %+v", s.Graph == g, c.Stats())
+	}
+
+	// The same key with other spill-slot marks: the digest leaves them
+	// out, the slots section does not.
+	marked := g.Clone()
+	marked.Node(0).SpillSlot = 0
+	if s, err = c.Schedule(marked, m, sched.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Graph == marked || s.Graph.Node(0).SpillSlot != -1 || c.Stats().DiskHits != 2 {
+		t.Fatalf("artifact with other slot marks bound: %v; schedule stage %+v", s.Graph == marked, c.Stats())
+	}
+
+	// The loop's key over an artifact embedding a renamed copy.
+	renamed := g.Clone()
+	renamed.LoopName += "-renamed"
+	s, err = sched.Run(renamed, m, sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := pipeline.EncodeSchedule(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Store().Put(stageSched, diskKey(c.keyOf(g, sched.Options{}), m, ""), buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = c.Schedule(g, m, sched.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Graph == g || s.Graph.LoopName != renamed.LoopName || c.Stats().DiskHits != 3 {
+		t.Fatalf("artifact embedding another graph bound: %v; schedule stage %+v", s.Graph == g, c.Stats())
 	}
 }

@@ -14,10 +14,12 @@
 //     the cache correct under the spiller's in-place graph rewrites:
 //     after spill code is inserted the encoding changes, so the rewritten
 //     graph is a different key;
-//   - the machine configuration, identified by its Name(). Configs are
-//     immutable after construction and the presets give every distinct
-//     configuration a distinct name; callers constructing machines by
-//     hand must follow the same rule;
+//   - the machine configuration, identified by its full rendered
+//     specification (Config.String), which the on-disk key hashes
+//     (diskKey). Configs are immutable after construction; the grid
+//     planner collapses machines onto their Name(), and the presets give
+//     every distinct configuration a distinct name, a rule callers
+//     constructing machines by hand must follow too;
 //   - the sched.Options value (a small comparable struct), so the
 //     spiller's forced-MinII retries do not collide with the defaults.
 //
