@@ -10,7 +10,7 @@ import (
 )
 
 // cmdCache inspects and garbage-collects a persistent artifact
-// directory (the -cache-dir of `ncdrf all|sweep`): per-version,
+// directory (the -cache-dir of `ncdrf all|sweep|curve`): per-version,
 // per-stage entry counts and sizes, damaged-file detection, and — with
 // -gc — removal of everything the current binary can never serve
 // (stale format versions, damaged files, leftover temp files, and

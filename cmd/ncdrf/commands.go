@@ -294,7 +294,7 @@ func runAll(ctx context.Context, eng *sweep.Engine, o corpusOpts) error {
 
 // cacheDirFlag attaches the shared -cache-dir option to a FlagSet.
 func cacheDirFlag(fs *flag.FlagSet) *string {
-	return fs.String("cache-dir", "", "persist stage artifacts under this directory; a rerun with the same corpus recomputes nothing")
+	return fs.String("cache-dir", "", "persist one record per (loop, machine) group under this directory; a rerun with the same corpus computes no cell")
 }
 
 // attachCacheDir opens the persistent artifact store rooted at dir (when

@@ -32,8 +32,9 @@
 // Corpus flags (table1/fig6..9/all/sweep/curve/stats/clusters): -loops N
 // -seed S -kernels-only
 //
-// Persistent cache (all/sweep/curve): -cache-dir DIR stores stage
-// artifacts on disk, so a rerun over the same corpus recomputes nothing.
+// Persistent cache (all/sweep/curve): -cache-dir DIR stores one record
+// per (loop, machine) group on disk — its requirement row and its cells'
+// metrics — so a rerun over the same corpus computes no cell.
 package main
 
 import (
@@ -143,7 +144,9 @@ commands:
              -shard, -from, -stats, -strict, -progress, -cache-dir)
   merge      splice 'sweep'/'curve' -shard output files back into the
              byte-identical unsharded stream
-  cache      inspect or garbage-collect a -cache-dir artifact directory
+  cache      inspect or garbage-collect a -cache-dir artifact directory:
+             entries per format version and stage ('group': one record per
+             (loop, machine) group; older versions are stale)
              (-dir, -gc, -max-age, -dry-run)
   schedule   modulo-schedule one kernel (-loop name, -lat 3|6)
   alloc      register requirements of one kernel under every model

@@ -235,8 +235,8 @@ func TestCmdSweepJSON(t *testing.T) {
 	// A cold run schedules every request exactly once: each group's
 	// models and sizes share one spill walk, so no schedule is requested
 	// twice.
-	if st["cache_misses"] == 0 || st["cache_requests"] != st["cache_misses"] || st["cache_hits"] != 0 {
-		t.Fatalf("cold-run cache stats want requests = computed > 0 and no hits: %v", st)
+	if st["stage_schedule_computed"] == 0 || st["stage_schedule_requests"] != st["stage_schedule_computed"] {
+		t.Fatalf("cold-run schedule stats want requests = computed > 0: %v", st)
 	}
 }
 
@@ -271,9 +271,9 @@ func TestCmdSweepLatsAreIntegers(t *testing.T) {
 }
 
 // TestCmdSweepStatsEntries checks the -stats object surfaces the
-// per-stage tier counters and no entry count: no stage keeps an
-// in-memory tier, so there is no entries_* key, and every schedule and
-// base request is computed.
+// per-stage counters and no key that can only read 0: no stage keeps
+// an entry count, and the schedule and base stages have no hit keys —
+// they keep and persist nothing, so every request is computed.
 func TestCmdSweepStatsEntries(t *testing.T) {
 	out := capture(t, func() error {
 		return cmdSweep(ctx0, testEng(), []string{
@@ -285,20 +285,19 @@ func TestCmdSweepStatsEntries(t *testing.T) {
 		t.Fatalf("stats line is not JSON: %v", err)
 	}
 	for _, key := range []string{
-		"stage_eval_requests", "stage_eval_computed", "stage_base_memory_hits",
+		"stage_schedule_requests", "stage_schedule_computed", "stage_base_requests", "stage_base_computed",
+		"stage_eval_requests", "stage_eval_computed", "stage_eval_memory_hits", "stage_eval_disk_hits",
 	} {
 		if _, ok := st[key]; !ok {
 			t.Fatalf("stats object missing %q: %v", key, st)
 		}
 	}
-	for _, key := range []string{"entries_schedule", "entries_base", "entries_eval"} {
-		if _, ok := st[key]; ok {
-			t.Fatalf("stats object reports %s, but the stage keeps no entries: %v", key, st)
-		}
+	if len(st) != 8 {
+		t.Fatalf("stats object has %d keys, want the 8 above: %v", len(st), st)
 	}
 	for _, stage := range []string{"schedule", "base"} {
-		if st["stage_"+stage+"_memory_hits"] != 0 || st["stage_"+stage+"_computed"] != st["stage_"+stage+"_requests"] {
-			t.Fatalf("%s requests served from memory: %v", stage, st)
+		if st["stage_"+stage+"_computed"] != st["stage_"+stage+"_requests"] {
+			t.Fatalf("%s requests not all computed: %v", stage, st)
 		}
 	}
 	if st["stage_base_requests"] == 0 {
@@ -307,14 +306,15 @@ func TestCmdSweepStatsEntries(t *testing.T) {
 	if st["stage_eval_computed"] == 0 {
 		t.Fatalf("sweep computed no eval cell: %v", st)
 	}
-	if st["stage_schedule_disk_hits"] != 0 {
+	if st["stage_eval_disk_hits"] != 0 {
 		t.Fatalf("disk hits without a store: %v", st)
 	}
 }
 
 // TestCmdAllCacheDirIncremental is the CLI acceptance scenario: a second
-// `ncdrf all -cache-dir` run over the same corpus reports 0 computed at
-// the schedule and eval stages and emits byte-identical tables/figures
+// `ncdrf all -cache-dir` run over the same corpus computes no eval cell
+// or requirement row, builds only the bases and schedules VerifySample
+// compiles (one per 25th loop), and emits byte-identical tables/figures
 // (everything but the run-dependent stats trailer).
 func TestCmdAllCacheDirIncremental(t *testing.T) {
 	dir := t.TempDir()
@@ -340,21 +340,18 @@ func TestCmdAllCacheDirIncremental(t *testing.T) {
 	if body1 != body2 {
 		t.Fatalf("second run not byte-identical:\nfirst:\n%s\nsecond:\n%s", body1, body2)
 	}
-	for _, line := range trailer2 {
-		if strings.HasPrefix(line, "stage schedule:") || strings.HasPrefix(line, "stage eval:") {
-			if !strings.Contains(line, " 0 computed,") {
-				t.Fatalf("warm run recomputed: %q", line)
-			}
-			if strings.Contains(line, " 0 from disk") {
-				t.Fatalf("warm run not served from disk: %q", line)
-			}
+	verified := (len(loops.Kernels()) + 24) / 25
+	for i, stage := range []string{"schedule", "base"} {
+		if want := fmt.Sprintf("stage %s: %d requests, %d computed", stage, verified, verified); trailer2[i] != want {
+			t.Fatalf("warm trailer %q, want %q", trailer2[i], want)
 		}
 	}
-	// The cold run must already advertise the disk tier in its trailer.
-	for _, line := range trailer1 {
-		if !strings.Contains(line, "from disk") {
-			t.Fatalf("cold run trailer missing disk tier: %q", line)
-		}
+	if !strings.Contains(trailer2[2], " 0 computed,") || strings.Contains(trailer2[2], " 0 from disk") {
+		t.Fatalf("warm run recomputed evals: %q", trailer2[2])
+	}
+	// The cold run must already advertise the disk tier in its eval line.
+	if !strings.HasSuffix(trailer1[2], " 0 from disk") {
+		t.Fatalf("cold run trailer missing disk tier: %q", trailer1[2])
 	}
 }
 
@@ -543,7 +540,7 @@ func TestCmdCurveTables(t *testing.T) {
 		"spill memory ops per iteration",
 		"performance relative to ideal",
 		"regs  ideal  unified  partitioned  swapped",
-		"stage base: 44 requests, 44 computed, 0 served from memory",
+		"\nstage base: 44 requests, 44 computed\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("curve output missing %q:\n%s", want, out)
@@ -822,7 +819,7 @@ func TestStreamRowsBuffersWrites(t *testing.T) {
 }
 
 // TestCmdSweepProgress checks the -progress reporter: a final summary
-// line with unit totals and per-stage hit rates lands on stderr, and
+// line with unit totals and the eval hit rate lands on stderr, and
 // none of it leaks into the result stream.
 func TestCmdSweepProgress(t *testing.T) {
 	var stdout string
@@ -837,7 +834,7 @@ func TestCmdSweepProgress(t *testing.T) {
 	if !strings.Contains(stderr, "progress: 88/88 units done (100.0%), 88 emitted") {
 		t.Fatalf("progress summary missing from stderr:\n%s", stderr)
 	}
-	if !strings.Contains(stderr, "hit rates: schedule ") || !strings.Contains(stderr, "elapsed ") {
+	if !strings.Contains(stderr, ", eval hit rate ") || !strings.Contains(stderr, "elapsed ") {
 		t.Fatalf("progress line incomplete:\n%s", stderr)
 	}
 	if strings.Contains(stdout, "progress:") {
@@ -884,25 +881,27 @@ func TestCmdMergeErrors(t *testing.T) {
 }
 
 // TestCmdCacheInspectAndGC drives `ncdrf cache` over a real artifact
-// directory: inspect reports the stages, GC removes a planted damaged
-// file and a stale version directory, and the live entries keep serving
-// (the warm rerun still produces the byte-identical stream).
+// directory: inspect reports the group records and a planted directory
+// of the previous format version as stale, GC removes that directory
+// and a planted damaged record, and the live entries keep serving (the
+// warm rerun still produces the byte-identical stream).
 func TestCmdCacheInspectAndGC(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-kernels-only", "-lats", "6", "-models", "unified", "-regs", "32", "-cache-dir", dir}
 	first := capture(t, func() error { return cmdSweep(ctx0, testEng(), args) })
 
-	// Plant damage: one corrupted artifact and one stale version dir.
+	// Plant damage: one corrupted record and one stale version dir, as
+	// the per-schedule format left it.
 	vdir := filepath.Join(dir, fmt.Sprintf("v%d", store.FormatVersion))
-	scheds, err := os.ReadDir(filepath.Join(vdir, "sched"))
-	if err != nil || len(scheds) == 0 {
-		t.Fatalf("no sched artifacts: %v", err)
+	records, err := os.ReadDir(filepath.Join(vdir, "group"))
+	if err != nil || len(records) == 0 {
+		t.Fatalf("no group records: %v", err)
 	}
-	victim := filepath.Join(vdir, "sched", scheds[0].Name())
+	victim := filepath.Join(vdir, "group", records[0].Name())
 	if err := os.WriteFile(victim, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	staleDir := filepath.Join(dir, fmt.Sprintf("v%d", store.FormatVersion+9), "sched")
+	staleDir := filepath.Join(dir, fmt.Sprintf("v%d", store.FormatVersion-1), "sched")
 	if err := os.MkdirAll(staleDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -911,7 +910,7 @@ func TestCmdCacheInspectAndGC(t *testing.T) {
 	}
 
 	inspect := capture(t, func() error { return cmdCache([]string{"-dir", dir}) })
-	for _, want := range []string{"sched", "eval", "stale version"} {
+	for _, want := range []string{"group", "sched", "stale version"} {
 		if !strings.Contains(inspect, want) {
 			t.Fatalf("inspect output missing %q:\n%s", want, inspect)
 		}

@@ -14,7 +14,7 @@ import (
 const progressInterval = 2 * time.Second
 
 // progress is the -progress reporter of the sweep/curve commands: a
-// periodic stderr line with done/total units, per-stage cache hit rates
+// periodic stderr line with done/total units, the eval stage's hit rate
 // and elapsed time, so a long (possibly sharded) grid is observable
 // without polluting the result stream on stdout. A nil *progress is a
 // valid no-op receiver, which keeps the call sites unconditional.
@@ -91,17 +91,14 @@ func (p *progress) line() {
 	if p.total > 0 {
 		pct = 100 * float64(done) / float64(p.total)
 	}
-	st := p.eng.Cache().StageStats()
-	rate := func(cs sweep.CacheStats) string {
-		req := cs.Requests()
-		if req == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.0f%%", 100*float64(cs.Hits+cs.DiskHits)/float64(req))
+	// The eval stage is the only one with hits: the schedule and base
+	// stages compute every request.
+	rate := "-"
+	if cs := p.eng.Cache().StageStats().Eval; cs.Requests() > 0 {
+		rate = fmt.Sprintf("%.0f%%", 100*float64(cs.Hits+cs.DiskHits)/float64(cs.Requests()))
 	}
-	fmt.Fprintf(p.w, "progress: %d/%d units done (%.1f%%), %d emitted, elapsed %s, hit rates: schedule %s, eval %s\n",
+	fmt.Fprintf(p.w, "progress: %d/%d units done (%.1f%%), %d emitted, elapsed %s, eval hit rate %s\n",
 		done, p.total, pct, p.emitted.Load(),
 		//lint:allow wallclock -- elapsed time on stderr, never in artifacts
-		time.Since(p.start).Round(time.Second/10),
-		rate(st.Schedule), rate(st.Eval))
+		time.Since(p.start).Round(time.Second/10), rate)
 }

@@ -43,7 +43,7 @@ func addGridFlags(fs *flag.FlagSet, defaultModels string) gridFlags {
 		stats:    fs.Bool("stats", false, "append the per-stage cache counters (row streams: a JSON object on stdout, even with -o; tables: a trailer)"),
 		shard:    fs.String("shard", "", "run only shard I of N of the grid, as I/N (e.g. 2/3); emits a headered row stream for 'ncdrf merge'"),
 		out:      fs.String("o", "", "write the output to this file instead of stdout"),
-		progress: fs.Bool("progress", false, "report done/total units, per-stage hit rates and elapsed time on stderr"),
+		progress: fs.Bool("progress", false, "report done/total units, the eval hit rate and elapsed time on stderr"),
 	}
 }
 
@@ -298,18 +298,17 @@ func streamRows(ctx context.Context, run executor, header *sweep.ShardHeader, ou
 	return err
 }
 
-// writeStatsJSON emits the -stats object: the legacy cache_* keys
-// describe the schedule stage; the stage_* keys add the full per-stage
-// picture (computed vs memory vs disk tier).
+// writeStatsJSON emits the -stats object: requests and computations
+// per stage, plus the eval stage's memory and disk hits; the schedule
+// and base stages keep and persist nothing, so they have no hit keys.
 func writeStatsJSON(eng *sweep.Engine, w io.Writer) error {
 	st := eng.Cache().StageStats()
 	obj := map[string]uint64{
-		"cache_requests": st.Schedule.Requests(),
-		"cache_hits":     st.Schedule.Hits,
-		"cache_misses":   st.Schedule.Misses,
+		"stage_eval_memory_hits": st.Eval.Hits,
+		"stage_eval_disk_hits":   st.Eval.DiskHits,
 	}
-	// An ordered slice, not a map: the stage keys are built (and, were
-	// obj ever streamed directly, emitted) in one fixed order.
+	// An ordered slice, not a map: the stage keys are built in one
+	// fixed order.
 	stages := []struct {
 		name string
 		cs   sweep.CacheStats
@@ -317,8 +316,6 @@ func writeStatsJSON(eng *sweep.Engine, w io.Writer) error {
 	for _, s := range stages {
 		obj["stage_"+s.name+"_requests"] = s.cs.Requests()
 		obj["stage_"+s.name+"_computed"] = s.cs.Misses
-		obj["stage_"+s.name+"_memory_hits"] = s.cs.Hits
-		obj["stage_"+s.name+"_disk_hits"] = s.cs.DiskHits
 	}
 	return json.NewEncoder(w).Encode(obj)
 }

@@ -57,7 +57,7 @@ func TestFigCSVGolden(t *testing.T) {
 // the sharing left is structural: one requirement sweep per machine
 // (Table 1's four configurations and the two evaluation machines, with
 // Figure 7 reading Figure 6's sweeps), one base per (loop, machine)
-// group of Figures 8/9, and one per verified loop and model.
+// group of Figures 8/9, and one per verified loop, shared by its models.
 func TestPaperPipelineCacheSharing(t *testing.T) {
 	corpus := loops.Kernels()
 	eng := testEng()
@@ -81,7 +81,7 @@ func TestPaperPipelineCacheSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := len(corpus)
-	want := uint64(6*n + 2*n + 3*((n+stride-1)/stride))
+	want := uint64(6*n + 2*n + (n+stride-1)/stride)
 	if got := eng.Cache().StageStats().Base; got != (sweep.CacheStats{Misses: want}) {
 		t.Fatalf("base stage %+v, want %d requests, all computed", got, want)
 	}

@@ -17,6 +17,7 @@ import (
 	"ncdrf/internal/loopgen"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
+	"ncdrf/internal/pipeline"
 	"ncdrf/internal/sweep"
 	"ncdrf/internal/vm"
 )
@@ -71,8 +72,9 @@ func (s *Study) Requirements(ctx context.Context, m *machine.Config) ([]Requirem
 	return reqs, nil
 }
 
-// RegisterSweep schedules every loop once (registers unlimited) and
-// computes the register requirement under each model: the data behind
+// RegisterSweep measures every loop's register requirement under each
+// model with registers unlimited (Engine.Requirements: one base per
+// loop, or the loop's group record from the store): the data behind
 // Table 1, Figures 6 and 7 and the cluster study, which differ only in
 // how they weight it. Runners read it through a Study, which computes
 // it once per machine.
@@ -80,15 +82,11 @@ func RegisterSweep(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, 
 	out := make([]Requirements, len(corpus))
 	err := eng.ForEach(ctx, len(corpus), func(i int) error {
 		g := corpus[i]
-		b, err := eng.Base(ctx, g, m)
+		req, err := eng.Requirements(ctx, g, m)
 		if err != nil {
 			return fmt.Errorf("%s: %w", g.LoopName, err)
 		}
-		regs, err := b.Requirements()
-		if err != nil {
-			return fmt.Errorf("%s: %w", g.LoopName, err)
-		}
-		out[i] = Requirements{Name: g.LoopName, Trips: g.TripsOrOne(), II: b.Sched.II, Ops: g.NumNodes(), Regs: regs}
+		out[i] = Requirements{Name: g.LoopName, Trips: g.TripsOrOne(), II: req.II, Ops: g.NumNodes(), Regs: req.Regs}
 		return nil
 	})
 	if err != nil {
@@ -98,10 +96,10 @@ func RegisterSweep(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, 
 }
 
 // VerifySample functionally verifies a sample of the corpus: every
-// stride-th loop is compiled under every non-ideal model and executed on
-// the simulated rotating register files, checking the store stream
-// bit-for-bit against the sequential reference. It returns the number of
-// loop/model combinations verified.
+// stride-th loop is compiled under every non-ideal model, over one base
+// per loop, and executed on the simulated rotating register files,
+// checking the store stream bit-for-bit against the sequential
+// reference. It returns the number of loop/model combinations verified.
 func VerifySample(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, m *machine.Config, regs, iters, stride int) (int, error) {
 	if stride < 1 {
 		stride = 1
@@ -113,8 +111,12 @@ func VerifySample(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, m
 	models := []core.Model{core.Unified, core.Partitioned, core.Swapped}
 	count := len(sample) * len(models)
 	err := eng.ForEach(ctx, len(sample), func(i int) error {
+		b, err := eng.Base(ctx, sample[i], m)
+		if err != nil {
+			return err
+		}
 		for _, model := range models {
-			if err := vm.VerifyModelWith(ctx, eng, sample[i], m, model, regs, iters); err != nil {
+			if err := vm.VerifyModelWith(ctx, baseCompiler{eng, b}, sample[i], m, model, regs, iters); err != nil {
 				return err
 			}
 		}
@@ -124,4 +126,16 @@ func VerifySample(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, m
 		return 0, err
 	}
 	return count, nil
+}
+
+// baseCompiler is the vm.Compiler VerifySample hands the VM: it
+// evaluates every model over one base built for the verified loop,
+// scheduling spill rounds through the engine.
+type baseCompiler struct {
+	*sweep.Engine
+	b *pipeline.Base
+}
+
+func (c baseCompiler) Compile(ctx context.Context, _ *ddg.Graph, _ *machine.Config, model core.Model, regs int) (*pipeline.ModelResult, error) {
+	return pipeline.Evaluate(ctx, c.Engine, c.b, model, regs)
 }

@@ -1,27 +1,17 @@
-// Artifact codec: canonical, deterministic text (de)serialization of the
-// cacheable pipeline artifacts, used by the persistent artifact store
-// (internal/store) to carry stage results across processes.
+// Artifact codec: canonical, deterministic text (de)serialization of
+// schedules and per-model results, so a compiled loop can be written out
+// and read back whole. The persistent artifact store keeps only group
+// records (record.go), which hold metrics, not schedules.
 //
-// The format is line-oriented and versioned externally: the store stamps
-// every artifact with store.FormatVersion, so this codec never needs to
-// read old shapes — a format change here must bump that constant.
-//
-// A schedule artifact is self-contained: it embeds the dependence graph
-// the schedule was computed on (a spill round's graph is the walk's
-// working graph, which dies with the walk, and a spilled result's graph
-// differs from the caller's input). The embedded graph IS the canonical
-// ddg text encoding — the same bytes the cache keys digest — framed by a
-// byte count, so there is exactly one graph grammar in the repository;
+// The format is line-oriented. A schedule artifact is self-contained: it
+// embeds the dependence graph the schedule was computed on (a spilled
+// result's graph differs from the caller's input). The embedded graph IS
+// the canonical ddg text encoding — the same bytes the store keys
+// digest — framed by a byte count, so there is exactly one graph grammar;
 // the codec only adds what that encoding lacks (spill-slot marks,
 // machine binding, the schedule itself). The machine is resolved by
-// reference: the caller passes the *machine.Config the store key was
-// derived from, and the artifact records its name for verification.
-// The graph may be too: a caller that holds the graph a key digests
-// passes it with that digest (DecodeScheduleBound,
-// DecodeModelResultBound), and an artifact whose graph section hashes
-// to the digest and whose spill-slot marks are the graph's exactly is
-// bound to that graph instead of rebuilding an equal one. Any other
-// artifact decodes to a fresh graph.
+// reference: the caller passes the *machine.Config the artifact was
+// computed on, and the artifact records its name for verification.
 //
 // Decoding reads the payload in one pass, fields as substrings of it,
 // and must consume it whole: bytes after the last op line are an error.
@@ -38,7 +28,6 @@ package pipeline
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"strconv"
@@ -111,14 +100,18 @@ func writeSchedule(bw *bufio.Writer, s *sched.Schedule) error {
 // meaningful across sections.
 type decoder struct {
 	text string // the payload
-	data []byte // the same bytes, for hashing the graph section
 	off  int    // start of the unread rest of text
 	line int    // lines read so far
 	f    [6]string
 }
 
-func newDecoder(data []byte) *decoder {
-	return &decoder{text: string(data), data: data}
+// newDecoder reads r whole and returns a decoder over it.
+func newDecoder(r io.Reader) (*decoder, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline codec: %w", err)
+	}
+	return &decoder{text: string(data)}, nil
 }
 
 // next reads one line holding the directive and nFields fields in all.
@@ -155,23 +148,11 @@ func (d *decoder) end() error {
 // verified as a second line of defence). The decoded schedule owns a
 // fresh graph and passes sched.Verify before it is returned.
 func DecodeSchedule(r io.Reader, m *machine.Config) (*sched.Schedule, error) {
-	data, err := io.ReadAll(r)
+	d, err := newDecoder(r)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline codec: %w", err)
+		return nil, err
 	}
-	return DecodeScheduleBound(data, m, nil, [sha256.Size]byte{})
-}
-
-// DecodeScheduleBound is DecodeSchedule over a payload in memory, bound
-// to g when g is the graph the artifact embeds: when the graph section
-// hashes to digest, the SHA-256 of g's canonical text encoding, and the
-// slots section lists exactly g's spill-slot marks, the schedule's Graph
-// is g itself and no graph is parsed. Otherwise, and when g is nil, the
-// schedule owns a freshly decoded graph. Every other check is made
-// either way.
-func DecodeScheduleBound(data []byte, m *machine.Config, g *ddg.Graph, digest [sha256.Size]byte) (*sched.Schedule, error) {
-	d := newDecoder(data)
-	s, err := d.schedule(m, g, digest)
+	s, err := d.schedule(m)
 	if err == nil {
 		err = d.end()
 	}
@@ -181,7 +162,7 @@ func DecodeScheduleBound(data []byte, m *machine.Config, g *ddg.Graph, digest [s
 	return s, nil
 }
 
-func (d *decoder) schedule(m *machine.Config, bind *ddg.Graph, digest [sha256.Size]byte) (*sched.Schedule, error) {
+func (d *decoder) schedule(m *machine.Config) (*sched.Schedule, error) {
 	f, err := d.next("machine", 2)
 	if err != nil {
 		return nil, err
@@ -204,32 +185,15 @@ func (d *decoder) schedule(m *machine.Config, bind *ddg.Graph, digest [sha256.Si
 		}
 		return nil, fmt.Errorf("pipeline codec: truncated graph section: %v", err)
 	}
-	lo := d.off
-	section := d.text[lo : lo+size]
+	section := d.text[d.off : d.off+size]
 	d.off += size
 	d.line += strings.Count(section, "\n")
-	g := bind
-	if g == nil || sha256.Sum256(d.data[lo:lo+size]) != digest {
-		if g, err = parseGraph(section); err != nil {
-			return nil, err
-		}
-	}
-
-	off, line := d.off, d.line
-	exact, err := d.slots(g, g != bind)
+	g, err := ddg.DecodeString(section)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pipeline codec: embedded graph: %v", err)
 	}
-	if !exact {
-		// g's encoding, other spill-slot marks: the artifact describes
-		// another graph, which it carries whole.
-		if g, err = parseGraph(section); err != nil {
-			return nil, err
-		}
-		d.off, d.line = off, line
-		if _, err := d.slots(g, true); err != nil {
-			return nil, err
-		}
+	if err := d.slots(g); err != nil {
+		return nil, err
 	}
 
 	if f, err = d.next("ii", 2); err != nil {
@@ -266,60 +230,28 @@ func (d *decoder) schedule(m *machine.Config, bind *ddg.Graph, digest [sha256.Si
 	return s, nil
 }
 
-// parseGraph decodes an embedded graph section.
-func parseGraph(section string) (*ddg.Graph, error) {
-	g, err := ddg.DecodeString(section)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline codec: embedded graph: %v", err)
-	}
-	return g, nil
-}
-
-// slots reads the spill-slot section over g. With apply it marks g's
-// nodes and reports true. Without, it leaves g alone and reports whether
-// the section lists exactly g's marks, in ID order as the encoder writes
-// them, stopping at the first line that does not; the lines it reads are
-// checked the same either way.
-func (d *decoder) slots(g *ddg.Graph, apply bool) (bool, error) {
+// slots reads the spill-slot section and marks g's nodes.
+func (d *decoder) slots(g *ddg.Graph) error {
 	f, err := d.next("slots", 2)
 	if err != nil {
-		return false, err
+		return err
 	}
 	marked, err := strconv.Atoi(f[1])
 	if err != nil || marked < 0 || marked > g.NumNodes() {
-		return false, fmt.Errorf("pipeline codec line %d: bad slot count %q", d.line, f[1])
+		return fmt.Errorf("pipeline codec line %d: bad slot count %q", d.line, f[1])
 	}
-	nodes := g.Nodes()
-	at := 0 // the next node of g to match a mark against
 	for i := 0; i < marked; i++ {
 		if f, err = d.next("slot", 3); err != nil {
-			return false, err
+			return err
 		}
 		id, err1 := strconv.Atoi(f[1])
 		slot, err2 := strconv.Atoi(f[2])
 		if err1 != nil || err2 != nil || id < 0 || id >= g.NumNodes() || slot < 0 {
-			return false, fmt.Errorf("pipeline codec line %d: bad spill-slot mark", d.line)
+			return fmt.Errorf("pipeline codec line %d: bad spill-slot mark", d.line)
 		}
-		if apply {
-			nodes[id].SpillSlot = slot
-			continue
-		}
-		for at < len(nodes) && nodes[at].SpillSlot < 0 {
-			at++
-		}
-		if at != id || nodes[at].SpillSlot != slot {
-			return false, nil
-		}
-		at++
+		g.Node(id).SpillSlot = slot
 	}
-	if !apply {
-		for ; at < len(nodes); at++ {
-			if nodes[at].SpillSlot >= 0 {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
+	return nil
 }
 
 // EncodeModelResult writes r in the canonical artifact format: the model,
@@ -346,19 +278,10 @@ func EncodeModelResult(w io.Writer, r *ModelResult) error {
 // the decoded schedule — they are a deterministic function of it — and
 // the result's graph is the schedule's embedded graph.
 func DecodeModelResult(r io.Reader, m *machine.Config) (*ModelResult, error) {
-	data, err := io.ReadAll(r)
+	d, err := newDecoder(r)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline codec: %w", err)
+		return nil, err
 	}
-	return DecodeModelResultBound(data, m, nil, [sha256.Size]byte{})
-}
-
-// DecodeModelResultBound is DecodeModelResult over a payload in memory,
-// with the result's schedule and graph bound to g as
-// DecodeScheduleBound binds them: a cell the spill loop left untouched
-// embeds its loop's own graph.
-func DecodeModelResultBound(data []byte, m *machine.Config, g *ddg.Graph, digest [sha256.Size]byte) (*ModelResult, error) {
-	d := newDecoder(data)
 	f, err := d.next("model", 2)
 	if err != nil {
 		return nil, err
@@ -376,7 +299,7 @@ func DecodeModelResultBound(data []byte, m *machine.Config, g *ddg.Graph, digest
 			return nil, fmt.Errorf("pipeline codec line %d: bad spill counter: %v", d.line, err)
 		}
 	}
-	s, err := d.schedule(m, g, digest)
+	s, err := d.schedule(m)
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,9 @@ package pipeline
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -279,10 +277,7 @@ func TestScheduleCodecIIBound(t *testing.T) {
 // replaced (codec_ref_test.go): the same error text, or the same graph
 // encoding, spill-slot marks, schedule and counters. The one exception
 // is intended: they reject trailing data, which the old decoders
-// ignored. Decoding bound to a copy of an accepted artifact's graph
-// yields the same content, uses the copy only when the artifact embeds
-// its canonical encoding, and always uses it for a canonical artifact.
-// Seeds are the kernels' base schedule artifacts on
+// ignored. Seeds are the kernels' base schedule artifacts on
 // both evaluation machines and their model-result artifacts at a budget
 // that spills part of them.
 func FuzzScheduleCodec(f *testing.F) {
@@ -321,23 +316,12 @@ func FuzzScheduleCodec(f *testing.F) {
 			mustMatchRefDecode(t, err, wantErr, func() { mustSameSchedule(t, s, want) })
 			if err == nil {
 				roundTrip(t, s, EncodeSchedule, func(r io.Reader) (*sched.Schedule, error) { return DecodeSchedule(r, m) })
-				mustBindSoundly(t, data, s, encoded(t, s, EncodeSchedule), func(g *ddg.Graph, digest [sha256.Size]byte) (*sched.Schedule, error) {
-					return DecodeScheduleBound(data, m, g, digest)
-				})
 			}
 			res, err := DecodeModelResult(bytes.NewReader(data), m)
 			wantRes, wantErr := refDecodeModelResult(bytes.NewReader(data), m)
 			mustMatchRefDecode(t, err, wantErr, func() { mustSameModelResult(t, res, wantRes) })
 			if err == nil {
 				roundTrip(t, res, EncodeModelResult, func(r io.Reader) (*ModelResult, error) { return DecodeModelResult(r, m) })
-				mustBindSoundly(t, data, res.Sched, encoded(t, res, EncodeModelResult), func(g *ddg.Graph, digest [sha256.Size]byte) (*sched.Schedule, error) {
-					bound, err := DecodeModelResultBound(data, m, g, digest)
-					if err != nil {
-						return nil, err
-					}
-					mustSameModelResult(t, bound, res)
-					return bound.Sched, nil
-				})
 			}
 		}
 	})
@@ -389,35 +373,6 @@ func mustSameModelResult(t *testing.T, got, want *ModelResult) {
 		got.SpillLoads != want.SpillLoads || got.IIBumps != want.IIBumps || got.Iterations != want.Iterations ||
 		!slices.Equal(got.Lifetimes, want.Lifetimes) {
 		t.Fatalf("decoded result %+v, reference %+v", got, want)
-	}
-}
-
-// mustBindSoundly decodes data, which decoded unbound to s and encodes
-// canonically as canon, bound to two copies of s's graph: one with its
-// spill-slot marks, one without. Either way decode must yield s's
-// content. It may use a copy only when data embeds that copy's canonical
-// encoding, and must use the marked copy when data is canonical.
-func mustBindSoundly(t *testing.T, data []byte, s *sched.Schedule, canon []byte, decode func(*ddg.Graph, [sha256.Size]byte) (*sched.Schedule, error)) {
-	t.Helper()
-	for _, marks := range []bool{true, false} {
-		g := s.Graph.Clone()
-		if !marks {
-			for _, n := range g.Nodes() {
-				n.SpillSlot = -1
-			}
-		}
-		enc := canonical(t, g)
-		got, err := decode(g, sha256.Sum256([]byte(enc)))
-		if err != nil {
-			t.Fatalf("decoding bound to the artifact's own graph (marks %v): %v", marks, err)
-		}
-		mustSameSchedule(t, got, s)
-		if got.Graph == g && !bytes.Contains(data, []byte("\ngraph "+strconv.Itoa(len(enc))+"\n"+enc)) {
-			t.Fatalf("bound to a graph the artifact does not embed:\n%s", enc)
-		}
-		if marks && got.Graph != g && bytes.Equal(canon, data) {
-			t.Fatal("a canonical artifact did not bind to its own graph")
-		}
 	}
 }
 

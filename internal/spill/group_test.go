@@ -35,15 +35,6 @@ func oracleRunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine
 		schedule = sr.Schedule
 	}
 	work, cloned := g, false
-	defer func() {
-		// A clone dies with this call; let a digest-memoizing scheduler
-		// drop its per-graph bookkeeping instead of pinning it forever.
-		if cloned {
-			if f, ok := sr.(interface{ Forget(*ddg.Graph) }); ok {
-				f.Forget(work)
-			}
-		}
-	}()
 	results := make([]*Result, len(regs))
 	errs := make([]error, len(regs))
 	open := len(regs) // budgets without a result yet

@@ -36,15 +36,6 @@ func oracleRunSeeded(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine
 		schedule = sr.Schedule
 	}
 	work, cloned := g, false
-	defer func() {
-		// A clone dies with this call; let a digest-memoizing scheduler
-		// drop its per-graph bookkeeping instead of pinning it forever.
-		if cloned {
-			if f, ok := sr.(interface{ Forget(*ddg.Graph) }); ok {
-				f.Forget(work)
-			}
-		}
-	}()
 	res := &Result{}
 	unspillable := make(map[int]bool) // node IDs whose values may not be spilled again
 	slot := 0

@@ -56,6 +56,20 @@ func (r *Result) MemOps() int { return r.Graph.MemOps() }
 // corpus needs and converts algorithmic surprises into errors.
 const maxIterations = 400
 
+// NotConverged is the error of a cell still open after maxIterations
+// rounds. Unlike a scheduler error or a cancellation, it is a
+// deterministic function of the walk's inputs — the loop, the machine,
+// the options, the fit test and the budget — so a cache may persist it
+// and rebuild it from Loop and Regs.
+type NotConverged struct {
+	Loop string
+	Regs int
+}
+
+func (e *NotConverged) Error() string {
+	return fmt.Sprintf("spill: loop %s did not converge in %d rounds (regs=%d)", e.Loop, maxIterations, e.Regs)
+}
+
 // Scheduler abstracts sched.Run so the spill loop can be driven through
 // the sweep engine (internal/sweep). A returned schedule may share g —
 // its Graph may be g itself, as sched.Run's is — so it is only valid
@@ -118,8 +132,7 @@ type RoundFit func(s *sched.Schedule, lts []lifetime.Lifetime) func(test, regs i
 // round's schedule, graph, lifetimes and accumulated counters — exactly
 // what RunSeeded with that cell's test and budget alone returns. The
 // walk ends when the last cell closes; cells still open after
-// maxIterations rounds get the non-convergence error naming their own
-// budget.
+// maxIterations rounds get a *NotConverged naming their own budget.
 //
 // Results and errors are indexed like cells, which may come in any
 // order and hold duplicates; errs[i] is non-nil exactly when results[i]
@@ -128,25 +141,14 @@ type RoundFit func(s *sched.Schedule, lts []lifetime.Lifetime) func(test, regs i
 //
 // A closed cell's Graph is the input graph while nothing has been
 // spilled, and otherwise the round's schedule graph (s.Graph). When that
-// is the working graph itself (sched.Run's, or the sweep engine's, which
-// binds a schedule read from its store to the graph it was asked about)
-// and the walk goes on to rewrite it, the closed cells get one clone; a
-// schedule decoded onto a fresh graph needs none.
+// is the working graph itself, as sched.Run's is, and the walk goes on
+// to rewrite it, the closed cells get one clone.
 func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Config, cells []Cell, fit RoundFit, opts sched.Options, seed *Seed) ([]*Result, []error) {
 	schedule := sched.Run
 	if sr != nil {
 		schedule = sr.Schedule
 	}
 	work, cloned := g, false
-	defer func() {
-		// A clone dies with this call; let a digest-memoizing scheduler
-		// drop its per-graph bookkeeping instead of pinning it forever.
-		if cloned {
-			if f, ok := sr.(interface{ Forget(*ddg.Graph) }); ok {
-				f.Forget(work)
-			}
-		}
-	}()
 	results := make([]*Result, len(cells))
 	errs := make([]error, len(cells))
 	open := len(cells) // cells without a result yet
@@ -247,8 +249,7 @@ func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 	}
 	for i, r := range results {
 		if r == nil {
-			errs[i] = fmt.Errorf("spill: loop %s did not converge in %d rounds (regs=%d)",
-				g.LoopName, maxIterations, cells[i].Regs)
+			errs[i] = &NotConverged{Loop: g.LoopName, Regs: cells[i].Regs}
 		}
 	}
 	return results, errs
@@ -289,11 +290,9 @@ func hasFlowConsumer(g *ddg.Graph, node int) bool {
 // replaced in place — same position in the edge list — so operand order
 // (which matters for subtraction and division semantics in the
 // simulator) is preserved. The graph strictly grows (one store, >=1
-// load, one flow edge and one mem edge per load), which is what keeps
-// the sweep cache's per-graph digest memos sound across rounds; the node
-// and edge append order is byte-identical to the full rebuild this
-// replaced (pinned by TestInsertSpillMatchesRebuild), so cached
-// schedule/eval keys do not move.
+// load, one flow edge and one mem edge per load); the node and edge
+// append order is byte-identical to the full rebuild this replaced
+// (pinned by TestInsertSpillMatchesRebuild).
 func insertSpill(g *ddg.Graph, producer, slot int, unspillable map[int]bool) (stores, loads int) {
 	// Distinct consumption distances of the producer's value.
 	distSet := map[int]bool{}

@@ -1,9 +1,9 @@
 // Package store is a content-addressed, persistent artifact store: the
-// disk tier below internal/sweep's stage caches, and their only tier.
-// It maps (stage, key) pairs — the key being a hex digest derived from
-// the content triple internal/sweep keys its stages on — to opaque
-// artifact payloads, so a second process evaluating the same problems reads the
-// first one's results instead of recomputing them.
+// disk tier below internal/sweep's eval stage, and its only tier. It
+// maps (stage, key) pairs — the key being a hex digest derived from the
+// content triple internal/sweep keys its group records on — to opaque
+// artifact payloads, so a second process evaluating the same problems
+// reads the first one's results instead of recomputing them.
 //
 // # Layout and versioning
 //
@@ -44,11 +44,11 @@ import (
 	"time"
 )
 
-// FormatVersion stamps the on-disk layout and the artifact codecs
-// (internal/pipeline's Encode/Decode formats). Bump it whenever either
-// changes shape; old artifacts are then invisible rather than
-// misdecoded.
-const FormatVersion = 1
+// FormatVersion stamps the on-disk layout and the payload formats the
+// engine writes (internal/pipeline's group records). Bump it whenever
+// either changes shape; old artifacts are then invisible rather than
+// misdecoded, and `ncdrf cache -gc` removes them.
+const FormatVersion = 2
 
 // magic leads every artifact file's header line.
 const magic = "ncdrf-artifact"
@@ -63,7 +63,7 @@ type Stats struct {
 	Writes uint64
 	// Faults counts damaged or undecodable artifacts and failed writes:
 	// truncation, checksum or version mismatches, I/O errors, and
-	// payloads the caller reported via Fault. Faulty files are treated
+	// payloads the caller reported via Discard. Faulty files are treated
 	// as misses and recomputed.
 	Faults uint64
 }
@@ -235,12 +235,9 @@ func (s *Store) Put(stage, key string, payload []byte) error {
 	return nil
 }
 
-// Fault records an artifact that passed container verification but
-// failed the caller's decoding — e.g. an artifact written by a buggy
-// build. The caller recomputes; the next Put overwrites the bad file.
-func (s *Store) Fault() { s.faults.Add(1) }
-
-// Discard is Fault plus best-effort removal of (stage, key)'s file: for
+// Discard records an artifact that passed container verification but
+// failed the caller's decoding — e.g. one written by a buggy build — as
+// a fault, and best-effort removes (stage, key)'s file: for
 // decode-level damage, where the container verifies but the payload is
 // undecodable, so without removal the artifact would fault again on
 // every future run instead of letting the recompute's Put replace it.

@@ -11,6 +11,7 @@ import (
 	"ncdrf/internal/core"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
+	"ncdrf/internal/pipeline"
 )
 
 // encodeStream renders an emitted result stream the way cmd/ncdrf does,
@@ -48,8 +49,12 @@ func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, em
 				return cerr
 			}
 		}
+		var m pipeline.Metrics
+		if err == nil {
+			m = pipeline.Measure(res)
+		}
 		var rows groupRows
-		rows.add(res, err)
+		rows.add(m, err)
 		out.put(i, rows)
 		return nil
 	})

@@ -1,12 +1,10 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
+	"errors"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -16,34 +14,20 @@ import (
 	"ncdrf/internal/machine"
 	"ncdrf/internal/pipeline"
 	"ncdrf/internal/sched"
+	"ncdrf/internal/spill"
 	"ncdrf/internal/store"
 )
 
-// Artifact-store stage names. Only the schedule and eval stages persist:
-// a Base is (schedule + lifetimes) where the lifetimes are a cheap
-// deterministic function of the schedule, so persisting the schedule
-// stage already makes a warm-store base computation scheduler-free.
-const (
-	stageSched = "sched"
-	stageEval  = "eval"
-)
+// stageGroup is the store stage of group records (pipeline.Record), the
+// only artifacts the engine persists.
+const stageGroup = "group"
 
-// cacheKey identifies one scheduling problem; see the package comment for
-// the key scheme.
-type cacheKey struct {
-	graph [sha256.Size]byte
-	opts  sched.Options
-}
-
-// CacheStats is a snapshot of one stage's counters across the cache
-// tiers.
+// CacheStats is a snapshot of one stage's counters.
 type CacheStats struct {
-	// Hits is the number of requests served from memory: by an earlier
-	// cell of the same group at the eval stage; 0 for the schedule and
-	// base stages, which keep nothing.
+	// Hits is the number of eval requests served from memory: the Ideal
+	// cells a group shares across its budgets.
 	Hits uint64
-	// DiskHits is the number of requests served from the persistent
-	// artifact store; always 0 when no store is attached.
+	// DiskHits is the number of eval requests a group record served.
 	DiskHits uint64
 	// Misses is the number of results actually computed.
 	Misses uint64
@@ -52,61 +36,40 @@ type CacheStats struct {
 // Requests returns the total number of requests observed.
 func (s CacheStats) Requests() uint64 { return s.Hits + s.DiskHits + s.Misses }
 
-// Cache is a content-addressed artifact cache for the pipeline stages
-// (schedule, base, per-model eval). It is safe for concurrent use.
+// Cache is the engine's stage accounting plus its optional persistent
+// tier. It is safe for concurrent use.
 //
 // No stage keeps an in-memory tier. A schedule request is one per base
 // or per spill round, which no other request repeats. A base request is
-// one per (loop, machine) group that misses the disk, and the callers
-// that need one base twice share it themselves (experiment's
-// requirement sweeps). An eval request is one cell of a group, and the
-// group walk (evalCells) shares the only cells that coincide.
+// one per (loop, machine) group whose cells or requirement row miss the
+// disk. An eval request is one cell of a group, or one group's
+// requirement row, and the group walk (evalCells) shares the only cells
+// that coincide.
 //
-// The persistent tier, optional (SetStore), is a content-addressed
-// artifact store shared across processes, read-through/write-behind: a
-// request consults it and only computes on a disk miss; computed
-// schedule and eval artifacts are written back best-effort. Negative
-// results are never persisted — an error is cheap to recompute and
-// pinning one on disk risks masking an environment-dependent failure.
+// The persistent tier, optional, is a content-addressed store shared
+// across processes, read-through/write-behind at the granularity of a
+// group: a group's cells and requirement row read its record, only the
+// missing ones are computed, and the record is rewritten once with the
+// union, best-effort. Of the failures only non-convergence is persisted
+// (spill.NotConverged, a deterministic function of the key); a
+// scheduler error or a cancellation is recomputed by the next process.
 type Cache struct {
 	// store is the optional persistent tier; nil means memory-only.
-	// The disk counters record successful disk loads; unsuccessful
-	// ones are observable through the store's own Stats (misses/faults).
-	store                       *store.Store
-	schedDiskHits, evalDiskHits atomic.Uint64
+	// Unsuccessful reads show in the store's own Stats.
+	store        *store.Store
+	evalDiskHits atomic.Uint64
 	// schedComputed counts the schedule stage's sched.Run calls,
-	// baseComputed the bases built, evalComputed the cells the eval
-	// stage walked, and evalShared the cells it served from an earlier
-	// cell of the same group.
+	// baseComputed the bases built, evalComputed the cells and rows the
+	// eval stage computed, and evalShared the cells it served from an
+	// earlier cell of the same group.
 	schedComputed, baseComputed, evalComputed, evalShared atomic.Uint64
-
-	// digests memoizes the canonical digest per graph pointer, keyed on
-	// the graph's (node count, edge count) for invalidation: every graph
-	// mutator in this repository only ever adds nodes and edges (the
-	// spiller rewrites its working graph with strictly more of both), so
-	// unchanged counts mean unchanged content. A future pass that edits a
-	// graph in place without growing it must bypass or clear this memo.
-	digests sync.Map // *ddg.Graph -> digestMemo
-}
-
-type digestMemo struct {
-	nodes, edges int
-	sum          [sha256.Size]byte
 }
 
 // NewCache returns an empty cache with no store.
 func NewCache() *Cache { return &Cache{} }
 
-// SetStore attaches the persistent artifact tier. It must be called
-// before the cache serves its first request; attachment is not
-// synchronized with concurrent use.
-func (c *Cache) SetStore(st *store.Store) { c.store = st }
-
-// Store returns the attached persistent tier, or nil.
-func (c *Cache) Store() *store.Store { return c.store }
-
-// encBufs recycles the encoding buffers keyOf hashes; the cache sits on
-// every scheduling request, so the key path must not allocate per call.
+// encBufs recycles the buffers recordKey encodes into; the key path
+// must not allocate per call beyond its result.
 var encBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // appendEncoding appends g's canonical text encoding — byte-identical to
@@ -144,153 +107,89 @@ func appendEncoding(buf []byte, g *ddg.Graph) []byte {
 	return buf
 }
 
-// digestOf returns the canonical digest of g, memoized per pointer.
-func (c *Cache) digestOf(g *ddg.Graph) [sha256.Size]byte {
-	nodes, edges := g.NumNodes(), g.NumEdges()
-	if v, ok := c.digests.Load(g); ok {
-		if m := v.(digestMemo); m.nodes == nodes && m.edges == edges {
-			if digestGuard && sha256.Sum256(appendEncoding(nil, g)) != m.sum {
-				panic("sweep: graph " + g.LoopName + " mutated in place without growing; stale digest memo (see Cache.digests invariant)")
-			}
-			return m.sum
+// recordKey derives the store key of the group of g on m under opts:
+// the SHA-256 over the scheduler's algorithm version, the digest of g's
+// canonical text encoding, m's full specification and every
+// sched.Options field, NUL-separated, in hex.
+//
+// It is deliberately strict on two counts, because disk outlives the
+// process. The machine contributes its full specification (name, each
+// cluster's unit count per kind, each kind's latency: what
+// Config.String renders, without its fmt cost), not just its name — a
+// preset whose spec changes without a rename must not serve stale
+// records, even though within one process name-equality implies
+// spec-equality. And sched.AlgorithmVersion pins the scheduler's
+// observable behavior, so a binary with improved heuristics starts from
+// a cold key space instead of reproducing the old binary's results.
+// TestRecordKeyCoversOptions fails when sched.Options gains a field
+// this key does not write.
+func recordKey(g *ddg.Graph, m *machine.Config, opts sched.Options) string {
+	bp := encBufs.Get().(*[]byte)
+	digest := sha256.Sum256(appendEncoding((*bp)[:0], g))
+	buf := append((*bp)[:0], "alg"...)
+	buf = strconv.AppendInt(buf, sched.AlgorithmVersion, 10)
+	buf = append(append(buf, 0), digest[:]...)
+	buf = append(append(buf, 0), m.Name()...)
+	num := func(v int) { buf = strconv.AppendInt(append(buf, 0), int64(v), 10) }
+	num(m.NumClusters())
+	for ci := range m.NumClusters() {
+		for _, k := range machine.Kinds {
+			num(m.ClusterCountOfKind(ci, k))
 		}
 	}
-	bp := encBufs.Get().(*[]byte)
-	buf := appendEncoding((*bp)[:0], g)
+	for _, k := range machine.Kinds {
+		num(m.Latency(k))
+	}
+	num(opts.BudgetRatio)
+	num(opts.MaxIISlack)
+	num(opts.MinII)
 	sum := sha256.Sum256(buf)
 	*bp = buf
 	encBufs.Put(bp)
-	c.digests.Store(g, digestMemo{nodes: nodes, edges: edges, sum: sum})
-	return sum
+	return hex.EncodeToString(sum[:])
 }
 
-// keyOf builds the cache key for one scheduling problem; diskKey adds
-// the machine.
-func (c *Cache) keyOf(g *ddg.Graph, opts sched.Options) cacheKey {
-	return cacheKey{graph: c.digestOf(g), opts: opts}
-}
-
-// diskKey derives the on-disk artifact key for one problem: the SHA-256
-// over (scheduler algorithm version, graph digest, full machine
-// specification, every sched.Options field, and — for the eval stage —
-// model and register budget), NUL-separated.
-//
-// It is deliberately strict on two counts, because disk outlives the
-// process. The machine contributes its full rendered specification
-// (Config.String: clusters, unit counts, latencies), not just its name
-// — a preset whose spec changes without a rename must not serve stale
-// artifacts, even though within one process name-equality implies
-// spec-equality. And sched.AlgorithmVersion pins the scheduler's
-// observable behavior, so a binary with improved heuristics starts from
-// a cold key space instead of reproducing the old binary's schedules.
-// Hashing %#v of the options keeps future option fields from silently
-// aliasing distinct problems.
-func diskKey(k cacheKey, m *machine.Config, extra string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "alg%d", sched.AlgorithmVersion)
-	h.Write([]byte{0})
-	h.Write(k.graph[:])
-	h.Write([]byte{0})
-	io.WriteString(h, m.String())
-	h.Write([]byte{0})
-	fmt.Fprintf(h, "%#v", k.opts)
-	if extra != "" {
-		h.Write([]byte{0})
-		io.WriteString(h, extra)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// evalExtra names one cell under its base key on disk: Ideal ignores
-// the budget, and all negatives mean unlimited.
-func evalExtra(cell pipeline.Cell) string {
-	regs := cell.Regs
-	if cell.Model == core.Ideal || regs < 0 {
-		regs = 0
-	}
-	return fmt.Sprintf("%s/%d", cell.Model, regs)
-}
-
-// loadEval is the read-through path of the eval stage: fetch and decode
-// a persisted result for cell of g over the base key, treating any
-// damage as a recomputable miss (see Schedule). A result the spill loop
-// left untouched embeds g itself, and decodes bound to it. Without a
-// store it misses.
-func (c *Cache) loadEval(key cacheKey, g *ddg.Graph, m *machine.Config, cell pipeline.Cell) (*pipeline.ModelResult, bool) {
+// record reads the record of the group of g on m under opts and
+// returns its key with it. A missing or damaged record reads as empty;
+// one that passes the store's checks but does not decode is discarded,
+// so the rewrite replaces it. Without a store it is empty, with no key.
+func (c *Cache) record(g *ddg.Graph, m *machine.Config, opts sched.Options) (string, pipeline.Record) {
 	if c.store == nil {
-		return nil, false
+		return "", pipeline.Record{}
 	}
-	dk := diskKey(key, m, evalExtra(cell))
-	data, ok := c.store.Get(stageEval, dk)
-	if ok {
-		res, err := pipeline.DecodeModelResultBound(data, m, g, key.graph)
-		if err == nil && res.Model == cell.Model {
-			c.evalDiskHits.Add(1)
-			return res, true
-		}
-		c.store.Discard(stageEval, dk)
+	key := recordKey(g, m, opts)
+	data, ok := c.store.Get(stageGroup, key)
+	if !ok {
+		return key, pipeline.Record{}
 	}
-	return nil, false
+	rec, err := pipeline.DecodeRecord(data)
+	if err != nil {
+		c.store.Discard(stageGroup, key)
+	}
+	return key, rec
 }
 
-// saveEval is the write-behind path of the eval stage: best-effort, a
-// failed write only means the next process recomputes.
-func (c *Cache) saveEval(key cacheKey, m *machine.Config, cell pipeline.Cell, res *pipeline.ModelResult) {
-	if c.store == nil {
-		return
+// saveRecord writes rec under key when a store is attached,
+// best-effort: a failed write only means the next process recomputes.
+func (c *Cache) saveRecord(key string, rec *pipeline.Record) {
+	if c.store != nil {
+		_ = c.store.Put(stageGroup, key, pipeline.AppendRecord(nil, rec))
 	}
-	var buf bytes.Buffer
-	if err := pipeline.EncodeModelResult(&buf, res); err != nil {
-		c.store.Fault()
-		return
-	}
-	_ = c.store.Put(stageEval, diskKey(key, m, evalExtra(cell)), buf.Bytes())
 }
 
-// Schedule returns the schedule of g on m. Its Graph is g itself, so a
-// caller that rewrites g afterwards must copy what it keeps
-// (spill.RunSeries does). Without a store it is sched.Run on g. With a
-// store it reads through the disk tier — the artifact's embedded graph
-// is checked against g's digest and spill-slot marks and the schedule
-// bound to g; an artifact that embeds another graph decodes to a fresh
-// one, and a damaged one is discarded and recomputed — and writes a
-// computed schedule behind, best-effort. Either way the schedule is
-// read-only. Errors are neither retained nor persisted.
+// Schedule returns the schedule of g on m: sched.Run on g, counted as
+// one schedule-stage computation. Its Graph is g itself, so a caller
+// that rewrites g afterwards must copy what it keeps (spill.RunSeries
+// does). Nothing is kept or persisted.
 func (c *Cache) Schedule(g *ddg.Graph, m *machine.Config, opts sched.Options) (*sched.Schedule, error) {
-	if c.store == nil {
-		c.schedComputed.Add(1)
-		return sched.Run(g, m, opts)
-	}
-	key := c.keyOf(g, opts)
-	dk := diskKey(key, m, "")
-	if data, ok := c.store.Get(stageSched, dk); ok {
-		if s, err := pipeline.DecodeScheduleBound(data, m, g, key.graph); err == nil {
-			c.schedDiskHits.Add(1)
-			return s, nil
-		}
-		// Verified container, undecodable payload: discard the file so
-		// the recompute's write-behind replaces it instead of the same
-		// artifact faulting on every future run.
-		c.store.Discard(stageSched, dk)
-	}
 	c.schedComputed.Add(1)
-	s, err := sched.Run(g, m, opts)
-	if err == nil {
-		var buf bytes.Buffer
-		if err := pipeline.EncodeSchedule(&buf, s); err != nil {
-			c.store.Fault()
-		} else {
-			_ = c.store.Put(stageSched, dk, buf.Bytes())
-		}
-	}
-	return s, err
+	return sched.Run(g, m, opts)
 }
 
 // Base returns the base-stage artifact of g on m: the modulo schedule
 // of the unmodified loop plus its value lifetimes. Nothing is kept: each
 // request builds a fresh Base, routing its scheduling request through
-// Schedule, so the schedule-stage counters (and the persistent tier)
-// observe it. The returned Base, whose schedule may share g, is
+// Schedule, so the schedule-stage counter observes it. The returned Base, whose schedule may share g, is
 // read-only. ctx is checked once, before the build; the build itself is
 // ctx-free.
 func (c *Cache) Base(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options) (*pipeline.Base, error) {
@@ -302,28 +201,26 @@ func (c *Cache) Base(ctx context.Context, g *ddg.Graph, m *machine.Config, opts 
 }
 
 // evalCells serves the cells of one (loop, machine) group — g on m
-// under opts — and hands each cell's outcome to each, in order; a
-// non-nil error from each stops the group. The group's base is
-// requested through the base stage only if some cell misses the disk,
-// so a group the store serves whole costs no schedule.
+// under opts — and hands each cell's metrics or error to each, in
+// order; a non-nil error from each stops the group. The group's base is
+// built only if some cell misses the group's record, so a group the
+// store serves whole costs no schedule.
 //
 // The walk is plain. Every Ideal cell has one result whatever its
 // budget, so an Ideal cell after the group's first shares that cell's
 // outcome and counts as a memory hit; Grid.Plan already drops every
-// other repeated cell. Every other cell reads the disk tier, and the
-// cells the disk missed are evaluated by one walk of the spill chain
-// (pipeline.EvaluateCells) and written behind to the store. A cancelled
-// ctx is the group's error: it is checked here before any cell is
-// served, and by the walk between rounds.
-func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options, cells []pipeline.Cell, each func(res *pipeline.ModelResult, err error) error) error {
+// other repeated cell. Every other cell is looked up in the record, and
+// the cells it lacks are evaluated by one walk of the spill chain
+// (pipeline.EvaluateCells); the record is then rewritten once, with
+// every converged and non-converged cell added. A cancelled ctx is the
+// group's error: it is checked here before any cell is served, and by
+// the walk between rounds.
+func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options, cells []pipeline.Cell, each func(pipeline.Metrics, error) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var key cacheKey
-	if c.store != nil {
-		key = c.keyOf(g, opts)
-	}
-	res := make([]*pipeline.ModelResult, len(cells))
+	key, rec := c.record(g, m, opts)
+	out := make([]pipeline.Metrics, len(cells))
 	errs := make([]error, len(cells))
 	ideal := -1 // the group's first Ideal cell
 	var walk []pipeline.Cell
@@ -336,8 +233,12 @@ func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, 
 			}
 			ideal = k
 		}
-		if r, ok := c.loadEval(key, g, m, cell); ok {
-			res[k] = r
+		if e, ok := rec.Lookup(cell); ok {
+			c.evalDiskHits.Add(1)
+			out[k] = e.Metrics
+			if e.NotConverged {
+				errs[k] = &spill.NotConverged{Loop: g.LoopName, Regs: cell.Regs}
+			}
 			continue
 		}
 		walk = append(walk, cell)
@@ -351,71 +252,100 @@ func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, 
 				errs[k] = err
 			}
 		} else {
-			out, outErrs := pipeline.EvaluateCells(ctx, c, b, walk)
+			res, resErrs := pipeline.EvaluateCells(ctx, c, b, walk)
 			for i, k := range at {
-				res[k], errs[k] = out[i], outErrs[i]
-				if errs[k] == nil {
-					c.saveEval(key, m, cells[k], res[k])
+				var nc *spill.NotConverged
+				switch err := resErrs[i]; {
+				case err == nil:
+					out[k] = pipeline.Measure(res[i])
+				case errors.As(err, &nc):
+					errs[k] = err
+				default:
+					errs[k] = err
+					continue
+				}
+				if c.store != nil {
+					rec.Put(walk[i], errs[k] != nil, out[k])
 				}
 			}
+			c.saveRecord(key, &rec)
 		}
 	}
 	for k, cell := range cells {
 		if cell.Model == core.Ideal {
 			k = ideal
 		}
-		if err := each(res[k], errs[k]); err != nil {
+		if err := each(out[k], errs[k]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Forget drops the digest memo for g. The spill loop calls this (via an
-// optional interface check in spill.RunSeries) when a private working
-// graph dies, so the memo doesn't pin dead graphs for the engine's
-// lifetime. Only a store-backed schedule stage digests working graphs.
-func (c *Cache) Forget(g *ddg.Graph) { c.digests.Delete(g) }
+// requirements returns the requirement row of g on m under opts, read
+// from the group's record when it holds one; otherwise it builds the
+// base, measures every model on it and rewrites the record with the
+// row added. The row is one eval-stage request. A failure is returned,
+// never persisted.
+func (c *Cache) requirements(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options) (pipeline.Requirement, error) {
+	key, rec := c.record(g, m, opts)
+	if rec.Req.II > 0 {
+		c.evalDiskHits.Add(1)
+		return rec.Req, nil
+	}
+	c.evalComputed.Add(1)
+	b, err := c.Base(ctx, g, m, opts)
+	if err != nil {
+		return pipeline.Requirement{}, err
+	}
+	regs, err := b.Requirements()
+	if err != nil {
+		return pipeline.Requirement{}, err
+	}
+	rec.Req = pipeline.Requirement{II: b.Sched.II, Regs: regs}
+	c.saveRecord(key, &rec)
+	return rec.Req, nil
+}
 
 // Stats returns a snapshot of the schedule-stage counters. The stage
-// has no memory tier, so every request is a disk hit or computed.
+// keeps nothing, so every request is computed.
 func (c *Cache) Stats() CacheStats {
-	return CacheStats{DiskHits: c.schedDiskHits.Load(), Misses: c.schedComputed.Load()}
+	return CacheStats{Misses: c.schedComputed.Load()}
 }
 
 // StageStats is a per-stage snapshot of the cache counters: one
-// CacheStats per cached pipeline stage.
+// CacheStats per pipeline stage.
 type StageStats struct {
-	// Schedule counts modulo-scheduling requests (sched.Run-shaped work).
+	// Schedule counts modulo-scheduling requests (sched.Run-shaped work);
+	// every one is computed.
 	Schedule CacheStats
 	// Base counts base-stage requests: the schedule + lifetime artifact
-	// a group's cells start from. The stage has no tier at all, so every
-	// request is computed; persisting the schedule stage already makes a
-	// warm-store base computation scheduler-free.
+	// a group's cells or requirement row start from; every one is
+	// computed.
 	Base CacheStats
-	// Eval counts per-model stage requests (classify/allocate/spill).
+	// Eval counts per-model cells (classify/allocate/spill) and
+	// requirement rows.
 	Eval CacheStats
 	// Persistent reports whether a disk tier is attached; when true the
-	// rendered lines include the per-stage disk hit counts.
+	// eval line includes its disk hit count.
 	Persistent bool
 }
 
 // String renders the per-stage counters, one line per stage. This is the
 // single renderer for the counters: the `ncdrf all` trailer prints it
 // verbatim, so anything parsing the trailer (e.g. the CI persistence
-// smoke job) keys off this format alone.
+// smoke job) keys off this format alone. The schedule and base lines
+// carry only what their stages can move: requests and computations.
 func (s StageStats) String() string {
 	line := func(name string, cs CacheStats) string {
-		out := fmt.Sprintf("stage %s: %d requests, %d computed, %d served from memory",
-			name, cs.Requests(), cs.Misses, cs.Hits)
-		if s.Persistent {
-			out += fmt.Sprintf(", %d from disk", cs.DiskHits)
-		}
-		return out
+		return "stage " + name + ": " + strconv.FormatUint(cs.Requests(), 10) + " requests, " +
+			strconv.FormatUint(cs.Misses, 10) + " computed"
 	}
-	return line("schedule", s.Schedule) + "\n" +
-		line("base", s.Base) + "\n" +
-		line("eval", s.Eval)
+	eval := line("eval", s.Eval) + ", " + strconv.FormatUint(s.Eval.Hits, 10) + " served from memory"
+	if s.Persistent {
+		eval += ", " + strconv.FormatUint(s.Eval.DiskHits, 10) + " from disk"
+	}
+	return line("schedule", s.Schedule) + "\n" + line("base", s.Base) + "\n" + eval
 }
 
 // StageStats returns a snapshot of every stage's counters.

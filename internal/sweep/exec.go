@@ -78,13 +78,13 @@ func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit f
 // failure.
 func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, g Group, done func()) (groupRows, error) {
 	rows := groupRows{cells: make([]cellRow, 0, len(g.Units))}
-	add := func(res *pipeline.ModelResult, err error) error {
+	add := func(m pipeline.Metrics, err error) error {
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
 		}
-		rows.add(res, err)
+		rows.add(m, err)
 		if done != nil {
 			done()
 		}
@@ -127,14 +127,14 @@ type cellRow struct {
 	err int32
 }
 
-// add appends one cell's outcome, measuring res when err is nil.
-func (g *groupRows) add(res *pipeline.ModelResult, err error) {
+// add appends one cell's outcome: its metrics, or its error.
+func (g *groupRows) add(m pipeline.Metrics, err error) {
 	if err != nil {
 		g.errs = append(g.errs, err.Error())
 		g.cells = append(g.cells, cellRow{err: int32(len(g.errs))})
 		return
 	}
-	g.cells = append(g.cells, cellRow{Metrics: pipeline.Measure(res)})
+	g.cells = append(g.cells, cellRow{Metrics: m})
 }
 
 // reorder serializes whole groups' rows back into unit order: put

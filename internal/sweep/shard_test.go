@@ -260,8 +260,11 @@ func TestMergeRejectsBadShardSets(t *testing.T) {
 
 // TestShardsShareStoreAcrossEngines is the resumability contract: two
 // shards of one grid run as separate engines (processes, in real use)
-// over one artifact directory, and the second shard reads the first
-// one's schedules from disk.
+// over one artifact directory. The shards cut groups, so the second
+// shard finds records the first one wrote with part of a group's cells
+// and rewrites them with the union: an unsharded engine over the same
+// directory then computes nothing, builds no base and emits the
+// store-less rows.
 func TestShardsShareStoreAcrossEngines(t *testing.T) {
 	grid := Grid{
 		Corpus:   loops.Kernels()[:5],
@@ -269,20 +272,37 @@ func TestShardsShareStoreAcrossEngines(t *testing.T) {
 		Models:   []core.Model{core.Unified, core.Swapped},
 		Regs:     []int{16, 64},
 	}
+	ctx := context.Background()
 	dir := t.TempDir()
+	cut := false
 	for i := 1; i <= 2; i++ {
-		eng := storeEng(t, 2, dir)
 		units, err := grid.Shard(i, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.SweepUnits(context.Background(), grid, units, func(Result) {}, nil); err != nil {
+		for _, g := range GroupUnits(units) {
+			cut = cut || len(g.Units) < len(grid.Models)*len(grid.Regs)
+		}
+		if err := storeEng(t, 2, dir).SweepUnits(ctx, grid, units, func(Result) {}, nil); err != nil {
 			t.Fatal(err)
 		}
-		if i == 2 {
-			if hits := eng.Cache().StageStats().Schedule.DiskHits; hits == 0 {
-				t.Fatal("second shard read no schedules from the first shard's store")
-			}
-		}
+	}
+	if !cut {
+		t.Fatal("no shard cut a group; the test needs partial records")
+	}
+	want, err := New(2).Rows(ctx, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := storeEng(t, 2, dir)
+	got, err := eng.Rows(ctx, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Cache().StageStats(); st.Eval.Misses != 0 || st.Base.Requests() != 0 {
+		t.Fatalf("unsharded rerun over the shards' store: %+v; want every cell from disk and no base", st)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("rows served from the shards' records differ from the store-less rows")
 	}
 }

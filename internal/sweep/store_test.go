@@ -1,17 +1,20 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"ncdrf/internal/core"
 	"ncdrf/internal/ddg"
+	"ncdrf/internal/loopgen"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
 	"ncdrf/internal/pipeline"
@@ -42,110 +45,223 @@ func compileAll(eng *Engine, g *ddg.Graph, m *machine.Config, regs int) (out [co
 	return out, nil
 }
 
-// compileCorpusErr runs compileAll for every kernel on m and returns the
-// results by loop name; the error form is safe to call off the test
-// goroutine (t.Fatal is not).
-func compileCorpusErr(eng *Engine, m *machine.Config, regs int) (map[string][core.NumModels]*pipeline.ModelResult, error) {
-	out := map[string][core.NumModels]*pipeline.ModelResult{}
-	for _, g := range loops.Kernels() {
-		res, err := compileAll(eng, g, m, regs)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", g.LoopName, err)
-		}
-		out[g.LoopName] = res
+// storeGrid is the kernels on both evaluation machines under every
+// model, at budgets that spill part of the corpus.
+func storeGrid() Grid {
+	return Grid{
+		Corpus:   loops.Kernels(),
+		Machines: []*machine.Config{machine.Eval(3), machine.Eval(6)},
+		Models:   core.Models[:],
+		Regs:     []int{20, 24, 64},
 	}
-	return out, nil
 }
 
-// compileCorpus is compileCorpusErr with failures reported on t.
-func compileCorpus(t *testing.T, eng *Engine, m *machine.Config, regs int) map[string][core.NumModels]*pipeline.ModelResult {
+// sweepRows runs grid on eng and returns its rows and stage counters.
+func sweepRows(t *testing.T, eng *Engine, grid Grid) ([]Result, StageStats) {
 	t.Helper()
-	out, err := compileCorpusErr(eng, m, regs)
+	rows, err := eng.Rows(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return rows, eng.Cache().StageStats()
+}
+
+// requirementRows returns every loop's requirement row on m.
+func requirementRows(t *testing.T, eng *Engine, corpus []*ddg.Graph, m *machine.Config) []pipeline.Requirement {
+	t.Helper()
+	out := make([]pipeline.Requirement, len(corpus))
+	for i, g := range corpus {
+		var err error
+		if out[i], err = eng.Requirements(context.Background(), g, m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return out
 }
 
-// mustEqualResults asserts content equivalence of two per-model result
-// sets: same schedules, counters and register requirements.
-func mustEqualResults(t *testing.T, want, got map[string][core.NumModels]*pipeline.ModelResult) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("result sets differ in size: %d vs %d", len(want), len(got))
-	}
-	for name, w := range want {
-		g, ok := got[name]
-		if !ok {
-			t.Fatalf("%s missing from second run", name)
-		}
-		for _, model := range core.Models {
-			a, b := w[model], g[model]
-			if a.Sched.II != b.Sched.II ||
-				a.SpilledValues != b.SpilledValues ||
-				a.SpillStores != b.SpillStores ||
-				a.SpillLoads != b.SpillLoads ||
-				a.IIBumps != b.IIBumps ||
-				a.Iterations != b.Iterations ||
-				a.MemOps() != b.MemOps() {
-				t.Fatalf("%s/%v: results differ: %+v vs %+v", name, model, a, b)
-			}
-			ra, _, err1 := a.Requirement()
-			rb, _, err2 := b.Requirement()
-			if err1 != nil || err2 != nil || ra != rb {
-				t.Fatalf("%s/%v: requirement %d,%v vs %d,%v", name, model, ra, err1, rb, err2)
-			}
-		}
-	}
-}
+// TestGroupRecordColdAndWarm is the acceptance scenario at engine
+// level: a second engine sharing the first one's artifact directory
+// reads one record per group, computes no cell and no requirement row,
+// builds no base and schedules nothing, and emits the store-less rows
+// and requirement rows. A record written by the sweep gains the group's
+// requirement row without losing its cells.
+func TestGroupRecordColdAndWarm(t *testing.T) {
+	grid := storeGrid()
+	m := grid.Machines[1]
+	want, _ := sweepRows(t, New(2), grid)
+	wantReq := requirementRows(t, New(1), grid.Corpus, m)
 
-// TestStoreTierIncremental is the acceptance scenario at engine level: a
-// second engine sharing the first one's artifact directory computes zero
-// schedules and zero evals while producing equivalent results.
-func TestStoreTierIncremental(t *testing.T) {
 	dir := t.TempDir()
-	m := machine.Eval(6)
-
-	eng1 := storeEng(t, 2, dir)
-	first := compileCorpus(t, eng1, m, 24) // 24 regs force spilling on part of the corpus
-	st1 := eng1.Cache().StageStats()
-	if st1.Schedule.Misses == 0 || st1.Eval.Misses == 0 {
-		t.Fatalf("cold run computed nothing: %+v", st1)
+	cold := storeEng(t, 2, dir)
+	rows, st := sweepRows(t, cold, grid)
+	if st.Eval.Misses == 0 || st.Eval.DiskHits != 0 {
+		t.Fatalf("cold run: %+v", st)
 	}
-	// Each model walks its own spill chain, so a later model may read a
-	// round's schedule an earlier model wrote; no eval cell repeats.
-	if st1.Eval.DiskHits != 0 {
-		t.Fatalf("cold run hit a fresh store: %+v", st1)
+	req := requirementRows(t, cold, grid.Corpus, m)
+	groups := uint64(len(grid.Groups()))
+	if w := cold.cache.store.Stats().Writes; w != groups+uint64(len(grid.Corpus)) {
+		t.Fatalf("cold run wrote %d records, want one per group (%d) plus one per requirement row (%d)", w, groups, len(grid.Corpus))
 	}
-	if w := eng1.Store().Stats().Writes; w == 0 {
-		t.Fatal("cold run persisted nothing")
+	if !slices.Equal(rows, want) || !slices.Equal(req, wantReq) {
+		t.Fatal("cold store-backed rows differ from the store-less rows")
 	}
 
-	eng2 := storeEng(t, 2, dir)
-	second := compileCorpus(t, eng2, m, 24)
-	st2 := eng2.Cache().StageStats()
-	if st2.Schedule.Misses != 0 {
-		t.Fatalf("warm run computed %d schedules, want 0: %+v", st2.Schedule.Misses, st2)
+	warm := storeEng(t, 2, dir)
+	rows, st = sweepRows(t, warm, grid)
+	req = requirementRows(t, warm, grid.Corpus, m)
+	st = warm.Cache().StageStats()
+	if st.Eval.Misses != 0 || st.Base.Requests() != 0 || st.Schedule.Requests() != 0 {
+		t.Fatalf("warm run: %+v; want every cell and row from disk, no base, no schedule", st)
 	}
-	if st2.Eval.Misses != 0 {
-		t.Fatalf("warm run computed %d evals, want 0: %+v", st2.Eval.Misses, st2)
+	if cells := uint64(len(grid.Plan())); st.Eval.Requests() != cells+uint64(len(grid.Corpus)) {
+		t.Fatalf("warm run: %d eval requests, want %d cells plus %d requirement rows", st.Eval.Requests(), cells, len(grid.Corpus))
 	}
-	if st2.Eval.DiskHits == 0 {
-		t.Fatalf("warm run served no evals from disk: %+v", st2)
+	if s := warm.cache.store.Stats(); s.Hits != groups+uint64(len(grid.Corpus)) || s.Writes != 0 {
+		t.Fatalf("warm run: store %+v; want one read per group and row, no write", s)
 	}
-	mustEqualResults(t, first, second)
+	if !slices.Equal(rows, want) || !slices.Equal(req, wantReq) {
+		t.Fatal("warm rows differ from the store-less rows")
+	}
 }
 
-// TestStoreTierCorruptionRecovery damages every persisted artifact and
+// TestGroupRecordSubsetOfCells: a rerun that adds budgets to a grid
+// finds records holding part of each group's cells. It computes only
+// the missing cells, with one base per group, and rewrites each record
+// with the union, so the next run computes nothing.
+func TestGroupRecordSubsetOfCells(t *testing.T) {
+	small := storeGrid()
+	small.Corpus = small.Corpus[:12]
+	small.Regs = []int{24}
+	wide := small
+	wide.Regs = []int{16, 24, 32}
+	want, _ := sweepRows(t, New(2), wide)
+
+	dir := t.TempDir()
+	sweepRows(t, storeEng(t, 2, dir), small)
+	rows, st := sweepRows(t, storeEng(t, 2, dir), wide)
+	groups := uint64(len(wide.Groups()))
+	// Per group: the Ideal cell and the 24-register cells are recorded,
+	// the 16- and 32-register cells of the three other models are not.
+	if fresh := groups * 2 * 3; st.Eval.Misses != fresh || st.Base.Requests() != groups {
+		t.Fatalf("widened rerun: %+v; want %d cells computed over %d bases", st, fresh, groups)
+	}
+	if !slices.Equal(rows, want) {
+		t.Fatal("widened rerun differs from the store-less rows")
+	}
+	rows, st = sweepRows(t, storeEng(t, 2, dir), wide)
+	if st.Eval.Misses != 0 || st.Base.Requests() != 0 {
+		t.Fatalf("rerun after the union was written: %+v", st)
+	}
+	if !slices.Equal(rows, want) {
+		t.Fatal("rows read from the union differ from the store-less rows")
+	}
+}
+
+// TestGroupRecordDamagedIsRecomputed: a record whose container verifies
+// but whose payload does not decode is discarded as a fault, its group
+// is recomputed, and the rewrite repairs it.
+func TestGroupRecordDamagedIsRecomputed(t *testing.T) {
+	grid := storeGrid()
+	grid.Corpus = grid.Corpus[:4]
+	want, _ := sweepRows(t, New(2), grid)
+	dir := t.TempDir()
+	eng := storeEng(t, 2, dir)
+	sweepRows(t, eng, grid)
+	g, m := grid.Corpus[0], grid.Machines[0]
+	if err := eng.cache.store.Put(stageGroup, recordKey(g, m, sched.Options{}), []byte("not a record")); err != nil {
+		t.Fatal(err)
+	}
+
+	eng = storeEng(t, 2, dir)
+	rows, st := sweepRows(t, eng, grid)
+	// One Ideal cell serves every budget.
+	if cells := uint64(1 + (len(grid.Models)-1)*len(grid.Regs)); st.Eval.Misses != cells || st.Base.Requests() != 1 {
+		t.Fatalf("rerun over a damaged record: %+v; want its group's %d cells computed over one base", st, cells)
+	}
+	if f := eng.cache.store.Stats().Faults; f != 1 {
+		t.Fatalf("damaged record counted as %d faults, want 1", f)
+	}
+	if !slices.Equal(rows, want) {
+		t.Fatal("rows differ from the store-less rows")
+	}
+	if _, st := sweepRows(t, storeEng(t, 2, dir), grid); st.Eval.Misses != 0 {
+		t.Fatalf("damaged record not repaired: %+v", st)
+	}
+}
+
+// TestStoreTierIncremental: records written by requirement sweeps gain
+// the cells of a later sweep over the same groups without losing their
+// rows, so a third engine serves both from disk with no base.
+func TestStoreTierIncremental(t *testing.T) {
+	grid := storeGrid()
+	grid.Corpus = grid.Corpus[:10]
+	dir := t.TempDir()
+	eng := storeEng(t, 2, dir)
+	var want [][]pipeline.Requirement
+	for _, m := range grid.Machines {
+		want = append(want, requirementRows(t, eng, grid.Corpus, m))
+	}
+	wantRows, _ := sweepRows(t, storeEng(t, 2, dir), grid)
+
+	eng = storeEng(t, 2, dir)
+	rows, _ := sweepRows(t, eng, grid)
+	for i, m := range grid.Machines {
+		if !slices.Equal(requirementRows(t, eng, grid.Corpus, m), want[i]) {
+			t.Fatalf("%s: requirement rows read back differ", m.Name())
+		}
+	}
+	if st := eng.Cache().StageStats(); st.Eval.Misses != 0 || st.Base.Requests() != 0 {
+		t.Fatalf("third engine: %+v; want rows and cells from disk, no base", st)
+	}
+	if !slices.Equal(rows, wantRows) {
+		t.Fatal("cells read back differ")
+	}
+}
+
+// TestGroupRecordKeepsNonConvergence pins the persisted non-convergence
+// outcome:
+// a cell whose spill walk runs out of rounds is recorded, so a warm
+// rerun reports the same error without walking its 400 rounds again —
+// it requests no schedule and builds no base.
+func TestGroupRecordKeepsNonConvergence(t *testing.T) {
+	p := loopgen.Defaults()
+	p.Loops = 2
+	grid := Grid{
+		Corpus:   loopgen.Generate(p)[1:], // syn0001 needs 22 registers under Unified
+		Machines: []*machine.Config{machine.Eval(3)},
+		Models:   []core.Model{core.Ideal, core.Unified},
+		Regs:     []int{16, 64},
+	}
+	dir := t.TempDir()
+	cold, st := sweepRows(t, storeEng(t, 1, dir), grid)
+	failed := 0
+	for _, r := range cold {
+		if strings.Contains(r.Error, "did not converge") {
+			failed++
+		}
+	}
+	if failed == 0 || st.Schedule.Requests() < 400 {
+		t.Fatalf("cold run: %d non-converged cells, %+v; the test needs one", failed, st)
+	}
+	warm, st := sweepRows(t, storeEng(t, 1, dir), grid)
+	if st.Eval.Misses != 0 || st.Schedule.Requests() != 0 || st.Base.Requests() != 0 {
+		t.Fatalf("warm run: %+v; want the non-convergence read from the record", st)
+	}
+	if !slices.Equal(cold, warm) {
+		t.Fatal("warm rows differ from the cold run's")
+	}
+}
+
+// TestStoreTierCorruptionRecovery damages every persisted record and
 // checks a fresh engine recomputes everything correctly instead of
 // crashing or serving garbage.
 func TestStoreTierCorruptionRecovery(t *testing.T) {
+	grid := storeGrid()
 	dir := t.TempDir()
-	m := machine.Eval(6)
-	want := compileCorpus(t, storeEng(t, 2, dir), m, 24)
+	want, _ := sweepRows(t, storeEng(t, 2, dir), grid)
 
-	// Corrupt every artifact: flip a payload byte in the first half,
-	// truncate the second half.
+	// Corrupt every record: flip a payload byte in half of them,
+	// truncate the other half.
 	n := 0
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
@@ -166,21 +282,20 @@ func TestStoreTierCorruptionRecovery(t *testing.T) {
 	}
 
 	eng := storeEng(t, 2, dir)
-	got := compileCorpus(t, eng, m, 24)
-	st := eng.Cache().StageStats()
+	got, st := sweepRows(t, eng, grid)
 	if st.Eval.DiskHits != 0 || st.Eval.Misses == 0 {
-		t.Fatalf("corrupted store still served artifacts: %+v", st)
+		t.Fatalf("corrupted store still served records: %+v", st)
 	}
-	if eng.Store().Stats().Faults == 0 {
+	if eng.cache.store.Stats().Faults == 0 {
 		t.Fatal("corruption not observed as faults")
 	}
-	mustEqualResults(t, want, got)
+	if !slices.Equal(got, want) {
+		t.Fatal("rows recomputed over a corrupted store differ")
+	}
 
-	// The recomputation rewrote the artifacts: the next engine is warm
+	// The recomputation rewrote the records: the next engine is warm
 	// again.
-	eng2 := storeEng(t, 2, dir)
-	_ = compileCorpus(t, eng2, m, 24)
-	if st := eng2.Cache().StageStats(); st.Eval.Misses != 0 {
+	if _, st := sweepRows(t, storeEng(t, 2, dir), grid); st.Eval.Misses != 0 {
 		t.Fatalf("store not repaired by recomputation: %+v", st)
 	}
 }
@@ -188,19 +303,19 @@ func TestStoreTierCorruptionRecovery(t *testing.T) {
 // TestStoreTierConcurrentEngines runs two engines over one shared
 // artifact directory at the same time (run under -race in CI), the
 // multi-process sharing contract exercised in-process: no torn reads, no
-// errors, equivalent results.
+// errors, equal rows.
 func TestStoreTierConcurrentEngines(t *testing.T) {
+	grid := storeGrid()
 	dir := t.TempDir()
-	m := machine.Eval(3)
 	engines := []*Engine{storeEng(t, 2, dir), storeEng(t, 2, dir)}
 	var wg sync.WaitGroup
-	results := make([]map[string][core.NumModels]*pipeline.ModelResult, len(engines))
+	results := make([][]Result, len(engines))
 	errs := make([]error, len(engines))
 	for i := range engines {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = compileCorpusErr(engines[i], m, 20)
+			results[i], errs[i] = engines[i].Rows(context.Background(), grid)
 		}(i)
 	}
 	wg.Wait()
@@ -209,159 +324,101 @@ func TestStoreTierConcurrentEngines(t *testing.T) {
 			t.Fatalf("engine %d: %v", i, err)
 		}
 	}
-	mustEqualResults(t, results[0], results[1])
+	if !slices.Equal(results[0], results[1]) {
+		t.Fatal("concurrent engines emitted different rows")
+	}
 
 	// After both runs, the store serves a third engine completely.
-	eng := storeEng(t, 2, dir)
-	_ = compileCorpus(t, eng, m, 20)
-	if st := eng.Cache().StageStats(); st.Schedule.Misses != 0 || st.Eval.Misses != 0 {
+	if _, st := sweepRows(t, storeEng(t, 2, dir), grid); st.Schedule.Requests() != 0 || st.Eval.Misses != 0 {
 		t.Fatalf("store left cold by concurrent writers: %+v", st)
 	}
 }
 
-// TestStoreKeyPinsMachineSpec pins the disk key's extra strictness over
-// the machine name: two machines sharing a name but not a specification
-// must not share persisted artifacts — the warm engine takes clean
-// misses (no decode faults from a wrong artifact) and recomputes.
+// TestStoreKeyPinsMachineSpec pins the record key's extra strictness
+// over the machine name: two machines sharing a name but not a
+// specification must not share records — the warm engine takes clean
+// misses (no decode faults from a wrong record) and recomputes.
 func TestStoreKeyPinsMachineSpec(t *testing.T) {
 	dir := t.TempDir()
-	g := loops.Kernels()[0]
 	spec := []machine.ClusterSpec{{Adders: 1, Multipliers: 1, MemPorts: 1}}
 	mA := machine.MustNew("mutating-preset", spec, 3, 3, 1)
 	mB := machine.MustNew("mutating-preset", spec, 6, 6, 1) // same name, new latencies
+	grid := Grid{Corpus: loops.Kernels()[:3], Machines: []*machine.Config{mA}, Models: core.Models[:], Regs: []int{32}}
 
 	eng1 := storeEng(t, 1, dir)
-	if _, err := compileAll(eng1, g, mA, 32); err != nil {
-		t.Fatal(err)
-	}
-	if eng1.Store().Stats().Writes == 0 {
+	sweepRows(t, eng1, grid)
+	if eng1.cache.store.Stats().Writes == 0 {
 		t.Fatal("nothing persisted")
 	}
 
-	// One model: no stage keeps a base in memory, so a second Compile
-	// on eng2 would read the schedule eng2 itself wrote behind.
+	grid.Machines = []*machine.Config{mB}
 	eng2 := storeEng(t, 1, dir)
-	if _, err := eng2.Compile(context.Background(), g, mB, core.Swapped, 32); err != nil {
-		t.Fatal(err)
+	_, st := sweepRows(t, eng2, grid)
+	if st.Eval.DiskHits != 0 || st.Eval.Misses == 0 {
+		t.Fatalf("respecced machine served stale records: %+v", st)
 	}
-	st := eng2.Cache().StageStats()
-	if st.Schedule.DiskHits != 0 || st.Eval.DiskHits != 0 {
-		t.Fatalf("respecced machine served stale artifacts: %+v", st)
+	if f := eng2.cache.store.Stats().Faults; f != 0 {
+		t.Fatalf("respecced machine decoded wrong records (%d faults); the key must miss cleanly", f)
 	}
-	if f := eng2.Store().Stats().Faults; f != 0 {
-		t.Fatalf("respecced machine decoded wrong artifacts (%d faults); the key must miss cleanly", f)
+}
+
+// TestRecordKeyCoversOptions fails when sched.Options gains a field:
+// recordKey writes every field by name, so a new one must be added
+// there, or distinct problems would share a record.
+func TestRecordKeyCoversOptions(t *testing.T) {
+	if n := reflect.TypeOf(sched.Options{}).NumField(); n != 3 {
+		t.Fatalf("sched.Options has %d fields; recordKey writes 3", n)
 	}
-	if st.Schedule.Misses == 0 || st.Eval.Misses == 0 {
-		t.Fatalf("respecced machine computed nothing: %+v", st)
+	g, m := loops.Kernels()[0], machine.Eval(3)
+	keys := map[string]bool{}
+	for _, opts := range []sched.Options{{}, {BudgetRatio: 1}, {MaxIISlack: 1}, {MinII: 1}} {
+		keys[recordKey(g, m, opts)] = true
+	}
+	keys[recordKey(g, machine.Eval(6), sched.Options{})] = true
+	keys[recordKey(loops.Kernels()[1], m, sched.Options{})] = true
+	if len(keys) != 6 {
+		t.Fatalf("%d distinct keys over 6 distinct problems", len(keys))
 	}
 }
 
 // TestStoreTierDoesNotPersistErrors pins the negative-result policy:
-// deterministic failures are never written to disk, so a fresh engine
-// recomputes (and re-fails) them.
+// of all failures only non-convergence is recorded. A base the
+// scheduler cannot build writes nothing, and a scheduler failure in a
+// spill round — a loop without memory operations on a machine without
+// memory ports, whose first spill code cannot be scheduled — leaves
+// the group's other cells recorded and the failing one out, so a fresh
+// engine recomputes it and fails the same way.
 func TestStoreTierDoesNotPersistErrors(t *testing.T) {
+	noMem := machine.MustNew("no-mem-store", []machine.ClusterSpec{{Adders: 1, Multipliers: 1}}, 3, 3, 1)
 	dir := t.TempDir()
-	m := machine.MustNew("no-mem-store", []machine.ClusterSpec{{Adders: 1, Multipliers: 1}}, 3, 3, 1)
-	g := loops.Kernels()[0] // every kernel has loads; cannot schedule
-
-	eng1 := storeEng(t, 1, dir)
-	if _, err := eng1.Compile(context.Background(), g, m, core.Unified, 16); err == nil {
-		t.Fatal("expected scheduling failure")
+	grid := Grid{Corpus: loops.Kernels()[:1], Machines: []*machine.Config{noMem}, Models: []core.Model{core.Unified}, Regs: []int{16}}
+	eng := storeEng(t, 1, dir)
+	if rows, _ := sweepRows(t, eng, grid); rows[0].Error == "" {
+		t.Fatal("expected a scheduling failure: every kernel has loads")
 	}
-	if w := eng1.Store().Stats().Writes; w != 0 {
+	if w := eng.cache.store.Stats().Writes; w != 0 {
 		t.Fatalf("failure persisted: %d writes", w)
 	}
 
-	eng2 := storeEng(t, 1, dir)
-	if _, err := eng2.Compile(context.Background(), g, m, core.Unified, 16); err == nil {
-		t.Fatal("expected scheduling failure on the warm engine")
+	g := ddg.New("no-memory", 100)
+	sum := g.AddNode(ddg.FADD, "s0")
+	for i := 1; i <= 8; i++ {
+		p := g.AddNode(ddg.FMUL, fmt.Sprintf("p%d", i))
+		s := g.AddNode(ddg.FADD, fmt.Sprintf("s%d", i))
+		g.Flow(p, s)
+		g.Flow(sum, s)
+		sum = s
 	}
-	if st := eng2.Cache().StageStats(); st.Eval.Misses != 1 || st.Eval.DiskHits != 0 {
-		t.Fatalf("failure unexpectedly served from disk: %+v", st)
+	grid = Grid{Corpus: []*ddg.Graph{g}, Machines: []*machine.Config{noMem}, Models: []core.Model{core.Ideal, core.Unified}, Regs: []int{1}}
+	cold, st := sweepRows(t, storeEng(t, 1, dir), grid)
+	if cold[0].Error != "" || !strings.HasPrefix(cold[1].Error, "spill: sched") || st.Schedule.Requests() < 2 {
+		t.Fatalf("cold rows %+v, %+v; want the Unified cell to fail scheduling its first spill round", cold, st)
 	}
-}
-
-// TestWarmReadBindsInputGraph pins the binding of warm reads: an
-// artifact that embeds the requested graph, spill-slot marks included,
-// decodes onto the caller's graph, and any other decodes a fresh one.
-// A warm cell the spill loop left untouched is bound to the loop, a
-// spilled cell is not, and a warm schedule is bound. A schedule
-// artifact under the loop's key whose graph section differs from the
-// loop's encoding, or whose slot marks differ from the requested
-// graph's, decodes to a graph of its own.
-func TestWarmReadBindsInputGraph(t *testing.T) {
-	g, ok := loops.KernelByName("lfk7-eos")
-	if !ok {
-		t.Fatal("missing kernel")
+	warm, st := sweepRows(t, storeEng(t, 1, dir), grid)
+	if st.Eval.Misses != 1 || st.Eval.DiskHits != 1 {
+		t.Fatalf("warm run: eval stage %+v; want the Ideal cell from disk and the failing cell recomputed", st.Eval)
 	}
-	m := machine.Eval(6)
-	ctx := context.Background()
-	dir := t.TempDir()
-	compile := func(eng *Engine) (plain, spilled *pipeline.ModelResult) {
-		t.Helper()
-		var err error
-		if plain, err = eng.Compile(ctx, g, m, core.Unified, 0); err != nil {
-			t.Fatal(err)
-		}
-		if spilled, err = eng.Compile(ctx, g, m, core.Unified, 24); err != nil {
-			t.Fatal(err)
-		}
-		if spilled.SpilledValues == 0 {
-			t.Fatal("test needs a spilled cell")
-		}
-		return plain, spilled
-	}
-	compile(storeEng(t, 1, dir))
-	eng := storeEng(t, 1, dir)
-	plain, spilled := compile(eng)
-	if st := eng.Cache().StageStats().Eval; st.DiskHits != 2 {
-		t.Fatalf("warm compiles: eval stage %+v, want both from disk", st)
-	}
-	if plain.Graph != g || plain.Sched.Graph != g {
-		t.Fatal("an unspilled warm cell does not reference the caller's graph")
-	}
-	if spilled.Graph == g || spilled.Sched.Graph == g || spilled.Graph.NumNodes() <= g.NumNodes() {
-		t.Fatal("a spilled warm cell references the caller's graph")
-	}
-
-	c := eng.Cache()
-	s, err := c.Schedule(g, m, sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Graph != g || c.Stats().DiskHits != 1 {
-		t.Fatalf("warm schedule bound to the caller's graph: %v; schedule stage %+v", s.Graph == g, c.Stats())
-	}
-
-	// The same key with other spill-slot marks: the digest leaves them
-	// out, the slots section does not.
-	marked := g.Clone()
-	marked.Node(0).SpillSlot = 0
-	if s, err = c.Schedule(marked, m, sched.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Graph == marked || s.Graph.Node(0).SpillSlot != -1 || c.Stats().DiskHits != 2 {
-		t.Fatalf("artifact with other slot marks bound: %v; schedule stage %+v", s.Graph == marked, c.Stats())
-	}
-
-	// The loop's key over an artifact embedding a renamed copy.
-	renamed := g.Clone()
-	renamed.LoopName += "-renamed"
-	s, err = sched.Run(renamed, m, sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := pipeline.EncodeSchedule(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Store().Put(stageSched, diskKey(c.keyOf(g, sched.Options{}), m, ""), buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if s, err = c.Schedule(g, m, sched.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Graph == g || s.Graph.LoopName != renamed.LoopName || c.Stats().DiskHits != 3 {
-		t.Fatalf("artifact embedding another graph bound: %v; schedule stage %+v", s.Graph == g, c.Stats())
+	if !slices.Equal(cold, warm) {
+		t.Fatalf("warm rows %+v, cold %+v", warm, cold)
 	}
 }

@@ -1,50 +1,43 @@
 // Package sweep is the batch evaluation engine behind every experiment
 // runner: it executes (corpus × machine × model × register-size) grids on
-// a bounded, cancellable worker pool and reads and writes pipeline
-// artifacts through content-addressed stage caches.
+// a bounded, cancellable worker pool, counts the work of each pipeline
+// stage, and reads and writes one content-addressed record per (loop,
+// machine) group in an optional artifact store.
 //
-// # Cache key scheme
+// # Record key scheme
 //
-// A schedule is fully determined by three inputs, which together form the
-// cache key:
+// Everything a group's exhibits read — its requirement row and each
+// (model, budget) cell's metrics — is fully determined by three inputs,
+// which together form the group's record key (recordKey):
 //
 //   - the dependence graph, identified by the SHA-256 digest of its
 //     canonical text encoding (ddg.(*Graph).Encode — loop header, nodes
-//     in ID order, edges in insertion order). Content addressing makes
-//     the cache correct under the spiller's in-place graph rewrites:
-//     after spill code is inserted the encoding changes, so the rewritten
-//     graph is a different key;
-//   - the machine configuration, identified by its full rendered
-//     specification (Config.String), which the on-disk key hashes
-//     (diskKey). Configs are immutable after construction; the grid
-//     planner collapses machines onto their Name(), and the presets give
-//     every distinct configuration a distinct name, a rule callers
-//     constructing machines by hand must follow too;
-//   - the sched.Options value (a small comparable struct), so the
-//     spiller's forced-MinII retries do not collide with the defaults.
+//     in ID order, edges in insertion order);
+//   - the machine configuration, identified by its full specification
+//     (what Config.String renders). Configs are immutable after
+//     construction; the grid planner collapses machines onto their
+//     Name(), and the presets give every distinct configuration a
+//     distinct name, a rule callers constructing machines by hand must
+//     follow too;
+//   - the sched.Options value, every field of it.
 //
+// Inside a record, a cell is keyed by its model and canonical budget:
+// Ideal's budget and every budget <= 0 are recorded as 0 (unlimited).
 // Artifacts are shared between consumers and must be treated as
 // read-only; every consumer in this repository already does (core.Swap
 // copies before rebalancing).
 //
-// Request counters are exported per stage through Cache.StageStats:
-// Misses is the number of artifacts actually computed, Hits the number
-// of requests served from memory, DiskHits the number served by the
-// optional persistent tier.
-//
 // # Tiers
 //
-// No stage keeps an in-memory tier. The schedule stage computes on the
-// caller's graph itself, with no clone; the base stage builds a fresh
-// Base per request, and a sweep requests one per (loop, machine) group
-// at most; the eval stage serves a group's cells in one walk, sharing
-// an Ideal cell's result across the group's budgets (Cache.evalCells).
-// Callers that need one base or one result set twice keep it
-// themselves. Below every stage sits an optional content-addressed
-// on-disk artifact store (internal/store, attached with
-// Engine.SetStore): a request reads through it before computing, and
-// computed schedule/eval artifacts are written behind it, making a
-// second process's run incremental.
+// No stage keeps an in-memory tier, and each counts its requests
+// (Cache.StageStats). The schedule stage computes on the caller's graph
+// itself, with no clone; the base stage builds a fresh Base per
+// request, and a sweep requests one per (loop, machine) group at most;
+// the eval stage serves a group's cells in one walk, sharing an Ideal
+// cell's result across the group's budgets (Cache.evalCells). Callers
+// that need one base or one result set twice keep it themselves. The
+// eval stage reads and rewrites group records in the optional store
+// (Engine.SetStore), making a second process's run incremental.
 package sweep
 
 import (
@@ -78,28 +71,26 @@ func New(workers int) *Engine {
 	return &Engine{cache: NewCache(), workers: workers}
 }
 
-// SetStore attaches a persistent artifact store below the stage caches,
-// making runs incremental across processes: schedule and eval artifacts
-// are read through and written behind it. Attach before the engine
-// serves its first request.
-func (e *Engine) SetStore(st *store.Store) { e.cache.SetStore(st) }
-
-// Store returns the attached persistent tier, or nil.
-func (e *Engine) Store() *store.Store { return e.cache.Store() }
+// SetStore attaches a persistent artifact store below the eval stage,
+// making runs incremental across processes: group records are read
+// through and written behind it. Attach before the engine serves its
+// first request.
+func (e *Engine) SetStore(st *store.Store) { e.cache.store = st }
 
 // Cache returns the engine's stage caches (for stats reporting).
 func (e *Engine) Cache() *Cache { return e.cache }
 
-// Schedule modulo-schedules g on m through the cache. It implements
-// spill.Scheduler, so the engine can be plugged into the spill loop.
+// Schedule modulo-schedules g on m, counted at the schedule stage. It
+// implements spill.Scheduler, so the engine can be plugged into the
+// spill loop.
 func (e *Engine) Schedule(g *ddg.Graph, m *machine.Config, opts sched.Options) (*sched.Schedule, error) {
 	return e.cache.Schedule(g, m, opts)
 }
 
-// Forget forwards to Cache.Forget so the engine itself satisfies the
-// spill loop's optional working-graph cleanup interface (VerifySample
-// hands the engine, not the cache, to vm.VerifyModelWith).
-func (e *Engine) Forget(g *ddg.Graph) { e.cache.Forget(g) }
+// Forget does nothing. The engine keeps no per-graph state since the
+// store holds only group records; Forget stays for callers built
+// against the earlier working-graph cleanup hook.
+func (e *Engine) Forget(*ddg.Graph) {}
 
 // Base returns the base-stage artifact (schedule + lifetimes) of g on m
 // with default options, built through the stage cache (Cache.Base).
@@ -107,17 +98,25 @@ func (e *Engine) Base(ctx context.Context, g *ddg.Graph, m *machine.Config) (*pi
 	return e.cache.Base(ctx, g, m, sched.Options{})
 }
 
-// Compile runs the staged per-model pipeline for one loop — classify and
-// allocate the base schedule, spill until the allocation fits —
-// as the one-cell case of a sweep group's walk: it reads the disk tier
-// first and requests the base only on a disk miss. The Ideal model
-// ignores regs (its register file is unlimited).
+// Requirements returns the unlimited-register requirement row of g on
+// m — the base schedule's II and every model's register count — read
+// from the group's record when the store holds it, and otherwise
+// computed on a fresh base and added to the record. It is one
+// eval-stage request.
+func (e *Engine) Requirements(ctx context.Context, g *ddg.Graph, m *machine.Config) (pipeline.Requirement, error) {
+	return e.cache.requirements(ctx, g, m, sched.Options{})
+}
+
+// Compile runs the staged per-model pipeline for one loop — build the
+// base, classify and allocate its schedule, spill until the allocation
+// fits — and returns the whole result, schedule and graph included. A
+// group record holds only metrics, so Compile never reads or writes the
+// store; its base and schedules are counted at their stages. The Ideal
+// model ignores regs (its register file is unlimited).
 func (e *Engine) Compile(ctx context.Context, g *ddg.Graph, m *machine.Config, model core.Model, regs int) (*pipeline.ModelResult, error) {
-	var res *pipeline.ModelResult
-	err := e.cache.evalCells(ctx, g, m, sched.Options{}, []pipeline.Cell{{Model: model, Regs: regs}},
-		func(r *pipeline.ModelResult, err error) error {
-			res = r
-			return err
-		})
-	return res, err
+	b, err := e.Base(ctx, g, m)
+	if err != nil {
+		return nil, err
+	}
+	return pipeline.Evaluate(ctx, e, b, model, regs)
 }

@@ -29,11 +29,11 @@ func VerifyModel(g *ddg.Graph, m *machine.Config, model core.Model, regs, iters 
 	return VerifyModelWith(context.Background(), nil, g, m, model, regs, iters)
 }
 
-// compiler is the optional stage-cache interface of a Scheduler: a
-// sweep.Engine compiles through its stage-granular cache, so every
-// per-model evaluation reads through the artifact store when one is
-// attached, and builds its base only on a disk miss.
-type compiler interface {
+// Compiler is the optional compiling interface of a Scheduler: a
+// sweep.Engine counts the base it builds at its stages, and a caller
+// verifying several models of one loop hands over a Compiler that
+// evaluates them all over one base.
+type Compiler interface {
 	Compile(ctx context.Context, g *ddg.Graph, m *machine.Config, model core.Model, regs int) (*pipeline.ModelResult, error)
 }
 
@@ -46,7 +46,7 @@ func VerifyModelWith(ctx context.Context, sr spill.Scheduler, g *ddg.Graph, m *m
 		return fmt.Errorf("vm: reference: %w", err)
 	}
 	var res *pipeline.ModelResult
-	if cp, ok := sr.(compiler); ok {
+	if cp, ok := sr.(Compiler); ok {
 		res, err = cp.Compile(ctx, g, m, model, regs)
 	} else {
 		var b *pipeline.Base

@@ -26,7 +26,7 @@
 //   - Experiments regenerates every table and figure of the paper.
 //
 // See the examples directory for runnable walkthroughs and DESIGN.md for
-// the stage graph, artifact ownership rules and cache-key scheme.
+// the stage graph, artifact ownership rules and record key scheme.
 package ncdrf
 
 import (
