@@ -4,6 +4,7 @@ package ncdrf
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"ncdrf/internal/regalloc"
 	"ncdrf/internal/sched"
 	"ncdrf/internal/spill"
+	"ncdrf/internal/sweep"
 )
 
 // allocSlack is how far above its recorded count a hot path may
@@ -68,6 +70,18 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	row := pipeline.Row{Loop: "daxpy", Machine: "eval-L6", Model: "swapped",
 		Regs: 32, II: 2, Stages: 5, Trips: 100, MemOps: 3}
+	// The fit-curve axis, 56:256:8, and its two ends: a sweep's group
+	// walk allocates per group and per spill round, never per cell.
+	var dense []int
+	for regs := 56; regs <= 256; regs += 8 {
+		dense = append(dense, regs)
+	}
+	curve := func(regs []int) func() error {
+		grid := sweep.Grid{Corpus: ks, Machines: []*machine.Config{m}, Models: core.Models[:], Regs: regs}
+		return func() error {
+			return sweep.New(1).Sweep(context.Background(), grid, func(sweep.Result) {})
+		}
+	}
 
 	cases := []struct {
 		name string
@@ -127,18 +141,11 @@ func TestHotPathAllocs(t *testing.T) {
 		{"pipeline.EncodeRow", 0, func() error {
 			return pipeline.EncodeRow(io.Discard, row)
 		}},
+		{"sweep.Sweep/kernels-26-budgets", 2450, curve(dense)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var err error
-			got := testing.AllocsPerRun(5, func() {
-				if e := c.run(); e != nil {
-					err = e
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := allocsPerRun(t, c.run)
 			t.Logf("%.0f allocs/run (recorded %.0f)", got, c.want)
 			if got > c.want*allocSlack {
 				t.Errorf("%.0f allocs/run, more than %.0f%% above the recorded %.0f",
@@ -146,4 +153,27 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 		})
 	}
+	t.Run("sweep.Sweep/per-cell", func(t *testing.T) {
+		got, ends := allocsPerRun(t, curve(dense)), allocsPerRun(t, curve([]int{dense[0], dense[len(dense)-1]}))
+		t.Logf("%.0f allocs/run at 26 budgets, %.0f at 2", got, ends)
+		if got > 1.5*ends {
+			t.Errorf("sweeping 26 budgets allocates %.0f, %.1f× the %.0f of 2 budgets: a per-cell allocation",
+				got, got/ends, ends)
+		}
+	})
+}
+
+// allocsPerRun returns run's average heap allocations over 5 runs.
+func allocsPerRun(t *testing.T, run func() error) float64 {
+	t.Helper()
+	var err error
+	got := testing.AllocsPerRun(5, func() {
+		if e := run(); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }

@@ -735,11 +735,15 @@ var errDeadWriter = errors.New("dead writer")
 func (deadWriter) Write([]byte) (int, error) { return 0, errDeadWriter }
 
 // TestStreamRowsCancelsOnDeadWriter: a failing output cancels the run
-// instead of computing rows nobody will see.
+// instead of computing rows nobody will see. The first 4 KiB flush
+// fails after a few dozen rows, and the emitter never holds up the
+// other workers, so the grid spans both latencies (88 groups): a run
+// that cancels stops well short of the whole grid, and one that does
+// not computes all of it.
 func TestStreamRowsCancelsOnDeadWriter(t *testing.T) {
 	grid := sweep.Grid{
 		Corpus:   loops.Kernels(),
-		Machines: []*machine.Config{experiment.EvalN(2, 3)},
+		Machines: []*machine.Config{experiment.EvalN(2, 3), experiment.EvalN(2, 6)},
 		Models:   core.Models[:],
 		Regs:     []int{8, 16, 24, 32, 40, 48, 56, 64, 80, 96, 112, 128},
 	}
@@ -767,8 +771,9 @@ func TestStreamRowsCancelsOnDeadWriter(t *testing.T) {
 		if !canceled {
 			t.Fatal("the executor returned without its context being canceled")
 		}
-		if computed >= full {
-			t.Fatalf("computed %d units after the writer died, as many as a full run (%d)", computed, full)
+		t.Logf("computed %d of %d units", computed, full)
+		if 4*computed >= 3*full {
+			t.Fatalf("computed %d units after the writer died, at least 3/4 of a full run (%d)", computed, full)
 		}
 	})
 }

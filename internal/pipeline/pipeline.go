@@ -24,6 +24,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"ncdrf/internal/core"
@@ -179,6 +180,51 @@ type Cell struct {
 // indexed like cells; errs[i] is non-nil exactly when results[i] is
 // nil. A spilled result's Graph is its final schedule's graph.
 func EvaluateCells(ctx context.Context, sr Scheduler, b *Base, cells []Cell) ([]*ModelResult, []error) {
+	res, errs := b.walk(ctx, sr, cells)
+	out := make([]*ModelResult, len(res))
+	for i, r := range res {
+		if r != nil {
+			out[i] = modelResult(cells[i].Model, r)
+		}
+	}
+	return out, errs
+}
+
+// modelResult is the ModelResult of a walk's result r under model.
+func modelResult(model core.Model, r *spill.Result) *ModelResult {
+	return &ModelResult{
+		Model:         model,
+		Sched:         r.Sched,
+		Graph:         r.Graph,
+		Lifetimes:     r.Lifetimes,
+		SpilledValues: r.SpilledValues,
+		SpillStores:   r.SpillStores,
+		SpillLoads:    r.SpillLoads,
+		IIBumps:       r.IIBumps,
+		Iterations:    r.Iterations,
+	}
+}
+
+// MeasureCells is Measure over EvaluateCells, indexed like cells, with
+// each distinct spill.Result the walk shares between cells measured
+// once: its cost follows the walk's rounds rather than its cells.
+func MeasureCells(ctx context.Context, sr Scheduler, b *Base, cells []Cell) ([]Metrics, []error) {
+	res, errs := b.walk(ctx, sr, cells)
+	out := make([]Metrics, len(res))
+	for i, r := range res {
+		switch j := slices.Index(res, r); {
+		case r == nil:
+		case j < i:
+			out[i] = out[j] // measured with the first cell sharing r
+		default:
+			out[i] = Measure(modelResult(cells[i].Model, r))
+		}
+	}
+	return out, errs
+}
+
+// walk runs b's spill chain once for all cells (spill.RunSeries).
+func (b *Base) walk(ctx context.Context, sr Scheduler, cells []Cell) ([]*spill.Result, []error) {
 	walk := make([]spill.Cell, len(cells))
 	for i, c := range cells {
 		walk[i] = spill.Cell{Test: int(c.Model), Regs: c.Regs}
@@ -190,25 +236,7 @@ func EvaluateCells(ctx context.Context, sr Scheduler, b *Base, cells []Cell) ([]
 		test = rounds(s, lts)
 		return byModel
 	}
-	res, errs := spill.RunSeries(ctx, sr, b.Graph, b.Machine, walk, fit, b.Opts, b.seed())
-	out := make([]*ModelResult, len(res))
-	for i, r := range res {
-		if r == nil {
-			continue
-		}
-		out[i] = &ModelResult{
-			Model:         cells[i].Model,
-			Sched:         r.Sched,
-			Graph:         r.Graph,
-			Lifetimes:     r.Lifetimes,
-			SpilledValues: r.SpilledValues,
-			SpillStores:   r.SpillStores,
-			SpillLoads:    r.SpillLoads,
-			IIBumps:       r.IIBumps,
-			Iterations:    r.Iterations,
-		}
-	}
-	return out, errs
+	return spill.RunSeries(ctx, sr, b.Graph, b.Machine, walk, fit, b.Opts, b.seed())
 }
 
 // EvaluateAll evaluates every model over one shared base, in the paper's

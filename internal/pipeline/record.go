@@ -59,6 +59,9 @@ func (r *Record) find(c Cell) (RecordCell, int, bool) {
 
 // Lookup returns the recorded entry of c, if any.
 func (r *Record) Lookup(c Cell) (RecordCell, bool) {
+	if len(r.Cells) == 0 {
+		return RecordCell{}, false
+	}
 	if _, i, ok := r.find(c); ok {
 		return r.Cells[i], true
 	}

@@ -317,3 +317,66 @@ func TestRunSeriesGroupCancelledMidWalk(t *testing.T) {
 		t.Fatalf("%d of %d cells closed before the cancellation; the test needs both kinds", closed, len(cells))
 	}
 }
+
+// TestRunSeriesSharesRoundResults pins the sharing of the walk's
+// results: two cells get one *Result exactly when they close on one
+// round with one final schedule, as the fit test returned it. Cells
+// that close on different rounds, or on one round with the round's own
+// and its swap-rebalanced schedule, never share.
+func TestRunSeriesSharesRoundResults(t *testing.T) {
+	var axis []int
+	for regs := 4; regs <= 64; regs += 4 {
+		axis = append(axis, regs)
+	}
+	cells := groupCells(axis)
+	type closing struct {
+		round int
+		final *sched.Schedule
+	}
+	var shared, apart, split int // pairs sharing, on different rounds, on one round apart
+	for _, g := range loops.Kernels() {
+		for _, m := range []*machine.Config{machine.Eval(3), machine.Eval(6)} {
+			// Every budget is positive, so the walk asks for each
+			// round's test once, and a cell closes where its test
+			// first passes.
+			closed := map[Cell]closing{}
+			round, inner := -1, roundFits()
+			fit := func(s *sched.Schedule, lts []lifetime.Lifetime) func(int, int) (*sched.Schedule, bool) {
+				round++
+				test := inner(s, lts)
+				return func(model, regs int) (*sched.Schedule, bool) {
+					final, ok := test(model, regs)
+					if _, seen := closed[Cell{model, regs}]; ok && !seen {
+						closed[Cell{model, regs}] = closing{round, final}
+					}
+					return final, ok
+				}
+			}
+			res, _ := RunSeries(context.Background(), nil, g, m, cells, fit, sched.Options{}, nil)
+			for i, a := range res {
+				for j, b := range res[:i] {
+					if a == nil || b == nil {
+						continue
+					}
+					want := closed[cells[i]] == closed[cells[j]]
+					if (a == b) != want {
+						t.Fatalf("%s on %s: cells %+v and %+v close at %+v and %+v; sharing %v, want %v",
+							g.LoopName, m.Name(), cells[j], cells[i], closed[cells[j]], closed[cells[i]], a == b, want)
+					}
+					switch {
+					case want:
+						shared++
+					case closed[cells[i]].round != closed[cells[j]].round:
+						apart++
+					default:
+						split++
+					}
+				}
+			}
+		}
+	}
+	if shared == 0 || apart == 0 || split == 0 {
+		t.Fatalf("%d sharing pairs, %d on different rounds and %d on one round apart; the test needs each",
+			shared, apart, split)
+	}
+}

@@ -11,6 +11,7 @@ package spill
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ncdrf/internal/ddg"
@@ -137,12 +138,13 @@ type RoundFit func(s *sched.Schedule, lts []lifetime.Lifetime) func(test, regs i
 // Results and errors are indexed like cells, which may come in any
 // order and hold duplicates; errs[i] is non-nil exactly when results[i]
 // is nil. A scheduler error or a cancelled ctx fails every cell still
-// open.
+// open. The cells that close on one round with one final schedule share
+// one read-only *Result.
 //
 // A closed cell's Graph is the input graph while nothing has been
 // spilled, and otherwise the round's schedule graph (s.Graph). When that
 // is the working graph itself, as sched.Run's is, and the walk goes on
-// to rewrite it, the closed cells get one clone.
+// to rewrite it, the round's results get one clone.
 func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Config, cells []Cell, fit RoundFit, opts sched.Options, seed *Seed) ([]*Result, []error) {
 	schedule := sched.Run
 	if sr != nil {
@@ -163,6 +165,7 @@ func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 	var chain Result                  // counters accumulated along the chain
 	unspillable := make(map[int]bool) // node IDs whose values may not be spilled again
 	slot := 0
+	var shared [2]*Result // a round's results: its own schedule's and a rebalanced one's
 
 	for iter := 0; iter < maxIterations && open > 0; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -186,6 +189,7 @@ func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 			kept = s.Graph
 		}
 		var test func(int, int) (*sched.Schedule, bool)
+		round := shared[:0]
 		closed := 0
 		for i, c := range cells {
 			if results[i] != nil {
@@ -201,10 +205,15 @@ func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 					continue
 				}
 			}
+			closed++
+			if j := slices.IndexFunc(round, func(r *Result) bool { return r.Sched == final }); j >= 0 {
+				results[i] = round[j]
+				continue
+			}
 			res := chain
 			res.Sched, res.Graph, res.Lifetimes = final, kept, lts
 			results[i] = &res
-			closed++
+			round = append(round, &res)
 		}
 		if open -= closed; open == 0 {
 			break
@@ -214,10 +223,7 @@ func RunSeries(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 			// the walk is about to rewrite: this round's results keep a
 			// copy.
 			keep := work.Clone()
-			for _, r := range results {
-				if r == nil || r.Iterations != chain.Iterations {
-					continue
-				}
+			for _, r := range round {
 				r.Graph = keep
 				if r.Sched.Graph == work {
 					rebound := *r.Sched

@@ -210,8 +210,8 @@ func (c *Cache) Base(ctx context.Context, g *ddg.Graph, m *machine.Config, opts 
 // budget, so an Ideal cell after the group's first shares that cell's
 // outcome and counts as a memory hit; Grid.Plan already drops every
 // other repeated cell. Every other cell is looked up in the record, and
-// the cells it lacks are evaluated by one walk of the spill chain
-// (pipeline.EvaluateCells); the record is then rewritten once, with
+// the cells it lacks are measured by one walk of the spill chain
+// (pipeline.MeasureCells); the record is then rewritten once, with
 // every converged and non-converged cell added. A cancelled ctx is the
 // group's error: it is checked here before any cell is served, and by
 // the walk between rounds.
@@ -223,8 +223,8 @@ func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, 
 	out := make([]pipeline.Metrics, len(cells))
 	errs := make([]error, len(cells))
 	ideal := -1 // the group's first Ideal cell
-	var walk []pipeline.Cell
-	var at []int
+	walk := make([]pipeline.Cell, 0, len(cells))
+	at := make([]int, 0, len(cells))
 	for k, cell := range cells {
 		if cell.Model == core.Ideal {
 			if ideal >= 0 {
@@ -252,19 +252,11 @@ func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, 
 				errs[k] = err
 			}
 		} else {
-			res, resErrs := pipeline.EvaluateCells(ctx, c, b, walk)
+			res, resErrs := pipeline.MeasureCells(ctx, c, b, walk)
+			var nc *spill.NotConverged // one per group: errors.As moves it to the heap
 			for i, k := range at {
-				var nc *spill.NotConverged
-				switch err := resErrs[i]; {
-				case err == nil:
-					out[k] = pipeline.Measure(res[i])
-				case errors.As(err, &nc):
-					errs[k] = err
-				default:
-					errs[k] = err
-					continue
-				}
-				if c.store != nil {
+				out[k], errs[k] = res[i], resErrs[i]
+				if c.store != nil && (errs[k] == nil || errors.As(errs[k], &nc)) {
 					rec.Put(walk[i], errs[k] != nil, out[k])
 				}
 			}

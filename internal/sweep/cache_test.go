@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ncdrf/internal/core"
@@ -306,5 +307,78 @@ func TestEngineCompileAllCancellation(t *testing.T) {
 	// 8 registers forces spilling, whose rounds check the context.
 	if _, err := compileAll(eng, g, m, 8); err != nil {
 		t.Fatalf("cancelled evaluation was retained: %v", err)
+	}
+}
+
+// TestMetricsPathMatchesEvaluateCells is the differential test of the
+// group walk's metrics path where it can diverge from the result path:
+// every cell's metrics and error from evalCells, which measures each
+// distinct spill result once, equal Measure over pipeline.EvaluateCells
+// and its errors. The budgets reach down to where cells spill for many
+// rounds, where Swapped closes on a rebalanced schedule before
+// Partitioned, and (budget 2, on the kernels) where cells do not
+// converge. -short walks the kernels alone.
+func TestMetricsPathMatchesEvaluateCells(t *testing.T) {
+	corpus := loops.Kernels()
+	kernels := len(corpus)
+	if !testing.Short() {
+		spec := loopgen.Defaults()
+		spec.Loops = 200
+		corpus = append(corpus, loopgen.Generate(spec)...)
+	}
+	// experiment.EvalN(4, 6), which this package cannot import.
+	four := make([]machine.ClusterSpec, 4)
+	for i := range four {
+		four[i] = machine.ClusterSpec{Adders: 1, Multipliers: 1, MemPorts: 1}
+	}
+	machines := []*machine.Config{machine.Eval(3), machine.Eval(6), machine.MustNew("eval4c-L6", four, 6, 6, 1)}
+	ctx := context.Background()
+	eng := New(0)
+	var spilled, rebalanced, failed atomic.Int64
+	err := eng.ForEach(ctx, len(corpus)*len(machines), func(i int) error {
+		loop, m := corpus[i/len(machines)], machines[i%len(machines)]
+		var cells []pipeline.Cell
+		for _, model := range core.Models {
+			if i/len(machines) < kernels {
+				cells = append(cells, pipeline.Cell{Model: model, Regs: 2})
+			}
+			for regs := 4; regs <= 64; regs += 4 {
+				cells = append(cells, pipeline.Cell{Model: model, Regs: regs})
+			}
+		}
+		b, err := pipeline.NewBase(loop, m, sched.Options{})
+		if err != nil {
+			return err
+		}
+		want, wantErrs := pipeline.EvaluateCells(ctx, nil, b, cells)
+		k := 0
+		return eng.cache.evalCells(ctx, loop, m, sched.Options{}, cells, func(got pipeline.Metrics, err error) error {
+			c, name := cells[k], fmt.Sprintf("%s/%s/%v/%d", loop.LoopName, m.Name(), cells[k].Model, cells[k].Regs)
+			switch {
+			case (err == nil) != (wantErrs[k] == nil) || err != nil && err.Error() != wantErrs[k].Error():
+				return fmt.Errorf("%s: error %v, EvaluateCells %v", name, err, wantErrs[k])
+			case err != nil:
+				failed.Add(1)
+			case got != pipeline.Measure(want[k]):
+				return fmt.Errorf("%s: metrics %+v, EvaluateCells %+v", name, got, pipeline.Measure(want[k]))
+			case want[k].SpilledValues > 0:
+				spilled.Add(1)
+			}
+			// cells lists each model's budgets in one run, so the
+			// Partitioned cell at c's budget is one model's run back.
+			if p := k - len(cells)/core.NumModels; c.Model == core.Swapped && want[k] != nil &&
+				(want[p] == nil || want[p].Iterations > want[k].Iterations) {
+				rebalanced.Add(1)
+			}
+			k++
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d spilled, %d rebalanced and %d failed cells", spilled.Load(), rebalanced.Load(), failed.Load())
+	if spilled.Load() == 0 || rebalanced.Load() == 0 || failed.Load() == 0 {
+		t.Fatal("the walks need spilled, swap-rebalanced and failing cells")
 	}
 }

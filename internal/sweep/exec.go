@@ -49,11 +49,13 @@ func (e *Engine) Sweep(ctx context.Context, grid Grid, emit func(Result)) error 
 //
 // Execution is group → cell: groups are dispatched in order of first
 // appearance, and each requests its base artifact and walks its spill
-// chain at most once. Because plan order interleaves a group's
-// units across the whole (model × regs) span, the reorder buffer holds
-// every finished group whose first unemitted row is still behind the
-// plan-order prefix — in the worst case about a plan's worth of rows,
-// though a group's rows are dropped as soon as its last one is emitted.
+// chain at most once. Emit runs on the worker whose put made the next
+// rows ready, and no other put waits for it. Because plan order
+// interleaves a group's units across the whole (model × regs) span,
+// the reorder buffer holds every finished group whose first unemitted
+// row is still behind the plan-order prefix — in the worst case about
+// a plan's worth of rows, though a group's rows are dropped as soon as
+// its last one is emitted.
 // Groups share nothing: a corpus that lists one loop's content twice
 // builds its base and evaluates its cells once per listing.
 func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit func(Result), done func()) error {
@@ -137,19 +139,20 @@ func (g *groupRows) add(m pipeline.Metrics, err error) {
 	g.cells = append(g.cells, cellRow{Metrics: m})
 }
 
-// reorder serializes whole groups' rows back into unit order: put
-// hands over one group's rows and emits the longest ready prefix of the
-// unit list, following a precomputed unit → (group, position) table. A
-// group's rows are dropped as soon as its last one is emitted. Emit
-// calls happen under the lock, so they are serialized.
+// reorder serializes whole groups' rows back into unit order along a
+// unit → (group, position) table, dropping a group's rows once its last
+// is emitted. put stores rows under the lock; at most one put at a time
+// emits the ready prefix, outside the lock, until none is left, and a
+// put that finds an emission in progress returns at once.
 type reorder struct {
-	grid  Grid
-	units []Unit
-	mu    sync.Mutex
-	at    []rowAt
-	rows  []groupRows
-	next  int
-	emit  func(Result)
+	grid     Grid
+	units    []Unit
+	at       []rowAt
+	emit     func(Result)
+	mu       sync.Mutex
+	rows     []groupRows // a ready group's entry is the emitter's alone
+	next     int         // the first unit no emitter has taken
+	emitting bool
 }
 
 // rowAt locates one unit's row: its group and its position there.
@@ -168,25 +171,40 @@ func newReorder(grid Grid, units []Unit, groups []Group, emit func(Result)) *reo
 // put hands over group g's rows, in the order of the group's Units.
 func (o *reorder) put(g int, rows groupRows) {
 	o.mu.Lock()
-	defer o.mu.Unlock()
 	o.rows[g] = rows
-	for ; o.next < len(o.at); o.next++ {
-		at := o.at[o.next]
-		ready := &o.rows[at.group]
-		if ready.cells == nil {
-			return
-		}
-		c := ready.cells[at.pos]
-		r := rowFor(o.grid, o.units[o.next])
-		r.SetMetrics(c.Metrics)
-		if c.err > 0 {
-			r.Error = ready.errs[c.err-1]
-		}
-		o.emit(r)
-		if at.pos == len(ready.cells)-1 {
-			*ready = groupRows{}
-		}
+	if o.emitting {
+		o.mu.Unlock()
+		return
 	}
+	o.emitting = true
+	for {
+		from := o.next
+		for o.next < len(o.at) && o.rows[o.at[o.next].group].cells != nil {
+			o.next++
+		}
+		to := o.next
+		if from == to {
+			break
+		}
+		o.mu.Unlock()
+		for ui := from; ui < to; ui++ {
+			at := o.at[ui]
+			ready := &o.rows[at.group]
+			c := ready.cells[at.pos]
+			r := rowFor(o.grid, o.units[ui])
+			r.SetMetrics(c.Metrics)
+			if c.err > 0 {
+				r.Error = ready.errs[c.err-1]
+			}
+			o.emit(r)
+			if at.pos == len(ready.cells)-1 {
+				*ready = groupRows{}
+			}
+		}
+		o.mu.Lock()
+	}
+	o.emitting = false
+	o.mu.Unlock()
 }
 
 // Rows runs the grid and collects the emitted stream, in plan order —

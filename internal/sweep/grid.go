@@ -176,18 +176,26 @@ func (g Grid) Groups() []Group { return GroupUnits(g.Plan()) }
 // own units, which is exactly what keeps Grid.Shard's contract intact
 // (each shard emits its slice of the plan, base sharing included).
 func GroupUnits(units []Unit) []Group {
-	type gkey struct{ loop, machine int }
-	index := map[gkey]int{}
+	loops, machines := 0, 0
+	for _, u := range units {
+		loops, machines = max(loops, u.Loop+1), max(machines, u.Machine+1)
+	}
+	// A (loop, machine) slot holds its unit count until its group exists,
+	// then -1 - the group's index; each Units is a window of one array.
+	slot := make([]int, loops*machines)
+	for _, u := range units {
+		slot[u.Loop*machines+u.Machine]++
+	}
+	flat := make([]int, len(units))
 	var groups []Group
 	for i, u := range units {
-		k := gkey{u.Loop, u.Machine}
-		gi, ok := index[k]
-		if !ok {
-			gi = len(groups)
-			index[k] = gi
-			groups = append(groups, Group{Loop: u.Loop, Machine: u.Machine})
+		s := &slot[u.Loop*machines+u.Machine]
+		if *s > 0 {
+			groups = append(groups, Group{Loop: u.Loop, Machine: u.Machine, Units: flat[:0:*s]})
+			flat, *s = flat[*s:], -len(groups)
 		}
-		groups[gi].Units = append(groups[gi].Units, i)
+		g := &groups[-*s-1]
+		g.Units = append(g.Units, i)
 	}
 	return groups
 }

@@ -34,10 +34,12 @@
 // itself, with no clone; the base stage builds a fresh Base per
 // request, and a sweep requests one per (loop, machine) group at most;
 // the eval stage serves a group's cells in one walk, sharing an Ideal
-// cell's result across the group's budgets (Cache.evalCells). Callers
-// that need one base or one result set twice keep it themselves. The
-// eval stage reads and rewrites group records in the optional store
-// (Engine.SetStore), making a second process's run incremental.
+// cell's result across the group's budgets and measuring each distinct
+// spill result once (Cache.evalCells). Callers that need one base or
+// one result set twice keep it themselves. The eval stage reads and
+// rewrites group records in the optional store (Engine.SetStore),
+// making a second process's run incremental. Rows leave in plan order
+// through a reorder buffer that no worker waits on (Engine.SweepUnits).
 package sweep
 
 import (

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ncdrf/internal/core"
 	"ncdrf/internal/loops"
@@ -192,5 +194,57 @@ func TestReorderShuffledGroups(t *testing.T) {
 		if ui != i {
 			t.Fatalf("concurrent puts: row %d is unit %d", i, ui)
 		}
+	}
+}
+
+// TestReorderNeverBlocksWorkers parks the emitter on the stream's first
+// row. While it is parked, the other worker's puts must return, so it
+// finishes every remaining group, counted by the done hook; after the
+// release every row comes out exactly once, in plan order.
+func TestReorderNeverBlocksWorkers(t *testing.T) {
+	grid := Grid{
+		Corpus:   loops.Kernels()[:12],
+		Machines: []*machine.Config{machine.Eval(3), machine.Eval(6)},
+		Models:   []core.Model{core.Ideal, core.Unified},
+		Regs:     []int{16, 32},
+	}
+	ctx := context.Background()
+	want, err := New(1).Rows(ctx, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := grid.Plan()
+	var done atomic.Int64
+	allDone := make(chan struct{})
+	parked, release := make(chan struct{}), make(chan struct{})
+	var got []Result
+	finished := make(chan error, 1)
+	go func() {
+		finished <- New(2).SweepUnits(ctx, grid, units, func(r Result) {
+			if len(got) == 0 {
+				close(parked)
+				<-release
+			}
+			got = append(got, r)
+		}, func() {
+			if done.Add(1) == int64(len(units)) {
+				close(allDone)
+			}
+		})
+	}()
+	<-parked
+	select {
+	case <-allDone:
+	case <-time.After(time.Minute):
+		close(release)
+		t.Fatalf("%d of %d units done while the emitter was parked: a worker waits on the emission",
+			done.Load(), len(units))
+	}
+	close(release)
+	if err := <-finished; err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("emitted %d rows, want the %d rows of the plan in order", len(got), len(want))
 	}
 }
