@@ -886,24 +886,29 @@ func TestCmdMergeErrors(t *testing.T) {
 }
 
 // TestCmdCacheInspectAndGC drives `ncdrf cache` over a real artifact
-// directory: inspect reports the group records and a planted directory
-// of the previous format version as stale, GC removes that directory
-// and a planted damaged record, and the live entries keep serving (the
-// warm rerun still produces the byte-identical stream).
+// directory: inspect reports the group records, the damaged segment and
+// a planted directory of the previous format version as stale, GC
+// removes that directory and compacts the damaged segment's intact
+// records into one segment, and the live entries keep serving (the warm
+// rerun still produces the byte-identical stream).
 func TestCmdCacheInspectAndGC(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-kernels-only", "-lats", "6", "-models", "unified", "-regs", "32", "-cache-dir", dir}
 	first := capture(t, func() error { return cmdSweep(ctx0, testEng(), args) })
 
-	// Plant damage: one corrupted record and one stale version dir, as
-	// the per-schedule format left it.
+	// Plant damage: one corrupted record in the run's one segment, and a
+	// stale version dir as the per-record format left it.
 	vdir := filepath.Join(dir, fmt.Sprintf("v%d", store.FormatVersion))
-	records, err := os.ReadDir(filepath.Join(vdir, "group"))
-	if err != nil || len(records) == 0 {
-		t.Fatalf("no group records: %v", err)
+	segs, err := filepath.Glob(filepath.Join(vdir, "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, %v; want one", segs, err)
 	}
-	victim := filepath.Join(vdir, "group", records[0].Name())
-	if err := os.WriteFile(victim, []byte("garbage"), 0o644); err != nil {
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	staleDir := filepath.Join(dir, fmt.Sprintf("v%d", store.FormatVersion-1), "sched")
@@ -915,7 +920,7 @@ func TestCmdCacheInspectAndGC(t *testing.T) {
 	}
 
 	inspect := capture(t, func() error { return cmdCache([]string{"-dir", dir}) })
-	for _, want := range []string{"group", "sched", "stale version"} {
+	for _, want := range []string{"group", "stale version", "segments: 1, 1 damaged"} {
 		if !strings.Contains(inspect, want) {
 			t.Fatalf("inspect output missing %q:\n%s", want, inspect)
 		}
@@ -923,6 +928,9 @@ func TestCmdCacheInspectAndGC(t *testing.T) {
 	gcOut := capture(t, func() error { return cmdCache([]string{"-dir", dir, "-gc"}) })
 	if !strings.Contains(gcOut, "1 stale-version, 1 damaged") {
 		t.Fatalf("gc did not remove the planted files:\n%s", gcOut)
+	}
+	if after, _ := filepath.Glob(filepath.Join(vdir, "*.seg")); len(after) != 1 || after[0] == segs[0] {
+		t.Fatalf("segments after gc %v; want one compacted segment in place of %s", after, segs[0])
 	}
 	if _, err := os.Stat(staleDir); !os.IsNotExist(err) {
 		t.Fatalf("stale version dir survived gc: %v", err)

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"ncdrf/internal/lifetime"
 	"ncdrf/internal/regalloc"
 	"ncdrf/internal/sched"
@@ -123,7 +126,13 @@ type dualFit struct {
 	global  int // global-region registers; -1 when it cannot be allocated
 	local   []regalloc.Fitter
 	ready   []bool
-	answers map[int]bool
+	answers []answer // sorted by budget
+}
+
+// answer is dualFit's kept answer for one budget.
+type answer struct {
+	regs int
+	ok   bool
 }
 
 func (d *dualFit) reset(c *Classification) {
@@ -136,21 +145,20 @@ func (d *dualFit) reset(c *Classification) {
 		d.ready = make([]bool, c.Clusters)
 	}
 	clear(d.ready)
-	clear(d.answers)
+	d.answers = d.answers[:0]
 }
 
 // fits reports whether the classified values fit in subfiles of r
 // registers each.
 func (d *dualFit) fits(r int) bool {
-	ok, seen := d.answers[r]
+	i, seen := slices.BinarySearchFunc(d.answers, r, func(a answer, r int) int { return cmp.Compare(a.regs, r) })
 	if !seen {
-		ok = d.place(r)
 		if d.answers == nil {
-			d.answers = map[int]bool{}
+			d.answers = make([]answer, 0, 32) // one allocation for the paper's axes and a 26-point curve
 		}
-		d.answers[r] = ok
+		d.answers = slices.Insert(d.answers, i, answer{r, d.place(r)})
 	}
-	return ok
+	return d.answers[i].ok
 }
 
 // place runs the placement that answers fits.

@@ -1,45 +1,29 @@
-// Package store is a content-addressed, persistent artifact store: the
-// disk tier below internal/sweep's eval stage, and its only tier. It
-// maps (stage, key) pairs — the key being a hex digest derived from the
-// content triple internal/sweep keys its group records on — to opaque
-// artifact payloads, so a second process evaluating the same problems
-// reads the first one's results instead of recomputing them.
-//
-// # Layout and versioning
-//
-// Artifacts live under <dir>/v<FormatVersion>/<stage>/<key>. The format
-// version appears both in the path and in every file's header, so a
-// format change (container or artifact codec) invalidates the whole
-// store cleanly: a new binary simply reads and writes a fresh version
-// directory and never misinterprets old bytes.
-//
-// # Durability and concurrency
-//
-// Every file is self-verifying: a one-line header carries the payload
-// length and its SHA-256, checked on read. Writes go to a temp file in
-// the destination directory and are renamed into place, so readers —
-// including concurrent processes sharing the directory — observe either
-// no file or a complete one, never a torn write. Concurrent writers of
-// the same key race benignly: artifacts are deterministic functions of
-// their key, so whichever rename wins installs identical content.
-//
-// # Failure policy
-//
-// The store is a cache, not a system of record: every failure (missing
-// file, truncation, corruption, version mismatch, unreadable directory)
-// is reported as a miss or counted fault, never an error that stops the
-// caller — the engine recomputes and tries to rewrite. Only Open fails
-// hard, so a mistyped -cache-dir surfaces immediately.
+// Package store is a persistent artifact store, the disk tier below
+// internal/sweep's eval stage: it maps (stage, key) pairs to payloads,
+// so a second process evaluating the same problems reads the first one's
+// results. Artifacts are checksummed frames appended to segment files,
+// <dir>/v<FormatVersion>/<seq>-<unique>.seg, one per writing process;
+// DESIGN.md gives the format, the order in which frames supersede each
+// other, and the recovery rules. The store is a cache, not a system of
+// record: every failure is a miss or a counted fault, never an error
+// that stops the caller, and only Open fails hard, so a mistyped
+// -cache-dir surfaces immediately.
 package store
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
-	"encoding/hex"
+	"encoding/binary"
 	"fmt"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -48,10 +32,7 @@ import (
 // engine writes (internal/pipeline's group records). Bump it whenever
 // either changes shape; old artifacts are then invisible rather than
 // misdecoded, and `ncdrf cache -gc` removes them.
-const FormatVersion = 2
-
-// magic leads every artifact file's header line.
-const magic = "ncdrf-artifact"
+const FormatVersion = 3
 
 // Stats is a snapshot of the store's counters.
 type Stats struct {
@@ -59,29 +40,36 @@ type Stats struct {
 	Hits uint64
 	// Misses counts Get calls that found no artifact.
 	Misses uint64
-	// Writes counts artifacts successfully installed by Put.
+	// Writes counts artifacts successfully appended by Put.
 	Writes uint64
 	// Faults counts damaged or undecodable artifacts and failed writes:
-	// truncation, checksum or version mismatches, I/O errors, and
-	// payloads the caller reported via Discard. Faulty files are treated
-	// as misses and recomputed.
+	// frames whose checksum fails and unreadable segments (counted by
+	// Open), I/O errors, and payloads the caller reported via Discard.
+	// Faulty artifacts are treated as misses and recomputed.
 	Faults uint64
 }
 
-// Store is a content-addressed artifact directory. It is safe for
-// concurrent use by multiple goroutines and multiple processes sharing
-// the same directory.
+// Store is an artifact directory. It is safe for concurrent use by
+// multiple goroutines and multiple processes sharing the same directory.
 type Store struct {
 	root string // <dir>/v<FormatVersion>
+
+	mu    sync.Mutex
+	index map[entry][]byte // each (stage, key)'s winning frame
+	seq   uint64           // the sequence number of this store's segment
+	seg   *os.File         // this store's segment, created by the first Put
 
 	hits, misses, writes, faults atomic.Uint64
 }
 
+// entry is the index key of one artifact.
+type entry struct{ stage, key string }
+
 // Open creates (if needed) and opens the version directory of an
-// artifact store rooted at dir. It also sweeps stale temp files left
-// behind by writers that were interrupted between CreateTemp and the
-// final rename, so a long-lived shared directory does not accumulate
-// dead .tmp-* litter.
+// artifact store rooted at dir, and reads and verifies every segment once
+// to serve Get from memory. Damage faults once: each damaged segment's
+// live frames are re-appended to the store's own segment, and then it is
+// removed. Open also sweeps stale temp files of interrupted compactions.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
@@ -90,160 +78,104 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	sweepTemps(root)
-	return &Store{root: root}, nil
-}
-
-// tempMaxAge is how old a .tmp-* file must be before Open reclaims it.
-// The grace period keeps the sweep from racing a live writer in another
-// process; real writes last milliseconds, so an hour is conservative.
-const tempMaxAge = time.Hour
-
-// sweepTemps best-effort removes stale temp files under every stage
-// directory. Failures are ignored: leftover temps cost disk space, not
-// correctness.
-func sweepTemps(root string) {
-	stages, err := os.ReadDir(root)
+	segs, temps, err := readVersion(root)
 	if err != nil {
-		return
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	//lint:allow wallclock -- stale-temp cleanup is wall-clock policy; never key or artifact material
-	cutoff := time.Now().Add(-tempMaxAge)
-	for _, st := range stages {
-		if !st.IsDir() {
-			continue
-		}
-		stageDir := filepath.Join(root, st.Name())
-		files, err := os.ReadDir(stageDir)
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if !strings.HasPrefix(f.Name(), ".tmp-") {
-				continue
-			}
-			if info, err := f.Info(); err == nil && info.ModTime().Before(cutoff) {
-				os.Remove(filepath.Join(stageDir, f.Name()))
-			}
+	cutoff := time.Now().Add(-time.Hour) // spares a live compaction in another process
+	for _, name := range temps {
+		if info, err := os.Lstat(filepath.Join(root, name)); err == nil && info.ModTime().Before(cutoff) {
+			os.Remove(filepath.Join(root, name))
 		}
 	}
+	s := &Store{root: root, index: indexFrames(segs)}
+	for _, seg := range segs {
+		s.seq = max(s.seq, seg.seq)
+		s.faults.Add(uint64(seg.damaged))
+	}
+	s.seq++
+	s.mu.Lock()
+	defer s.mu.Unlock()
+salvage:
+	for _, seg := range segs {
+		if seg.damaged == 0 {
+			continue
+		}
+		for _, frame := range seg.frames {
+			if _, ok := live(s.index, frame); ok && s.append(frame) != nil {
+				continue salvage // keep the segment: a frame was not saved
+			}
+		}
+		os.Remove(filepath.Join(root, seg.name))
+	}
+	return s, nil
 }
 
 // Dir returns the store's version directory.
 func (s *Store) Dir() string { return s.root }
 
-// path maps (stage, key) to the artifact file. Stage names are fixed
-// identifiers chosen by the engine and keys are hex digests, so both are
-// safe path components by construction.
-func (s *Store) path(stage, key string) string {
-	return filepath.Join(s.root, stage, key)
-}
-
-// headerLine renders the self-verification line (sans newline) that
-// leads every artifact. It is the one formatter for the header: the
-// write side (header) and the read side (verifyPayload) both call it,
-// so the two can never drift apart — a drift would make every fresh
-// Put fail its next Get, and Get's damage removal would then delete
-// the whole cache instead of merely missing.
-func headerLine(version int, stage string, payload []byte) string {
-	sum := sha256.Sum256(payload)
-	return fmt.Sprintf("%s v%d %s %d %s",
-		magic, version, stage, len(payload), hex.EncodeToString(sum[:]))
-}
-
-// header renders the header line Put writes.
-func header(stage string, payload []byte) string {
-	return headerLine(FormatVersion, stage, payload) + "\n"
-}
-
-// verifyPayload checks data's header against (version, stage) and
-// returns the framed payload. It is the one verification routine: Get
-// uses it with the current FormatVersion, Scan with whatever version
-// directory a file was found under.
-func verifyPayload(data []byte, version int, stage string) ([]byte, bool) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, false
-	}
-	payload := data[nl+1:]
-	if string(data[:nl]) != headerLine(version, stage, payload) {
-		return nil, false
-	}
-	return payload, true
-}
-
 // Get returns the verified payload stored under (stage, key), or false
-// when it is absent or damaged. Damage (truncation, corruption, version
-// or stage mismatch) counts as a fault and reads as a miss: the caller
-// recomputes. A verified-damaged file is best-effort removed — leaving
-// it on disk would fault again on every future run, a permanent
-// fault-loop — so the recompute's Put installs a clean one. The
-// removal can race another process repairing the same key (its fresh
-// artifact is deleted and reads as a miss next time); that is within
-// the store's best-effort contract and costs one recompute.
+// when it is absent, damaged or discarded. The payload is shared with
+// the store: callers must not modify it.
 func (s *Store) Get(stage, key string) ([]byte, bool) {
-	path := s.path(stage, key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			s.misses.Add(1)
-		} else {
-			s.faults.Add(1)
-		}
-		return nil, false
-	}
-	payload, ok := verifyPayload(data, FormatVersion, stage)
+	s.mu.Lock()
+	frame, ok := s.index[entry{stage, key}]
+	s.mu.Unlock()
 	if !ok {
-		os.Remove(path)
-		s.faults.Add(1)
+		s.misses.Add(1)
 		return nil, false
 	}
 	s.hits.Add(1)
+	_, _, payload := fields(frame)
 	return payload, true
 }
 
-// Put installs payload under (stage, key) via a temp file and an atomic
-// rename. Errors are counted as faults and returned for observability,
-// but callers treat the store as best-effort and keep going.
+// Put appends payload's frame under (stage, key) to the store's segment
+// with one write, superseding every earlier frame for the key. Errors
+// are counted as faults and returned, but callers keep going.
 func (s *Store) Put(stage, key string, payload []byte) error {
-	dir := filepath.Join(s.root, stage)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if len(stage) > math.MaxUint8 || len(key) > math.MaxUint8 || uint64(len(payload)) > math.MaxUint32 {
 		s.faults.Add(1)
-		return fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %s artifact %q is too large to frame", stage, key)
 	}
-	tmp, err := os.CreateTemp(dir, ".tmp-"+key+"-*")
-	if err != nil {
+	frame := newFrame(stage, key, payload)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.append(frame); err != nil {
 		s.faults.Add(1)
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
-	_, err = tmp.WriteString(header(stage, payload))
-	if err == nil {
-		_, err = tmp.Write(payload)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), s.path(stage, key))
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		s.faults.Add(1)
-		return fmt.Errorf("store: %w", err)
-	}
+	s.index[entry{stage, key}] = frame
 	s.writes.Add(1)
 	return nil
 }
 
-// Discard records an artifact that passed container verification but
-// failed the caller's decoding — e.g. one written by a buggy build — as
-// a fault, and best-effort removes (stage, key)'s file: for
-// decode-level damage, where the container verifies but the payload is
-// undecodable, so without removal the artifact would fault again on
-// every future run instead of letting the recompute's Put replace it.
+// append writes frame to the store's segment, created on first use
+// under the store's sequence number. s.mu must be held.
+func (s *Store) append(frame []byte) error {
+	if s.seg == nil {
+		f, err := os.CreateTemp(s.root, strconv.FormatUint(s.seq, 10)+"-*"+segExt)
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		s.seg = f
+	}
+	if _, err := s.seg.Write(frame); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
+
+// Discard records an artifact that passed frame verification but failed
+// the caller's decoding — e.g. one written by a buggy build — as a
+// fault, and drops (stage, key) from the index, so it reads as a miss
+// and the recompute's Put supersedes its frame.
 func (s *Store) Discard(stage, key string) {
 	s.faults.Add(1)
-	os.Remove(s.path(stage, key))
+	s.mu.Lock()
+	delete(s.index, entry{stage, key})
+	s.mu.Unlock()
 }
 
 // Stats returns a snapshot of the store counters.
@@ -254,4 +186,120 @@ func (s *Store) Stats() Stats {
 		Writes: s.writes.Load(),
 		Faults: s.faults.Load(),
 	}
+}
+
+// A frame is a 6-byte head — the stage's and the key's lengths, one byte
+// each, and the payload's, four bytes big-endian — then the stage, the
+// key and the payload, then the SHA-256 of everything before it.
+const (
+	frameHead = 6
+	frameSum  = sha256.Size
+	segExt    = ".seg"
+)
+
+// newFrame returns the frame of (stage, key, payload).
+func newFrame(stage, key string, payload []byte) []byte {
+	buf := make([]byte, 0, frameHead+len(stage)+len(key)+len(payload)+frameSum)
+	buf = append(buf, byte(len(stage)), byte(len(key)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(append(append(buf, stage...), key...), payload...)
+	sum := sha256.Sum256(buf)
+	return append(buf, sum[:]...)
+}
+
+// nextFrame measures the frame data starts with: its length, or 0 when
+// data holds no complete frame (it is empty, or its frame is cut short),
+// and whether its checksum verifies.
+func nextFrame(data []byte) (int, bool) {
+	if len(data) < frameHead {
+		return 0, false
+	}
+	n := uint64(frameHead+int(data[0])+int(data[1])+frameSum) + uint64(binary.BigEndian.Uint32(data[2:]))
+	if uint64(len(data)) < n {
+		return 0, false
+	}
+	sum := sha256.Sum256(data[:n-frameSum])
+	return int(n), bytes.Equal(sum[:], data[n-frameSum:n])
+}
+
+// fields splits a complete frame into its stage, key and payload. The
+// payload's capacity ends with it.
+func fields(frame []byte) (stage, key, payload []byte) {
+	k := frameHead + int(frame[0])
+	p := k + int(frame[1])
+	end := len(frame) - frameSum
+	return frame[frameHead:k], frame[k:p], frame[p:end:end]
+}
+
+// live returns frame's index key, and whether frame is the one idx
+// serves for it.
+func live(idx map[entry][]byte, frame []byte) (entry, bool) {
+	stage, key, _ := fields(frame)
+	e := entry{string(stage), string(key)}
+	served := idx[e]
+	return e, len(served) > 0 && &served[0] == &frame[0]
+}
+
+// segment is one segment file of the current version, read whole: its
+// complete frames whose checksum verifies, in order, and the number of
+// those that fail (one for a segment that could not be read).
+type segment struct {
+	name    string
+	seq     uint64
+	info    fs.FileInfo
+	frames  [][]byte
+	damaged int
+}
+
+// readVersion lists root's segments in supersede order — ascending
+// sequence number, ties by name — reads and parses them, and lists the
+// names of its leftover temp files. A segment that vanished since the
+// listing (a concurrent GC) is left empty.
+func readVersion(root string) (segs []segment, temps []string, err error) {
+	files, err := os.ReadDir(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, f := range files {
+		seq, rest, _ := strings.Cut(f.Name(), "-")
+		n, err := strconv.ParseUint(seq, 10, 64)
+		switch info, ierr := f.Info(); {
+		case strings.HasPrefix(f.Name(), ".tmp-"):
+			temps = append(temps, f.Name())
+		case err == nil && strings.HasSuffix(rest, segExt) && ierr == nil && info.Mode().IsRegular():
+			segs = append(segs, segment{name: f.Name(), seq: n, info: info})
+		}
+	}
+	slices.SortFunc(segs, func(a, b segment) int {
+		return cmp.Or(cmp.Compare(a.seq, b.seq), strings.Compare(a.name, b.name))
+	})
+	for i := range segs {
+		seg := &segs[i]
+		data, err := os.ReadFile(filepath.Join(root, seg.name))
+		if err != nil && !os.IsNotExist(err) {
+			seg.damaged = 1
+		}
+		for n, ok := nextFrame(data); n > 0; n, ok = nextFrame(data) {
+			if ok {
+				seg.frames = append(seg.frames, data[:n:n])
+			} else {
+				seg.damaged++
+			}
+			data = data[n:]
+		}
+	}
+	return segs, temps, nil
+}
+
+// indexFrames maps each (stage, key) to its winning frame among segs,
+// which are in supersede order.
+func indexFrames(segs []segment) map[entry][]byte {
+	idx := map[entry][]byte{}
+	for _, seg := range segs {
+		for _, frame := range seg.frames {
+			e, _ := live(nil, frame)
+			idx[e] = frame
+		}
+	}
+	return idx
 }

@@ -5,23 +5,45 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func openT(t *testing.T) *Store {
+func openDir(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(t.TempDir())
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
+// segments returns the segment files of s's version directory.
+func segments(t *testing.T, s *Store) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(s.Dir(), "[0-9]*"+segExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
+// onlySegment returns the one segment file of s's version directory.
+func onlySegment(t *testing.T, s *Store) string {
+	t.Helper()
+	segs := segments(t, s)
+	if len(segs) != 1 {
+		t.Fatalf("%d segments, want 1: %v", len(segs), segs)
+	}
+	return segs[0]
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
-	s := openT(t)
+	dir := t.TempDir()
+	s := openDir(t, dir)
 	payload := []byte("machine eval-L3\nloop daxpy 100\n")
 	if err := s.Put("sched", "00ff", payload); err != nil {
 		t.Fatal(err)
@@ -46,12 +68,32 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatalf("unexpected stats: %+v", st)
 	}
 	// Empty payloads are legal artifacts (none exist today, but the
-	// container must not confuse empty with missing).
+	// frame must not confuse empty with missing).
 	if err := s.Put("sched", "empty", nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := s.Get("sched", "empty"); !ok || len(got) != 0 {
 		t.Fatalf("empty payload mishandled: %q %v", got, ok)
+	}
+	// A later process reads the last frame of each key from the one
+	// segment this store wrote.
+	onlySegment(t, s)
+	r := openDir(t, dir)
+	if got, ok := r.Get("sched", "00ff"); !ok || string(got) != "v2" {
+		t.Fatalf("reopened store serves %q %v", got, ok)
+	}
+	if got, ok := r.Get("sched", "empty"); !ok || len(got) != 0 {
+		t.Fatalf("reopened store mishandles the empty payload: %q %v", got, ok)
+	}
+	// A payload appended to cannot overwrite the segment bytes after it.
+	got, _ = r.Get("sched", "00ff")
+	_ = append(got, 'x')
+	if got, ok := r.Get("sched", "empty"); !ok || len(got) != 0 {
+		t.Fatalf("an append to one payload reached the next frame: %q %v", got, ok)
+	}
+	// Oversized frames are refused.
+	if err := s.Put(strings.Repeat("s", 256), "k", nil); err == nil {
+		t.Fatal("a 256-byte stage name was framed")
 	}
 }
 
@@ -63,15 +105,12 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 
 func TestVersionIsolation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openDir(t, dir)
 	if err := s.Put("sched", "k", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	// A future format version must not see v1 artifacts: its version
-	// directory is disjoint by construction.
+	// A future format version must not see this version's artifacts:
+	// its version directory is disjoint by construction.
 	future := filepath.Join(dir, fmt.Sprintf("v%d", FormatVersion+1))
 	if _, err := os.Stat(future); !os.IsNotExist(err) {
 		t.Fatalf("future version dir unexpectedly exists: %v", err)
@@ -81,106 +120,279 @@ func TestVersionIsolation(t *testing.T) {
 	}
 }
 
-// TestDamageReadsAsMiss covers the recovery contract: truncated,
-// corrupted, version-mismatched and header-less files read as misses
-// (with a fault counted), never as payloads and never as crashes.
-func TestDamageReadsAsMiss(t *testing.T) {
-	payload := []byte("some artifact payload, long enough to truncate meaningfully\n")
-	damage := map[string]func(path string) error{
-		"truncated": func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(p, data[:len(data)/2], 0o644)
-		},
-		"corrupted-payload": func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			data[len(data)-2] ^= 0xff
-			return os.WriteFile(p, data, 0o644)
-		},
-		"version-mismatch": func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			bad := bytes.Replace(data, []byte(fmt.Sprintf("%s v%d ", magic, FormatVersion)),
-				[]byte(fmt.Sprintf("%s v%d ", magic, FormatVersion+1)), 1)
-			return os.WriteFile(p, bad, 0o644)
-		},
-		"stage-mismatch": func(p string) error {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			bad := bytes.Replace(data, []byte(" sched "), []byte(" eval "), 1)
-			return os.WriteFile(p, bad, 0o644)
-		},
-		"no-header": func(p string) error {
-			return os.WriteFile(p, []byte("not an artifact at all"), 0o644)
-		},
-		"empty-file": func(p string) error {
-			return os.WriteFile(p, nil, 0o644)
-		},
+// TestOpenEmptyDirCreatesNothing: a run that computes nothing leaves no
+// file behind, and a warm rerun that only reads creates none.
+func TestOpenEmptyDirCreatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s := openDir(t, dir)
+	if _, ok := s.Get("group", "k"); ok {
+		t.Fatal("empty store served an artifact")
 	}
-	for name, hurt := range damage {
+	if segs := segments(t, s); len(segs) != 0 {
+		t.Fatalf("a store that wrote nothing created %v", segs)
+	}
+	if err := s.Put("group", "k", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	r := openDir(t, dir)
+	if _, ok := r.Get("group", "k"); !ok {
+		t.Fatal("artifact lost")
+	}
+	if segs := segments(t, r); len(segs) != 1 {
+		t.Fatalf("a rerun that only read left %d segments, want 1", len(segs))
+	}
+}
+
+// frameAt returns the offset and length of the i-th frame of data.
+func frameAt(t *testing.T, data []byte, i int) (int, int) {
+	t.Helper()
+	off := 0
+	for ; ; i-- {
+		n, ok := nextFrame(data[off:])
+		if n == 0 || !ok {
+			t.Fatalf("no verified frame %d", i)
+		}
+		if i == 0 {
+			return off, n
+		}
+		off += n
+	}
+}
+
+// TestDamageReadsAsMiss covers the recovery contract. A frame damaged
+// in its stage, key, payload or checksum reads as a miss with one fault,
+// never as a payload, and its neighbours still serve. A segment cut
+// short, emptied, holding no frame, or moved to another version's
+// directory reads as a miss without a fault. Either way a rewrite serves
+// again, and the next run does not fault.
+func TestDamageReadsAsMiss(t *testing.T) {
+	payload := []byte("some artifact payload, long enough to damage meaningfully\n")
+	flip := func(at func(frameLen int) int) func(string, []byte) error {
+		return func(seg string, data []byte) error {
+			off, n := frameAt(t, data, 1)
+			data[off+at(n)] ^= 0x40
+			return os.WriteFile(seg, data, 0o644)
+		}
+	}
+	for name, c := range map[string]struct {
+		hurt   func(seg string, data []byte) error
+		faults uint64
+	}{
+		"stage-mismatch":     {flip(func(int) int { return frameHead }), 1},
+		"key-mismatch":       {flip(func(int) int { return frameHead + len("group") + 2 }), 1},
+		"corrupted-payload":  {flip(func(n int) int { return n - frameSum - 3 }), 1},
+		"corrupted-checksum": {flip(func(n int) int { return n - 1 }), 1},
+		"truncated":          {func(seg string, data []byte) error { return os.WriteFile(seg, data[:len(data)-40], 0o644) }, 0},
+		"empty-file":         {func(seg string, _ []byte) error { return os.WriteFile(seg, nil, 0o644) }, 0},
+		"no-header":          {func(seg string, _ []byte) error { return os.WriteFile(seg, []byte("not an artifact at all"), 0o644) }, 0},
+		"version-mismatch": {func(seg string, _ []byte) error {
+			future := filepath.Join(filepath.Dir(filepath.Dir(seg)), fmt.Sprintf("v%d", FormatVersion+1))
+			if err := os.MkdirAll(future, 0o755); err != nil {
+				return err
+			}
+			return os.Rename(seg, filepath.Join(future, filepath.Base(seg)))
+		}, 0},
+	} {
 		t.Run(name, func(t *testing.T) {
-			s := openT(t)
-			if err := s.Put("sched", "victim", payload); err != nil {
+			dir := t.TempDir()
+			s := openDir(t, dir)
+			keys := []string{"before", "after", "victim"}
+			if c.faults > 0 {
+				keys = []string{"before", "victim", "after"}
+			}
+			for _, k := range keys {
+				if err := s.Put("group", k, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seg := onlySegment(t, s)
+			data, err := os.ReadFile(seg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := hurt(filepath.Join(s.Dir(), "sched", "victim")); err != nil {
+			if err := c.hurt(seg, data); err != nil {
 				t.Fatal(err)
 			}
-			if got, ok := s.Get("sched", "victim"); ok {
+
+			r := openDir(t, dir)
+			if got, ok := r.Get("group", "victim"); ok {
 				t.Fatalf("damaged artifact served: %q", got)
 			}
-			if st := s.Stats(); st.Faults != 1 {
-				t.Fatalf("damage not counted as fault: %+v", st)
+			if st := r.Stats(); st.Faults != c.faults {
+				t.Fatalf("damage counted as %d faults, want %d", st.Faults, c.faults)
+			}
+			if c.faults > 0 {
+				for _, k := range []string{"before", "after"} {
+					if got, ok := r.Get("group", k); !ok || !bytes.Equal(got, payload) {
+						t.Fatalf("%s next to the damage: %q %v", k, got, ok)
+					}
+				}
 			}
 			// The slot is recoverable: a rewrite serves again.
-			if err := s.Put("sched", "victim", payload); err != nil {
+			if err := r.Put("group", "victim", payload); err != nil {
 				t.Fatal(err)
 			}
-			if got, ok := s.Get("sched", "victim"); !ok || !bytes.Equal(got, payload) {
-				t.Fatalf("rewrite after damage failed: %q %v", got, ok)
+			again := openDir(t, dir)
+			if got, ok := again.Get("group", "victim"); !ok || !bytes.Equal(got, payload) {
+				t.Fatalf("rewrite after damage reads %q %v", got, ok)
+			}
+			if st := again.Stats(); st.Faults != 0 {
+				t.Fatalf("damage faulted again on the next run: %+v", st)
 			}
 		})
 	}
 }
 
-// TestOpenSweepsStaleTemps checks that Open reclaims temp files left by
-// interrupted writers, while sparing recent ones (a live writer in
-// another process) and real artifacts.
-func TestOpenSweepsStaleTemps(t *testing.T) {
+// TestDamagedArtifactRemoved pins the fault-loop fix: a damaged segment
+// is removed by the Open that detects it, after its intact live frames
+// are re-appended to the new segment, so its damage faults once, not on
+// every future run, and nothing it held intact is lost.
+func TestDamagedArtifactRemoved(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s := openDir(t, dir)
+	for _, k := range []string{"kept", "victim", "superseded"} {
+		if err := s.Put("sched", k, []byte("payload of "+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := openDir(t, dir).Put("sched", "superseded", []byte("newer")); err != nil {
+		t.Fatal(err)
+	}
+	seg := segments(t, s)[0]
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	off, n := frameAt(t, data, 1)
+	data[off+n-1] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := openDir(t, dir)
+	if _, err := os.Stat(seg); !os.IsNotExist(err) {
+		t.Fatalf("damaged segment left on disk: %v", err)
+	}
+	if _, ok := r.Get("sched", "victim"); ok {
+		t.Fatal("damaged artifact served")
+	}
+	// The second run reads a plain miss, not another fault, and the
+	// salvaged frame; the superseded frame was not salvaged over its
+	// successor.
+	again := openDir(t, dir)
+	if _, ok := again.Get("sched", "victim"); ok {
+		t.Fatal("removed artifact served")
+	}
+	if got, ok := again.Get("sched", "kept"); !ok || string(got) != "payload of kept" {
+		t.Fatalf("intact frame lost with its damaged segment: %q %v", got, ok)
+	}
+	if got, ok := again.Get("sched", "superseded"); !ok || string(got) != "newer" {
+		t.Fatalf("salvage revived a superseded frame: %q %v", got, ok)
+	}
+	if st := r.Stats(); st.Faults != 1 {
+		t.Fatalf("damage counted as %d faults, want 1", st.Faults)
+	}
+	if st := again.Stats(); st.Faults != 0 || st.Misses != 1 {
+		t.Fatalf("fault loop not broken: %+v", st)
+	}
+}
+
+// TestSegmentCutMidFrame: a segment cut anywhere — its writer still
+// appending, or killed — serves every frame wholly before the cut, reads
+// the cut frame as absent and counts no fault.
+func TestSegmentCutMidFrame(t *testing.T) {
+	dir := t.TempDir()
+	s := openDir(t, dir)
+	keys := []string{"a", "b", "c"}
+	for _, k := range keys {
+		if err := s.Put("group", k, []byte("payload of "+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg := onlySegment(t, s)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(data); cut++ {
+		if err := os.WriteFile(seg, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := openDir(t, dir)
+		end := 0
+		for i, k := range keys {
+			_, n := frameAt(t, data, i)
+			end += n
+			got, ok := r.Get("group", k)
+			if whole := end <= cut; ok != whole || ok && string(got) != "payload of "+k {
+				t.Fatalf("cut at %d: frame %s (ends at %d) reads %q, %v", cut, k, end, got, ok)
+			}
+		}
+		if st := r.Stats(); st.Faults != 0 {
+			t.Fatalf("cut at %d counted as %d faults", cut, st.Faults)
+		}
+		if _, err := os.Stat(seg); err != nil {
+			t.Fatalf("cut at %d: the cut segment was removed: %v", cut, err)
+		}
+	}
+}
+
+// TestLaterSegmentWins: each sequential store writes a segment ordered
+// after every segment it saw, so its frames supersede theirs — also past
+// the sequence numbers whose names sort the other way (9 < 10).
+func TestLaterSegmentWins(t *testing.T) {
+	dir := t.TempDir()
+	for i := range 12 {
+		s := openDir(t, dir)
+		if i > 0 {
+			if got, ok := s.Get("group", "k"); !ok || string(got) != strconv.Itoa(i-1) {
+				t.Fatalf("store %d reads %q %v, want the previous store's frame", i, got, ok)
+			}
+		}
+		if err := s.Put("group", "k", []byte(strconv.Itoa(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSequentialStoresUnion: three sequential stores each add a cell to
+// one key's record; a fourth store sees the union. This is how
+// sequential shards sharing a directory build up one group record.
+func TestSequentialStoresUnion(t *testing.T) {
+	dir := t.TempDir()
+	for _, cell := range []string{"cell-1;", "cell-2;", "cell-3;"} {
+		s := openDir(t, dir)
+		rec, _ := s.Get("group", "g")
+		if err := s.Put("group", "g", append(bytes.Clone(rec), cell...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, ok := openDir(t, dir).Get("group", "g"); !ok || string(got) != "cell-1;cell-2;cell-3;" {
+		t.Fatalf("fourth store reads %q %v, want the union", got, ok)
+	}
+}
+
+// TestOpenSweepsStaleTemps checks that Open reclaims temp files left by
+// interrupted compactions, while sparing recent ones (a live compaction
+// in another process) and segments.
+func TestOpenSweepsStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	s := openDir(t, dir)
 	if err := s.Put("sched", "keep", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	stageDir := filepath.Join(s.Dir(), "sched")
-	stale := filepath.Join(stageDir, ".tmp-dead-123")
-	fresh := filepath.Join(stageDir, ".tmp-live-456")
+	stale := filepath.Join(s.Dir(), ".tmp-1-123"+segExt)
+	fresh := filepath.Join(s.Dir(), ".tmp-1-456"+segExt)
 	for _, p := range []string{stale, fresh} {
 		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	old := time.Now().Add(-2 * tempMaxAge)
+	old := time.Now().Add(-2 * time.Hour)
 	if err := os.Chtimes(stale, old, old); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := openDir(t, dir)
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("stale temp survived reopen: %v", err)
 	}
@@ -194,9 +406,11 @@ func TestOpenSweepsStaleTemps(t *testing.T) {
 
 // TestConcurrentPutGet hammers one store from many goroutines (run under
 // -race in CI): concurrent writers of the same key and readers racing
-// them must only ever observe complete payloads.
+// them must only ever observe complete payloads, and every frame lands
+// whole in the store's one segment.
 func TestConcurrentPutGet(t *testing.T) {
-	s := openT(t)
+	dir := t.TempDir()
+	s := openDir(t, dir)
 	payload := bytes.Repeat([]byte("deterministic artifact content\n"), 64)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -204,7 +418,11 @@ func TestConcurrentPutGet(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if err := s.Put("eval", "shared", payload); err != nil {
+				key := "shared"
+				if i%2 == 1 {
+					key = fmt.Sprintf("own-%d", w)
+				}
+				if err := s.Put("eval", key, payload); err != nil {
 					t.Error(err)
 					return
 				}
@@ -219,54 +437,34 @@ func TestConcurrentPutGet(t *testing.T) {
 	if got, ok := s.Get("eval", "shared"); !ok || !bytes.Equal(got, payload) {
 		t.Fatal("final read failed")
 	}
-	// No temp litter left behind.
-	entries, err := os.ReadDir(filepath.Join(s.Dir(), "eval"))
-	if err != nil {
-		t.Fatal(err)
+	onlySegment(t, s)
+	r := openDir(t, dir)
+	for w := 0; w < 8; w++ {
+		if got, ok := r.Get("eval", fmt.Sprintf("own-%d", w)); !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("writer %d's frame reads back as %d bytes, %v", w, len(got), ok)
+		}
 	}
-	if len(entries) != 1 {
-		t.Fatalf("directory holds %d entries, want 1", len(entries))
-	}
-}
-
-// TestDamagedArtifactRemoved pins the PR 4 fault-loop fix: a damaged
-// artifact is removed by the Get that detects it, so it faults once,
-// not on every future run.
-func TestDamagedArtifactRemoved(t *testing.T) {
-	s := openT(t)
-	if err := s.Put("sched", "victim", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(s.Dir(), "sched", "victim")
-	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get("sched", "victim"); ok {
-		t.Fatal("damaged artifact served")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("damaged artifact left on disk: %v", err)
-	}
-	// The second read is a plain miss, not another fault.
-	if _, ok := s.Get("sched", "victim"); ok {
-		t.Fatal("removed artifact served")
-	}
-	if st := s.Stats(); st.Faults != 1 || st.Misses != 1 {
-		t.Fatalf("fault loop not broken: %+v", st)
+	if st := r.Stats(); st.Faults != 0 {
+		t.Fatalf("interleaved writes damaged frames: %+v", st)
 	}
 }
 
-// TestDiscardRemovesDecodeFaults covers the codec-level variant: the
-// container verifies but the caller cannot decode the payload, so it
-// discards the artifact and the next Put installs a clean one.
+// TestDiscardRemovesDecodeFaults covers the codec-level variant of damage: the
+// frame verifies but the caller cannot decode the payload, so it
+// discards the key, which then reads as a miss, and the recompute's Put
+// supersedes the frame: the next run does not fault again.
 func TestDiscardRemovesDecodeFaults(t *testing.T) {
-	s := openT(t)
-	if err := s.Put("eval", "k", []byte("valid container, bogus payload")); err != nil {
+	dir := t.TempDir()
+	if err := openDir(t, dir).Put("eval", "k", []byte("valid frame, bogus payload")); err != nil {
 		t.Fatal(err)
+	}
+	s := openDir(t, dir)
+	if _, ok := s.Get("eval", "k"); !ok {
+		t.Fatal("frame not served")
 	}
 	s.Discard("eval", "k")
-	if _, err := os.Stat(filepath.Join(s.Dir(), "eval", "k")); !os.IsNotExist(err) {
-		t.Fatalf("discarded artifact left on disk: %v", err)
+	if _, ok := s.Get("eval", "k"); ok {
+		t.Fatal("discarded artifact served")
 	}
 	if st := s.Stats(); st.Faults != 1 {
 		t.Fatalf("discard not counted: %+v", st)
@@ -276,5 +474,12 @@ func TestDiscardRemovesDecodeFaults(t *testing.T) {
 	}
 	if got, ok := s.Get("eval", "k"); !ok || string(got) != "clean" {
 		t.Fatalf("reinstall after discard failed: %q %v", got, ok)
+	}
+	r := openDir(t, dir)
+	if got, ok := r.Get("eval", "k"); !ok || string(got) != "clean" {
+		t.Fatalf("next run reads %q %v, want the recompute's frame", got, ok)
+	}
+	if st := r.Stats(); st.Faults != 0 {
+		t.Fatalf("discarded frame faulted again: %+v", st)
 	}
 }

@@ -82,8 +82,7 @@ func appendEncoding(buf []byte, g *ddg.Graph) []byte {
 	buf = strconv.AppendInt(buf, g.TripsOrOne(), 10)
 	buf = append(buf, '\n')
 	for _, n := range g.Nodes() {
-		buf = append(buf, "node "...)
-		buf = append(buf, n.Label()...)
+		buf = appendLabel(append(buf, "node "...), n)
 		buf = append(buf, ' ')
 		buf = append(buf, n.Op.String()...)
 		if n.Sym != "" {
@@ -94,10 +93,8 @@ func appendEncoding(buf []byte, g *ddg.Graph) []byte {
 	}
 	for i, ne := 0, g.NumEdges(); i < ne; i++ {
 		e := g.Edge(i)
-		buf = append(buf, "edge "...)
-		buf = append(buf, g.Node(e.From).Label()...)
-		buf = append(buf, ' ')
-		buf = append(buf, g.Node(e.To).Label()...)
+		buf = appendLabel(append(buf, "edge "...), g.Node(e.From))
+		buf = appendLabel(append(buf, ' '), g.Node(e.To))
 		buf = append(buf, ' ')
 		buf = append(buf, e.Kind.String()...)
 		buf = append(buf, ' ')
@@ -105,6 +102,14 @@ func appendEncoding(buf []byte, g *ddg.Graph) []byte {
 		buf = append(buf, '\n')
 	}
 	return buf
+}
+
+// appendLabel appends n.Label() without building the string.
+func appendLabel(buf []byte, n *ddg.Node) []byte {
+	if n.Name != "" {
+		return append(buf, n.Name...)
+	}
+	return strconv.AppendInt(append(buf, 'n'), int64(n.ID), 10)
 }
 
 // recordKey derives the store key of the group of g on m under opts:

@@ -254,14 +254,14 @@ func TestGroupRecordKeepsNonConvergence(t *testing.T) {
 
 // TestStoreTierCorruptionRecovery damages every persisted record and
 // checks a fresh engine recomputes everything correctly instead of
-// crashing or serving garbage.
+// crashing or serving garbage, and that the damage faults only once.
 func TestStoreTierCorruptionRecovery(t *testing.T) {
 	grid := storeGrid()
 	dir := t.TempDir()
 	want, _ := sweepRows(t, storeEng(t, 2, dir), grid)
 
-	// Corrupt every record: flip a payload byte in half of them,
-	// truncate the other half.
+	// Corrupt every record: flip every 16th byte of the segment, which
+	// reaches every frame (each is far longer).
 	n := 0
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
@@ -271,14 +271,14 @@ func TestStoreTierCorruptionRecovery(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if n++; n%2 == 0 {
-			return os.WriteFile(path, data[:len(data)/3], 0o644)
+		n++
+		for i := 0; i < len(data); i += 16 {
+			data[i] ^= 0x42
 		}
-		data[len(data)-1] ^= 0x42
 		return os.WriteFile(path, data, 0o644)
 	})
-	if err != nil || n == 0 {
-		t.Fatalf("corruption walk failed: n=%d err=%v", n, err)
+	if err != nil || n != 1 {
+		t.Fatalf("corruption walk failed: %d segments, err=%v", n, err)
 	}
 
 	eng := storeEng(t, 2, dir)
@@ -294,9 +294,13 @@ func TestStoreTierCorruptionRecovery(t *testing.T) {
 	}
 
 	// The recomputation rewrote the records: the next engine is warm
-	// again.
-	if _, st := sweepRows(t, storeEng(t, 2, dir), grid); st.Eval.Misses != 0 {
+	// again, and the damaged segment is gone.
+	eng = storeEng(t, 2, dir)
+	if _, st := sweepRows(t, eng, grid); st.Eval.Misses != 0 {
 		t.Fatalf("store not repaired by recomputation: %+v", st)
+	}
+	if f := eng.cache.store.Stats().Faults; f != 0 {
+		t.Fatalf("damage faulted again on the next run: %d faults", f)
 	}
 }
 
