@@ -41,14 +41,22 @@ func benchCorpus() []*ddg.Graph {
 	return corpusFull
 }
 
+// benchStudy runs plan over corpus on a fresh engine, so each benchmark
+// iteration measures a from-scratch regeneration.
+func benchStudy(b *testing.B, corpus []*ddg.Graph, plan experiment.Plan) *experiment.Study {
+	st, err := experiment.Run(context.Background(), sweep.New(0), corpus, plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
 // BenchmarkTable1 regenerates Table 1 (four PxLy configurations).
 func BenchmarkTable1(b *testing.B) {
 	corpus := benchCorpus()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh engine per iteration keeps the cache cold, so the
-		// benchmark measures a from-scratch regeneration.
-		res, err := experiment.Table1(context.Background(), experiment.NewStudy(sweep.New(0), corpus))
+		res, err := experiment.Table1(benchStudy(b, corpus, experiment.Table1Plan()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,8 +133,9 @@ func BenchmarkFigure6(b *testing.B) {
 	corpus := benchCorpus()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		st := benchStudy(b, corpus, experiment.CDFPlan())
 		for _, lat := range []int{3, 6} {
-			res, err := experiment.Fig6(context.Background(), experiment.NewStudy(sweep.New(0), corpus), lat)
+			res, err := experiment.FigCDF(st, lat, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -142,8 +151,9 @@ func BenchmarkFigure7(b *testing.B) {
 	corpus := benchCorpus()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		st := benchStudy(b, corpus, experiment.CDFPlan())
 		for _, lat := range []int{3, 6} {
-			res, err := experiment.Fig7(context.Background(), experiment.NewStudy(sweep.New(0), corpus), lat)
+			res, err := experiment.FigCDF(st, lat, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -160,7 +170,7 @@ func BenchmarkFigure8And9(b *testing.B) {
 	corpus := benchCorpus()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.Fig8and9(context.Background(), sweep.New(0), corpus, nil)
+		res, err := experiment.Fig8and9(benchStudy(b, corpus, experiment.PerfPlan()), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,30 +183,36 @@ func BenchmarkFigure8And9(b *testing.B) {
 	}
 }
 
-// BenchmarkPaperPipelineSharedCache regenerates Table 1 plus Figures 6-9
-// on ONE engine and one Study, the way `ncdrf all` runs: Figure 7 reads
-// Figure 6's requirement sweeps. Compare against the sum of the
-// single-exhibit benchmarks above to see the saving.
+// BenchmarkPaperPipelineSharedCache regenerates Table 1, Figures 6-9
+// and the cluster study from ONE plan, the way `ncdrf all` runs: each
+// (loop, machine) group is measured once for every exhibit. Compare
+// against the sum of the single-exhibit benchmarks above to see the
+// saving.
 func BenchmarkPaperPipelineSharedCache(b *testing.B) {
 	corpus := benchCorpus()
-	ctx := context.Background()
 	var st sweep.StageStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sweep.New(0)
-		study := experiment.NewStudy(eng, corpus)
-		if _, err := experiment.Table1(ctx, study); err != nil {
+		study, err := experiment.Run(context.Background(), eng, corpus, experiment.PaperPlan())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiment.Table1(study); err != nil {
 			b.Fatal(err)
 		}
 		for _, lat := range []int{3, 6} {
-			if _, err := experiment.Fig6(ctx, study, lat); err != nil {
+			if _, err := experiment.FigCDF(study, lat, false); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := experiment.Fig7(ctx, study, lat); err != nil {
+			if _, err := experiment.FigCDF(study, lat, true); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if _, err := experiment.Fig8and9(ctx, eng, corpus, nil); err != nil {
+		if _, err := experiment.Fig8and9(study, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiment.ClusterScaling(study, 6, experiment.ClusterCounts); err != nil {
 			b.Fatal(err)
 		}
 		st = eng.Cache().StageStats()

@@ -35,6 +35,15 @@ func buildCorpus(o corpusOpts) ([]*ddg.Graph, error) {
 	return experiment.Corpus(p), nil
 }
 
+// runPlan measures plan over the corpus o selects.
+func runPlan(ctx context.Context, eng *sweep.Engine, o corpusOpts, plan experiment.Plan) (*experiment.Study, error) {
+	corpus, err := buildCorpus(o)
+	if err != nil {
+		return nil, err
+	}
+	return experiment.Run(ctx, eng, corpus, plan)
+}
+
 func cmdExample(args []string) error {
 	fs := flag.NewFlagSet("example", flag.ExitOnError)
 	if err := fs.Parse(args); err != nil {
@@ -110,11 +119,11 @@ func cmdTable1(ctx context.Context, eng *sweep.Engine, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	corpus, err := buildCorpus(o)
+	st, err := runPlan(ctx, eng, o, experiment.Table1Plan())
 	if err != nil {
 		return err
 	}
-	res, err := experiment.Table1(ctx, experiment.NewStudy(eng, corpus))
+	res, err := experiment.Table1(st)
 	if err != nil {
 		return err
 	}
@@ -132,19 +141,12 @@ func cmdFigCDF(ctx context.Context, eng *sweep.Engine, args []string, dynamic bo
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	corpus, err := buildCorpus(o)
+	st, err := runPlan(ctx, eng, o, experiment.CDFPlan())
 	if err != nil {
 		return err
 	}
-	st := experiment.NewStudy(eng, corpus)
 	for _, lat := range []int{3, 6} {
-		var res *experiment.CDFResult
-		var err error
-		if dynamic {
-			res, err = experiment.Fig7(ctx, st, lat)
-		} else {
-			res, err = experiment.Fig6(ctx, st, lat)
-		}
+		res, err := experiment.FigCDF(st, lat, dynamic)
 		if err != nil {
 			return err
 		}
@@ -170,11 +172,11 @@ func cmdFigPerf(ctx context.Context, eng *sweep.Engine, args []string, wantPerf,
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	corpus, err := buildCorpus(o)
+	st, err := runPlan(ctx, eng, o, experiment.PerfPlan())
 	if err != nil {
 		return err
 	}
-	res, err := experiment.Fig8and9(ctx, eng, corpus, nil)
+	res, err := experiment.Fig8and9(st, nil)
 	if err != nil {
 		return err
 	}
@@ -227,10 +229,13 @@ func runAll(ctx context.Context, eng *sweep.Engine, o corpusOpts) error {
 	}
 	fmt.Println()
 
-	// One Study for every requirement exhibit: Figure 7 and the cluster
-	// study's two-cluster row read Figure 6's sweeps.
-	st := experiment.NewStudy(eng, corpus)
-	t1, err := experiment.Table1(ctx, st)
+	// One plan for every exhibit: each (loop, machine) group is measured
+	// once, and the exhibits below are its projections.
+	st, err := experiment.Run(ctx, eng, corpus, experiment.PaperPlan())
+	if err != nil {
+		return err
+	}
+	t1, err := experiment.Table1(st)
 	if err != nil {
 		return err
 	}
@@ -240,12 +245,7 @@ func runAll(ctx context.Context, eng *sweep.Engine, o corpusOpts) error {
 	fmt.Println()
 	for _, dynamic := range []bool{false, true} {
 		for _, lat := range []int{3, 6} {
-			var res *experiment.CDFResult
-			if dynamic {
-				res, err = experiment.Fig7(ctx, st, lat)
-			} else {
-				res, err = experiment.Fig6(ctx, st, lat)
-			}
+			res, err := experiment.FigCDF(st, lat, dynamic)
 			if err != nil {
 				return err
 			}
@@ -255,7 +255,7 @@ func runAll(ctx context.Context, eng *sweep.Engine, o corpusOpts) error {
 			fmt.Println()
 		}
 	}
-	p, err := experiment.Fig8and9(ctx, eng, corpus, nil)
+	p, err := experiment.Fig8and9(st, nil)
 	if err != nil {
 		return err
 	}
@@ -267,7 +267,7 @@ func runAll(ctx context.Context, eng *sweep.Engine, o corpusOpts) error {
 		return err
 	}
 	fmt.Println()
-	cs, err := experiment.ClusterScaling(ctx, st, 6, nil)
+	cs, err := experiment.ClusterScaling(st, 6, experiment.ClusterCounts)
 	if err != nil {
 		return err
 	}

@@ -36,11 +36,11 @@ func cmdClusters(ctx context.Context, eng *sweep.Engine, args []string) error {
 	if err := checkLatency("-lat", *lat); err != nil {
 		return err
 	}
-	corpus, err := buildCorpus(o)
+	st, err := runPlan(ctx, eng, o, experiment.ClusterPlan(*lat, experiment.ClusterCounts))
 	if err != nil {
 		return err
 	}
-	res, err := experiment.ClusterScaling(ctx, experiment.NewStudy(eng, corpus), *lat, nil)
+	res, err := experiment.ClusterScaling(st, *lat, experiment.ClusterCounts)
 	if err != nil {
 		return err
 	}

@@ -37,12 +37,21 @@ func (o CorpusOptions) build() []*ddg.Graph {
 	return experiment.Corpus(p)
 }
 
+// run measures plan over the selected corpus on a fresh engine.
+func run(opts CorpusOptions, plan experiment.Plan) (*experiment.Study, error) {
+	//lint:allow ctxflow -- ctx-free public facade: the render call is the root of its call tree
+	return experiment.Run(context.Background(), sweep.New(0), opts.build(), plan)
+}
+
 // RenderTable1 regenerates Table 1 of the paper (percentage of loops and
 // of cycles allocatable without spilling in 16/32/64 registers, for the
 // four PxLy configurations) and writes it to w.
 func RenderTable1(opts CorpusOptions, w io.Writer) error {
-	//lint:allow ctxflow -- ctx-free public facade: the render call is the root of its call tree
-	res, err := experiment.Table1(context.Background(), experiment.NewStudy(sweep.New(0), opts.build()))
+	st, err := run(opts, experiment.Table1Plan())
+	if err != nil {
+		return err
+	}
+	res, err := experiment.Table1(st)
 	if err != nil {
 		return err
 	}
@@ -62,17 +71,12 @@ func RenderFig7(opts CorpusOptions, w io.Writer) error {
 }
 
 func renderCDF(opts CorpusOptions, w io.Writer, dynamic bool) error {
-	st := experiment.NewStudy(sweep.New(0), opts.build())
-	//lint:allow ctxflow -- ctx-free public facade: the render call is the root of its call tree
-	ctx := context.Background()
+	st, err := run(opts, experiment.CDFPlan())
+	if err != nil {
+		return err
+	}
 	for _, lat := range []int{3, 6} {
-		var res *experiment.CDFResult
-		var err error
-		if dynamic {
-			res, err = experiment.Fig7(ctx, st, lat)
-		} else {
-			res, err = experiment.Fig6(ctx, st, lat)
-		}
+		res, err := experiment.FigCDF(st, lat, dynamic)
 		if err != nil {
 			return err
 		}
@@ -90,8 +94,11 @@ func renderCDF(opts CorpusOptions, w io.Writer, dynamic bool) error {
 // 64 registers) and 9 (density of memory traffic) in one pass, since
 // they share all the computation.
 func RenderFig8And9(opts CorpusOptions, w io.Writer) error {
-	//lint:allow ctxflow -- ctx-free public facade: the render call is the root of its call tree
-	res, err := experiment.Fig8and9(context.Background(), sweep.New(0), opts.build(), nil)
+	st, err := run(opts, experiment.PerfPlan())
+	if err != nil {
+		return err
+	}
+	res, err := experiment.Fig8and9(st, nil)
 	if err != nil {
 		return err
 	}

@@ -162,7 +162,8 @@ func TestClassifyDeadValueLocalToProducer(t *testing.T) {
 
 func TestSwapOnSingleClusterIsNoop(t *testing.T) {
 	g := loops.PaperExample()
-	m := machine.Example().Unify()
+	// The example machine's units in one cluster.
+	m := machine.MustNew("example-unified", []machine.ClusterSpec{{Adders: 2, Multipliers: 2, MemPorts: 4}}, 3, 3, 1)
 	s, err := sched.Run(g, m, sched.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -33,8 +32,8 @@ type ClusterScalingResult struct {
 func EvalN(n, lat int) *machine.Config {
 	if n == 2 {
 		// Identical to the paper's evaluation machine; returning it by
-		// its canonical name lets the cluster study read the figure
-		// runners' sweep from a Study, which keys sweeps by name.
+		// its canonical name makes its groups the figures' groups in a
+		// plan, which collapses machines onto their names.
 		return machine.Eval(lat)
 	}
 	specs := make([]machine.ClusterSpec, n)
@@ -44,22 +43,21 @@ func EvalN(n, lat int) *machine.Config {
 	return machine.MustNew(fmt.Sprintf("eval%dc-L%d", n, lat), specs, lat, lat, 1)
 }
 
-// ClusterScaling evaluates the register-file models while the machine
+// ClusterCounts are the cluster study's default widths.
+var ClusterCounts = []int{1, 2, 4}
+
+// ClusterScaling projects the register-file models while the machine
 // widens from one to several clusters: more clusters mean more
 // parallelism (lower II) but also more cross-cluster consumers, testing
 // how far the non-consistent organization's advantage extends. Each
-// width reads its RegisterSweep from s, so the two-cluster row at a
-// paper latency is the Figure 6/7 sweep itself.
-func ClusterScaling(ctx context.Context, s *Study, lat int, clusterCounts []int) (*ClusterScalingResult, error) {
-	if len(clusterCounts) == 0 {
-		clusterCounts = []int{1, 2, 4}
-	}
+// width reads its rows from s (ClusterPlan), so the two-cluster row at
+// a paper latency is the Figure 6/7 rows themselves.
+func ClusterScaling(s *Study, lat int, counts []int) (*ClusterScalingResult, error) {
 	res := &ClusterScalingResult{Latency: lat}
-	for _, nc := range clusterCounts {
-		m := EvalN(nc, lat)
-		reqs, err := s.Requirements(ctx, m)
+	for _, nc := range counts {
+		reqs, err := s.Requirements(EvalN(nc, lat))
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", m.Name(), err)
+			return nil, err
 		}
 		row := ClusterScalingRow{Clusters: nc}
 		n := float64(len(reqs))

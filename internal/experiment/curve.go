@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -9,11 +8,8 @@ import (
 	"sort"
 
 	"ncdrf/internal/core"
-	"ncdrf/internal/ddg"
-	"ncdrf/internal/machine"
 	"ncdrf/internal/pipeline"
 	"ncdrf/internal/report"
-	"ncdrf/internal/sweep"
 )
 
 // This file is the register-sensitivity curve subsystem: the paper's
@@ -22,7 +18,8 @@ import (
 // generalized to a dense axis. BuildCurve aggregates sweep result rows
 // into per-(machine, model, regs) points; the Curve projections derive
 // the figure metrics (fit %, spill ops, relative performance) from the
-// point sums, and Fig8and9 is a thin projection over the same curve.
+// point sums, and Fig8and9 is a thin projection over the curves of a
+// plan's evaluation machines.
 
 // CurvePoint aggregates every result row of one (machine, model, regs)
 // grid cell over the corpus. Fields are raw sums so projections (and
@@ -435,23 +432,4 @@ func (c *Curve) RenderCSV(w io.Writer) error {
 		}
 	}
 	return tb.CSV(w)
-}
-
-// PerfCurve evaluates corpus × all models × regs on machine m with the
-// base-major sweep executor and aggregates the rows into a curve. Each
-// (loop, machine) group walks its spill chain once for every budget, so
-// projections sharing a machine — Figures 8 and 9 at both budgets —
-// should read one curve (Fig8and9 does).
-func PerfCurve(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, m *machine.Config, regs []int) (*Curve, error) {
-	grid := sweep.Grid{
-		Corpus:   corpus,
-		Machines: []*machine.Config{m},
-		Models:   core.Models[:],
-		Regs:     regs,
-	}
-	rows, err := eng.Rows(ctx, grid)
-	if err != nil {
-		return nil, err
-	}
-	return BuildCurve(rows), nil
 }

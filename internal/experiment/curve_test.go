@@ -52,11 +52,23 @@ func runTotals(runs []loopRun) (cycles, accesses int64, spilledLoops int) {
 	return cycles, accesses, spilledLoops
 }
 
+// sweepCurve builds the curve of corpus × every model × regs on m the
+// way `ncdrf curve` does: one sweep of that grid, aggregated.
+func sweepCurve(t *testing.T, corpus []*ddg.Graph, m *machine.Config, regs []int) *Curve {
+	t.Helper()
+	grid := sweep.Grid{Corpus: corpus, Machines: []*machine.Config{m}, Models: core.Models[:], Regs: regs}
+	rows, err := testEng().Rows(ctx0, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return BuildCurve(rows)
+}
+
 // TestCurveMatchesPerfAggregates pins the curve projections to
 // aggregates computed from per-loop compilations of the same cells:
 // the curve is a different bookkeeping of identical sums, so relative
 // performance, traffic density and spilled-loop counts must match
-// exactly — this is what lets Fig8and9 rebase onto the curve without
+// exactly — this is what lets Fig8and9 project a plan's curve without
 // moving a single figure value.
 func TestCurveMatchesPerfAggregates(t *testing.T) {
 	corpus := loops.Kernels()[:12]
@@ -64,7 +76,7 @@ func TestCurveMatchesPerfAggregates(t *testing.T) {
 	const regs = 32
 	eng := testEng()
 
-	curve, err := PerfCurve(ctx0, eng, corpus, m, []int{regs})
+	curve, err := study(t, corpus, Plan{Perf: []PerfConfig{{6, regs}}}).curve(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +185,7 @@ func TestBuildCurveAggregation(t *testing.T) {
 // (small) sweep.
 func TestCurveRenderForms(t *testing.T) {
 	corpus := loops.Kernels()[:6]
-	curve, err := PerfCurve(ctx0, testEng(), corpus, machine.Eval(3), []int{16, 32, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	curve := sweepCurve(t, corpus, machine.Eval(3), []int{16, 32, 64})
 	var tb bytes.Buffer
 	if err := curve.Render(&tb); err != nil {
 		t.Fatal(err)
@@ -211,10 +220,7 @@ func TestCurveRenderForms(t *testing.T) {
 // golden file, the same way the Figure 6/7 CSVs are pinned — the curve
 // subsystem provably reproduces the paper-corpus numbers byte for byte.
 func TestCurveCSVGolden(t *testing.T) {
-	curve, err := PerfCurve(ctx0, testEng(), loops.Kernels(), machine.Eval(3), []int{16, 32, 48, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	curve := sweepCurve(t, loops.Kernels(), machine.Eval(3), []int{16, 32, 48, 64})
 	if err := curve.Err(); err != nil {
 		t.Fatal(err)
 	}

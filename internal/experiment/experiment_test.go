@@ -11,6 +11,7 @@ import (
 	"ncdrf/internal/loopgen"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
+	"ncdrf/internal/store"
 	"ncdrf/internal/sweep"
 )
 
@@ -23,6 +24,27 @@ var ctx0 = context.Background()
 // smallCorpus keeps unit tests fast while exercising the full pipeline.
 func smallCorpus() []*ddg.Graph {
 	return Corpus(loopgen.Params{Loops: 40, Seed: 123, RecurrenceProb: 0.3, ShareProb: 0.3})
+}
+
+// study runs plan over corpus on a fresh engine.
+func study(t *testing.T, corpus []*ddg.Graph, plan Plan) *Study {
+	t.Helper()
+	s, err := Run(ctx0, testEng(), corpus, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// rowsOn returns the requirement rows of corpus on m, from a plan of
+// that machine alone.
+func rowsOn(t *testing.T, corpus []*ddg.Graph, m *machine.Config) []Requirements {
+	t.Helper()
+	reqs, err := study(t, corpus, Plan{Rows: []*machine.Config{m}}).Requirements(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs
 }
 
 func TestCorpusComposition(t *testing.T) {
@@ -41,10 +63,7 @@ func TestCorpusComposition(t *testing.T) {
 
 func TestRegisterSweepOrdering(t *testing.T) {
 	corpus := smallCorpus()
-	reqs, err := RegisterSweep(ctx0, testEng(), corpus, machine.Eval(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := rowsOn(t, corpus, machine.Eval(6))
 	if len(reqs) != len(corpus) {
 		t.Fatalf("got %d results", len(reqs))
 	}
@@ -76,10 +95,7 @@ func TestSweepShapePartitionedHelps(t *testing.T) {
 	// Aggregate shape: over the corpus, partitioned requirements must be
 	// no larger than unified for the vast majority of loops, and the
 	// totals must order unified >= partitioned >= swapped.
-	reqs, err := RegisterSweep(ctx0, testEng(), smallCorpus(), machine.Eval(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := rowsOn(t, smallCorpus(), machine.Eval(6))
 	var uni, part, swp int
 	worse := 0
 	for _, r := range reqs {
@@ -99,7 +115,7 @@ func TestSweepShapePartitionedHelps(t *testing.T) {
 }
 
 func TestTable1ShapeAndRender(t *testing.T) {
-	res, err := Table1(ctx0, NewStudy(testEng(), smallCorpus()))
+	res, err := Table1(study(t, smallCorpus(), Table1Plan()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +153,13 @@ func TestTable1ShapeAndRender(t *testing.T) {
 }
 
 func TestFig6And7Shape(t *testing.T) {
-	corpus := smallCorpus()
+	st := study(t, smallCorpus(), CDFPlan())
 	for _, lat := range []int{3, 6} {
-		st := NewStudy(testEng(), corpus)
-		stat, err := Fig6(ctx0, st, lat)
+		stat, err := FigCDF(st, lat, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dyn, err := Fig7(ctx0, st, lat)
+		dyn, err := FigCDF(st, lat, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,57 +202,100 @@ func TestFig6And7Shape(t *testing.T) {
 	}
 }
 
-// TestStudySharesSweeps pins the sharing ncdrf all relies on, on one
-// engine: once Figure 6 has measured a latency, Figure 7 and the
-// cluster study's two-cluster row read that sweep and build no base,
-// while the one- and four-cluster rows measure their own machines.
-// Figures 8 and 9 over the four configurations build exactly one base
-// per (loop, evaluation machine): one curve per latency serves both
-// budgets.
+// TestStudySharesSweeps pins the plan's contract, on one engine: one
+// run of PaperPlan requests exactly one base per distinct (loop,
+// machine) group — the eight machines of every exhibit, with the
+// two-cluster width collapsing onto the latency-6 evaluation machine —
+// and one eval request per requirement row and per Figure 8/9 cell, so
+// no exhibit measures anything twice. Each exhibit's own plan builds
+// one base per loop and machine it renders, and projecting every
+// exhibit adds no work. Over a store, a cold run writes each group's
+// record once and a warm run reads each once, writing nothing.
 func TestStudySharesSweeps(t *testing.T) {
 	corpus := loops.Kernels()
-	eng := testEng()
-	bases := func() uint64 { return eng.Cache().StageStats().Base.Requests() }
-	st := NewStudy(eng, corpus)
 	n := uint64(len(corpus))
-	if _, err := Fig6(ctx0, st, 6); err != nil {
-		t.Fatal(err)
+	storeEng := func(dir string) (*sweep.Engine, *store.Store) {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := testEng()
+		eng.SetStore(st)
+		return eng, st
 	}
-	if got := bases(); got != n {
-		t.Fatalf("Figure 6 made %d base requests, want one per loop = %d", got, n)
-	}
-	if _, err := Fig7(ctx0, st, 6); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ClusterScaling(ctx0, st, 6, []int{2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := bases(); got != n {
-		t.Fatalf("Figure 7 and the two-cluster row added %d base requests, want 0", got-n)
-	}
-	if _, err := ClusterScaling(ctx0, st, 6, []int{1, 2, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if got := bases(); got != 3*n {
-		t.Fatalf("the one- and four-cluster rows added %d base requests, want %d", got-n, 2*n)
-	}
-
-	before := bases()
-	if _, err := Fig8and9(ctx0, eng, corpus, PerfConfigs); err != nil {
-		t.Fatal(err)
-	}
-	if got := bases() - before; got != 2*n {
-		t.Fatalf("Figures 8 and 9 made %d base requests, want one per (loop, evaluation machine) = %d", got, 2*n)
+	for _, tc := range []struct {
+		name           string
+		plan           Plan
+		machines, rows uint64 // distinct machines; those with rows
+	}{
+		{"paper", PaperPlan(), 8, 8},
+		{"table1", Table1Plan(), 4, 4},
+		{"cdf", CDFPlan(), 2, 2},
+		{"perf", PerfPlan(), 2, 0},
+		{"clusters", ClusterPlan(6, ClusterCounts), 3, 3},
+	} {
+		dir := t.TempDir()
+		eng, cold := storeEng(dir)
+		st, err := Run(ctx0, eng, corpus, tc.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := eng.Cache().StageStats()
+		if got, want := stats.Base.Requests(), tc.machines*n; got != want {
+			t.Fatalf("%s: %d base requests, want one per (loop, machine) = %d", tc.name, got, want)
+		}
+		if got := cold.Stats().Writes; got != tc.machines*n {
+			t.Fatalf("%s: cold run wrote %d records, want one per group = %d", tc.name, got, tc.machines*n)
+		}
+		warmEng, warm := storeEng(dir)
+		if _, err := Run(ctx0, warmEng, corpus, tc.plan); err != nil {
+			t.Fatal(err)
+		}
+		if s := warm.Stats(); s.Hits != tc.machines*n || s.Writes != 0 || warmEng.Cache().StageStats().Base.Requests() != 0 {
+			t.Fatalf("%s: warm run: store %+v, %s; want one read per group, no write, no base", tc.name, s, warmEng.Cache().StageStats())
+		}
+		// Eight cells per Figure 8/9 group (four models at two budgets),
+		// the Ideal cell at 64 registers sharing the one at 32.
+		cells := uint64(0)
+		if tc.plan.Perf != nil {
+			cells = 2 * 8 * n
+		}
+		if got, want := stats.Eval.Requests(), tc.rows*n+cells; got != want || stats.Eval.Hits != cells/8 {
+			t.Fatalf("%s: eval stage %+v, want %d requests (%d rows, %d cells), %d from memory", tc.name, stats.Eval, want, tc.rows*n, cells, cells/8)
+		}
+		if tc.name != "paper" {
+			continue
+		}
+		if _, err := Table1(st); err != nil {
+			t.Fatal(err)
+		}
+		for _, lat := range []int{3, 6} {
+			if _, err := FigCDF(st, lat, false); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := FigCDF(st, lat, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Fig8and9(st, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ClusterScaling(st, 6, ClusterCounts); err != nil {
+			t.Fatal(err)
+		}
+		if after := eng.Cache().StageStats(); after != stats {
+			t.Fatalf("projecting the exhibits moved the counters: %+v, then %+v", stats, after)
+		}
 	}
 }
 
 func TestLatencySixNeedsMoreRegisters(t *testing.T) {
-	corpus := smallCorpus()
-	l3, err := Fig6(ctx0, NewStudy(testEng(), corpus), 3)
+	st := study(t, smallCorpus(), CDFPlan())
+	l3, err := FigCDF(st, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l6, err := Fig6(ctx0, NewStudy(testEng(), corpus), 6)
+	l6, err := FigCDF(st, 6, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +337,8 @@ func TestCompileLoopIdealVsLimited(t *testing.T) {
 }
 
 func TestFig8and9SmallCorpusShape(t *testing.T) {
-	corpus := smallCorpus()
-	res, err := Fig8and9(ctx0, testEng(), corpus, []PerfConfig{{6, 32}})
+	configs := []PerfConfig{{6, 32}}
+	res, err := Fig8and9(study(t, smallCorpus(), Plan{Perf: configs}), configs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,13 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"ncdrf/internal/core"
-	"ncdrf/internal/ddg"
 	"ncdrf/internal/machine"
 	"ncdrf/internal/report"
-	"ncdrf/internal/sweep"
 )
 
 // cdfModels are the models plotted in Figures 6 and 7 (Ideal has no
@@ -34,21 +30,12 @@ type CDFResult struct {
 	P90 map[core.Model]int
 }
 
-// Fig6 computes the static cumulative distribution of loops over their
-// register requirements for one latency (3 or 6), on the section 5.2
-// two-cluster evaluation machine.
-func Fig6(ctx context.Context, s *Study, latency int) (*CDFResult, error) {
-	return figCDF(ctx, s, latency, false)
-}
-
-// Fig7 is Fig6 weighted by executed cycles (II * trips): the dynamic
-// cumulative distribution, over the same sweep of s.
-func Fig7(ctx context.Context, s *Study, latency int) (*CDFResult, error) {
-	return figCDF(ctx, s, latency, true)
-}
-
-func figCDF(ctx context.Context, s *Study, latency int, dynamic bool) (*CDFResult, error) {
-	reqs, err := s.Requirements(ctx, machine.Eval(latency))
+// FigCDF projects Figure 6, the static cumulative distribution of loops
+// over their register requirements, or with dynamic Figure 7, the same
+// weighted by executed cycles (II * trips), for one latency (3 or 6) on
+// the section 5.2 two-cluster evaluation machine (CDFPlan).
+func FigCDF(s *Study, latency int, dynamic bool) (*CDFResult, error) {
+	reqs, err := s.Requirements(machine.Eval(latency))
 	if err != nil {
 		return nil, err
 	}
@@ -145,38 +132,24 @@ type PerfResult struct {
 	SpilledLoops [][core.NumModels]int
 }
 
-// Fig8and9 runs the full limited-register pipeline over the corpus for
-// every configuration and model, producing both figures at once. It is
-// a thin projection over the register-sensitivity curve subsystem: the
-// configurations of one latency are points of one base-major PerfCurve
-// over that latency's budgets, computed once, so each (loop, machine)
-// group walks its spill chain once for every budget and the Ideal
-// cells, which ignore the budget, are shared within the group. The
-// figure metrics are the curve's projections.
-func Fig8and9(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, configs []PerfConfig) (*PerfResult, error) {
+// Fig8and9 projects both figures from the limited-register cells of s
+// (PerfPlan) for every configuration and model: each evaluation
+// machine's cells at all its budgets were measured by one walk per
+// (loop, machine) group, and the figure metrics are the projections of
+// that machine's curve.
+func Fig8and9(s *Study, configs []PerfConfig) (*PerfResult, error) {
 	if len(configs) == 0 {
 		configs = PerfConfigs
 	}
-	budgets := map[int][]int{}
-	for _, cfg := range configs {
-		if !slices.Contains(budgets[cfg.Latency], cfg.Regs) {
-			budgets[cfg.Latency] = append(budgets[cfg.Latency], cfg.Regs)
-		}
-	}
 	res := &PerfResult{Configs: configs}
-	curves := map[int]*Curve{}
 	for _, cfg := range configs {
 		m := machine.Eval(cfg.Latency)
-		curve := curves[cfg.Latency]
-		if curve == nil {
-			var err error
-			if curve, err = PerfCurve(ctx, eng, corpus, m, budgets[cfg.Latency]); err != nil {
-				return nil, err
-			}
-			curves[cfg.Latency] = curve
+		curve, err := s.curve(m)
+		if err != nil {
+			return nil, err
 		}
 		// The figures have no column for broken cells: a loop that cannot
-		// compile fails the whole figure, as the pre-curve runner did.
+		// compile fails the whole figure.
 		if err := curve.Err(); err != nil {
 			return nil, err
 		}

@@ -16,7 +16,7 @@ import (
 // corpus to golden files captured from the pre-sweep-engine pipeline, so
 // the cached engine provably preserves the paper's numbers byte for byte.
 func TestFigCSVGolden(t *testing.T) {
-	st := NewStudy(testEng(), loops.Kernels())
+	st := study(t, loops.Kernels(), CDFPlan())
 	for _, lat := range []int{3, 6} {
 		for _, dyn := range []bool{false, true} {
 			fig := 6
@@ -25,13 +25,7 @@ func TestFigCSVGolden(t *testing.T) {
 			}
 			name := fmt.Sprintf("fig%d_kernels_lat%d.csv", fig, lat)
 			t.Run(name, func(t *testing.T) {
-				var res *CDFResult
-				var err error
-				if dyn {
-					res, err = Fig7(ctx0, st, lat)
-				} else {
-					res, err = Fig6(ctx0, st, lat)
-				}
+				res, err := FigCDF(st, lat, dyn)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -52,28 +46,34 @@ func TestFigCSVGolden(t *testing.T) {
 }
 
 // TestPaperPipelineCacheSharing runs the paper's whole pipeline shape
-// (Table 1, Figures 6-9, verification) on one engine and one Study and
+// (Table 1, Figures 6-9, verification) as one plan on one engine and
 // pins the exact base-stage count. No stage keeps a base in memory, so
-// the sharing left is structural: one requirement sweep per machine
-// (Table 1's four configurations and the two evaluation machines, with
-// Figure 7 reading Figure 6's sweeps), one base per (loop, machine)
-// group of Figures 8/9, and one per verified loop, shared by its models.
+// the sharing is the plan's: one base per (loop, machine) group —
+// Table 1's four configurations and the two evaluation machines, whose
+// groups serve Figures 6 and 7 and the Figure 8/9 cells in one walk —
+// and one per verified loop, shared by its models.
 func TestPaperPipelineCacheSharing(t *testing.T) {
 	corpus := loops.Kernels()
 	eng := testEng()
-	st := NewStudy(eng, corpus)
-	if _, err := Table1(ctx0, st); err != nil {
+	plan := Table1Plan()
+	plan.Rows = append(plan.Rows, CDFPlan().Rows...)
+	plan.Perf = PerfConfigs
+	st, err := Run(ctx0, eng, corpus, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Table1(st); err != nil {
 		t.Fatal(err)
 	}
 	for _, lat := range []int{3, 6} {
-		if _, err := Fig6(ctx0, st, lat); err != nil {
+		if _, err := FigCDF(st, lat, false); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Fig7(ctx0, st, lat); err != nil {
+		if _, err := FigCDF(st, lat, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Fig8and9(ctx0, eng, corpus, nil); err != nil {
+	if _, err := Fig8and9(st, nil); err != nil {
 		t.Fatal(err)
 	}
 	const stride = 5
@@ -81,7 +81,7 @@ func TestPaperPipelineCacheSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := len(corpus)
-	want := uint64(6*n + 2*n + (n+stride-1)/stride)
+	want := uint64(6*n + (n+stride-1)/stride)
 	if got := eng.Cache().StageStats().Base; got != (sweep.CacheStats{Misses: want}) {
 		t.Fatalf("base stage %+v, want %d requests, all computed", got, want)
 	}

@@ -1,16 +1,18 @@
 // Package experiment wires the staged pipeline (internal/pipeline) into
-// the paper's evaluation runners: Table 1 and Figures 6, 7, 8 and 9.
-// Every runner executes on a sweep.Engine — a cancellable worker pool
-// over a stage-granular, content-addressed cache. Work is shared by
-// data flow, not by a cache in memory: one requirement sweep per
-// machine measures every model (a Study hands it to every exhibit that
-// weights it), and one group walk per (loop, machine) serves every
-// model and budget of Figures 8 and 9.
+// the paper's evaluation runners: Table 1, Figures 6, 7, 8 and 9 and
+// the cluster study. The exhibits are projections of one plan (Run):
+// every (loop, machine) group the run renders goes to the engine's
+// worker pool once, and one walk per group (sweep.Engine.EvalGroup)
+// returns its unlimited-register requirement row and, on an evaluation
+// machine of Figures 8/9, every (model, budget) cell those figures
+// read. So a run builds each group's base, and reads and writes its
+// store record, at most once.
 package experiment
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ncdrf/internal/core"
 	"ncdrf/internal/ddg"
@@ -30,69 +32,156 @@ func Corpus(p loopgen.Params) []*ddg.Graph {
 	return out
 }
 
-// Requirements holds the unlimited-register requirement of one loop under
-// every model, plus the scheduling facts shared by all models.
+// Requirements is one loop's requirement row (its base schedule's II
+// and every model's unlimited-register requirement) with its name and
+// trip count.
 type Requirements struct {
 	Name  string
 	Trips int64
-	II    int
-	Ops   int
-	Regs  [core.NumModels]int
+	pipeline.Requirement
 }
 
-// Study is one corpus on one engine, with each machine's RegisterSweep
-// computed on first use and kept by machine name. Table 1, Figures 6
-// and 7 and the cluster study read their sweeps from it, so exhibits
-// that weight one measurement share it: Figure 7 reads Figure 6's
-// sweeps, and the cluster study's two-cluster row reads the evaluation
-// machine's. A failed sweep is not kept. A Study is not safe for
-// concurrent use; its runners run one after another.
-type Study struct {
-	eng    *sweep.Engine
-	corpus []*ddg.Graph
-	sweeps map[string][]Requirements
+// Plan names what one run measures: the machines whose requirement
+// rows its exhibits read, and the Figure 8/9 configurations whose cells
+// they read (every model at Regs on machine.Eval(Latency)). A machine
+// named by both is one group per loop.
+type Plan struct {
+	Rows []*machine.Config
+	Perf []PerfConfig
 }
 
-// NewStudy returns a Study of corpus on eng with no sweep computed yet.
-func NewStudy(eng *sweep.Engine, corpus []*ddg.Graph) *Study {
-	return &Study{eng: eng, corpus: corpus, sweeps: map[string][]Requirements{}}
-}
+// Table1Plan is Table 1's plan: its four configurations' rows.
+func Table1Plan() Plan { return Plan{Rows: machine.Table1Configs()} }
 
-// Requirements returns the study's RegisterSweep on m, computing it on
-// the first request for m's name.
-func (s *Study) Requirements(ctx context.Context, m *machine.Config) ([]Requirements, error) {
-	if reqs, ok := s.sweeps[m.Name()]; ok {
-		return reqs, nil
+// CDFPlan is the plan of Figures 6 and 7: both evaluation machines'
+// rows.
+func CDFPlan() Plan { return Plan{Rows: []*machine.Config{machine.Eval(3), machine.Eval(6)}} }
+
+// PerfPlan is the plan of Figures 8 and 9: the cells of PerfConfigs.
+func PerfPlan() Plan { return Plan{Perf: PerfConfigs} }
+
+// ClusterPlan is the cluster study's plan: the rows of each width in
+// counts at latency lat.
+func ClusterPlan(lat int, counts []int) Plan {
+	var p Plan
+	for _, nc := range counts {
+		p.Rows = append(p.Rows, EvalN(nc, lat))
 	}
-	reqs, err := RegisterSweep(ctx, s.eng, s.corpus, m)
-	if err != nil {
-		return nil, err
-	}
-	s.sweeps[m.Name()] = reqs
-	return reqs, nil
+	return p
 }
 
-// RegisterSweep measures every loop's register requirement under each
-// model with registers unlimited (Engine.Requirements: one base per
-// loop, or the loop's group record from the store): the data behind
-// Table 1, Figures 6 and 7 and the cluster study, which differ only in
-// how they weight it. Runners read it through a Study, which computes
-// it once per machine.
-func RegisterSweep(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, m *machine.Config) ([]Requirements, error) {
-	out := make([]Requirements, len(corpus))
-	err := eng.ForEach(ctx, len(corpus), func(i int) error {
-		g := corpus[i]
-		req, err := eng.Requirements(ctx, g, m)
-		if err != nil {
-			return fmt.Errorf("%s: %w", g.LoopName, err)
+// PaperPlan is the plan of `ncdrf all`: every exhibit's plan in one,
+// the cluster study at latency 6. The two-cluster width is the
+// latency-6 evaluation machine, so its groups serve Figures 6-9 too.
+func PaperPlan() Plan {
+	rows := slices.Concat(Table1Plan().Rows, CDFPlan().Rows, ClusterPlan(6, ClusterCounts).Rows)
+	return Plan{Rows: rows, Perf: PerfConfigs}
+}
+
+// Study is one run of a plan over a corpus, which the exhibits project.
+// It is read-only once Run returns.
+type Study struct{ machines []studied }
+
+// studied is one machine of a Study: its rows in corpus order (nil when
+// the plan asked none), its Figure 8/9 cells and their curve.
+type studied struct {
+	m     *machine.Config
+	reqs  []Requirements
+	cells []pipeline.Cell
+	curve *Curve
+}
+
+// Run measures plan over corpus on eng. Each (loop, machine) group of
+// the plan — machines by the first appearance of their names — goes to
+// the worker pool once, machine-major, and is served by one walk that
+// returns its row, its cells or both. A group whose row cannot be
+// measured fails the run, as does a cancelled ctx; a failed cell is
+// kept in its machine's curve, which Fig8and9 reports.
+func Run(ctx context.Context, eng *sweep.Engine, corpus []*ddg.Graph, plan Plan) (*Study, error) {
+	s, n := &Study{}, len(corpus)
+	add := func(m *machine.Config) *studied {
+		if st := s.find(m); st != nil {
+			return st
 		}
-		out[i] = Requirements{Name: g.LoopName, Trips: g.TripsOrOne(), II: req.II, Ops: g.NumNodes(), Regs: req.Regs}
+		s.machines = append(s.machines, studied{m: m})
+		return &s.machines[len(s.machines)-1]
+	}
+	for _, m := range plan.Rows {
+		add(m).reqs = make([]Requirements, n)
+	}
+	// Cells in sweep.Grid.Plan's order, model then budget.
+	for _, model := range core.Models {
+		for _, cfg := range plan.Perf {
+			st := add(machine.Eval(cfg.Latency))
+			if c := (pipeline.Cell{Model: model, Regs: cfg.Regs}); !slices.Contains(st.cells, c) {
+				st.cells = append(st.cells, c)
+			}
+		}
+	}
+	// Each machine's rows cell-major, as a sweep of its grid emits them.
+	rows := make([][]pipeline.Row, len(s.machines))
+	for i, st := range s.machines {
+		rows[i] = make([]pipeline.Row, len(st.cells)*n)
+	}
+	err := eng.ForEach(ctx, len(s.machines)*n, func(gi int) error {
+		st, g, li := &s.machines[gi/n], corpus[gi%n], gi%n
+		var row *pipeline.Requirement
+		if st.reqs != nil {
+			st.reqs[li] = Requirements{Name: g.LoopName, Trips: g.TripsOrOne()}
+			row = &st.reqs[li].Requirement
+		}
+		k := 0
+		err := eng.EvalGroup(ctx, g, st.m, row, st.cells, func(mt pipeline.Metrics, err error) error {
+			r := &rows[gi/n][k*n+li]
+			*r = pipeline.Row{Loop: g.LoopName, Machine: st.m.Name(), Model: st.cells[k].Model.String(), Regs: st.cells[k].Regs, Trips: g.TripsOrOne()}
+			r.SetMetrics(mt)
+			if err != nil {
+				r.Error = err.Error()
+			}
+			k++
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("%s on %s: %w", g.LoopName, st.m.Name(), err)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	for i := range s.machines {
+		if len(rows[i]) > 0 {
+			s.machines[i].curve = BuildCurve(rows[i])
+		}
+	}
+	return s, nil
+}
+
+// find returns the study's machine named like m, or nil.
+func (s *Study) find(m *machine.Config) *studied {
+	for i := range s.machines {
+		if s.machines[i].m.Name() == m.Name() {
+			return &s.machines[i]
+		}
+	}
+	return nil
+}
+
+// Requirements returns the study's requirement rows on m, one per loop
+// in corpus order.
+func (s *Study) Requirements(m *machine.Config) ([]Requirements, error) {
+	if st := s.find(m); st != nil && st.reqs != nil {
+		return st.reqs, nil
+	}
+	return nil, fmt.Errorf("experiment: the plan measured no requirement rows on %s", m.Name())
+}
+
+// curve returns the study's Figure 8/9 cells on m as a curve.
+func (s *Study) curve(m *machine.Config) (*Curve, error) {
+	if st := s.find(m); st != nil && st.curve != nil {
+		return st.curve, nil
+	}
+	return nil, fmt.Errorf("experiment: the plan measured no Figure 8/9 cells on %s", m.Name())
 }
 
 // VerifySample functionally verifies a sample of the corpus: every

@@ -61,7 +61,7 @@ func TestStatsEmptyValues(t *testing.T) {
 
 func TestClusterScaling(t *testing.T) {
 	corpus := smallCorpus()[:20]
-	res, err := ClusterScaling(ctx0, NewStudy(testEng(), corpus), 6, []int{1, 2})
+	res, err := ClusterScaling(study(t, corpus, ClusterPlan(6, []int{1, 2})), 6, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestEvalN(t *testing.T) {
 }
 
 func TestFigP90Summary(t *testing.T) {
-	res, err := Fig6(ctx0, NewStudy(testEng(), smallCorpus()), 6)
+	res, err := FigCDF(study(t, smallCorpus(), CDFPlan()), 6, false)
 	if err != nil {
 		t.Fatal(err)
 	}

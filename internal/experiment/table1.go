@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"io"
 
 	"ncdrf/internal/core"
@@ -27,14 +26,14 @@ type Table1Result struct {
 	Rows []Table1Row
 }
 
-// Table1 reproduces Table 1: for each PxLy configuration, schedule every
-// loop with a unified register file and unlimited registers, then report
-// how many loops (and how much of the dynamic time) fit in 16, 32 and 64
-// registers without spilling.
-func Table1(ctx context.Context, s *Study) (*Table1Result, error) {
+// Table1 projects Table 1 from the rows of s (Table1Plan): for each
+// PxLy configuration, every loop scheduled with a unified register file
+// and unlimited registers, it reports how many loops (and how much of
+// the dynamic time) fit in 16, 32 and 64 registers without spilling.
+func Table1(s *Study) (*Table1Result, error) {
 	res := &Table1Result{}
 	for _, m := range machine.Table1Configs() {
-		reqs, err := s.Requirements(ctx, m)
+		reqs, err := s.Requirements(m)
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -168,25 +167,6 @@ func (c *Config) ClusterCountOfKind(ci int, k FUKind) int {
 // Latency returns the execution latency in cycles for units of kind k.
 func (c *Config) Latency(k FUKind) int { return c.latency[k] }
 
-// Clustered reports whether the machine has more than one cluster.
-func (c *Config) Clustered() bool { return len(c.clusters) > 1 }
-
-// Unify returns an equivalent single-cluster machine: the same total unit
-// counts and latencies collapsed into one cluster. It models the unified /
-// consistent register-file organizations, where every unit can reach every
-// register.
-func (c *Config) Unify() *Config {
-	var total ClusterSpec
-	for _, s := range c.clusters {
-		total.Adders += s.Adders
-		total.Multipliers += s.Multipliers
-		total.MemPorts += s.MemPorts
-	}
-	u := MustNew(c.name+"-unified", []ClusterSpec{total},
-		c.latency[Adder], c.latency[Multiplier], c.latency[MemPort])
-	return u
-}
-
 // String renders a compact human-readable description.
 func (c *Config) String() string {
 	var b strings.Builder
@@ -197,34 +177,4 @@ func (c *Config) String() string {
 	fmt.Fprintf(&b, " lat add=%d mul=%d mem=%d",
 		c.latency[Adder], c.latency[Multiplier], c.latency[MemPort])
 	return b.String()
-}
-
-// KindPressure returns, for every kind, the number of units of that kind;
-// kinds with zero units are included. The result is sorted by kind.
-func (c *Config) KindPressure() map[FUKind]int {
-	m := make(map[FUKind]int, numKinds)
-	for _, k := range Kinds {
-		m[k] = len(c.byKind[k])
-	}
-	return m
-}
-
-// SortedUnitIndices returns all unit indices sorted first by kind then by
-// cluster; used by deterministic schedulers.
-func (c *Config) SortedUnitIndices() []int {
-	idx := make([]int, len(c.units))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ua, ub := c.units[idx[a]], c.units[idx[b]]
-		if ua.Kind != ub.Kind {
-			return ua.Kind < ub.Kind
-		}
-		if ua.Cluster != ub.Cluster {
-			return ua.Cluster < ub.Cluster
-		}
-		return ua.Index < ub.Index
-	})
-	return idx
 }

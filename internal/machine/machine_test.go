@@ -88,37 +88,18 @@ func TestLatency(t *testing.T) {
 	}
 }
 
-func TestUnify(t *testing.T) {
-	c := Eval(3)
-	u := c.Unify()
-	if u.Clustered() {
-		t.Fatal("Unify result should have one cluster")
-	}
-	if u.NumUnits() != c.NumUnits() {
-		t.Fatalf("Unify changed unit count: %d vs %d", u.NumUnits(), c.NumUnits())
-	}
-	for _, k := range Kinds {
-		if u.CountOfKind(k) != c.CountOfKind(k) {
-			t.Fatalf("Unify changed %v count", k)
-		}
-		if u.Latency(k) != c.Latency(k) {
-			t.Fatalf("Unify changed %v latency", k)
-		}
-	}
-}
-
 func TestPresets(t *testing.T) {
 	p := PxLy(2, 6)
 	if p.Name() != "P2L6" {
 		t.Fatalf("PxLy name = %q", p.Name())
 	}
 	if p.CountOfKind(Adder) != 2 || p.CountOfKind(Multiplier) != 2 || p.CountOfKind(MemPort) != 3 {
-		t.Fatalf("P2L6 unit counts wrong: %v", p.KindPressure())
+		t.Fatalf("P2L6 unit counts wrong: %s", p)
 	}
 	if p.Latency(Adder) != 6 || p.Latency(MemPort) != 1 {
 		t.Fatal("P2L6 latencies wrong")
 	}
-	if p.Clustered() {
+	if p.NumClusters() != 1 {
 		t.Fatal("Table 1 machines are unified (single cluster)")
 	}
 
@@ -134,7 +115,7 @@ func TestPresets(t *testing.T) {
 	}
 
 	ex := Example()
-	if !ex.Clustered() || ex.NumClusters() != 2 {
+	if ex.NumClusters() != 2 {
 		t.Fatal("Example machine must have 2 clusters")
 	}
 	if ex.CountOfKind(MemPort) != 4 {
@@ -155,20 +136,6 @@ func TestStringAndKinds(t *testing.T) {
 	}
 	if FUKind(99).String() == "" {
 		t.Fatal("unknown kind should still render")
-	}
-}
-
-func TestSortedUnitIndices(t *testing.T) {
-	c := MustNew("m", []ClusterSpec{{2, 1, 1}, {1, 2, 1}}, 3, 3, 1)
-	idx := c.SortedUnitIndices()
-	if len(idx) != c.NumUnits() {
-		t.Fatalf("len = %d", len(idx))
-	}
-	for i := 1; i < len(idx); i++ {
-		a, b := c.Unit(idx[i-1]), c.Unit(idx[i])
-		if a.Kind > b.Kind || (a.Kind == b.Kind && a.Cluster > b.Cluster) {
-			t.Fatalf("not sorted at %d: %+v then %+v", i, a, b)
-		}
 	}
 }
 

@@ -15,19 +15,20 @@ import (
 	"ncdrf/internal/sched"
 )
 
-// FuzzStoreSegment holds the segment reader every artifact read goes
-// through (Open and Scan) to two properties. On arbitrary segment bytes
-// neither panics, and each serves only frames whose checksum verifies:
-// whatever Get returns is framed, byte for byte, somewhere in the
-// segment, and Scan lists exactly what Get serves. And a segment holding
-// one frame of the fuzzed payload serves it back, unless any single byte
-// of the frame is changed: then nothing is served. The seeds frame a real
-// group record of a kernel: as a whole segment, as a payload, and as a
-// segment cut mid-frame.
-func FuzzStoreSegment(f *testing.F) {
+// segmentSeed is one input of FuzzStoreSegment: segment bytes, and a
+// payload framed alone with the byte at at changed by flip.
+type segmentSeed struct {
+	data, payload []byte
+	at            uint
+	flip          byte
+}
+
+// segmentSeeds frame a real group record of a kernel: as a whole
+// segment, as a payload, and as a segment cut mid-frame.
+func segmentSeeds(t testing.TB) []segmentSeed {
 	b, err := pipeline.NewBase(loops.Kernels()[0], machine.Eval(6), sched.Options{})
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
 	var rec pipeline.Record
 	cells := []pipeline.Cell{{Model: core.Unified, Regs: 16}, {Model: core.Swapped, Regs: 32}}
@@ -37,26 +38,83 @@ func FuzzStoreSegment(f *testing.F) {
 	}
 	payload := pipeline.AppendRecord(nil, &rec)
 	segment := append(newFrame("group", "00ff", payload), newFrame("group", "00ff", nil)...)
-	f.Add(segment, payload, uint(0), byte(0))
-	f.Add(payload, segment, uint(len(segment)/2), byte(1))
-	f.Add(segment[:len(segment)-frameSum/2], []byte{}, uint(2), byte(0x80))
-	f.Add([]byte{}, payload, uint(len(payload)), byte(0xff))
+	return []segmentSeed{
+		{segment, payload, 0, 0},
+		{payload, segment, uint(len(segment) / 2), 1},
+		{segment[:len(segment)-frameSum/2], []byte{}, 2, 0x80},
+		{[]byte{}, payload, uint(len(payload)), 0xff},
+	}
+}
+
+// flipped returns the frame of payload with the byte at at changed by
+// flip.
+func flipped(payload []byte, at uint, flip byte) []byte {
+	frame := newFrame("group", "00ff", payload)
+	frame[at%uint(len(frame))] ^= flip
+	return frame
+}
+
+// FuzzStoreSegment holds the segment parser every artifact read goes
+// through (Open and Scan, by way of readVersion) to two properties, over
+// bytes alone. On arbitrary segment bytes it never panics and serves
+// only frames whose checksum verifies: each frame it returns, and each
+// frame the index over them (what Get serves) holds, is a verified
+// frame of the segment, byte for byte. And a segment holding one frame
+// of the fuzzed payload serves it back, unless any single byte of the
+// frame is changed: then nothing is served. TestSegmentSeedsThroughStore
+// runs the seeds through a real directory.
+func FuzzStoreSegment(f *testing.F) {
+	for _, s := range segmentSeeds(f) {
+		f.Add(s.data, s.payload, s.at, s.flip)
+	}
 	f.Fuzz(func(t *testing.T, data, payload []byte, at uint, flip byte) {
-		for _, got := range readSegment(t, data) {
-			if !bytes.Contains(data, newFrame(got.stage, got.key, got.payload)) {
-				t.Fatalf("served %s/%s = %q, which no verified frame holds", got.stage, got.key, got.payload)
+		frames, _ := parseSegment(data)
+		verified := func(frame []byte) bool {
+			stage, key, p := fields(frame)
+			return bytes.Equal(newFrame(string(stage), string(key), p), frame) && bytes.Contains(data, frame)
+		}
+		for _, frame := range frames {
+			if !verified(frame) {
+				t.Fatalf("parsed %q, which is no verified frame of the segment", frame)
 			}
 		}
-		frame := newFrame("group", "00ff", payload)
-		frame[at%uint(len(frame))] ^= flip
-		served := readSegment(t, frame)
+		for e, frame := range indexFrames([]segment{{frames: frames}}) {
+			if !verified(frame) {
+				t.Fatalf("the index serves %s/%s as %q, which is no verified frame of the segment", e.stage, e.key, frame)
+			}
+		}
+		served, _ := parseSegment(flipped(payload, at, flip))
 		switch {
-		case flip == 0 && (len(served) != 1 || !bytes.Equal(served[0].payload, payload)):
-			t.Fatalf("a framed payload reads back as %+v", served)
+		case flip == 0 && (len(served) != 1 || !bytes.Equal(served[0], newFrame("group", "00ff", payload))):
+			t.Fatalf("a framed payload parses as %q", served)
 		case flip != 0 && len(served) != 0:
-			t.Fatalf("byte %d changed by %#x still serves %+v", at%uint(len(frame)), flip, served)
+			t.Fatalf("byte %d changed by %#x still parses as %q", at, flip, served)
 		}
 	})
+}
+
+// TestSegmentSeedsThroughStore runs FuzzStoreSegment's seeds through a
+// real directory, so the file-level readers stay held to the parser's
+// properties: whatever Get serves is framed, byte for byte, in the
+// segment, Scan lists exactly what Get serves, and a frame with a
+// changed byte serves nothing.
+func TestSegmentSeedsThroughStore(t *testing.T) {
+	for i, s := range segmentSeeds(t) {
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			for _, got := range readSegment(t, s.data) {
+				if !bytes.Contains(s.data, newFrame(got.stage, got.key, got.payload)) {
+					t.Fatalf("served %s/%s = %q, which no verified frame holds", got.stage, got.key, got.payload)
+				}
+			}
+			served := readSegment(t, flipped(s.payload, s.at, s.flip))
+			switch {
+			case s.flip == 0 && (len(served) != 1 || !bytes.Equal(served[0].payload, s.payload)):
+				t.Fatalf("a framed payload reads back as %+v", served)
+			case s.flip != 0 && len(served) != 0:
+				t.Fatalf("byte %d changed by %#x still serves %+v", s.at, s.flip, served)
+			}
+		})
+	}
 }
 
 // served is one artifact a store serves.

@@ -276,19 +276,28 @@ func readVersion(root string) (segs []segment, temps []string, err error) {
 	for i := range segs {
 		seg := &segs[i]
 		data, err := os.ReadFile(filepath.Join(root, seg.name))
+		seg.frames, seg.damaged = parseSegment(data)
 		if err != nil && !os.IsNotExist(err) {
 			seg.damaged = 1
 		}
-		for n, ok := nextFrame(data); n > 0; n, ok = nextFrame(data) {
-			if ok {
-				seg.frames = append(seg.frames, data[:n:n])
-			} else {
-				seg.damaged++
-			}
-			data = data[n:]
-		}
 	}
 	return segs, temps, nil
+}
+
+// parseSegment splits a segment's bytes into its complete frames whose
+// checksum verifies, in order, each capped at its end, and counts the
+// complete frames whose checksum fails. A frame cut short at the end of
+// data is neither.
+func parseSegment(data []byte) (frames [][]byte, damaged int) {
+	for n, ok := nextFrame(data); n > 0; n, ok = nextFrame(data) {
+		if ok {
+			frames = append(frames, data[:n:n])
+		} else {
+			damaged++
+		}
+		data = data[n:]
+	}
+	return frames, damaged
 }
 
 // indexFrames maps each (stage, key) to its winning frame among segs,

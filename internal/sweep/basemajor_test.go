@@ -155,7 +155,7 @@ func TestBaseMajorOneBasePerGroup(t *testing.T) {
 		Regs:     []int{8, 16, 24, 32, 40, 48, 56, 64},
 	}
 	groups := len(grid.Corpus) * len(grid.Machines)
-	if got := len(grid.Groups()); got != groups {
+	if got := len(GroupUnits(grid.Plan())); got != groups {
 		t.Fatalf("grid partitions into %d groups, want %d", got, groups)
 	}
 

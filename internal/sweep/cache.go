@@ -205,26 +205,35 @@ func (c *Cache) Base(ctx context.Context, g *ddg.Graph, m *machine.Config, opts 
 	return pipeline.NewBaseWith(c, g, m, opts)
 }
 
-// evalCells serves the cells of one (loop, machine) group — g on m
-// under opts — and hands each cell's metrics or error to each, in
-// order; a non-nil error from each stops the group. The group's base is
-// built only if some cell misses the group's record, so a group the
-// store serves whole costs no schedule.
+// evalCells serves one (loop, machine) group — g on m under opts — in
+// one walk: with row non-nil, the group's requirement row is stored at
+// *row, and each cell's metrics or error is handed to each, in order; a
+// non-nil error from each stops the group. The row and every cell are
+// one eval-stage request each. The group's record is read once, the
+// base is built at most once, only if the row or some cell misses the
+// record, and the record is rewritten at most once, with the row and
+// every converged and non-converged cell added. So a group the store
+// serves whole costs no schedule.
 //
-// The walk is plain. Every Ideal cell has one result whatever its
-// budget, so an Ideal cell after the group's first shares that cell's
-// outcome and counts as a memory hit; Grid.Plan already drops every
-// other repeated cell. Every other cell is looked up in the record, and
-// the cells it lacks are measured by one walk of the spill chain
-// (pipeline.MeasureCells); the record is then rewritten once, with
-// every converged and non-converged cell added. A cancelled ctx is the
-// group's error: it is checked here before any cell is served, and by
-// the walk between rounds.
-func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options, cells []pipeline.Cell, each func(pipeline.Metrics, error) error) error {
+// The walk is plain. The row is measured on the base, before any spill
+// round. Every Ideal cell has one result whatever its budget, so an
+// Ideal cell after the group's first shares that cell's outcome and
+// counts as a memory hit; Grid.Plan already drops every other repeated
+// cell. The cells the record lacks are measured by one walk of the
+// spill chain (pipeline.MeasureCells). A row that cannot be measured
+// is the group's error, returned before any cell is served and never
+// persisted. A cancelled ctx is the group's error too: it is checked
+// here first, and by the walk between rounds.
+func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options, row *pipeline.Requirement, cells []pipeline.Cell, each func(pipeline.Metrics, error) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	key, rec := c.record(g, m, opts)
+	needRow := row != nil && rec.Req.II == 0
+	if row != nil && !needRow {
+		c.evalDiskHits.Add(1)
+		*row = rec.Req
+	}
 	out := make([]pipeline.Metrics, len(cells))
 	errs := make([]error, len(cells))
 	ideal := -1 // the group's first Ideal cell
@@ -249,20 +258,34 @@ func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, 
 		walk = append(walk, cell)
 		at = append(at, k)
 	}
-	if len(walk) > 0 {
+	if needRow || len(walk) > 0 {
+		if needRow {
+			c.evalComputed.Add(1)
+		}
 		c.evalComputed.Add(uint64(len(walk)))
 		b, err := c.Base(ctx, g, m, opts)
-		if err != nil {
+		if err == nil && needRow {
+			var regs [core.NumModels]int
+			regs, err = b.Requirements()
+			*row = pipeline.Requirement{II: b.Sched.II, Regs: regs}
+			rec.Req = *row
+		}
+		switch {
+		case err != nil && needRow:
+			return err
+		case err != nil:
 			for _, k := range at {
 				errs[k] = err
 			}
-		} else {
-			res, resErrs := pipeline.MeasureCells(ctx, c, b, walk)
-			var nc *spill.NotConverged // one per group: errors.As moves it to the heap
-			for i, k := range at {
-				out[k], errs[k] = res[i], resErrs[i]
-				if c.store != nil && (errs[k] == nil || errors.As(errs[k], &nc)) {
-					rec.Put(walk[i], errs[k] != nil, out[k])
+		default:
+			if len(walk) > 0 {
+				res, resErrs := pipeline.MeasureCells(ctx, c, b, walk)
+				var nc *spill.NotConverged // one per group: errors.As moves it to the heap
+				for i, k := range at {
+					out[k], errs[k] = res[i], resErrs[i]
+					if c.store != nil && (errs[k] == nil || errors.As(errs[k], &nc)) {
+						rec.Put(walk[i], errs[k] != nil, out[k])
+					}
 				}
 			}
 			c.saveRecord(key, &rec)
@@ -277,31 +300,6 @@ func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, 
 		}
 	}
 	return nil
-}
-
-// requirements returns the requirement row of g on m under opts, read
-// from the group's record when it holds one; otherwise it builds the
-// base, measures every model on it and rewrites the record with the
-// row added. The row is one eval-stage request. A failure is returned,
-// never persisted.
-func (c *Cache) requirements(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options) (pipeline.Requirement, error) {
-	key, rec := c.record(g, m, opts)
-	if rec.Req.II > 0 {
-		c.evalDiskHits.Add(1)
-		return rec.Req, nil
-	}
-	c.evalComputed.Add(1)
-	b, err := c.Base(ctx, g, m, opts)
-	if err != nil {
-		return pipeline.Requirement{}, err
-	}
-	regs, err := b.Requirements()
-	if err != nil {
-		return pipeline.Requirement{}, err
-	}
-	rec.Req = pipeline.Requirement{II: b.Sched.II, Regs: regs}
-	c.saveRecord(key, &rec)
-	return rec.Req, nil
 }
 
 // Stats returns a snapshot of the schedule-stage counters. The stage

@@ -96,7 +96,7 @@ func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, g Grou
 	for k, ui := range g.Units {
 		cells[k] = pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs}
 	}
-	err := e.cache.evalCells(ctx, grid.Corpus[g.Loop], grid.Machines[g.Machine], sched.Options{}, cells, add)
+	err := e.cache.evalCells(ctx, grid.Corpus[g.Loop], grid.Machines[g.Machine], sched.Options{}, nil, cells, add)
 	return rows, err
 }
 

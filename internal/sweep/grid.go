@@ -166,10 +166,6 @@ type Group struct {
 	Units []int
 }
 
-// Groups partitions the grid's plan into base-major groups; see
-// GroupUnits for the grouping contract.
-func (g Grid) Groups() []Group { return GroupUnits(g.Plan()) }
-
 // GroupUnits partitions a unit list — a whole plan or one shard of it —
 // into base-major groups keyed by (loop, machine), ordered by first
 // appearance. A shard of a plan yields partial groups: only the shard's

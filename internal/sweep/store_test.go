@@ -66,61 +66,110 @@ func sweepRows(t *testing.T, eng *Engine, grid Grid) ([]Result, StageStats) {
 	return rows, eng.Cache().StageStats()
 }
 
-// requirementRows returns every loop's requirement row on m.
+// requirementRows returns every loop's requirement row on m, each from
+// a row-only walk of its group.
 func requirementRows(t *testing.T, eng *Engine, corpus []*ddg.Graph, m *machine.Config) []pipeline.Requirement {
 	t.Helper()
 	out := make([]pipeline.Requirement, len(corpus))
 	for i, g := range corpus {
-		var err error
-		if out[i], err = eng.Requirements(context.Background(), g, m); err != nil {
+		if err := eng.EvalGroup(context.Background(), g, m, &out[i], nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return out
 }
 
+// groupOutcome is what one walk of a group returns: its requirement
+// row, when asked for, and each cell's metrics and error text.
+type groupOutcome struct {
+	row     pipeline.Requirement
+	metrics []pipeline.Metrics
+	errs    []string
+}
+
+// gridCells returns the cells of one group of grid, in plan order.
+func gridCells(grid Grid) []pipeline.Cell {
+	var cells []pipeline.Cell
+	for _, model := range grid.Models {
+		for _, regs := range grid.Regs {
+			cells = append(cells, pipeline.Cell{Model: model, Regs: regs})
+		}
+	}
+	return cells
+}
+
+// walkGroups serves every (loop, machine) group of grid in one walk
+// (Engine.EvalGroup) on the engine's pool, its requirement row when
+// withRow and the cells when withCells, and returns the outcomes,
+// machine-major.
+func walkGroups(t *testing.T, eng *Engine, grid Grid, withRow, withCells bool) []groupOutcome {
+	t.Helper()
+	var cells []pipeline.Cell
+	if withCells {
+		cells = gridCells(grid)
+	}
+	n := len(grid.Corpus)
+	out := make([]groupOutcome, len(grid.Machines)*n)
+	err := eng.ForEach(context.Background(), len(out), func(i int) error {
+		o := &out[i]
+		var row *pipeline.Requirement
+		if withRow {
+			row = &o.row
+		}
+		return eng.EvalGroup(context.Background(), grid.Corpus[i%n], grid.Machines[i/n], row, cells, func(m pipeline.Metrics, err error) error {
+			o.metrics = append(o.metrics, m)
+			o.errs = append(o.errs, fmt.Sprint(err))
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestGroupRecordColdAndWarm is the acceptance scenario at engine
-// level: a second engine sharing the first one's artifact directory
-// reads one record per group, computes no cell and no requirement row,
-// builds no base and schedules nothing, and emits the store-less rows
-// and requirement rows. A record written by the sweep gains the group's
-// requirement row without losing its cells.
+// level. Walks that serve each group's requirement row and cells
+// together write one record per group; a second engine sharing the
+// artifact directory reads each record once, computes no cell and no
+// row, builds no base, schedules nothing, writes nothing, and returns
+// the store-less outcomes.
 func TestGroupRecordColdAndWarm(t *testing.T) {
 	grid := storeGrid()
-	m := grid.Machines[1]
-	want, _ := sweepRows(t, New(2), grid)
-	wantReq := requirementRows(t, New(1), grid.Corpus, m)
+	want := walkGroups(t, New(2), grid, true, true)
+	groups := uint64(len(want))
 
 	dir := t.TempDir()
 	cold := storeEng(t, 2, dir)
-	rows, st := sweepRows(t, cold, grid)
-	if st.Eval.Misses == 0 || st.Eval.DiskHits != 0 {
-		t.Fatalf("cold run: %+v", st)
+	got := walkGroups(t, cold, grid, true, true)
+	if st := cold.Cache().StageStats(); st.Eval.Misses == 0 || st.Eval.DiskHits != 0 || st.Base.Requests() != groups {
+		t.Fatalf("cold run: %+v; want one base per group", st)
 	}
-	req := requirementRows(t, cold, grid.Corpus, m)
-	groups := uint64(len(grid.Groups()))
-	if w := cold.cache.store.Stats().Writes; w != groups+uint64(len(grid.Corpus)) {
-		t.Fatalf("cold run wrote %d records, want one per group (%d) plus one per requirement row (%d)", w, groups, len(grid.Corpus))
+	if w := cold.cache.store.Stats().Writes; w != groups {
+		t.Fatalf("cold run wrote %d records, want one per group (%d)", w, groups)
 	}
-	if !slices.Equal(rows, want) || !slices.Equal(req, wantReq) {
-		t.Fatal("cold store-backed rows differ from the store-less rows")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("cold store-backed outcomes differ from the store-less ones")
 	}
 
 	warm := storeEng(t, 2, dir)
-	rows, st = sweepRows(t, warm, grid)
-	req = requirementRows(t, warm, grid.Corpus, m)
-	st = warm.Cache().StageStats()
+	got = walkGroups(t, warm, grid, true, true)
+	st := warm.Cache().StageStats()
 	if st.Eval.Misses != 0 || st.Base.Requests() != 0 || st.Schedule.Requests() != 0 {
 		t.Fatalf("warm run: %+v; want every cell and row from disk, no base, no schedule", st)
 	}
-	if cells := uint64(len(grid.Plan())); st.Eval.Requests() != cells+uint64(len(grid.Corpus)) {
-		t.Fatalf("warm run: %d eval requests, want %d cells plus %d requirement rows", st.Eval.Requests(), cells, len(grid.Corpus))
+	if cells := uint64(len(grid.Plan())); st.Eval.Requests() != cells+groups {
+		t.Fatalf("warm run: %d eval requests, want %d cells plus %d requirement rows", st.Eval.Requests(), cells, groups)
 	}
-	if s := warm.cache.store.Stats(); s.Hits != groups+uint64(len(grid.Corpus)) || s.Writes != 0 {
-		t.Fatalf("warm run: store %+v; want one read per group and row, no write", s)
+	if s := warm.cache.store.Stats(); s.Hits != groups || s.Writes != 0 {
+		t.Fatalf("warm run: store %+v; want one read per group, no write", s)
 	}
-	if !slices.Equal(rows, want) || !slices.Equal(req, wantReq) {
-		t.Fatal("warm rows differ from the store-less rows")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("warm outcomes differ from the store-less ones")
+	}
+	rows, _ := sweepRows(t, warm, grid)
+	if wantRows, _ := sweepRows(t, New(2), grid); !slices.Equal(rows, wantRows) {
+		t.Fatal("a sweep over the records differs from the store-less sweep")
 	}
 }
 
@@ -139,7 +188,7 @@ func TestGroupRecordSubsetOfCells(t *testing.T) {
 	dir := t.TempDir()
 	sweepRows(t, storeEng(t, 2, dir), small)
 	rows, st := sweepRows(t, storeEng(t, 2, dir), wide)
-	groups := uint64(len(wide.Groups()))
+	groups := uint64(len(GroupUnits(wide.Plan())))
 	// Per group: the Ideal cell and the 24-register cells are recorded,
 	// the 16- and 32-register cells of the three other models are not.
 	if fresh := groups * 2 * 3; st.Eval.Misses != fresh || st.Base.Requests() != groups {
@@ -424,5 +473,66 @@ func TestStoreTierDoesNotPersistErrors(t *testing.T) {
 	}
 	if !slices.Equal(cold, warm) {
 		t.Fatalf("warm rows %+v, cold %+v", warm, cold)
+	}
+}
+
+// TestGroupWalkRowMatchesSeparateWalks is the differential test of the
+// one-walk group: on the kernels plus 100 synthetic loops, on both
+// evaluation machines and the one- and four-cluster widths, at budgets
+// that spill and at one where cells do not converge, a walk that
+// serves a group's requirement row and its cells together returns
+// exactly the row of a row-only walk and the metrics and errors of a
+// cells-only walk — without a store, and with one, cold and warm.
+func TestGroupWalkRowMatchesSeparateWalks(t *testing.T) {
+	spec := loopgen.Defaults()
+	spec.Loops = 100
+	// experiment.EvalN(1, 6) and EvalN(4, 6), which this package cannot
+	// import.
+	evalN := func(n int) *machine.Config {
+		specs := make([]machine.ClusterSpec, n)
+		for i := range specs {
+			specs[i] = machine.ClusterSpec{Adders: 1, Multipliers: 1, MemPorts: 1}
+		}
+		return machine.MustNew(fmt.Sprintf("eval%dc-L6", n), specs, 6, 6, 1)
+	}
+	grid := Grid{
+		Corpus:   append(loops.Kernels(), loopgen.Generate(spec)...),
+		Machines: []*machine.Config{machine.Eval(3), machine.Eval(6), evalN(1), evalN(4)},
+		Models:   core.Models[:],
+		Regs:     []int{16, 32, 64},
+	}
+	rows := walkGroups(t, New(0), grid, true, false)
+	cells := walkGroups(t, New(0), grid, false, true)
+	spilled, failed := 0, 0
+	for _, o := range cells {
+		for k, m := range o.metrics {
+			switch {
+			case strings.Contains(o.errs[k], "did not converge"):
+				failed++
+			case m.Spilled > 0:
+				spilled++
+			}
+		}
+	}
+	t.Logf("%d groups, %d spilled and %d non-converged cells", len(cells), spilled, failed)
+	if spilled == 0 || failed == 0 {
+		t.Fatal("the walks need spilled and non-converged cells")
+	}
+	dir := t.TempDir()
+	for _, run := range []struct {
+		name string
+		eng  *Engine
+	}{{"no store", New(0)}, {"cold store", storeEng(t, 0, dir)}, {"warm store", storeEng(t, 0, dir)}} {
+		both := walkGroups(t, run.eng, grid, true, true)
+		n := len(grid.Corpus)
+		for i, o := range both {
+			name := fmt.Sprintf("%s: %s on %s", run.name, grid.Corpus[i%n].LoopName, grid.Machines[i/n].Name())
+			if o.row != rows[i].row {
+				t.Fatalf("%s: row %+v, row-only walk %+v", name, o.row, rows[i].row)
+			}
+			if !slices.Equal(o.metrics, cells[i].metrics) || !slices.Equal(o.errs, cells[i].errs) {
+				t.Fatalf("%s: cells %+v %q, cells-only walk %+v %q", name, o.metrics, o.errs, cells[i].metrics, cells[i].errs)
+			}
+		}
 	}
 }

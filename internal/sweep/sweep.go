@@ -33,9 +33,10 @@
 // (Cache.StageStats). The schedule stage computes on the caller's graph
 // itself, with no clone; the base stage builds a fresh Base per
 // request, and a sweep requests one per (loop, machine) group at most;
-// the eval stage serves a group's cells in one walk, sharing an Ideal
-// cell's result across the group's budgets and measuring each distinct
-// spill result once (Cache.evalCells). Callers that need one base or
+// the eval stage serves a group's requirement row and cells in one walk,
+// sharing an Ideal cell's result across the group's budgets and
+// measuring each distinct spill result once (Cache.evalCells,
+// Engine.EvalGroup). Callers that need one base or
 // one result set twice keep it themselves. The eval stage reads and
 // rewrites group records in the optional store (Engine.SetStore),
 // making a second process's run incremental. Rows leave in plan order
@@ -100,13 +101,13 @@ func (e *Engine) Base(ctx context.Context, g *ddg.Graph, m *machine.Config) (*pi
 	return e.cache.Base(ctx, g, m, sched.Options{})
 }
 
-// Requirements returns the unlimited-register requirement row of g on
-// m — the base schedule's II and every model's register count — read
-// from the group's record when the store holds it, and otherwise
-// computed on a fresh base and added to the record. It is one
-// eval-stage request.
-func (e *Engine) Requirements(ctx context.Context, g *ddg.Graph, m *machine.Config) (pipeline.Requirement, error) {
-	return e.cache.requirements(ctx, g, m, sched.Options{})
+// EvalGroup serves the (loop, machine) group of g on m with default
+// options in one walk (Cache.evalCells): with row non-nil, its
+// unlimited-register requirement row — the base schedule's II and
+// every model's register count — goes to *row, and each of cells hands
+// its metrics or error to each, in order.
+func (e *Engine) EvalGroup(ctx context.Context, g *ddg.Graph, m *machine.Config, row *pipeline.Requirement, cells []pipeline.Cell, each func(pipeline.Metrics, error) error) error {
+	return e.cache.evalCells(ctx, g, m, sched.Options{}, row, cells, each)
 }
 
 // Compile runs the staged per-model pipeline for one loop — build the

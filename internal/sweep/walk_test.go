@@ -95,7 +95,7 @@ func TestWarmStoreBuildsNoBase(t *testing.T) {
 		return rows, eng.Cache().StageStats()
 	}
 	cold, st := run()
-	if groups := uint64(len(grid.Groups())); st.Base.Requests() != groups {
+	if groups := uint64(len(GroupUnits(grid.Plan()))); st.Base.Requests() != groups {
 		t.Fatalf("cold store: %d base requests, want one per group = %d", st.Base.Requests(), groups)
 	}
 	warm, st := run()
