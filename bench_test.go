@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"ncdrf/internal/codegen"
 	"ncdrf/internal/core"
 	"ncdrf/internal/ddg"
 	"ncdrf/internal/experiment"
@@ -295,34 +294,21 @@ func (c *schedCounter) Schedule(g *ddg.Graph, m *machine.Config, opts sched.Opti
 	return sched.Run(g, m, opts)
 }
 
-// BenchmarkPipelinedSimulation executes the paper's worked example on the
-// simulated dual rotating register file and verifies it against the
-// sequential reference.
+// BenchmarkPipelinedSimulation executes the kernel image of the paper's
+// worked example on the simulated dual rotating register file and checks
+// it against the sequential reference.
 func BenchmarkPipelinedSimulation(b *testing.B) {
-	g := loops.PaperExample()
-	m := machine.Example()
-	for i := 0; i < b.N; i++ {
-		if err := vm.VerifyModel(g, m, core.Swapped, 0, 20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPredicatedExecution runs the predicated-kernel machine model
-// (codegen) on the worked example and checks it against the reference.
-func BenchmarkPredicatedExecution(b *testing.B) {
 	g := loops.PaperExample()
 	m := machine.Example()
 	s, err := sched.Run(g, m, sched.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	lts := lifetime.Compute(s)
-	dm, err := vm.NewDualMap(s, lts)
+	dm, err := vm.NewDualMap(s, lifetime.Compute(s))
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := codegen.Generate(s, dm)
+	prog, err := vm.Generate(s, dm)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -332,7 +318,7 @@ func BenchmarkPredicatedExecution(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, err := codegen.Execute(prog, 20)
+		got, err := vm.Execute(prog, 20)
 		if err != nil {
 			b.Fatal(err)
 		}

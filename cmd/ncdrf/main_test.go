@@ -388,6 +388,8 @@ func TestCmdBadNumericFlags(t *testing.T) {
 		{[]string{"curve", "-loops", "0"}, "-loops: loop count must be >= 1, got 0"},
 		{[]string{"verify", "-regs", "-3"}, "-regs: sizes must be >= 0 (0 = unlimited), got -3"},
 		{[]string{"verify", "-synthetic", "-2"}, "-synthetic: loop count must be >= 0, got -2"},
+		{[]string{"verify", "-iters", "0"}, "-iters: iteration count must be >= 1, got 0"},
+		{[]string{"verify", "-iters", "-5"}, "-iters: iteration count must be >= 1, got -5"},
 	} {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
 			code, stderr := runMain(t, c.args...)

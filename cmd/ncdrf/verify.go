@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 
-	"ncdrf/internal/codegen"
 	"ncdrf/internal/core"
 	"ncdrf/internal/loopgen"
 	"ncdrf/internal/loops"
@@ -14,10 +13,10 @@ import (
 	"ncdrf/internal/vm"
 )
 
-// cmdVerify runs the functional simulator: it executes the compiled loop
-// (including any spill code) on simulated rotating register files and
-// compares every stored value bit-for-bit against a sequential reference
-// execution.
+// cmdVerify runs the functional simulator: it executes the kernel image
+// `ncdrf object` prints for the compiled loop (including any spill code)
+// on simulated rotating register files and compares every stored value
+// bit-for-bit against a sequential reference execution.
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	name := fs.String("loop", "", "kernel name; empty verifies the whole curated corpus")
@@ -37,6 +36,9 @@ func cmdVerify(args []string) error {
 	}
 	if *synth < 0 {
 		return fmt.Errorf("-synthetic: loop count must be >= 0, got %d", *synth)
+	}
+	if *iters < 1 {
+		return fmt.Errorf("-iters: iteration count must be >= 1, got %d", *iters)
 	}
 
 	models := []core.Model{core.Unified, core.Partitioned, core.Swapped}
@@ -98,18 +100,8 @@ func buildRegMap(name string, m *machine.Config, modelName string) (*sched.Sched
 	if model == core.Swapped {
 		s, _ = core.Swap(s, core.SwapOptions{})
 	}
-	if model == core.Unified || model == core.Ideal {
-		u, err := vm.NewUnifiedMap(lts, s.II)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, u, nil
-	}
-	d, err := vm.NewDualMap(s, lts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, d, nil
+	rm, err := vm.NewRegMap(model, s, lts)
+	return s, rm, err
 }
 
 // cmdListing prints an assembly-like kernel listing of a scheduled,
@@ -160,10 +152,10 @@ func cmdObject(args []string) error {
 	if err != nil {
 		return err
 	}
-	p, err := codegen.Generate(s, rm)
+	p, err := vm.Generate(s, rm)
 	if err != nil {
 		return err
 	}
-	fmt.Print(codegen.Format(p))
+	fmt.Print(vm.Format(p))
 	return nil
 }

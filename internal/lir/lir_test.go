@@ -218,6 +218,21 @@ func TestSpillSlotRecognition(t *testing.T) {
 	}
 }
 
+// lowered parses and lowers src without the stack-spill elimination
+// Compile applies, so the pass's tests see the spill pairs.
+func lowered(t *testing.T, src string) *ddg.Graph {
+	t.Helper()
+	p, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Lower(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestEliminateStackSpills(t *testing.T) {
 	// v1 -> (spill store) ... (reload) -> consumer. After elimination the
 	// graph is v1 -> v4 directly.
@@ -229,7 +244,7 @@ R: v2 = load stack0
 v4 = fadd v2, 1.0
 store y, v4
 `
-	g := MustCompile(src)
+	g := lowered(t, src)
 	if g.NumNodes() != 5 {
 		t.Fatalf("pre nodes = %d", g.NumNodes())
 	}
@@ -239,6 +254,9 @@ store y, v4
 	}
 	if out.NumNodes() != 3 {
 		t.Fatalf("post nodes = %d, want 3", out.NumNodes())
+	}
+	if n := MustCompile(src).NumNodes(); n != 3 {
+		t.Fatalf("Compile keeps %d nodes, want the pass's 3", n)
 	}
 	v1 := out.NodeByName("v1")
 	v4 := out.NodeByName("v4")
@@ -268,7 +286,7 @@ R: v2 = load stack1
 v3 = fadd v2, 1.0
 store y, v3
 `
-	g := MustCompile(src)
+	g := lowered(t, src)
 	out, removed := EliminateStackSpills(g)
 	if removed != 2 {
 		t.Fatalf("removed = %d", removed)
@@ -294,7 +312,7 @@ v1 = load stack7
 v2 = fadd v1, 1.0
 store y, v2
 `
-	g := MustCompile(src)
+	g := lowered(t, src)
 	out, removed := EliminateStackSpills(g)
 	if removed != 0 {
 		t.Fatalf("removed = %d, want 0", removed)
@@ -314,7 +332,7 @@ R2: b = load stack2
 c = fadd a, b
 store y, c
 `
-	g := MustCompile(src)
+	g := lowered(t, src)
 	out, removed := EliminateStackSpills(g)
 	if removed != 3 {
 		t.Fatalf("removed = %d, want 3 (1 store + 2 loads)", removed)

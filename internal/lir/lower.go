@@ -156,13 +156,19 @@ func spillSlot(sym string) (int, bool) {
 	return n, true
 }
 
-// Compile parses and lowers in one step.
+// Compile is the front end in one step: it parses, lowers and removes
+// the matched stack spill pairs of the source (EliminateStackSpills).
 func Compile(src string) (*ddg.Graph, error) {
 	p, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return Lower(p)
+	g, err := Lower(p)
+	if err != nil {
+		return nil, err
+	}
+	g, _ = EliminateStackSpills(g)
+	return g, nil
 }
 
 // MustCompile is Compile but panics on error; for corpus construction.

@@ -13,7 +13,8 @@ import (
 // value producer to every consumer of the load, composing iteration
 // distances. Unmatched stack accesses are left untouched.
 //
-// It returns the rewritten graph and the number of removed operations.
+// It returns the rewritten graph and the number of removed operations;
+// with nothing to remove, the graph is g itself.
 func EliminateStackSpills(g *ddg.Graph) (*ddg.Graph, int) {
 	type slotUse struct {
 		stores []int
@@ -78,7 +79,7 @@ func EliminateStackSpills(g *ddg.Graph) (*ddg.Graph, int) {
 		}
 	}
 	if len(remove) == 0 {
-		return g.Clone(), 0
+		return g, 0
 	}
 
 	out := ddg.New(g.LoopName, g.Trips)

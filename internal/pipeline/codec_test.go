@@ -112,8 +112,8 @@ func TestModelResultCodecRoundTrip(t *testing.T) {
 				t.Fatalf("%s/%v: decoded graph content differs", g.LoopName, model)
 			}
 			// Spill-slot marks are not part of the canonical text
-			// encoding, so pin them explicitly: the vm and codegen
-			// layers depend on them.
+			// encoding, so pin them explicitly: the vm layer depends
+			// on them.
 			for id := 0; id < res.Graph.NumNodes(); id++ {
 				if got.Graph.Node(id).SpillSlot != res.Graph.Node(id).SpillSlot {
 					t.Fatalf("%s/%v: node %d spill slot differs", g.LoopName, model, id)

@@ -48,27 +48,11 @@ func RunReference(g *ddg.Graph, iters int) (StoreStream, error) {
 				}
 				return hist[from][fromIter]
 			})
-			switch {
-			case n.Op == ddg.LOAD && n.SpillSlot >= 0:
-				v, err := readSpill(spillMem, g, n, it)
-				if err != nil {
-					return nil, err
-				}
-				hist[id][it] = v
-			case n.Op == ddg.LOAD:
-				hist[id][it] = loadValue(n.Label(), it)
-			case n.Op == ddg.STORE && n.SpillSlot >= 0:
-				slot := spillMem[n.SpillSlot]
-				if slot == nil {
-					slot = map[int]float64{}
-					spillMem[n.SpillSlot] = slot
-				}
-				slot[it] = storedValue(n, args)
-			case n.Op == ddg.STORE:
-				out[StoreKey{Node: n.Label(), Iter: it}] = storedValue(n, args)
-			default:
-				hist[id][it] = compute(n, args)
+			v, err := perform(g, n, it, args, spillMem, out)
+			if err != nil {
+				return nil, err
 			}
+			hist[id][it] = v
 		}
 	}
 	return out, nil
@@ -85,6 +69,31 @@ func operandValues(g *ddg.Graph, n *ddg.Node, iter int, fetch func(from, fromIte
 		args = append(args, fetch(e.From, iter-e.Distance))
 	}
 	return args
+}
+
+// perform executes one dynamic operation of n in iteration iter on its
+// operand values, with the semantics both executors share: a store
+// records its value in out (a spill store in its slot) and returns 0;
+// any other operation returns its result.
+func perform(g *ddg.Graph, n *ddg.Node, iter int, args []float64, spillMem map[int]map[int]float64, out StoreStream) (float64, error) {
+	switch {
+	case n.Op == ddg.LOAD && n.SpillSlot >= 0:
+		return readSpill(spillMem, g, n, iter)
+	case n.Op == ddg.LOAD:
+		return loadValue(n.Label(), iter), nil
+	case n.Op == ddg.STORE && n.SpillSlot >= 0:
+		slot := spillMem[n.SpillSlot]
+		if slot == nil {
+			slot = map[int]float64{}
+			spillMem[n.SpillSlot] = slot
+		}
+		slot[iter] = storedValue(n, args)
+	case n.Op == ddg.STORE:
+		out[StoreKey{Node: n.Label(), Iter: iter}] = storedValue(n, args)
+	default:
+		return compute(n, args), nil
+	}
+	return 0, nil
 }
 
 // storedValue is the single value operand of a store, padded if the

@@ -20,17 +20,8 @@ type Target struct {
 	Spec int
 }
 
-// physical returns the physical register index for iteration iter.
-func (t Target) physical(iter int) int {
-	m := (t.Spec - iter) % t.Size
-	if m < 0 {
-		m += t.Size
-	}
-	return t.Base + m
-}
-
-// RegMap abstracts a register-file organization for the pipelined
-// executor: where each value is written and where a consumer reads it.
+// RegMap abstracts a register-file organization for Generate: where
+// each value is written and where a consumer reads it.
 type RegMap interface {
 	// FileSizes returns the size of each physical file.
 	FileSizes() []int
@@ -153,4 +144,25 @@ func (d *DualMap) ReadTarget(consumerCluster, producer int) (Target, error) {
 	}
 	q := d.da.Local[c].Spec[producer]
 	return Target{File: c, Base: d.da.GlobalRegs, Size: d.da.LocalRegs[c], Spec: q}, nil
+}
+
+// NewRegMap allocates a schedule's lifetimes onto the register files of
+// a model: one rotating file for ideal and unified, the non-consistent
+// dual organization for partitioned and swapped.
+func NewRegMap(model core.Model, s *sched.Schedule, lts []lifetime.Lifetime) (RegMap, error) {
+	switch model {
+	case core.Ideal, core.Unified:
+		u, err := NewUnifiedMap(lts, s.II)
+		if err != nil {
+			return nil, err
+		}
+		return u, nil
+	case core.Partitioned, core.Swapped:
+		d, err := NewDualMap(s, lts)
+		if err != nil {
+			return nil, err
+		}
+		return d, nil
+	}
+	return nil, fmt.Errorf("vm: unknown model %v", model)
 }

@@ -1,12 +1,15 @@
-// Package vm executes loops functionally, two ways: a sequential
-// reference interpreter over the dependence graph, and a cycle-stepped
-// pipelined executor that runs the modulo schedule on simulated rotating
-// register files (unified or non-consistent dual, the Cydra-5-style
-// hardware the paper assumes). Comparing the two store streams validates
-// the whole pipeline end to end: dependences, register allocation
-// (no wand ever clobbered), value classification (every consumer finds
-// its operand in its own cluster's subfile), operation swapping and spill
-// code.
+// Package vm executes loops functionally. RunReference interprets the
+// dependence graph sequentially, iteration by iteration. Generate lowers
+// a modulo schedule plus a register mapping into the kernel image that
+// `ncdrf object` prints: one predicated copy of the kernel with
+// stage-adjusted rotating register specifiers, for the Cydra-5-style
+// hardware the paper assumes (section 2). Execute runs that image, cycle
+// by cycle, on simulated rotating register files (unified or
+// non-consistent dual). Comparing the two store streams validates the
+// whole pipeline end to end: dependences, register allocation (no wand
+// ever clobbered), value classification (every consumer finds its operand
+// in its own cluster's subfile), operation swapping, spill code and the
+// specifier encoding.
 package vm
 
 import (
@@ -54,8 +57,8 @@ func unitFloat(label, kind string, n int) float64 {
 // compute evaluates one arithmetic operation. args are the values of the
 // node's flow in-edges in edge order; missing operands (invariants and
 // literals in the source) are padded deterministically. Both executors
-// use exactly this function, so any divergence in their outputs comes
-// from the machine model, not from semantics.
+// use exactly this function (through perform), so any divergence in
+// their outputs comes from the machine model, not from semantics.
 func compute(n *ddg.Node, args []float64) float64 {
 	arg := func(k int) float64 {
 		if k < len(args) {
@@ -85,19 +88,3 @@ func compute(n *ddg.Node, args []float64) float64 {
 func sameValue(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
-
-// The exported helpers below let alternative machine models (package
-// codegen's predicated-kernel executor) share the exact value semantics,
-// so their outputs stay bit-comparable with this package's executors.
-
-// LoadValue is the synthetic value a load returns in an iteration.
-func LoadValue(label string, iter int) float64 { return loadValue(label, iter) }
-
-// InitValue is the pre-loop value of a loop-carried operand.
-func InitValue(label string, iter int) float64 { return initValue(label, iter) }
-
-// PadValue is the constant standing in for an invariant operand.
-func PadValue(label string, k int) float64 { return padValue(label, k) }
-
-// ComputeOp evaluates an arithmetic node on its operand values.
-func ComputeOp(n *ddg.Node, args []float64) float64 { return compute(n, args) }

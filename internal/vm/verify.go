@@ -15,15 +15,16 @@ import (
 
 // VerifyModel runs the complete pipeline for a loop under a register-file
 // model — modulo scheduling, classification, allocation, spilling at the
-// given file size (0 = unlimited) — then executes the result on the
-// simulated rotating-register hardware and checks it against the
-// sequential reference execution, bit for bit, over iters iterations.
+// given file size (0 = unlimited) — then generates the kernel image,
+// executes it on the simulated rotating-register hardware and checks it
+// against the sequential reference execution, bit for bit, over iters
+// iterations.
 //
 // A nil return proves, for this loop, that the schedule respects every
 // dependence, that no allocated register is ever clobbered while live,
 // that every consumer finds its operand in its own cluster's subfile
 // (the non-consistent-dual correctness condition), and that spill code
-// preserves semantics.
+// preserves semantics, all through the code `ncdrf object` prints.
 func VerifyModel(g *ddg.Graph, m *machine.Config, model core.Model, regs, iters int) error {
 	//lint:allow ctxflow -- VerifyModel is the documented ctx-free wrapper; VerifyModelWith is the threaded form
 	return VerifyModelWith(context.Background(), nil, g, m, model, regs, iters)
@@ -45,7 +46,24 @@ func VerifyModelWith(ctx context.Context, sr spill.Scheduler, g *ddg.Graph, m *m
 	if err != nil {
 		return fmt.Errorf("vm: reference: %w", err)
 	}
+	p, err := image(ctx, sr, g, m, model, regs)
+	if err != nil {
+		return err
+	}
+	got, err := Execute(p, iters)
+	if err != nil {
+		return fmt.Errorf("vm: pipelined execution of %s under %v: %w", g.LoopName, model, err)
+	}
+	return CompareStreams(want, got)
+}
+
+// image compiles g under model at regs and generates the kernel image of
+// the result: the schedule its requirement is measured on (Swapped's is
+// swap-rebalanced, see pipeline.ModelResult.Requirement), allocated onto
+// the model's register files.
+func image(ctx context.Context, sr spill.Scheduler, g *ddg.Graph, m *machine.Config, model core.Model, regs int) (*Program, error) {
 	var res *pipeline.ModelResult
+	var err error
 	if cp, ok := sr.(Compiler); ok {
 		res, err = cp.Compile(ctx, g, m, model, regs)
 	} else {
@@ -55,30 +73,23 @@ func VerifyModelWith(ctx context.Context, sr spill.Scheduler, g *ddg.Graph, m *m
 		}
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var rm RegMap
-	switch model {
-	case core.Ideal, core.Unified:
-		u, err := NewUnifiedMap(res.Lifetimes, res.Sched.II)
-		if err != nil {
-			return err
+	s := res.Sched
+	if model == core.Swapped {
+		if _, s, err = res.Requirement(); err != nil {
+			return nil, err
 		}
-		rm = u
-	case core.Partitioned, core.Swapped:
-		d, err := NewDualMap(res.Sched, res.Lifetimes)
-		if err != nil {
-			return err
-		}
-		rm = d
-	default:
-		return fmt.Errorf("vm: unknown model %v", model)
 	}
-	got, err := RunPipelined(res.Sched, rm, iters)
+	rm, err := NewRegMap(model, s, res.Lifetimes)
 	if err != nil {
-		return fmt.Errorf("vm: pipelined execution of %s under %v: %w", g.LoopName, model, err)
+		return nil, err
 	}
-	return CompareStreams(want, got)
+	p, err := Generate(s, rm)
+	if err != nil {
+		return nil, fmt.Errorf("vm: %s under %v: %w", g.LoopName, model, err)
+	}
+	return p, nil
 }
 
 // CompareStreams checks that two store streams are identical: same

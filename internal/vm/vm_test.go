@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"ncdrf/internal/lir"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
+	"ncdrf/internal/pipeline"
 	"ncdrf/internal/sched"
 )
 
@@ -114,30 +116,6 @@ store out, s1
 	}
 }
 
-func pipelineFor(t *testing.T, g *ddg.Graph, m *machine.Config, dual bool, iters int) (StoreStream, error) {
-	t.Helper()
-	s, err := sched.Run(g, m, sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lts := lifetime.Compute(s)
-	var rm RegMap
-	if dual {
-		d, err := NewDualMap(s, lts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rm = d
-	} else {
-		u, err := NewUnifiedMap(lts, s.II)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rm = u
-	}
-	return RunPipelined(s, rm, iters)
-}
-
 func TestPipelinedMatchesReferencePaperExample(t *testing.T) {
 	g := loops.PaperExample()
 	m := machine.Example()
@@ -145,29 +123,83 @@ func TestPipelinedMatchesReferencePaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dual := range []bool{false, true} {
-		got, err := pipelineFor(t, g, m, dual, 25)
+	for _, model := range []core.Model{core.Unified, core.Partitioned} {
+		p, _ := buildProgram(t, g, m, model)
+		got, err := Execute(p, 25)
 		if err != nil {
-			t.Fatalf("dual=%v: %v", dual, err)
+			t.Fatalf("%v: %v", model, err)
 		}
 		if err := CompareStreams(want, got); err != nil {
-			t.Fatalf("dual=%v: %v", dual, err)
+			t.Fatalf("%v: %v", model, err)
 		}
 	}
 }
 
 func TestVerifyModelAllKernels(t *testing.T) {
 	// End-to-end validation: every curated kernel, both latencies, all
-	// register-file models, unlimited registers.
+	// register-file models, unlimited registers. The schedules must
+	// include the register file's write-before-read corner, a consumer
+	// issued in exactly the cycle its producer's result lands, which
+	// reads the fresh value.
+	sameCycle := 0
 	for _, lat := range []int{3, 6} {
 		m := machine.Eval(lat)
 		for _, g := range loops.Kernels() {
+			s, err := sched.Run(g, m, sched.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range g.Edges() {
+				if e.Kind == ddg.Flow && s.Start[e.To] == s.Start[e.From]+sched.EdgeDelay(g, m, e)-s.II*e.Distance {
+					sameCycle++
+				}
+			}
 			for _, model := range []core.Model{core.Unified, core.Partitioned, core.Swapped} {
 				if err := VerifyModel(g, m, model, 0, 12); err != nil {
 					t.Fatalf("%s lat=%d %v: %v", g.LoopName, lat, model, err)
 				}
 			}
 		}
+	}
+	if sameCycle == 0 {
+		t.Fatal("no kernel schedules a consumer at its producer's completion")
+	}
+}
+
+// TestSwappedImageIsSwapRebalanced pins that a Swapped cell executes the
+// schedule its requirement is measured on, swap-rebalanced: the image
+// `ncdrf object -model swapped` prints, not the base schedule's.
+func TestSwappedImageIsSwapRebalanced(t *testing.T) {
+	m := machine.Eval(6)
+	swapped := 0
+	for _, g := range loops.Kernels() {
+		b, err := pipeline.NewBase(g, m, sched.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, steps := core.Swap(b.Sched, core.SwapOptions{})
+		if steps == 0 {
+			continue
+		}
+		swapped++
+		rm, err := NewDualMap(s, b.Lifetimes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Generate(s, rm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := image(context.Background(), nil, g, m, core.Swapped, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Format(got) != Format(want) {
+			t.Fatalf("%s: executed image\n%s\nwant the swapped schedule's\n%s", g.LoopName, Format(got), Format(want))
+		}
+	}
+	if swapped == 0 {
+		t.Fatal("no kernel takes a swap step")
 	}
 }
 
@@ -226,7 +258,11 @@ func TestClobberDetection(t *testing.T) {
 	l1 := g.NodeByName("L1").ID
 	l2 := g.NodeByName("L2").ID
 	u.alloc.Spec[l2] = u.alloc.Spec[l1] // L1 and L2 overlap in time
-	_, err = RunPipelined(s, u, 10)
+	p, err := Generate(s, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Execute(p, 10)
 	if err == nil {
 		t.Fatal("clobbered allocation went undetected")
 	}
@@ -253,8 +289,7 @@ func TestCrossClusterLocalReadDetection(t *testing.T) {
 	a4 := g.NodeByName("A4").ID
 	d.class.ByValue[a4] = core.Class(0)
 	d.da.Local[0].Spec[a4] = 0
-	_, err = RunPipelined(s, d, 5)
-	if err == nil {
+	if _, err = Generate(s, d); err == nil {
 		t.Fatal("cross-cluster local read went undetected")
 	}
 }

@@ -209,6 +209,31 @@ func TestVerifyThroughFacade(t *testing.T) {
 	}
 }
 
+// TestParseLoopEliminatesStackSpills runs the section 5.1 front end: a
+// value the source spills to a stack slot and reloads is reconnected to
+// its consumer, so the loop keeps its three real operations and verifies
+// under every model.
+func TestParseLoopEliminatesStackSpills(t *testing.T) {
+	l, err := ParseLoop(`loop spilled trips 50
+v1 = load x
+S: store stack0, v1
+R: v2 = load stack0
+v4 = fadd v2, 1.0
+store y, v4
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Ops() != 3 {
+		t.Fatalf("ops = %d, want 3 after stack-spill elimination", l.Ops())
+	}
+	for _, model := range Models {
+		if err := Verify(l, EvalMachine(6), model, 0, 16); err != nil {
+			t.Fatalf("%v: %v", model, err)
+		}
+	}
+}
+
 func TestLoopDOT(t *testing.T) {
 	var buf bytes.Buffer
 	if err := PaperExample().DOT(&buf); err != nil {
