@@ -82,6 +82,15 @@ func TestHotPathAllocs(t *testing.T) {
 			return sweep.New(1).Sweep(context.Background(), grid, func(sweep.Result) {})
 		}
 	}
+	// The same grids as the encoded row stream `ncdrf curve -ndjson`
+	// writes.
+	stream := func(regs []int) func() error {
+		grid := sweep.Grid{Corpus: ks, Machines: []*machine.Config{m}, Models: core.Models[:], Regs: regs}
+		units := grid.Plan()
+		return func() error {
+			return sweep.New(1).SweepUnits(context.Background(), grid, units, func([]byte, int) {}, nil)
+		}
+	}
 
 	cases := []struct {
 		name string
@@ -141,7 +150,8 @@ func TestHotPathAllocs(t *testing.T) {
 		{"pipeline.EncodeRow", 0, func() error {
 			return pipeline.EncodeRow(io.Discard, row)
 		}},
-		{"sweep.Sweep/kernels-26-budgets", 2186, curve(dense)},
+		{"sweep.Sweep/kernels-26-budgets", 1965, curve(dense)},
+		{"sweep.SweepUnits/kernels-26-budgets", 2139, stream(dense)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -153,14 +163,19 @@ func TestHotPathAllocs(t *testing.T) {
 			}
 		})
 	}
-	t.Run("sweep.Sweep/per-cell", func(t *testing.T) {
-		got, ends := allocsPerRun(t, curve(dense)), allocsPerRun(t, curve([]int{dense[0], dense[len(dense)-1]}))
-		t.Logf("%.0f allocs/run at 26 budgets, %.0f at 2", got, ends)
-		if got > 1.05*ends {
-			t.Errorf("sweeping 26 budgets allocates %.0f, %.1f× the %.0f of 2 budgets: a per-cell allocation",
-				got, got/ends, ends)
-		}
-	})
+	for _, c := range []struct {
+		name string
+		run  func([]int) func() error
+	}{{"sweep.Sweep/per-cell", curve}, {"sweep.SweepUnits/per-cell", stream}} {
+		t.Run(c.name, func(t *testing.T) {
+			got, ends := allocsPerRun(t, c.run(dense)), allocsPerRun(t, c.run([]int{dense[0], dense[len(dense)-1]}))
+			t.Logf("%.0f allocs/run at 26 budgets, %.0f at 2", got, ends)
+			if got > 1.05*ends {
+				t.Errorf("sweeping 26 budgets allocates %.0f, %.1f× the %.0f of 2 budgets: a per-cell allocation",
+					got, got/ends, ends)
+			}
+		})
+	}
 }
 
 // allocsPerRun returns run's average heap allocations over 5 runs.

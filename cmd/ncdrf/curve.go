@@ -208,18 +208,17 @@ func cmdCurve(ctx context.Context, eng *sweep.Engine, args []string) error {
 		return err
 	}
 
-	run := denseExecutor(eng, grid, units)
 	return gf.observe(eng, pf, len(units), func(prog *progress) error {
 		// A sharded curve file is a sweep shard file, which is exactly
 		// what lets `ncdrf merge` splice curve shards back into the
 		// unsharded -ndjson stream.
 		if header != nil || *ndjson {
-			return gf.stream(ctx, eng, run, header, prog)
+			return gf.stream(ctx, eng, denseExecutor(eng, grid, units), header, prog)
 		}
 		var rows []pipeline.Row
-		if err := run(ctx, func(r sweep.Result) {
+		if err := eng.SweepRows(ctx, grid, units, func(r sweep.Result) {
 			rows = append(rows, r)
-			prog.incEmitted()
+			prog.addEmitted(1)
 		}, prog.incDone); err != nil {
 			return err
 		}

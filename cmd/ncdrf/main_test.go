@@ -737,11 +737,11 @@ var errDeadWriter = errors.New("dead writer")
 func (deadWriter) Write([]byte) (int, error) { return 0, errDeadWriter }
 
 // TestStreamRowsCancelsOnDeadWriter: a failing output cancels the run
-// instead of computing rows nobody will see. The first 4 KiB flush
-// fails after a few dozen rows, and the emitter never holds up the
-// other workers, so the grid spans both latencies (88 groups): a run
-// that cancels stops well short of the whole grid, and one that does
-// not computes all of it.
+// instead of computing rows nobody will see. The first chunk write
+// fails once the first machine's rows are ready, and the emitter never
+// holds up the other workers, so the grid spans both latencies (88
+// groups): a run that cancels stops well short of the whole grid, and
+// one that does not computes all of it.
 func TestStreamRowsCancelsOnDeadWriter(t *testing.T) {
 	grid := sweep.Grid{
 		Corpus:   loops.Kernels(),
@@ -755,8 +755,8 @@ func TestStreamRowsCancelsOnDeadWriter(t *testing.T) {
 		counted := func(w io.Writer) (computed int64, canceled bool, err error) {
 			var n atomic.Int64
 			inner := denseExecutor(testEng(), grid, grid.Plan())
-			err = streamRows(ctx0, func(ctx context.Context, emit func(sweep.Result), done func()) error {
-				err := inner(ctx, emit, func() { n.Add(1); done() })
+			err = streamRows(ctx0, func(ctx context.Context, write func([]byte, int), done func()) error {
+				err := inner(ctx, write, func() { n.Add(1); done() })
 				canceled = ctx.Err() != nil
 				return err
 			}, nil, w, nil)
@@ -792,8 +792,9 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 }
 
 // TestStreamRowsBuffersWrites: a row stream reaches the underlying
-// writer in one write per 4 KiB, not one write per row, and every row
-// gets there by the time streamRows returns.
+// writer in one write per 4 KiB or fewer, not one write per row, and
+// every row gets there, with the bytes EncodeRow writes for the Result
+// rows, by the time streamRows returns.
 func TestStreamRowsBuffersWrites(t *testing.T) {
 	grid := sweep.Grid{
 		Corpus:   loops.Kernels(),
@@ -801,27 +802,60 @@ func TestStreamRowsBuffersWrites(t *testing.T) {
 		Models:   core.Models[:],
 		Regs:     []int{16, 32, 64},
 	}
-	var w countingWriter
-	var want bytes.Buffer
-	rows := 0
-	run := denseExecutor(testEng(), grid, grid.Plan())
-	err := streamRows(ctx0, func(ctx context.Context, emit func(sweep.Result), done func()) error {
-		return run(ctx, func(r sweep.Result) {
-			rows++
-			if err := pipeline.EncodeRow(&want, r); err != nil {
-				t.Error(err)
-			}
-			emit(r)
-		}, done)
-	}, nil, &w, nil)
+	results, err := testEng().Rows(ctx0, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.String() != want.String() {
-		t.Fatalf("stream holds %d bytes, want the %d bytes of %d encoded rows", w.Len(), want.Len(), rows)
+	var want bytes.Buffer
+	for _, r := range results {
+		if err := pipeline.EncodeRow(&want, r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if limit := w.Len()/4096 + 1; w.writes > limit || rows <= limit {
-		t.Fatalf("%d rows (%d bytes) took %d writes, want at most %d", rows, w.Len(), w.writes, limit)
+	var w countingWriter
+	if err := streamRows(ctx0, denseExecutor(testEng(), grid, grid.Plan()), nil, &w, nil); err != nil {
+		t.Fatal(err)
+	}
+	if w.String() != want.String() {
+		t.Fatalf("stream holds %d bytes, want the %d bytes of %d encoded rows", w.Len(), want.Len(), len(results))
+	}
+	if limit := w.Len()/4096 + 1; w.writes > limit || len(results) <= limit {
+		t.Fatalf("%d rows (%d bytes) took %d writes, want at most %d", len(results), w.Len(), w.writes, limit)
+	}
+}
+
+// TestStreamRowsProgressCountsEveryRow: -progress counts the rows of
+// every chunk, so a stream of several chunks ends with its emitted
+// count equal to its unit count, as is its done count, and every row
+// is on the output.
+func TestStreamRowsProgressCountsEveryRow(t *testing.T) {
+	grid := sweep.Grid{
+		Corpus:   loops.Kernels(),
+		Machines: []*machine.Config{experiment.EvalN(2, 3), experiment.EvalN(2, 6)},
+		Models:   core.Models[:],
+		Regs:     []int{16, 24, 32, 40, 48, 56, 64, 80},
+	}
+	units := grid.Plan()
+	var w countingWriter
+	var stderr lockedBuffer
+	eng := testEng()
+	prog := startProgress(true, &stderr, eng, len(units))
+	err := streamRows(ctx0, denseExecutor(eng, grid, units), nil, &w, prog)
+	prog.close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.writes < 2 {
+		t.Fatalf("the stream took %d write; the test needs several chunks", w.writes)
+	}
+	if lines := strings.Count(w.String(), "\n"); lines != len(units) {
+		t.Fatalf("%d rows on the output, want %d", lines, len(units))
+	}
+	if done, emitted := prog.done.Load(), prog.emitted.Load(); done != int64(len(units)) || emitted != int64(len(units)) {
+		t.Fatalf("progress counted %d done and %d emitted, want %d of each", done, emitted, len(units))
+	}
+	if want := fmt.Sprintf("progress: %d/%d units done (100.0%%), %d emitted", len(units), len(units), len(units)); !strings.Contains(stderr.String(), want) {
+		t.Fatalf("progress summary %q missing:\n%s", want, stderr.String())
 	}
 }
 

@@ -68,10 +68,10 @@ func (p *progress) incDone() {
 	}
 }
 
-// incEmitted records one emitted result row.
-func (p *progress) incEmitted() {
+// addEmitted records n emitted result rows.
+func (p *progress) addEmitted(n int) {
 	if p != nil {
-		p.emitted.Add(1)
+		p.emitted.Add(int64(n))
 	}
 }
 

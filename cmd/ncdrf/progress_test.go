@@ -41,7 +41,7 @@ func TestProgressReporterJoins(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p.incDone()
 	}
-	p.incEmitted()
+	p.addEmitted(1)
 	p.close()
 
 	out := buf.String()
@@ -70,6 +70,6 @@ func TestProgressNilReceiver(t *testing.T) {
 		t.Fatal("disabled reporter is not nil")
 	}
 	p.incDone()
-	p.incEmitted()
+	p.addEmitted(1)
 	p.close()
 }

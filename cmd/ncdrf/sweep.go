@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -15,7 +14,6 @@ import (
 	"ncdrf/internal/core"
 	"ncdrf/internal/experiment"
 	"ncdrf/internal/machine"
-	"ncdrf/internal/pipeline"
 	"ncdrf/internal/sweep"
 )
 
@@ -84,16 +82,16 @@ func (f gridFlags) stream(ctx context.Context, eng *sweep.Engine, run executor, 
 	return writeStatsJSON(eng, os.Stdout)
 }
 
-// executor runs one grid, delivering its rows to emit in plan order and
-// calling done once per computed unit. It is the one seam between the
-// commands' output paths and the engine, and the test seam of the row
-// writer.
-type executor func(ctx context.Context, emit func(sweep.Result), done func()) error
+// executor runs one grid, handing its encoded row stream to write in
+// plan-order chunks (see sweep.Engine.SweepUnits) and calling done once
+// per computed unit. It is the one seam between the commands' output
+// paths and the engine, and the test seam of the row writer.
+type executor func(ctx context.Context, write func(chunk []byte, rows int), done func()) error
 
 // denseExecutor evaluates every unit of the (possibly sharded) plan.
 func denseExecutor(eng *sweep.Engine, grid sweep.Grid, units []sweep.Unit) executor {
-	return func(ctx context.Context, emit func(sweep.Result), done func()) error {
-		return eng.SweepUnits(ctx, grid, units, emit, done)
+	return func(ctx context.Context, write func([]byte, int), done func()) error {
+		return eng.SweepUnits(ctx, grid, units, write, done)
 	}
 }
 
@@ -263,37 +261,31 @@ func parseShardSpec(s string) (i, n int, err error) {
 }
 
 // streamRows writes the executor's rows as JSON lines — preceded by the
-// shard header when sharded — in plan order, through one buffer flushed
-// when the executor returns. A dead output (e.g. a closed pipe) cancels
-// the run instead of burning CPU on results nobody will see.
+// shard header when sharded — in plan order, one write per chunk the
+// executor hands on. A dead output (e.g. a closed pipe) cancels the run
+// instead of burning CPU on results nobody will see.
 func streamRows(ctx context.Context, run executor, header *sweep.ShardHeader, out io.Writer, prog *progress) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	w := bufio.NewWriter(out)
 	if header != nil {
-		if err := sweep.WriteShardHeader(w, *header); err != nil {
+		if err := sweep.WriteShardHeader(out, *header); err != nil {
 			return fmt.Errorf("writing shard header: %w", err)
 		}
 	}
-	var encErr error // only written under the executor's serialized emit
-	err := run(ctx, func(r sweep.Result) {
-		if encErr != nil {
+	var werr error // only written under the executor's serialized writes
+	err := run(ctx, func(chunk []byte, rows int) {
+		if werr != nil {
 			return
 		}
-		// EncodeRow (internal/pipeline) produces the bytes json.Encoder
-		// would, from a pooled buffer and without reflection.
-		if e := pipeline.EncodeRow(w, r); e != nil {
-			encErr = e
+		if _, e := out.Write(chunk); e != nil {
+			werr = e
 			cancel()
 			return
 		}
-		prog.incEmitted()
+		prog.addEmitted(rows)
 	}, prog.incDone)
-	if encErr == nil {
-		encErr = w.Flush()
-	}
-	if encErr != nil {
-		return fmt.Errorf("writing results: %w", encErr)
+	if werr != nil {
+		return fmt.Errorf("writing results: %w", werr)
 	}
 	return err
 }

@@ -93,26 +93,64 @@ func EncodeRow(w io.Writer, r Row) error {
 	return err
 }
 
-// appendRow appends r's encoding, newline included, to buf.
+// appendRow appends r's encoding, newline included, to buf: the
+// composition of the fragment functions a streaming encoder renders
+// once per loop and per (machine, model) (AppendLoopHead, AppendTrips,
+// AppendCellHead, AppendRow), so the two stay one encoder. The trips
+// fragment is rendered on the stack: 9 key bytes and at most 20 digits.
 func appendRow(buf []byte, r Row) []byte {
-	buf = append(buf, `{"loop":`...)
-	buf = appendString(buf, r.Loop)
-	buf = append(buf, `,"machine":`...)
-	buf = appendString(buf, r.Machine)
-	buf = append(buf, `,"model":`...)
-	buf = appendString(buf, r.Model)
-	buf = append(buf, `,"regs":`...)
-	buf = strconv.AppendInt(buf, int64(r.Regs), 10)
-	buf = appendInt(buf, `,"ii":`, int64(r.II))
-	buf = appendInt(buf, `,"stages":`, int64(r.Stages))
-	buf = appendInt(buf, `,"trips":`, r.Trips)
-	buf = appendInt(buf, `,"mem_ops":`, int64(r.MemOps))
-	buf = appendInt(buf, `,"spilled":`, int64(r.Spilled))
-	buf = appendInt(buf, `,"ii_bumps":`, int64(r.IIBumps))
-	buf = appendInt(buf, `,"rounds":`, int64(r.Rounds))
-	if r.Error != "" {
-		buf = append(buf, `,"error":`...)
-		buf = appendString(buf, r.Error)
+	var trips [32]byte
+	buf = AppendCellHead(AppendLoopHead(buf, r.Loop), r.Machine, r.Model)
+	return appendTail(buf, AppendTrips(trips[:0], r.Trips), r.Error, r.Regs,
+		int64(r.II), int64(r.Stages), int64(r.MemOps), int64(r.Spilled), int64(r.IIBumps), int64(r.Rounds))
+}
+
+// AppendLoopHead appends the fragment a row of loop starts with,
+// `{"loop":"<loop>"`.
+func AppendLoopHead(buf []byte, loop string) []byte {
+	return appendString(append(buf, `{"loop":`...), loop)
+}
+
+// AppendTrips appends a row's trips fragment, `,"trips":<trips>`, or
+// nothing when trips is zero (the field is omitempty).
+func AppendTrips(buf []byte, trips int64) []byte {
+	return appendInt(buf, `,"trips":`, trips)
+}
+
+// AppendCellHead appends the identity fragment that follows a row's
+// loop head, `,"machine":"<machine>","model":"<model>","regs":`, up to
+// the register budget's digits.
+func AppendCellHead(buf []byte, machine, model string) []byte {
+	buf = appendString(append(buf, `,"machine":`...), machine)
+	buf = appendString(append(buf, `,"model":`...), model)
+	return append(buf, `,"regs":`...)
+}
+
+// AppendRow appends one row's encoding, newline included, from its
+// pre-rendered fragments: loopHead from AppendLoopHead, cellHead from
+// AppendCellHead and trips from AppendTrips, then the budget, the
+// metrics and the error text errText (omitted when empty). The bytes
+// are EncodeRow's for the same row.
+func AppendRow(buf, loopHead, cellHead, trips []byte, regs int, m Metrics, errText string) []byte {
+	buf = append(append(buf, loopHead...), cellHead...)
+	return appendTail(buf, trips, errText, regs,
+		int64(m.II), int64(m.Stages), int64(m.MemOps), int64(m.Spilled), int64(m.IIBumps), int64(m.Rounds))
+}
+
+// appendTail appends what follows a row's cell head: the budget, the
+// metrics in field order with the trips fragment in its place, the
+// error and the line end.
+func appendTail(buf, trips []byte, errText string, regs int, ii, stages, memOps, spilled, iiBumps, rounds int64) []byte {
+	buf = strconv.AppendInt(buf, int64(regs), 10)
+	buf = appendInt(buf, `,"ii":`, ii)
+	buf = appendInt(buf, `,"stages":`, stages)
+	buf = append(buf, trips...)
+	buf = appendInt(buf, `,"mem_ops":`, memOps)
+	buf = appendInt(buf, `,"spilled":`, spilled)
+	buf = appendInt(buf, `,"ii_bumps":`, iiBumps)
+	buf = appendInt(buf, `,"rounds":`, rounds)
+	if errText != "" {
+		buf = appendString(append(buf, `,"error":`...), errText)
 	}
 	return append(buf, "}\n"...)
 }

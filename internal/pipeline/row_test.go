@@ -31,6 +31,25 @@ func jsonEncoderBytes(t testing.TB, r Row) []byte {
 	return want.Bytes()
 }
 
+// fragmentBytes encodes r the way a sweep's row stream does: from its
+// loop, cell and trips fragments, each rendered on its own, and its
+// metrics as a Metrics record, appended after prefix. ok is false when
+// a metric does not fit Metrics' int32 fields, so the stream could not
+// carry r.
+func fragmentBytes(prefix []byte, r Row) (b []byte, ok bool) {
+	m := Metrics{II: int32(r.II), Stages: int32(r.Stages), MemOps: int32(r.MemOps),
+		Spilled: int32(r.Spilled), IIBumps: int32(r.IIBumps), Rounds: int32(r.Rounds)}
+	back := r
+	back.SetMetrics(m)
+	if back != r {
+		return nil, false
+	}
+	loop := AppendLoopHead(nil, r.Loop)
+	cell := AppendCellHead(nil, r.Machine, r.Model)
+	trips := AppendTrips(nil, r.Trips)
+	return AppendRow(prefix, loop, cell, trips, r.Regs, m, r.Error), true
+}
+
 // TestRowCodecRoundTrip pins the byte-stability contract the shard
 // workflow rests on: decode(encode(r)) == r, and re-encoding a decoded
 // line reproduces the original bytes — so `ncdrf merge` can re-emit
@@ -66,7 +85,10 @@ func TestRowCodecRoundTrip(t *testing.T) {
 // exact bytes a fresh json.Encoder produces — compact JSON, HTML-escaped,
 // newline-terminated, omitempty zeros left out — including for every
 // string the escaper rewrites and every integer sign, so no persisted or
-// streamed byte depends on which encoder wrote it.
+// streamed byte depends on which encoder wrote it. Both of the
+// encoder's callers are pinned: EncodeRow, and rows composed from
+// separately rendered fragments (AppendRow), one after another in one
+// buffer as a sweep's row stream appends them.
 func TestEncodeRowMatchesJSONEncoder(t *testing.T) {
 	rows := append([]Row{
 		{Loop: "daxpy", Machine: "eval-L3", Model: "unified", Regs: 32, II: 2},
@@ -81,7 +103,11 @@ func TestEncodeRowMatchesJSONEncoder(t *testing.T) {
 		{Loop: "max", Machine: "m", Model: "m", Regs: math.MaxInt, II: math.MinInt, Trips: math.MaxInt64},
 		{},
 		{Loop: "err", Machine: "m", Model: "swapped", Regs: 8, II: 3, Error: "spill: regs=8: no convergence <after 64 rounds>"},
+		{Loop: "l", Machine: "<eval>&\u2028\"q\"", Model: "\\<m>\x01\xfe\u2029", Regs: 16, Trips: 1, II: 4, Rounds: 1},
+		{Loop: "zero", Machine: "eval-L6", Model: "unified", Regs: 0, Trips: 1},
+		{Loop: "fail", Machine: "a&b", Model: "<p>", Regs: 24, Trips: 1, Error: "spill: \"x\" \x00\u2028 < & >"},
 	}, goldenRows...)
+	var stream, streamWant []byte
 	for _, r := range rows {
 		want := jsonEncoderBytes(t, r)
 		var got bytes.Buffer
@@ -91,13 +117,26 @@ func TestEncodeRowMatchesJSONEncoder(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("encoding diverged from json.Encoder:\n got %q\nwant %q", got.Bytes(), want)
 		}
+		frag, ok := fragmentBytes(nil, r)
+		if !ok {
+			continue
+		}
+		if !bytes.Equal(frag, want) {
+			t.Fatalf("fragment encoding diverged from json.Encoder:\n got %q\nwant %q", frag, want)
+		}
+		stream, _ = fragmentBytes(stream, r)
+		streamWant = append(streamWant, want...)
+	}
+	if !bytes.Equal(stream, streamWant) {
+		t.Fatalf("fragment rows appended to one buffer diverged from json.Encoder:\n got %q\nwant %q", stream, streamWant)
 	}
 }
 
 // FuzzRowCodec checks the row codec on arbitrary input lines: DecodeRow
-// never panics; every line it accepts re-encodes to json.Encoder's bytes
-// and decodes back to the same row. The raw line bytes also serve as
-// string fields, so the encoder meets invalid UTF-8 and every escape.
+// never panics; every line it accepts re-encodes to json.Encoder's bytes,
+// through EncodeRow and through the fragment path, and decodes back to
+// the same row. The raw line bytes also serve as string fields, so both
+// encoders meet invalid UTF-8 and every escape in every name.
 func FuzzRowCodec(f *testing.F) {
 	for _, r := range goldenRows {
 		var buf bytes.Buffer
@@ -108,13 +147,17 @@ func FuzzRowCodec(f *testing.F) {
 	}
 	f.Add([]byte(`{"loop":"a\u2028<b>","machine":"m","model":"ideal","regs":-1,"error":"\u0000"}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
-		raw := Row{Loop: string(line), Machine: "m", Model: "ideal", Error: string(line)}
+		raw := Row{Loop: string(line), Machine: string(line), Model: string(line), Trips: 1, Error: string(line)}
 		var got bytes.Buffer
 		if err := EncodeRow(&got, raw); err != nil {
 			t.Fatal(err)
 		}
-		if want := jsonEncoderBytes(t, raw); !bytes.Equal(got.Bytes(), want) {
+		want := jsonEncoderBytes(t, raw)
+		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("raw-string encoding diverged:\n got %q\nwant %q", got.Bytes(), want)
+		}
+		if frag, _ := fragmentBytes(nil, raw); !bytes.Equal(frag, want) {
+			t.Fatalf("raw-string fragment encoding diverged:\n got %q\nwant %q", frag, want)
 		}
 
 		r, err := DecodeRow(line)
@@ -125,8 +168,12 @@ func FuzzRowCodec(f *testing.F) {
 		if err := EncodeRow(&got, r); err != nil {
 			t.Fatal(err)
 		}
-		if want := jsonEncoderBytes(t, r); !bytes.Equal(got.Bytes(), want) {
+		want = jsonEncoderBytes(t, r)
+		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("encoding diverged:\n got %q\nwant %q", got.Bytes(), want)
+		}
+		if frag, ok := fragmentBytes(nil, r); ok && !bytes.Equal(frag, want) {
+			t.Fatalf("fragment encoding diverged:\n got %q\nwant %q", frag, want)
 		}
 		back, err := DecodeRow(got.Bytes())
 		if err != nil {

@@ -44,7 +44,8 @@ type Stats struct {
 	Writes uint64
 	// Faults counts damaged or undecodable artifacts and failed writes:
 	// frames whose checksum fails and unreadable segments (counted by
-	// Open), I/O errors, and payloads the caller reported via Discard.
+	// Open, and by Get for the frames this store wrote), I/O errors, and
+	// payloads the caller reported via Discard.
 	// Faulty artifacts are treated as misses and recomputed.
 	Faults uint64
 }
@@ -55,15 +56,26 @@ type Store struct {
 	root string // <dir>/v<FormatVersion>
 
 	mu    sync.Mutex
-	index map[entry][]byte // each (stage, key)'s winning frame
-	seq   uint64           // the sequence number of this store's segment
-	seg   *os.File         // this store's segment, created by the first Put
+	index map[entry]slot // where each (stage, key)'s winning frame is
+	seq   uint64         // the sequence number of this store's segment
+	seg   *os.File       // this store's segment, created by the first Put
+	end   int64          // the size of seg
 
 	hits, misses, writes, faults atomic.Uint64
 }
 
 // entry is the index key of one artifact.
 type entry struct{ stage, key string }
+
+// slot locates an artifact's winning frame: in memory, for a frame Open
+// read from an earlier segment, or by offset and size in the store's
+// own segment, for a frame this process appended. The index keeps no
+// copy of what the process writes; Get reads it back.
+type slot struct {
+	frame []byte // nil for a frame of the store's own segment
+	off   int64
+	size  int
+}
 
 // Open creates (if needed) and opens the version directory of an
 // artifact store rooted at dir, and reads and verifies every segment once
@@ -89,7 +101,11 @@ func Open(dir string) (*Store, error) {
 			os.Remove(filepath.Join(root, name))
 		}
 	}
-	s := &Store{root: root, index: indexFrames(segs)}
+	idx := indexFrames(segs)
+	s := &Store{root: root, index: make(map[entry]slot, len(idx))}
+	for e, frame := range idx {
+		s.index[e] = slot{frame: frame}
+	}
 	for _, seg := range segs {
 		s.seq = max(s.seq, seg.seq)
 		s.faults.Add(uint64(seg.damaged))
@@ -103,9 +119,15 @@ salvage:
 			continue
 		}
 		for _, frame := range seg.frames {
-			if _, ok := live(s.index, frame); ok && s.append(frame) != nil {
+			e, ok := live(idx, frame)
+			if !ok {
+				continue
+			}
+			off, err := s.append(frame)
+			if err != nil {
 				continue salvage // keep the segment: a frame was not saved
 			}
+			s.index[e] = slot{off: off, size: len(frame)}
 		}
 		os.Remove(filepath.Join(root, seg.name))
 	}
@@ -116,12 +138,27 @@ salvage:
 func (s *Store) Dir() string { return s.root }
 
 // Get returns the verified payload stored under (stage, key), or false
-// when it is absent, damaged or discarded. The payload is shared with
-// the store: callers must not modify it.
+// when it is absent, damaged or discarded. A frame of the store's own
+// segment is read back from disk and verified as Open verifies frames;
+// one that fails counts as a fault and is dropped from the index. The
+// payload may be shared with the store: callers must not modify it.
 func (s *Store) Get(stage, key string) ([]byte, bool) {
+	e := entry{stage, key}
 	s.mu.Lock()
-	frame, ok := s.index[entry{stage, key}]
+	sl, ok := s.index[e]
+	seg := s.seg
 	s.mu.Unlock()
+	frame := sl.frame
+	if ok && frame == nil {
+		if frame, ok = readFrame(seg, sl, e); !ok {
+			s.faults.Add(1)
+			s.mu.Lock()
+			if cur := s.index[e]; cur.frame == nil && cur.off == sl.off {
+				delete(s.index, e) // unless a later Put superseded it
+			}
+			s.mu.Unlock()
+		}
+	}
 	if !ok {
 		s.misses.Add(1)
 		return nil, false
@@ -129,6 +166,20 @@ func (s *Store) Get(stage, key string) ([]byte, bool) {
 	s.hits.Add(1)
 	_, _, payload := fields(frame)
 	return payload, true
+}
+
+// readFrame reads the frame at sl in seg and reports whether it is
+// whole, verifies and holds e.
+func readFrame(seg *os.File, sl slot, e entry) ([]byte, bool) {
+	frame := make([]byte, sl.size)
+	if _, err := seg.ReadAt(frame, sl.off); err != nil {
+		return nil, false
+	}
+	if n, ok := nextFrame(frame); n != len(frame) || !ok {
+		return nil, false
+	}
+	stage, key, _ := fields(frame)
+	return frame, string(stage) == e.stage && string(key) == e.key
 }
 
 // Put appends payload's frame under (stage, key) to the store's segment
@@ -142,29 +193,34 @@ func (s *Store) Put(stage, key string, payload []byte) error {
 	frame := newFrame(stage, key, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.append(frame); err != nil {
+	off, err := s.append(frame)
+	if err != nil {
 		s.faults.Add(1)
 		return err
 	}
-	s.index[entry{stage, key}] = frame
+	s.index[entry{stage, key}] = slot{off: off, size: len(frame)}
 	s.writes.Add(1)
 	return nil
 }
 
 // append writes frame to the store's segment, created on first use
-// under the store's sequence number. s.mu must be held.
-func (s *Store) append(frame []byte) error {
+// under the store's sequence number, and returns its offset there.
+// s.mu must be held.
+func (s *Store) append(frame []byte) (int64, error) {
 	if s.seg == nil {
 		f, err := os.CreateTemp(s.root, strconv.FormatUint(s.seq, 10)+"-*"+segExt)
 		if err != nil {
-			return fmt.Errorf("store: %w", err)
+			return 0, fmt.Errorf("store: %w", err)
 		}
 		s.seg = f
 	}
-	if _, err := s.seg.Write(frame); err != nil {
-		return fmt.Errorf("store: %w", err)
+	off := s.end
+	n, err := s.seg.Write(frame)
+	s.end += int64(n)
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
 	}
-	return nil
+	return off, nil
 }
 
 // Discard records an artifact that passed frame verification but failed

@@ -97,6 +97,69 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGetReadsBackOwnWrites: a Put's frame is indexed by its place in
+// the store's segment, not kept in memory, and a Get in the same
+// process reads it back verified. A byte flipped in the written frame
+// reads as a miss with one fault, never as a payload; its neighbours
+// still serve, and a rewrite serves again.
+func TestGetReadsBackOwnWrites(t *testing.T) {
+	s := openDir(t, t.TempDir())
+	payloads := map[string][]byte{}
+	keys := []string{"first", "victim", "last"}
+	for i, key := range keys {
+		payloads[key] = bytes.Repeat([]byte{byte('a' + i)}, 100+i)
+		if err := s.Put("group", key, payloads[key]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, key := range keys {
+		if got, ok := s.Get("group", key); !ok || !bytes.Equal(got, payloads[key]) {
+			t.Fatalf("Get(%s) after Put = %q, %v", key, got, ok)
+		}
+		if sl := s.index[entry{"group", key}]; sl.frame != nil {
+			t.Fatalf("the index keeps the %d-byte frame of written key %s in memory", len(sl.frame), key)
+		}
+	}
+
+	seg := onlySegment(t, s)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, n := frameAt(t, data, 1)
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{data[off+n-frameSum-5] ^ 0x40}, int64(off+n-frameSum-5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	if got, ok := s.Get("group", "victim"); ok {
+		t.Fatalf("a damaged own frame served %q", got)
+	}
+	if st := s.Stats(); st.Faults != before.Faults+1 || st.Misses != before.Misses+1 {
+		t.Fatalf("damaged own frame: stats %+v after %+v, want one more fault and one more miss", st, before)
+	}
+	for _, key := range []string{"first", "last"} {
+		if got, ok := s.Get("group", key); !ok || !bytes.Equal(got, payloads[key]) {
+			t.Fatalf("neighbour %s of the damaged frame = %q, %v", key, got, ok)
+		}
+	}
+	if _, ok := s.Get("group", "victim"); ok {
+		t.Fatal("the damaged frame served on a second Get")
+	}
+	if err := s.Put("group", "victim", payloads["victim"]); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get("group", "victim"); !ok || !bytes.Equal(got, payloads["victim"]) {
+		t.Fatalf("rewrite of the damaged key = %q, %v", got, ok)
+	}
+}
+
 func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Fatal("empty dir must error")

@@ -30,6 +30,16 @@ func encodeStream(t *testing.T, run func(emit func(Result)) error) []byte {
 	return buf.Bytes()
 }
 
+// streamBytes collects the chunks of an encoded row stream.
+func streamBytes(t *testing.T, run func(write func([]byte, int)) error) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(func(chunk []byte, _ int) { buf.Write(chunk) }); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // sweepUnitsFlat is the pre-grouping executor: every unit independently
 // re-requests its stages through the cache, in unit order, each cell
 // walking its own spill chain. It is the reference implementation for
@@ -40,7 +50,12 @@ func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, em
 	for i, u := range units {
 		singles[i] = Group{Loop: u.Loop, Machine: u.Machine, Units: []int{i}}
 	}
-	out := newReorder(grid, units, singles, emit)
+	out := newReorder(len(units), singles, func(ui int, m pipeline.Metrics, errText string) {
+		r := rowFor(grid, units[ui])
+		r.SetMetrics(m)
+		r.Error = errText
+		emit(r)
+	})
 	return e.ForEach(ctx, len(units), func(i int) error {
 		u := units[i]
 		res, err := e.Compile(ctx, grid.Corpus[u.Loop], grid.Machines[u.Machine], u.Model, u.Regs)
@@ -65,8 +80,11 @@ func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, em
 // included) and randomized shard splits, it emits a stream
 // byte-identical to the flat unit-at-a-time reference path. Each
 // trial's shards run on a fresh engine, so a shard that cuts a group
-// walks its partial group itself. Run under -race in CI, this also
-// exercises the reorder-buffer synchronization.
+// walks its partial group itself. The flat stream is json.Encoder's
+// encoding of Results and the grouped one SweepUnits' own chunks, so
+// the test also pins the stream's fragment encoder to json.Encoder. Run
+// under -race in CI, this also exercises the reorder-buffer
+// synchronization.
 func TestBaseMajorMatchesFlatStream(t *testing.T) {
 	kernels := loops.Kernels()
 	machinePool := []*machine.Config{
@@ -102,8 +120,8 @@ func TestBaseMajorMatchesFlatStream(t *testing.T) {
 		flat := encodeStream(t, func(emit func(Result)) error {
 			return flatEng.sweepUnitsFlat(ctx, grid, units, emit)
 		})
-		grouped := encodeStream(t, func(emit func(Result)) error {
-			return groupEng.SweepUnits(ctx, grid, units, emit, nil)
+		grouped := streamBytes(t, func(write func([]byte, int)) error {
+			return groupEng.SweepUnits(ctx, grid, units, write, nil)
 		})
 		if !bytes.Equal(flat, grouped) {
 			t.Fatalf("trial %d: group-major stream differs from flat stream\nflat:\n%s\ngrouped:\n%s",
@@ -130,8 +148,8 @@ func TestBaseMajorMatchesFlatStream(t *testing.T) {
 					cuts++
 				}
 			}
-			spliced = append(spliced, encodeStream(t, func(emit func(Result)) error {
-				return shardEng.SweepUnits(ctx, grid, shard, emit, nil)
+			spliced = append(spliced, streamBytes(t, func(write func([]byte, int)) error {
+				return shardEng.SweepUnits(ctx, grid, shard, write, nil)
 			})...)
 		}
 		if !bytes.Equal(flat, spliced) {
@@ -220,6 +238,21 @@ func TestSweepValidatesEmptyAxes(t *testing.T) {
 	g.Regs = nil
 	if err := eng.Sweep(context.Background(), g, func(Result) {}); err != nil {
 		t.Fatalf("empty Regs must remain valid: %v", err)
+	}
+}
+
+// TestSweepRejectsUnknownModel: a model outside core.Models is an
+// error naming the axis, not a panic in a worker.
+func TestSweepRejectsUnknownModel(t *testing.T) {
+	for _, bad := range []core.Model{core.Ideal - 1, core.Swapped + 1} {
+		g := testGrid()
+		g.Models = append(g.Models, bad)
+		err := New(2).Sweep(context.Background(), g, func(Result) {
+			t.Fatal("emitted a row from a grid with an unknown model")
+		})
+		if err == nil || !strings.Contains(err.Error(), "Models") {
+			t.Fatalf("model %d: error %v does not name the axis", int(bad), err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -224,7 +225,10 @@ func (c *Cache) Base(ctx context.Context, g *ddg.Graph, m *machine.Config, opts 
 // is the group's error, returned before any cell is served and never
 // persisted. A cancelled ctx is the group's error too: it is checked
 // here first, and by the walk between rounds.
-func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options, row *pipeline.Requirement, cells []pipeline.Cell, each func(pipeline.Metrics, error) error) error {
+//
+// sc is the walk's working set, which the caller lends: evalCells may
+// overwrite every field of it but cells, which may be sc.cells.
+func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, opts sched.Options, row *pipeline.Requirement, cells []pipeline.Cell, each func(pipeline.Metrics, error) error, sc *walkScratch) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -234,11 +238,11 @@ func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, 
 		c.evalDiskHits.Add(1)
 		*row = rec.Req
 	}
-	out := make([]pipeline.Metrics, len(cells))
-	errs := make([]error, len(cells))
+	sc.out, sc.errs = zeroed(sc.out, len(cells)), zeroed(sc.errs, len(cells))
+	defer clear(sc.errs) // a lent error must not outlive the walk in the pool
+	out, errs := sc.out, sc.errs
 	ideal := -1 // the group's first Ideal cell
-	walk := make([]pipeline.Cell, 0, len(cells))
-	at := make([]int, 0, len(cells))
+	walk, at := sc.walk[:0], sc.at[:0]
 	for k, cell := range cells {
 		if cell.Model == core.Ideal {
 			if ideal >= 0 {
@@ -291,6 +295,7 @@ func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, 
 			c.saveRecord(key, &rec)
 		}
 	}
+	sc.walk, sc.at = walk, at
 	for k, cell := range cells {
 		if cell.Model == core.Ideal {
 			k = ideal
@@ -300,6 +305,29 @@ func (c *Cache) evalCells(ctx context.Context, g *ddg.Graph, m *machine.Config, 
 		}
 	}
 	return nil
+}
+
+// walkScratch is the group-wide working set of one evalCells walk: the
+// cells a sweep group asks for, their outcomes, and the cells the
+// record lacks with their positions. A dense sweep reuses it across
+// groups (walkScratches) instead of making five group-wide slices per
+// group.
+type walkScratch struct {
+	cells []pipeline.Cell
+	out   []pipeline.Metrics
+	errs  []error
+	walk  []pipeline.Cell
+	at    []int
+}
+
+// walkScratches lends walkScratch values to group walks.
+var walkScratches = sync.Pool{New: func() any { return new(walkScratch) }}
+
+// zeroed returns s resized to n zero elements, reusing its array.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // Stats returns a snapshot of the schedule-stage counters. The stage

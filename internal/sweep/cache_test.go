@@ -198,7 +198,7 @@ func TestEngineWalkMatchesUncachedWalk(t *testing.T) {
 				cells[k] = pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs}
 			}
 			k := 0
-			if err := eng.cache.evalCells(ctx, loop, m, sched.Options{}, nil, cells, func(res pipeline.Metrics, err error) error {
+			if err := eng.EvalGroup(ctx, loop, m, nil, cells, func(res pipeline.Metrics, err error) error {
 				got[g.Units[k]], gotErrs[g.Units[k]], walked[g.Units[k]] = res, err, true
 				k++
 				return nil
@@ -352,7 +352,7 @@ func TestMetricsPathMatchesEvaluateCells(t *testing.T) {
 		}
 		want, wantErrs := pipeline.EvaluateCells(ctx, nil, b, cells)
 		k := 0
-		return eng.cache.evalCells(ctx, loop, m, sched.Options{}, nil, cells, func(got pipeline.Metrics, err error) error {
+		return eng.EvalGroup(ctx, loop, m, nil, cells, func(got pipeline.Metrics, err error) error {
 			c, name := cells[k], fmt.Sprintf("%s/%s/%v/%d", loop.LoopName, m.Name(), cells[k].Model, cells[k].Regs)
 			switch {
 			case (err == nil) != (wantErrs[k] == nil) || err != nil && err.Error() != wantErrs[k].Error():

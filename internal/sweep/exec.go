@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"ncdrf/internal/core"
 	"ncdrf/internal/pipeline"
 	"ncdrf/internal/sched"
 )
@@ -34,12 +35,17 @@ func (e *Engine) Sweep(ctx context.Context, grid Grid, emit func(Result)) error 
 	if err := grid.Validate(); err != nil {
 		return err
 	}
-	return e.SweepUnits(ctx, grid, grid.Plan(), emit, nil)
+	return e.SweepRows(ctx, grid, grid.Plan(), emit, nil)
 }
 
 // SweepUnits is Sweep over an explicit unit list — a whole plan or one
-// Shard of it. Units index into grid's Corpus and Machines; emit calls
-// are serialized and follow the order of units.
+// Shard of it — delivered as the encoded NDJSON row stream: write
+// receives the rows in plan order, each line the bytes
+// pipeline.EncodeRow writes for the unit's Result, in chunks of about
+// chunkBytes together with the number of rows each holds. Write calls
+// are serialized and a chunk is only valid during its call. Rows still
+// buffered when the run stops — complete or not — are written before
+// SweepUnits returns. Units index into grid's Corpus and Machines.
 //
 // done, when non-nil, is called (concurrently) as each unit finishes
 // computing — possibly long before its row is emittable, since
@@ -49,8 +55,8 @@ func (e *Engine) Sweep(ctx context.Context, grid Grid, emit func(Result)) error 
 //
 // Execution is group → cell: groups are dispatched in order of first
 // appearance, and each requests its base artifact and walks its spill
-// chain at most once. Emit runs on the worker whose put made the next
-// rows ready, and no other put waits for it. Because plan order
+// chain at most once. Rows are encoded on the worker whose put made
+// them ready, and no other put waits for it. Because plan order
 // interleaves a group's units across the whole (model × regs) span,
 // the reorder buffer holds every finished group whose first unemitted
 // row is still behind the plan-order prefix — in the worst case about
@@ -58,9 +64,31 @@ func (e *Engine) Sweep(ctx context.Context, grid Grid, emit func(Result)) error 
 // its last one is emitted.
 // Groups share nothing: a corpus that lists one loop's content twice
 // builds its base and evaluates its cells once per listing.
-func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit func(Result), done func()) error {
+func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, write func(chunk []byte, rows int), done func()) error {
+	s := newRowStream(grid, units, write)
+	err := e.sweep(ctx, grid, units, s.row, done)
+	s.flush()
+	return err
+}
+
+// SweepRows is SweepUnits delivering each row as a Result, through
+// serialized emit calls in unit order: the form consumers that
+// aggregate rather than stream use, e.g. the register-sensitivity
+// curve builder.
+func (e *Engine) SweepRows(ctx context.Context, grid Grid, units []Unit, emit func(Result), done func()) error {
+	return e.sweep(ctx, grid, units, func(ui int, m pipeline.Metrics, errText string) {
+		r := rowFor(grid, units[ui])
+		r.SetMetrics(m)
+		r.Error = errText
+		emit(r)
+	}, done)
+}
+
+// sweep runs units group by group and hands each finished row to emit
+// in unit order, through the reorder buffer.
+func (e *Engine) sweep(ctx context.Context, grid Grid, units []Unit, emit rowFunc, done func()) error {
 	groups := GroupUnits(units)
-	out := newReorder(grid, units, groups, emit)
+	out := newReorder(len(units), groups, emit)
 	return e.ForEach(ctx, len(groups), func(gi int) error {
 		rows, err := e.groupCells(ctx, grid, units, groups[gi], done)
 		if err == nil {
@@ -92,11 +120,14 @@ func (e *Engine) groupCells(ctx context.Context, grid Grid, units []Unit, g Grou
 		}
 		return nil
 	}
-	cells := make([]pipeline.Cell, len(g.Units))
-	for k, ui := range g.Units {
-		cells[k] = pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs}
+	sc := walkScratches.Get().(*walkScratch)
+	cells := sc.cells[:0]
+	for _, ui := range g.Units {
+		cells = append(cells, pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs})
 	}
-	err := e.cache.evalCells(ctx, grid.Corpus[g.Loop], grid.Machines[g.Machine], sched.Options{}, nil, cells, add)
+	sc.cells = cells
+	err := e.cache.evalCells(ctx, grid.Corpus[g.Loop], grid.Machines[g.Machine], sched.Options{}, nil, cells, add, sc)
+	walkScratches.Put(sc)
 	return rows, err
 }
 
@@ -114,9 +145,9 @@ func rowFor(grid Grid, u Unit) Result {
 
 // groupRows is one group's finished cells in the order of its Units,
 // as the reorder buffer holds them until emission: fixed-size metric
-// records, with the few error messages in a side list. The identity of
-// each row is rebuilt from the grid at emit time (rowFor), so the
-// records hold no pointers for the collector to scan.
+// records, with the few error messages in a side list. A row's identity
+// comes from its unit index at emit time, so the records hold no
+// pointers for the collector to scan.
 type groupRows struct {
 	cells []cellRow
 	errs  []string
@@ -139,16 +170,18 @@ func (g *groupRows) add(m pipeline.Metrics, err error) {
 	g.cells = append(g.cells, cellRow{Metrics: m})
 }
 
+// rowFunc receives one finished row: its unit's index, its metrics and
+// its error text, empty for a cell that compiled.
+type rowFunc func(ui int, m pipeline.Metrics, errText string)
+
 // reorder serializes whole groups' rows back into unit order along a
 // unit → (group, position) table, dropping a group's rows once its last
 // is emitted. put stores rows under the lock; at most one put at a time
 // emits the ready prefix, outside the lock, until none is left, and a
 // put that finds an emission in progress returns at once.
 type reorder struct {
-	grid     Grid
-	units    []Unit
 	at       []rowAt
-	emit     func(Result)
+	emit     rowFunc
 	mu       sync.Mutex
 	rows     []groupRows // a ready group's entry is the emitter's alone
 	next     int         // the first unit no emitter has taken
@@ -158,14 +191,16 @@ type reorder struct {
 // rowAt locates one unit's row: its group and its position there.
 type rowAt struct{ group, pos int }
 
-func newReorder(grid Grid, units []Unit, groups []Group, emit func(Result)) *reorder {
-	at := make([]rowAt, len(units))
+// newReorder returns the reorder buffer of n units partitioned into
+// groups.
+func newReorder(n int, groups []Group, emit rowFunc) *reorder {
+	at := make([]rowAt, n)
 	for gi, g := range groups {
 		for k, ui := range g.Units {
 			at[ui] = rowAt{group: gi, pos: k}
 		}
 	}
-	return &reorder{grid: grid, units: units, at: at, rows: make([]groupRows, len(groups)), emit: emit}
+	return &reorder{at: at, rows: make([]groupRows, len(groups)), emit: emit}
 }
 
 // put hands over group g's rows, in the order of the group's Units.
@@ -190,13 +225,12 @@ func (o *reorder) put(g int, rows groupRows) {
 		for ui := from; ui < to; ui++ {
 			at := o.at[ui]
 			ready := &o.rows[at.group]
-			c := ready.cells[at.pos]
-			r := rowFor(o.grid, o.units[ui])
-			r.SetMetrics(c.Metrics)
+			c := &ready.cells[at.pos]
+			errText := ""
 			if c.err > 0 {
-				r.Error = ready.errs[c.err-1]
+				errText = ready.errs[c.err-1]
 			}
-			o.emit(r)
+			o.emit(ui, c.Metrics, errText)
 			if at.pos == len(ready.cells)-1 {
 				*ready = groupRows{}
 			}
@@ -207,9 +241,72 @@ func (o *reorder) put(g int, rows groupRows) {
 	o.mu.Unlock()
 }
 
+// chunkBytes is the size at which SweepUnits hands its encoded rows to
+// the writer: a fit-curve stream of about 11 MB then takes under two
+// hundred writes.
+const chunkBytes = 64 << 10
+
+// rowStream encodes emitted rows straight from their cells into chunks.
+// Each loop's and each (machine, model)'s identity fragment is rendered
+// once per sweep, so a row costs the copy of its fragments and the
+// digits of its budget and metrics (pipeline.AppendRow). Only the
+// reorder buffer's current emitter touches it, and then the goroutine
+// that waited for the sweep, for the last flush.
+type rowStream struct {
+	units []Unit
+	loops []loopFragments
+	cells [][]byte // machine*core.NumModels + model: AppendCellHead's fragment
+	buf   []byte
+	rows  int // the rows in buf
+	write func(chunk []byte, rows int)
+}
+
+// loopFragments are one loop's rendered row fragments.
+type loopFragments struct{ head, trips []byte }
+
+func newRowStream(grid Grid, units []Unit, write func([]byte, int)) *rowStream {
+	s := &rowStream{
+		units: units,
+		loops: make([]loopFragments, len(grid.Corpus)),
+		cells: make([][]byte, len(grid.Machines)*core.NumModels),
+		buf:   make([]byte, 0, chunkBytes+chunkBytes/8),
+		write: write,
+	}
+	for li, g := range grid.Corpus {
+		s.loops[li] = loopFragments{
+			head:  pipeline.AppendLoopHead(nil, g.LoopName),
+			trips: pipeline.AppendTrips(nil, g.TripsOrOne()),
+		}
+	}
+	for mi, m := range grid.Machines {
+		for _, model := range core.Models {
+			s.cells[mi*core.NumModels+int(model)] = pipeline.AppendCellHead(nil, m.Name(), model.String())
+		}
+	}
+	return s
+}
+
+// row encodes one emitted row, handing the chunk on once it is full.
+func (s *rowStream) row(ui int, m pipeline.Metrics, errText string) {
+	u := s.units[ui]
+	lf := &s.loops[u.Loop]
+	s.buf = pipeline.AppendRow(s.buf, lf.head, s.cells[u.Machine*core.NumModels+int(u.Model)], lf.trips, u.Regs, m, errText)
+	s.rows++
+	if len(s.buf) >= chunkBytes {
+		s.flush()
+	}
+}
+
+// flush hands the buffered rows, if any, to the writer.
+func (s *rowStream) flush() {
+	if s.rows > 0 {
+		s.write(s.buf, s.rows)
+		s.buf, s.rows = s.buf[:0], 0
+	}
+}
+
 // Rows runs the grid and collects the emitted stream, in plan order —
-// the convenience form consumers that aggregate (rather than stream)
-// use, e.g. the register-sensitivity curve builder.
+// the convenience form of Sweep for consumers that aggregate.
 func (e *Engine) Rows(ctx context.Context, grid Grid) ([]Result, error) {
 	var out []Result
 	if err := e.Sweep(ctx, grid, func(r Result) { out = append(out, r) }); err != nil {

@@ -33,7 +33,8 @@ type Unit struct {
 // units, so a sweep over it would emit nothing while appearing to
 // succeed — the classic silently-empty result file. The error names the
 // empty axis. An empty Regs axis is deliberately not an error: Plan
-// documents it as one unlimited register file.
+// documents it as one unlimited register file. A model outside
+// core.Models is rejected too: its fit test would panic in a worker.
 func (g Grid) Validate() error {
 	switch {
 	case len(g.Corpus) == 0:
@@ -42,6 +43,11 @@ func (g Grid) Validate() error {
 		return fmt.Errorf("sweep: empty grid axis Machines: no machine configurations")
 	case len(g.Models) == 0:
 		return fmt.Errorf("sweep: empty grid axis Models: no register-file models")
+	}
+	for _, m := range g.Models {
+		if m < core.Ideal || m > core.Swapped {
+			return fmt.Errorf("sweep: grid axis Models holds unknown model %d", int(m))
+		}
 	}
 	return nil
 }

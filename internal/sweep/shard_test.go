@@ -123,10 +123,8 @@ func runShard(t testing.TB, eng *Engine, grid Grid, i, n int) []byte {
 	if err := WriteShardHeader(&buf, h); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SweepUnits(context.Background(), grid, units, func(r Result) {
-		if err := pipeline.EncodeRow(&buf, r); err != nil {
-			t.Error(err)
-		}
+	if err := eng.SweepUnits(context.Background(), grid, units, func(chunk []byte, _ int) {
+		buf.Write(chunk)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +281,7 @@ func TestShardsShareStoreAcrossEngines(t *testing.T) {
 		for _, g := range GroupUnits(units) {
 			cut = cut || len(g.Units) < len(grid.Models)*len(grid.Regs)
 		}
-		if err := storeEng(t, 2, dir).SweepUnits(ctx, grid, units, func(Result) {}, nil); err != nil {
+		if err := storeEng(t, 2, dir).SweepUnits(ctx, grid, units, func([]byte, int) {}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -107,7 +107,10 @@ func (e *Engine) Base(ctx context.Context, g *ddg.Graph, m *machine.Config) (*pi
 // every model's register count — goes to *row, and each of cells hands
 // its metrics or error to each, in order.
 func (e *Engine) EvalGroup(ctx context.Context, g *ddg.Graph, m *machine.Config, row *pipeline.Requirement, cells []pipeline.Cell, each func(pipeline.Metrics, error) error) error {
-	return e.cache.evalCells(ctx, g, m, sched.Options{}, row, cells, each)
+	sc := walkScratches.Get().(*walkScratch)
+	err := e.cache.evalCells(ctx, g, m, sched.Options{}, row, cells, each, sc)
+	walkScratches.Put(sc)
+	return err
 }
 
 // Compile runs the staged per-model pipeline for one loop — build the

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"slices"
@@ -113,9 +114,9 @@ func TestWarmStoreBuildsNoBase(t *testing.T) {
 // TestReorderShuffledGroups feeds whole groups to the reorder buffer in
 // shuffled completion order, sequentially and from concurrent workers:
 // rows come out in unit order, each as soon as the prefix before it is
-// complete and with its identity rebuilt from the grid, and no group's
-// rows are held once emitted. Each cell's record carries its unit index
-// in II, so the emitted order is checked row by row.
+// complete and under the unit index its identity is rendered from, and
+// no group's rows are held once emitted. Each cell's record carries its
+// unit index in II, so the emitted order is checked row by row.
 func TestReorderShuffledGroups(t *testing.T) {
 	grid := Grid{
 		Corpus:   loops.Kernels()[:5],
@@ -139,18 +140,17 @@ func TestReorderShuffledGroups(t *testing.T) {
 		}
 	}
 	var got []int
-	collect := func(r Result) {
-		if want := rowFor(grid, units[r.II]); r.Loop != want.Loop || r.Machine != want.Machine || r.Model != want.Model || r.Regs != want.Regs {
-			t.Errorf("row of unit %d has identity %s/%s/%s/%d, want %s/%s/%s/%d",
-				r.II, r.Loop, r.Machine, r.Model, r.Regs, want.Loop, want.Machine, want.Model, want.Regs)
+	collect := func(ui int, m pipeline.Metrics, _ string) {
+		if int(m.II) != ui {
+			t.Errorf("unit %d handed on with the record of unit %d", ui, m.II)
 		}
-		got = append(got, r.II)
+		got = append(got, int(m.II))
 	}
 
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
 		got = nil
-		o := newReorder(grid, units, groups, collect)
+		o := newReorder(len(units), groups, collect)
 		put := map[int]bool{}
 		for _, gi := range rng.Perm(len(groups)) {
 			o.put(gi, rowsOf(groups[gi]))
@@ -177,7 +177,7 @@ func TestReorderShuffledGroups(t *testing.T) {
 	}
 
 	got = nil
-	o := newReorder(grid, units, groups, collect)
+	o := newReorder(len(units), groups, collect)
 	var wg sync.WaitGroup
 	for _, gi := range rng.Perm(len(groups)) {
 		wg.Add(1)
@@ -197,35 +197,48 @@ func TestReorderShuffledGroups(t *testing.T) {
 	}
 }
 
-// TestReorderNeverBlocksWorkers parks the emitter on the stream's first
-// row. While it is parked, the other worker's puts must return, so it
-// finishes every remaining group, counted by the done hook; after the
-// release every row comes out exactly once, in plan order.
+// TestReorderNeverBlocksWorkers parks the stream's writer on its first
+// chunk, which the first machine's rows fill before the second
+// machine's groups are done. While it is parked, the other worker's
+// puts must return, so it finishes every remaining group, counted by
+// the done hook; after the release every row comes out exactly once, in
+// plan order, with the bytes EncodeRow writes for the Result rows.
 func TestReorderNeverBlocksWorkers(t *testing.T) {
 	grid := Grid{
-		Corpus:   loops.Kernels()[:12],
+		Corpus:   loops.Kernels(),
 		Machines: []*machine.Config{machine.Eval(3), machine.Eval(6)},
 		Models:   []core.Model{core.Ideal, core.Unified},
-		Regs:     []int{16, 32},
+		Regs:     []int{16, 24, 32, 40, 48, 56, 64, 80, 96, 112, 128, 256},
 	}
 	ctx := context.Background()
-	want, err := New(1).Rows(ctx, grid)
+	rows, err := New(1).Rows(ctx, grid)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, r := range rows {
+		if err := pipeline.EncodeRow(&want, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if perMachine := want.Len() / len(grid.Machines); perMachine <= chunkBytes {
+		t.Fatalf("a machine's rows take %d bytes, not more than a chunk: the first write would wait for the whole grid", perMachine)
 	}
 	units := grid.Plan()
 	var done atomic.Int64
 	allDone := make(chan struct{})
 	parked, release := make(chan struct{}), make(chan struct{})
-	var got []Result
+	var got bytes.Buffer
+	emitted := 0
 	finished := make(chan error, 1)
 	go func() {
-		finished <- New(2).SweepUnits(ctx, grid, units, func(r Result) {
-			if len(got) == 0 {
+		finished <- New(2).SweepUnits(ctx, grid, units, func(chunk []byte, n int) {
+			if got.Len() == 0 {
 				close(parked)
 				<-release
 			}
-			got = append(got, r)
+			got.Write(chunk)
+			emitted += n
 		}, func() {
 			if done.Add(1) == int64(len(units)) {
 				close(allDone)
@@ -237,14 +250,15 @@ func TestReorderNeverBlocksWorkers(t *testing.T) {
 	case <-allDone:
 	case <-time.After(time.Minute):
 		close(release)
-		t.Fatalf("%d of %d units done while the emitter was parked: a worker waits on the emission",
+		t.Fatalf("%d of %d units done while the writer was parked: a worker waits on the emission",
 			done.Load(), len(units))
 	}
 	close(release)
 	if err := <-finished; err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("emitted %d rows, want the %d rows of the plan in order", len(got), len(want))
+	if emitted != len(units) || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("emitted %d rows in %d bytes, want the %d rows of the plan in order (%d bytes)",
+			emitted, got.Len(), len(units), want.Len())
 	}
 }
